@@ -49,16 +49,14 @@ from .sensing import (
 )
 from .simulator import (
     ChannelMode,
-    OutageEstimate,
     PowerPolicy,
-    RateCdf,
     Scenario,
     ScenarioConfig,
+    SimulationResult,
     cellular_sir,
     draw_ppp,
-    estimate_outage,
     femto_sir,
-    rate_cdf,
+    simulate,
     zf_precoder,
 )
 
@@ -71,13 +69,12 @@ __all__ = [
     "LinkBudget",
     "LinkType",
     "LocationCoefficients",
-    "OutageEstimate",
     "PowerPolicy",
-    "RateCdf",
     "Regime",
     "Scenario",
     "ScenarioConfig",
     "SensingPlan",
+    "SimulationResult",
     "SystemParams",
     "area_spectral_efficiency",
     "blended_power_policy",
@@ -87,7 +84,6 @@ __all__ = [
     "detection_probability_ray",
     "detection_probability_sc",
     "draw_ppp",
-    "estimate_outage",
     "false_alarm_probability",
     "femto_sir",
     "k_c",
@@ -103,11 +99,11 @@ __all__ = [
     "noise_floor_dbm",
     "path_loss_db",
     "power_ratio_bounds",
-    "rate_cdf",
     "sensing_plan",
     "shot_noise_c_f",
     "shot_noise_constants",
     "shot_noise_k_f",
+    "simulate",
     "solve_threshold",
     "su_mu_radius_ratios",
     "zf_precoder",

@@ -218,7 +218,10 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         "threshold", "p_false", "p_detect_at_d_sense", "max_range_m",
     ]
     rows = []
-    range_cache: dict[int, float] = {}
+    # the threshold depends on m_tw alone; the range also on the pilot budget
+    # and the branch count, which PcOverPfDb and TfUf sweeps move
+    threshold_cache: dict[int, float] = {}
+    range_cache: dict[tuple[int, SystemParams], float] = {}
     for value in spec.values():
         p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, 500)
         d_sense = sensing.min_sensing_radius(dn, p2)
@@ -227,19 +230,21 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
             blend = cfg.blend_weight * hi_db + (1.0 - cfg.blend_weight) * lo_db
         except sensing.InfeasiblePlanError:
             lo_db = hi_db = blend = math.nan
-        threshold = sensing.solve_threshold(m_tw, 0.1)
-        if m_tw not in range_cache:
+        if m_tw not in threshold_cache:
+            threshold_cache[m_tw] = sensing.solve_threshold(m_tw, 0.1)
+        threshold = threshold_cache[m_tw]
+        if (m_tw, p2) not in range_cache:
             try:
-                range_cache[m_tw] = sensing.max_sensing_range(m_tw, 0.9, 0.1, p2)
+                range_cache[m_tw, p2] = sensing.max_sensing_range(m_tw, 0.9, 0.1, p2)
             except sensing.InfeasiblePlanError:
-                range_cache[m_tw] = math.nan
+                range_cache[m_tw, p2] = math.nan
         rows.append([
             spec.variable, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
             threshold, sensing.false_alarm_probability(m_tw, threshold),
             sensing.detection_probability_sc(
                 sensing.pilot_snr(d_sense, p2), m_tw, threshold, p2.t_f
             ),
-            range_cache[m_tw],
+            range_cache[m_tw, p2],
         ])
     _write_csv(out_path, header, rows)
 
@@ -283,17 +288,18 @@ def cmd_simulate(
          "p_outage", "ci_halfwidth_95"]
         + [f"rate_pct_{int(q)}" for q in pct_grid]
     )
-    rows = []
-    for dn in d_values:
+
+    def row(dn: float) -> list:
+        # a point's rates are freed before the next point allocates its own
         cfg_d = dataclasses.replace(cfg, d_norm=dn)
-        est = simulator.estimate_outage(cfg_d, drops, fades, p, seed)
-        cdf = simulator.rate_cdf(cfg_d, drops, fades, p, seed)
-        rows.append(
+        res = simulator.simulate(cfg_d, drops, fades, p, seed)
+        return (
             [cfg_d.scenario, dn, cfg_d.density(p), drops, fades, seed,
-             est.p_outage, est.ci_halfwidth_95]
-            + [cdf.percentile(q) for q in pct_grid]
+             res.p_outage, res.ci_halfwidth_95]
+            + [res.percentile(q) for q in pct_grid]
         )
-    _write_csv(out_path, header, rows)
+
+    _write_csv(out_path, header, [row(dn) for dn in d_values])
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +372,9 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
             power_policy=PowerPolicy.FIXED,
             n_f_target=lam_f * math.pi * p.r_c**2, include_noise=False,
         )
-        est = simulator.estimate_outage(cfg_f, 1000, 1000, p, seed)
+        p_out = simulator.simulate(cfg_f, 1000, 1000, p, seed).p_outage
         record("femto_closure_outage",
-               abs(est.p_outage - p.eps) <= 0.03, est.p_outage,
-               f"{p.eps} +- 0.03")
+               abs(p_out - p.eps) <= 0.03, p_out, f"{p.eps} +- 0.03")
 
     lam_c = analytic.max_contention_density_cellular(0.8, p)
     cfg_c = ScenarioConfig(
@@ -377,9 +382,9 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         power_policy=PowerPolicy.FIXED,
         n_f_target=lam_c * math.pi * p.r_c**2, include_noise=False,
     )
-    est = simulator.estimate_outage(cfg_c, 4000, 250, p, seed)
+    p_out = simulator.simulate(cfg_c, 4000, 250, p, seed).p_outage
     record("cellular_closure_outage",
-           abs(est.p_outage - p.eps) <= 0.02, est.p_outage, f"{p.eps} +- 0.02")
+           abs(p_out - p.eps) <= 0.02, p_out, f"{p.eps} +- 0.02")
 
     try:
         err_lo, err_hi = _lemma_inversion_errors(p, cfg.density(p))

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from tiernet.cli import SweepSpec, SweepVar, main, parse_sweep
+from tiernet.linkmodel import SystemParams
+from tiernet.sensing import max_sensing_range
 
 
 @pytest.fixture()
@@ -74,6 +79,30 @@ def test_sensing_sweep_emits_frozen_cell_edge_row(runner):
     assert float(at["pc_over_pf_lb_db"]) == pytest.approx(37.7161749754, abs=1e-6)
     assert float(at["pc_over_pf_ub_db"]) == pytest.approx(57.2650912002, abs=1e-6)
     assert float(at["max_range_m"]) == pytest.approx(544.280045542, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "sweep, params",
+    [
+        ("PcOverPfDb:10:30:5",
+         lambda p, v: dataclasses.replace(p, p_c_dbm=p.p_f_dbm + v)),
+        ("TfUf:1:4:4", lambda p, v: dataclasses.replace(p, t_f=round(v))),
+    ],
+    ids=["PcOverPfDb", "TfUf"],
+)
+def test_sensing_max_range_follows_swept_parameters(runner, sweep, params):
+    """A sweep that moves the pilot budget or the branch count moves the
+    sensing range: no row may repeat the range of another operating point."""
+    res = runner.invoke(main, ["sensing", "--sweep", sweep])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert len(rows) == int(sweep.split(":")[-1])
+    p = SystemParams()
+    for row in rows:
+        p2 = params(p, float(row["value"]))
+        want = max_sensing_range(int(row["m_tw"]), 0.9, 0.1, p2)
+        assert float(row["max_range_m"]) == pytest.approx(want, rel=1e-10)
+    assert len({row["max_range_m"] for row in rows}) == len(rows)
 
 
 def test_sensing_infeasible_window_reported_as_nan(runner, tmp_path):

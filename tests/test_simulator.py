@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from tiernet.simulator import (
     _scenario_positions,
     _zf_desired_batch,
     _zf_leakage_batch,
+    _worker_count,
     cellular_sir,
     draw_ppp,
     estimate_outage,
     femto_sir,
-    rate_cdf,
+    simulate,
     zf_precoder,
 )
 from tiernet.specfun import reg_inc_beta
@@ -236,8 +238,8 @@ def _hotspot_cfg(**kw):
 
 def test_outage_estimate_reproducible_and_bounded():
     cfg = _hotspot_cfg()
-    a = estimate_outage(cfg, 50, 200, P, seed=99)
-    b = estimate_outage(cfg, 50, 200, P, seed=99)
+    a = simulate(cfg, 50, 200, P, seed=99)
+    b = simulate(cfg, 50, 200, P, seed=99)
     assert a == b
     assert 0.0 <= a.p_outage <= 1.0
     assert a.ci_halfwidth_95 > 0.0
@@ -247,17 +249,78 @@ def test_outage_estimate_reproducible_and_bounded():
 def test_parallel_equals_serial(monkeypatch):
     cfg = _hotspot_cfg()
     monkeypatch.setenv("TIERNET_THREADS", "1")
-    serial = rate_cdf(cfg, 24, 100, P, seed=5)
+    serial = simulate(cfg, 24, 100, P, seed=5)
     monkeypatch.setenv("TIERNET_THREADS", "4")
-    parallel = rate_cdf(cfg, 24, 100, P, seed=5)
+    parallel = simulate(cfg, 24, 100, P, seed=5)
     np.testing.assert_array_equal(serial.rates, parallel.rates)
+
+
+def test_exponential_draws_match_unit_shape_gamma():
+    """The fast path draws Gamma(1, 1) fades as standard exponentials: same
+    values and the same stream state afterwards, so seeded runs keep their
+    bits."""
+    def rng():
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+
+    a, b = rng(), rng()
+    np.testing.assert_array_equal(a.gamma(1.0, 1.0, (40, 25)), b.standard_exponential((40, 25)))
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _hotspot_cfg(),
+        ScenarioConfig(scenario=Scenario.REFERENCE_CELLULAR_USER, n_f_target=60.0),
+        _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0),
+    ],
+    ids=["hotspot-fixed", "cellular-sensed", "hotspot-sensed"],
+)
+def test_simulate_one_pass_serves_outage_and_rates(monkeypatch, cfg):
+    """The outage share is the share of rates below log2(1+Γ), the rates come
+    back sorted, and neither depends on the thread count."""
+    results = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("TIERNET_THREADS", threads)
+        results.append(simulate(cfg, 24, 100, P, seed=5))
+    res = results[0]
+    assert results[1] == res
+    assert res.rates.shape == (24 * 100,)
+    assert np.all(np.diff(res.rates) >= 0.0)
+    below = np.count_nonzero(res.rates < math.log2(1.0 + P.gamma_target))
+    assert res.p_outage == below / res.rates.size
+
+
+def test_cellular_sensed_policy_without_femtocells():
+    """With no femtocells there is no power window to blend; the run sees
+    the macro link and noise alone."""
+    cfg = ScenarioConfig(
+        scenario=Scenario.REFERENCE_CELLULAR_USER,
+        power_policy=PowerPolicy.CARRIER_SENSED_BLEND,
+        n_f_target=0.0,
+    )
+    res = simulate(cfg, 10, 20, P, seed=2)
+    assert 0.0 <= res.p_outage <= 1.0
+    assert np.all(np.isfinite(res.rates))
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("TIERNET_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count(100) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(100) == 8
+    assert _worker_count(3) == 3
+    monkeypatch.setenv("TIERNET_THREADS", "2")
+    assert _worker_count(100) == 2
 
 
 def test_fast_and_full_modes_agree_at_single_user_config():
     """Both channel models share the fading laws at U=1, so outage matches
     within fade-level Monte Carlo noise (drop geometry is seed-identical)."""
-    fast = estimate_outage(_hotspot_cfg(n_f_target=800.0), 150, 150, P, seed=21)
-    full = estimate_outage(
+    fast = simulate(_hotspot_cfg(n_f_target=800.0), 150, 150, P, seed=21)
+    full = simulate(
         _hotspot_cfg(n_f_target=800.0, channel_mode=ChannelMode.FULL_ZF),
         150, 150, P, seed=21,
     )
@@ -266,7 +329,7 @@ def test_fast_and_full_modes_agree_at_single_user_config():
 
 def test_rate_cdf_sorted_and_percentiles():
     cfg = _hotspot_cfg()
-    cdf = rate_cdf(cfg, 20, 50, P, seed=3)
+    cdf = simulate(cfg, 20, 50, P, seed=3)
     assert len(cdf.rates) == 20 * 50
     assert np.all(np.diff(cdf.rates) >= 0.0)
     assert cdf.percentile(10.0) <= cdf.percentile(50.0) <= cdf.percentile(90.0)
@@ -283,7 +346,7 @@ def test_sensing_policy_reduces_cellular_outage():
             n_f_target=60.0,
             include_noise=False,
         )
-        return estimate_outage(cfg, 200, 200, P, seed=17).p_outage
+        return simulate(cfg, 200, 200, P, seed=17).p_outage
 
     fixed = run(PowerPolicy.FIXED)
     sensed = run(PowerPolicy.CARRIER_SENSED_BLEND)
