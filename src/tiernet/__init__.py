@@ -4,15 +4,15 @@ zero-forcing transmitters and carrier-sensing femtocells.
 Closed-form quantities (contention density caps, coverage radii, transmit
 power windows, sensing radii) live in :mod:`tiernet.analytic` and
 :mod:`tiernet.sensing`; the stochastic-geometry Monte Carlo used to validate
-them lives in :mod:`tiernet.simulator`.
+them lives in :mod:`tiernet.simulator`. The names re-exported here are the
+public surface: parameters and link model, closed forms, sensing design, and
+the simulation entry point with the SIR and precoder functions it builds on.
 """
 
 from .analytic import (
-    CoverageSolution,
     Regime,
     area_spectral_efficiency,
     cellular_coverage_radius,
-    coverage_solution,
     k_c,
     k_correction_bounds,
     k_f_limit,
@@ -20,22 +20,18 @@ from .analytic import (
     max_contention_density_femto,
     no_coverage_radius,
     shot_noise_c_f,
-    shot_noise_constants,
     shot_noise_k_f,
     su_mu_radius_ratios,
 )
 from .linkmodel import (
     LinkBudget,
-    LinkType,
     LocationCoefficients,
     SystemParams,
     link_budget,
     location_coeffs,
-    path_loss_db,
 )
 from .sensing import (
     InfeasiblePlanError,
-    SensingPlan,
     blended_power_policy,
     detection_probability_ray,
     detection_probability_sc,
@@ -44,7 +40,6 @@ from .sensing import (
     min_sensing_radius,
     noise_floor_dbm,
     power_ratio_bounds,
-    sensing_plan,
     solve_threshold,
 )
 from .simulator import (
@@ -54,7 +49,6 @@ from .simulator import (
     ScenarioConfig,
     SimulationResult,
     cellular_sir,
-    draw_ppp,
     femto_sir,
     simulate,
     zf_precoder,
@@ -64,26 +58,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelMode",
-    "CoverageSolution",
     "InfeasiblePlanError",
     "LinkBudget",
-    "LinkType",
     "LocationCoefficients",
     "PowerPolicy",
     "Regime",
     "Scenario",
     "ScenarioConfig",
-    "SensingPlan",
     "SimulationResult",
     "SystemParams",
     "area_spectral_efficiency",
     "blended_power_policy",
     "cellular_coverage_radius",
     "cellular_sir",
-    "coverage_solution",
     "detection_probability_ray",
     "detection_probability_sc",
-    "draw_ppp",
     "false_alarm_probability",
     "femto_sir",
     "k_c",
@@ -97,11 +86,8 @@ __all__ = [
     "min_sensing_radius",
     "no_coverage_radius",
     "noise_floor_dbm",
-    "path_loss_db",
     "power_ratio_bounds",
-    "sensing_plan",
     "shot_noise_c_f",
-    "shot_noise_constants",
     "shot_noise_k_f",
     "simulate",
     "solve_threshold",

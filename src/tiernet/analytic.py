@@ -9,28 +9,23 @@ expansion); the Monte Carlo engine in `tiernet.simulator` validates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .linkmodel import SystemParams, link_budget, location_coeffs, db_to_linear
-from .specfun import beta, inv_reg_inc_beta, ln_gamma, reg_inc_beta
+from .specfun import beta, inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "Regime",
-    "CoverageSolution",
-    "ShotNoiseConstants",
     "no_coverage_radius",
     "su_mu_radius_ratios",
     "shot_noise_c_f",
     "shot_noise_k_f",
     "k_f_limit",
     "k_c",
-    "shot_noise_constants",
     "max_contention_density_femto",
     "max_contention_density_cellular",
     "cellular_coverage_radius",
     "area_spectral_efficiency",
-    "coverage_solution",
 ]
 
 
@@ -40,35 +35,13 @@ class Regime(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class CoverageSolution:
-    """Analytic outputs at one normalized location."""
-
-    d_f_m: float
-    d_c_m: float
-    lambda_star: float
-    n_f: float
-    regime: Regime
-
-
-@dataclass(frozen=True)
-class ShotNoiseConstants:
-    """The dimensionless shot-noise constants: the interference coefficient
-    c_f, the location-dependent correction k_f, its kappa->0 limit
-    k_f_limit, and the cellular-side k_c."""
-
-    c_f: float
-    k_f: float
-    k_f_limit: float
-    k_c: float
-
-
-def _falling_delta_product(length: int, delta: float) -> float:
-    # prod_{m=0}^{length-1} (m - delta), evaluated in index order
-    out = 1.0
-    for m in range(length):
-        out *= m - delta
-    return out
+def _falling_delta_sum(n: int, delta: float, start: float) -> float:
+    # start + sum_{l=1}^{n} (1/l!)·prod_{m<l}(m-delta), summed in index order
+    total, prod = start, 1.0
+    for l in range(1, n + 1):
+        prod *= l - 1 - delta
+        total += prod / math.factorial(l)
+    return total
 
 
 def no_coverage_radius(p: SystemParams) -> float:
@@ -112,11 +85,7 @@ def shot_noise_c_f(p: SystemParams) -> float:
 def k_f_limit(p: SystemParams) -> float:
     """kappa -> 0 limit of the shot-noise correction (hotspot-limited
     regime): [1 + sum_{l=1}^{t_f-u_f} (1/l!)·prod_{m<l}(m-delta)]^(-1)."""
-    delta = 2.0 / p.alpha_fo
-    s = 1.0
-    for l in range(1, p.t_f - p.u_f + 1):
-        s += _falling_delta_product(l, delta) / math.factorial(l)
-    return 1.0 / s
+    return 1.0 / _falling_delta_sum(p.t_f - p.u_f, 2.0 / p.alpha_fo, 1.0)
 
 
 def shot_noise_k_f(kappa: float, p: SystemParams) -> float:
@@ -130,9 +99,7 @@ def shot_noise_k_f(kappa: float, p: SystemParams) -> float:
     ratio = kappa / (kappa + 1.0)
     correction = 0.0
     for j in range(p.t_f - p.u_f):
-        inner = 0.0
-        for l in range(1, p.t_f - p.u_f - j + 1):
-            inner += _falling_delta_product(l, delta) / math.factorial(l)
+        inner = _falling_delta_sum(p.t_f - p.u_f - j, delta, 0.0)
         weight = ratio**j * math.comb(p.u_c + j - 1, j) / (1.0 + kappa) ** p.u_c
         correction += weight * inner
     return 1.0 / (1.0 + correction)
@@ -151,20 +118,7 @@ def k_correction_bounds(t: int, u: int, p: SystemParams) -> tuple[float, float]:
 def k_c(p: SystemParams) -> float:
     """Cellular-side shot-noise constant K_c =
     [1 + sum_{j=1}^{t_c-u_c} (1/j!)·prod_{k<j}(k-delta)]^(-1)."""
-    delta = 2.0 / p.alpha_fo
-    s = 1.0
-    for j in range(1, p.t_c - p.u_c + 1):
-        s += _falling_delta_product(j, delta) / math.factorial(j)
-    return 1.0 / s
-
-
-def shot_noise_constants(kappa: float, p: SystemParams) -> ShotNoiseConstants:
-    return ShotNoiseConstants(
-        c_f=shot_noise_c_f(p),
-        k_f=shot_noise_k_f(kappa, p),
-        k_f_limit=k_f_limit(p),
-        k_c=k_c(p),
-    )
+    return 1.0 / _falling_delta_sum(p.t_c - p.u_c, 2.0 / p.alpha_fo, 1.0)
 
 
 def max_contention_density_femto(d_norm: float, p: SystemParams) -> tuple[float, Regime]:
@@ -199,23 +153,19 @@ def max_contention_density_cellular(d_norm: float, p: SystemParams) -> float:
     return p.eps * k_c(p) / (c_f * (loc.q_c * p.gamma_target) ** delta)
 
 
-def _coverage_radius_with_kc(lambda_f: float, p: SystemParams, kc_value: float) -> float:
+def cellular_coverage_radius(lambda_f: float, p: SystemParams) -> float:
+    """Largest macro distance D_c at which a cellular user still meets the
+    outage target under femtocell density lambda_f; algebraic inverse of
+    max_contention_density_cellular."""
     if not lambda_f > 0:
         raise ValueError(f"cellular_coverage_radius requires lambda_f > 0, got {lambda_f}")
     delta = 2.0 / p.alpha_fo
     lb = link_budget(p)
     pc_over_pf = db_to_linear(p.p_c_dbm - p.p_f_dbm)
     prefix = (pc_over_pf * (lb.a_c / lb.a_cf) / (p.gamma_target * p.u_c)) ** (1.0 / p.alpha_c)
-    return prefix * (p.eps * kc_value / (lambda_f * shot_noise_c_f(p))) ** (
+    return prefix * (p.eps * k_c(p) / (lambda_f * shot_noise_c_f(p))) ** (
         1.0 / (delta * p.alpha_c)
     )
-
-
-def cellular_coverage_radius(lambda_f: float, p: SystemParams) -> float:
-    """Largest macro distance D_c at which a cellular user still meets the
-    outage target under femtocell density lambda_f; algebraic inverse of
-    max_contention_density_cellular."""
-    return _coverage_radius_with_kc(lambda_f, p, k_c(p))
 
 
 def area_spectral_efficiency(lambda_f: float, p: SystemParams) -> float:
@@ -223,24 +173,3 @@ def area_spectral_efficiency(lambda_f: float, p: SystemParams) -> float:
     if lambda_f < 0:
         raise ValueError(f"lambda_f must be nonnegative, got {lambda_f}")
     return (1.0 - p.eps) * p.u_f * lambda_f * math.log2(1.0 + p.gamma_target)
-
-
-def coverage_solution(
-    d_norm: float, p: SystemParams, lambda_f: float | None = None
-) -> CoverageSolution:
-    """Bundle of the analytic answers at one location.
-
-    d_c_m is evaluated at `lambda_f` when given, else at the femto-side
-    maximum density for this location (math.inf if that density is 0 —
-    with no femtocells and no noise, cellular coverage is unbounded).
-    """
-    lam, regime = max_contention_density_femto(d_norm, p)
-    lam_for_dc = lambda_f if lambda_f is not None else lam
-    d_c = cellular_coverage_radius(lam_for_dc, p) if lam_for_dc > 0 else math.inf
-    return CoverageSolution(
-        d_f_m=no_coverage_radius(p),
-        d_c_m=d_c,
-        lambda_star=lam,
-        n_f=lam * math.pi * p.r_c**2,
-        regime=regime,
-    )

@@ -63,8 +63,9 @@ class SweepSpec:
     steps: int
 
     def values(self) -> list[float]:
+        # the last point is stop itself: start + (steps-1)·h can overshoot it
         h = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + i * h for i in range(self.steps)]
+        return [self.start + i * h for i in range(self.steps - 1)] + [self.stop]
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -141,20 +142,38 @@ def _write_csv(out_path: str | None, header: list[str], rows: list[list]) -> Non
             fh.write(text)
 
 
+def _sweep_error(var: SweepVar, value: float, reason: str) -> click.BadParameter:
+    return click.BadParameter(f"{var.value} = {value!r}: {reason}", param_hint="'--sweep'")
+
+
+def _sweep_d_norm(value: float) -> float:
+    if not 0.0 < value <= 1.0:
+        raise _sweep_error(SweepVar.D, value, "must lie in (0, 1]")
+    return value
+
+
 def _apply_sweep(
     var: SweepVar, value: float, p: SystemParams, d_norm: float, m_tw: int
 ) -> tuple[SystemParams, float, int]:
+    """The parameters at one sweep value; a value outside the model's range
+    is a usage error."""
     if var is SweepVar.D:
-        return p, value, m_tw
+        return p, _sweep_d_norm(value), m_tw
+    if var is SweepVar.M_TW:
+        if round(value) < 1:
+            raise _sweep_error(var, value, "must round to at least 1")
+        return p, d_norm, round(value)
     if var is SweepVar.PC_OVER_PF_DB:
-        return dataclasses.replace(p, p_c_dbm=p.p_f_dbm + value), d_norm, m_tw
-    if var is SweepVar.ALPHA_FO:
-        return dataclasses.replace(p, alpha_fo=value), d_norm, m_tw
-    if var is SweepVar.TF_UF:
+        changes = {"p_c_dbm": p.p_f_dbm + value}
+    elif var is SweepVar.ALPHA_FO:
+        changes = {"alpha_fo": value}
+    else:
         t_f = round(value)
-        u_f = 1 if p.u_f == 1 else t_f
-        return dataclasses.replace(p, t_f=t_f, u_f=u_f), d_norm, m_tw
-    return p, d_norm, round(value)
+        changes = {"t_f": t_f, "u_f": 1 if p.u_f == 1 else t_f}
+    try:
+        return dataclasses.replace(p, **changes), d_norm, m_tw
+    except ValueError as exc:  # SystemParams rejects the swept value
+        raise _sweep_error(var, value, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +276,8 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
               help="Channel mode override (default: scenario config).")
 @click.option("--sweep", "sweep_text", default=None,
               help="Optional D:start:stop:steps sweep of the reference location.")
-@click.option("--drops", type=int, default=1000, show_default=True)
-@click.option("--fades", type=int, default=1000, show_default=True)
+@click.option("--drops", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--fades", type=click.IntRange(min=1), default=1000, show_default=True)
 def cmd_simulate(
     config_path: str | None,
     out_path: str | None,
@@ -279,7 +298,7 @@ def cmd_simulate(
         spec = parse_sweep(sweep_text)
         if spec.variable is not SweepVar.D:
             raise click.BadParameter("simulate sweeps support only the D variable")
-        d_values = spec.values()
+        d_values = [_sweep_d_norm(v) for v in spec.values()]
     else:
         d_values = [cfg.d_norm]
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]

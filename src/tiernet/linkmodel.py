@@ -1,5 +1,5 @@
-"""System parameters, the five path-loss laws, and per-location interference
-coefficients of the two-tier network model.
+"""System parameters, the fixed losses of the five link classes, and
+per-location interference coefficients of the two-tier network model.
 
 Conventions: every fixed loss is stored in dB as an attenuation; linear-scale
 quantities are gains (10^(-dB/10)). All internal arithmetic is linear — dB
@@ -12,15 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict, fields
-from enum import Enum
 
 __all__ = [
     "SystemParams",
     "LinkBudget",
     "LocationCoefficients",
-    "LinkType",
     "link_budget",
-    "path_loss_db",
     "location_coeffs",
     "db_to_linear",
     "linear_to_db",
@@ -108,27 +105,18 @@ class SystemParams:
         return cls.from_dict(json.loads(text))
 
 
-class LinkType(Enum):
-    """The five link classes of the path-loss model."""
-
-    MACRO_TO_CELL = "MacroToCell"      # macrocell -> outdoor cellular user
-    MACRO_TO_FEMTO = "MacroToFemto"    # macrocell -> indoor femtocell user
-    FEMTO_TO_HOME = "FemtoToHome"      # femtocell -> its own user (fixed R_f)
-    FEMTO_TO_CELL = "FemtoToCell"      # femtocell -> outdoor cellular user
-    FEMTO_TO_FEMTO = "FemtoToFemto"    # femtocell -> user in another home
-
-
 @dataclass(frozen=True)
 class LinkBudget:
-    """Fixed decibel losses per link class plus the shot-noise exponent
-    delta_f = 2/alpha_fo."""
+    """Fixed decibel losses of the five link classes: macro to outdoor
+    cellular user (a_c), macro to indoor femtocell user (a_fc), femtocell to
+    its own user (a_fi), femtocell to outdoor cellular user (a_cf), and
+    femtocell to a user in another home (a_ff)."""
 
     a_c_db: float
     a_fc_db: float
     a_fi_db: float
     a_cf_db: float
     a_ff_db: float
-    delta_f: float
 
     # linear gains, used by everything downstream
     @property
@@ -167,36 +155,7 @@ def link_budget(p: SystemParams) -> LinkBudget:
         a_fi_db=37.0,
         a_cf_db=p.wall_db + 37.0,
         a_ff_db=2.0 * p.wall_db + 37.0,
-        delta_f=2.0 / p.alpha_fo,
     )
-
-
-_LINK_FIXED_DB = {
-    LinkType.MACRO_TO_CELL: lambda lb: lb.a_c_db,
-    LinkType.MACRO_TO_FEMTO: lambda lb: lb.a_fc_db,
-    LinkType.FEMTO_TO_HOME: lambda lb: lb.a_fi_db,
-    LinkType.FEMTO_TO_CELL: lambda lb: lb.a_cf_db,
-    LinkType.FEMTO_TO_FEMTO: lambda lb: lb.a_ff_db,
-}
-
-
-def _link_exponent(link: LinkType, p: SystemParams) -> float:
-    if link in (LinkType.MACRO_TO_CELL, LinkType.MACRO_TO_FEMTO):
-        return p.alpha_c
-    if link is LinkType.FEMTO_TO_HOME:
-        return p.alpha_fi
-    return p.alpha_fo
-
-
-def path_loss_db(link: LinkType, d: float, lb: LinkBudget, p: SystemParams) -> float:
-    """Total path loss in dB at distance d meters for the given link class.
-
-    Raises:
-        ValueError: if d <= 0.
-    """
-    if not d > 0:
-        raise ValueError(f"path_loss_db requires d > 0, got {d}")
-    return _LINK_FIXED_DB[link](lb) + 10.0 * _link_exponent(link, p) * math.log10(d)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ Power ratios are handled in dB at the API surface; detector quantities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analytic import k_c, shot_noise_c_f
 from .linkmodel import (
@@ -29,7 +28,6 @@ from .specfun import (
 
 __all__ = [
     "InfeasiblePlanError",
-    "SensingPlan",
     "min_sensing_radius",
     "power_ratio_bounds",
     "blended_power_policy",
@@ -40,7 +38,6 @@ __all__ = [
     "detection_probability_sc",
     "solve_threshold",
     "max_sensing_range",
-    "sensing_plan",
 ]
 
 # The sensed uplink pilot is transmitted this far below the maximum user
@@ -53,26 +50,6 @@ _BISECT_TOL = 1e-9
 class InfeasiblePlanError(ValueError):
     """No feasible sensing/power plan exists for the requested operating
     point (outage budget already spent, or the power window is empty)."""
-
-
-@dataclass(frozen=True)
-class SensingPlan:
-    """One fully-resolved carrier-sensing operating point.
-
-    The power window [pc_over_pf_lb_db, pc_over_pf_ub_db] is the feasible
-    range of P_c/P_f; its dB width is independent of the macro distance.
-    p_detect is evaluated at the minimum sensing radius d_sense_m.
-    """
-
-    d_sense_m: float
-    pc_over_pf_lb_db: float
-    pc_over_pf_ub_db: float
-    blend_weight: float
-    m_tw: int
-    threshold: float
-    p_detect: float
-    p_false: float
-    noise_power_dbm: float
 
 
 def min_sensing_radius(d_norm: float, p: SystemParams) -> float:
@@ -298,33 +275,3 @@ def max_sensing_range(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def sensing_plan(
-    d_norm: float,
-    lambda_f: float,
-    p: SystemParams,
-    m_tw: int = 500,
-    blend_weight: float = 0.7,
-    p_detect_target: float = 0.9,
-    p_false_target: float = 0.1,
-) -> SensingPlan:
-    """Resolve the full sensing design at one location/density: minimum
-    sensing radius, the power window, and the detector operating point with
-    p_detect evaluated for a pilot at exactly the minimum sensing radius."""
-    d_sense = min_sensing_radius(d_norm, p)
-    lo_db, hi_db = power_ratio_bounds(d_norm, lambda_f, p)
-    threshold = solve_threshold(m_tw, p_false_target)
-    return SensingPlan(
-        d_sense_m=d_sense,
-        pc_over_pf_lb_db=lo_db,
-        pc_over_pf_ub_db=hi_db,
-        blend_weight=blend_weight,
-        m_tw=m_tw,
-        threshold=threshold,
-        p_detect=detection_probability_sc(
-            pilot_snr(d_sense, p), m_tw, threshold, p.t_f
-        ),
-        p_false=false_alarm_probability(m_tw, threshold),
-        noise_power_dbm=noise_floor_dbm(p),
-    )

@@ -33,11 +33,9 @@ __all__ = [
     "ChannelMode",
     "Scenario",
     "PowerPolicy",
-    "Drop",
     "ChannelDraw",
     "SimulationResult",
     "ScenarioConfig",
-    "draw_ppp",
     "zf_precoder",
     "femto_sir",
     "cellular_sir",
@@ -61,17 +59,6 @@ class PowerPolicy(Enum):
 
 
 @dataclass(frozen=True)
-class Drop:
-    """One realization of the femtocell field: positions in meters relative
-    to the macrocell at the origin. Scenario drops lie on the disc of radius
-    r_c centred on the reference receiver, so the field looks the same from
-    the receiver at every D; draw_ppp still draws on the macrocell disc."""
-
-    femto_positions: np.ndarray  # (k, 2)
-    seed: int
-
-
-@dataclass(frozen=True)
 class ChannelDraw:
     """Fading powers for a batch of trials against one drop.
 
@@ -88,7 +75,6 @@ class ChannelDraw:
     desired_power: np.ndarray
     cross_tier_power: np.ndarray
     mark_powers: np.ndarray
-    mode: ChannelMode
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,25 +197,16 @@ def _disc_positions(
     rng: np.random.Generator,
     lambda_f: float,
     p: SystemParams,
-    centre: tuple[float, float] = (0.0, 0.0),
+    centre: tuple[float, float],
 ) -> np.ndarray:
     """Poisson field of density lambda_f on the disc of radius r_c about
-    centre: count, then radii, then angles. Scenario drops centre it on the
-    reference receiver; draw_ppp keeps the default, the macrocell."""
+    centre, in meters from the macrocell: count, then radii, then angles."""
     count = rng.poisson(lambda_f * math.pi * p.r_c**2)
     radii = p.r_c * np.sqrt(rng.random(count))
     angles = 2.0 * math.pi * rng.random(count)
     return np.column_stack(
         (centre[0] + radii * np.cos(angles), centre[1] + radii * np.sin(angles))
     )
-
-
-def draw_ppp(lambda_f: float, p: SystemParams, seed: int) -> Drop:
-    """One Poisson drop of femtocell positions on the macrocell disc."""
-    if lambda_f < 0:
-        raise ValueError(f"lambda_f must be nonnegative, got {lambda_f}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return Drop(femto_positions=_disc_positions(rng, lambda_f, p), seed=seed)
 
 
 def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -239,9 +216,7 @@ def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def zf_precoder(
-    channel_matrix: np.ndarray, mode: ChannelMode = ChannelMode.FULL_ZF
-) -> np.ndarray:
+def zf_precoder(channel_matrix: np.ndarray) -> np.ndarray:
     """Unit-column zero-forcing precoder: normalized columns of the
     pseudoinverse of the U×T row matrix of channel directions, so that
     row i times column j vanishes for i ≠ j.
@@ -251,12 +226,8 @@ def zf_precoder(
     orthonormal rows with U=T it is the conjugate transpose.
 
     Raises:
-        ValueError: wrong shape, U > T, FastChi2 mode (no explicit
-            precoder exists there), or a rank-deficient matrix.
+        ValueError: wrong shape, U > T, or a rank-deficient matrix.
     """
-    if mode is ChannelMode.FAST_CHI2:
-        raise ValueError("zf_precoder requires FullZF mode: FastChi2 draws "
-                         "fading powers directly and has no precoder matrix")
     h = np.asarray(channel_matrix, dtype=np.complex128)
     if h.ndim != 2:
         raise ValueError(f"channel_matrix must be 2-D, got shape {h.shape}")
@@ -266,13 +237,10 @@ def zf_precoder(
     norms = np.linalg.norm(h, axis=1, keepdims=True)
     if not np.all(norms > 0):
         raise ValueError("channel_matrix has a zero row")
-    rows = h / norms
-    gram = rows @ rows.conj().T
     try:
-        w = rows.conj().T @ np.linalg.inv(gram)
+        return _zf_precoder_batch((h / norms)[None])[0]
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"rank-deficient channel matrix: {exc}") from exc
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
 
 
 def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
@@ -339,50 +307,47 @@ def _sample_draws(
             cross = np.zeros(n_fades)
         flat = _zf_leakage_batch(rng, n_fades * n_interferers, p.t_f, p.u_f)
         marks = flat.reshape(n_fades, n_interferers)
-    return ChannelDraw(
-        desired_power=desired, cross_tier_power=cross, mark_powers=marks, mode=mode
-    )
+    return ChannelDraw(desired_power=desired, cross_tier_power=cross, mark_powers=marks)
 
 
 # ---------------------------------------------------------------------------
 # per-tier SIR
 
 
-def _interferer_distances(drop: Drop, point: np.ndarray) -> np.ndarray:
-    if len(drop.femto_positions) == 0:
-        return np.zeros(0)
-    return np.linalg.norm(drop.femto_positions - point, axis=1)
-
-
 def _interference_w(
-    distances: np.ndarray,
+    positions: np.ndarray,
+    point: np.ndarray,
     mark_powers: np.ndarray,
-    p_tx_w,
+    p_tx_dbm,
     fixed_gain: float,
-    alpha: float,
-    u_streams: int,
+    p: SystemParams,
 ) -> np.ndarray:
-    if distances.size == 0:
+    # per-trial femtocell interference power at point; p_tx_dbm is a scalar
+    # or per-femtocell array, None for the nominal femto power
+    if len(positions) == 0:
         return np.zeros(mark_powers.shape[0])
+    distances = np.linalg.norm(positions - point, axis=1)
+    if p_tx_dbm is None:
+        p_tx_dbm = p.p_f_dbm
+    p_tx_w = dbm_to_watts(np.asarray(p_tx_dbm, dtype=float))
     with np.errstate(divide="ignore"):  # co-located interferer -> inf power
-        per_int = (np.asarray(p_tx_w) / u_streams) * fixed_gain * distances**-alpha
+        per_int = (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
     return mark_powers @ per_int
 
 
 def femto_sir(
     d_norm: float,
-    drop: Drop,
+    positions: np.ndarray,
     draws: ChannelDraw,
     p: SystemParams,
     *,
     p_f_serving_dbm: float | None = None,
-    p_c_dbm: float | None = None,
     p_f_interferer_dbm=None,
     noise_w: float = 0.0,
 ) -> np.ndarray:
     """Per-trial linear SIR (SINR when noise_w > 0) of a femtocell user whose
-    home femto sits at D = d_norm·r_c; the drop holds the interfering femtos
-    only (the serving one is excluded).
+    home femto sits at D = d_norm·r_c; positions (k, 2), in meters from the
+    macrocell, hold the interfering femtos only (the serving one is excluded).
 
     p_f_interferer_dbm may be a scalar or a per-interferer array; transmit
     powers default to the nominal SystemParams values.
@@ -390,21 +355,15 @@ def femto_sir(
     budget = link_budget(p)
     d = d_norm * p.r_c
     pf_serv_w = dbm_to_watts(p.p_f_dbm if p_f_serving_dbm is None else p_f_serving_dbm)
-    pc_w = dbm_to_watts(p.p_c_dbm if p_c_dbm is None else p_c_dbm)
-    pf_int = p.p_f_dbm if p_f_interferer_dbm is None else p_f_interferer_dbm
-    pf_int_w = dbm_to_watts(np.asarray(pf_int, dtype=float))
+    pc_w = dbm_to_watts(p.p_c_dbm)
 
     desired = (
         (pf_serv_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi * draws.desired_power
     )
     cross = (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c * draws.cross_tier_power
     marks = _interference_w(
-        _interferer_distances(drop, np.array([d, 0.0])),
-        draws.mark_powers,
-        pf_int_w,
-        budget.a_ff,
-        p.alpha_fo,
-        p.u_f,
+        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm,
+        budget.a_ff, p,
     )
     with np.errstate(divide="ignore"):
         return desired / (cross + marks + noise_w)
@@ -412,31 +371,24 @@ def femto_sir(
 
 def cellular_sir(
     d_norm: float,
-    drop: Drop,
+    positions: np.ndarray,
     draws: ChannelDraw,
     p: SystemParams,
     *,
-    p_c_dbm: float | None = None,
     p_f_interferer_dbm=None,
     noise_w: float = 0.0,
 ) -> np.ndarray:
     """Per-trial linear SIR (SINR when noise_w > 0) of a cellular user at
-    D = d_norm·r_c served by the macrocell; every femto in the drop
-    interferes. Empty drop and zero noise give infinite SIR."""
+    D = d_norm·r_c served by the macrocell; every femto at positions (k, 2)
+    interferes. No femtocells and zero noise give infinite SIR."""
     budget = link_budget(p)
     d = d_norm * p.r_c
-    pc_w = dbm_to_watts(p.p_c_dbm if p_c_dbm is None else p_c_dbm)
-    pf_int = p.p_f_dbm if p_f_interferer_dbm is None else p_f_interferer_dbm
-    pf_int_w = dbm_to_watts(np.asarray(pf_int, dtype=float))
+    pc_w = dbm_to_watts(p.p_c_dbm)
 
     desired = (pc_w / p.u_c) * budget.a_c * d**-p.alpha_c * draws.desired_power
     marks = _interference_w(
-        _interferer_distances(drop, np.array([d, 0.0])),
-        draws.mark_powers,
-        pf_int_w,
-        budget.a_cf,
-        p.alpha_fo,
-        p.u_f,
+        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm,
+        budget.a_cf, p,
     )
     with np.errstate(divide="ignore"):
         return desired / (marks + noise_w)
@@ -483,15 +435,6 @@ def _reference_femto_power_dbm(cfg: ScenarioConfig, p: SystemParams) -> float:
     return min(p.p_f_dbm, p.p_c_dbm - blend_db)
 
 
-def _scenario_positions(
-    rng: np.random.Generator, cfg: ScenarioConfig, p: SystemParams
-) -> np.ndarray:
-    """Interfering femtocells of one scenario drop, on the disc of radius
-    r_c centred on the reference receiver at (D, 0) (see ScenarioConfig);
-    their powers still follow each femtocell's own macro distance."""
-    return _disc_positions(rng, cfg.density(p), p, (cfg.d_norm * p.r_c, 0.0))
-
-
 def _drop_sinr(
     cfg: ScenarioConfig,
     drop_index: int,
@@ -503,28 +446,29 @@ def _drop_sinr(
     serving_dbm: float | None,
 ) -> np.ndarray:
     """Per-fade SINR of one drop, drawn from its own Philox stream:
-    femtocell positions on the receiver-centred disc, then the fades.
-    noise_w, blend_edge_db and serving_dbm (the reference hotspot's own
-    power) are per-run constants computed by simulate."""
+    femtocell positions on the disc of radius r_c centred on the receiver
+    at (D, 0) (see ScenarioConfig), then the fades. Powers still follow each
+    femtocell's own macro distance. noise_w, blend_edge_db and serving_dbm
+    (the reference hotspot's own power) are per-run constants computed by
+    simulate."""
     rng = _drop_rng(seed, drop_index)
-    positions = _scenario_positions(rng, cfg, p)
-    drop = Drop(femto_positions=positions, seed=drop_index)
+    d = cfg.d_norm * p.r_c
+    positions = _disc_positions(rng, cfg.density(p), p, (d, 0.0))
     draws = _sample_draws(
         rng, n_fades, len(positions), cfg.scenario, p, cfg.channel_mode
     )
-    d = cfg.d_norm * p.r_c
     if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
         user_point = np.array([d, 0.0])
         powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
         return cellular_sir(
-            cfg.d_norm, drop, draws, p, p_f_interferer_dbm=powers, noise_w=noise_w
+            cfg.d_norm, positions, draws, p, p_f_interferer_dbm=powers, noise_w=noise_w
         )
     # hotspot: the sensed uplink user sits co-linearly outward from the femto
     user_point = np.array([d + cfg.user_offset_m, 0.0])
     powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
     return femto_sir(
         cfg.d_norm,
-        drop,
+        positions,
         draws,
         p,
         p_f_serving_dbm=serving_dbm,

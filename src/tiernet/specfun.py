@@ -1,5 +1,5 @@
 """Special-function kernel: gamma, incomplete gamma/beta, and the even-dof
-chi-squared / F distributions built on them.
+chi-squared distribution built on them.
 
 Every closed-form coverage expression in this package reduces to the
 regularized incomplete beta function, its inverse, or the regularized upper
@@ -31,7 +31,6 @@ __all__ = [
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "chi2_cdf",
-    "f_cdf",
 ]
 
 
@@ -299,20 +298,3 @@ def chi2_cdf(k_dof: int, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
     if x < 0:
         raise ValueError(f"chi2_cdf requires x >= 0, got x={x}")
     return 1.0 - reg_upper_gamma(k_dof / 2.0, x / 2.0, acc)
-
-
-def f_cdf(d1: int, d2: int, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
-    """CDF of the F distribution with even dof pair (d1, d2).
-
-    Expressed through the incomplete beta with the standard ratio argument:
-    F(x) = I_{d1 x/(d1 x + d2)}(d1/2, d2/2).
-    """
-    for name, d in (("d1", d1), ("d2", d2)):
-        if d < 2 or d % 2 != 0:
-            raise ValueError(f"f_cdf requires even {name} >= 2, got {d}")
-    if x < 0:
-        raise ValueError(f"f_cdf requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    t = d1 * x / (d1 * x + d2)
-    return reg_inc_beta(t, d1 / 2.0, d2 / 2.0, acc)

@@ -11,7 +11,6 @@ from tiernet.analytic import (
     Regime,
     area_spectral_efficiency,
     cellular_coverage_radius,
-    coverage_solution,
     k_c,
     k_correction_bounds,
     k_f_limit,
@@ -19,7 +18,6 @@ from tiernet.analytic import (
     max_contention_density_femto,
     no_coverage_radius,
     shot_noise_c_f,
-    shot_noise_constants,
     shot_noise_k_f,
     su_mu_radius_ratios,
 )
@@ -200,34 +198,6 @@ def test_area_spectral_efficiency():
     assert area_spectral_efficiency(0.0, P) == 0.0
     with pytest.raises(ValueError):
         area_spectral_efficiency(-1e-9, P)
-
-
-def test_coverage_solution_bundle():
-    sol = coverage_solution(0.8, P)
-    lam, reg = max_contention_density_femto(0.8, P)
-    assert sol.lambda_star == lam
-    assert sol.regime is reg
-    assert sol.n_f == pytest.approx(lam * AREA, rel=1e-12)
-    assert sol.d_f_m == pytest.approx(no_coverage_radius(P), rel=1e-12)
-    assert sol.d_c_m == pytest.approx(cellular_coverage_radius(lam, P), rel=1e-12)
-    # infeasible location: no femtocells allowed, so cellular range is unbounded
-    sol0 = coverage_solution(0.05, P)
-    assert sol0.lambda_star == 0.0
-    assert math.isinf(sol0.d_c_m)
-
-
-def test_coverage_solution_with_explicit_density():
-    lam = 60.0 / AREA
-    sol = coverage_solution(0.8, P, lambda_f=lam)
-    assert sol.d_c_m == pytest.approx(cellular_coverage_radius(lam, P), rel=1e-12)
-
-
-def test_shot_noise_constants_bundle():
-    sc = shot_noise_constants(0.3, P)
-    assert sc.c_f == shot_noise_c_f(P)
-    assert sc.k_f == shot_noise_k_f(0.3, P)
-    assert sc.k_f_limit == k_f_limit(P)
-    assert sc.k_c == k_c(P)
 
 
 def test_density_cap_monotone_in_outage_budget():

@@ -48,6 +48,29 @@ def test_parse_sweep_rejects(text):
         parse_sweep(text)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analytic", "--sweep", "D:0.1:1.0:8"],
+        ["simulate", "--sweep", "D:0.2:1.0:12", "--drops", "2", "--fades", "2"],
+    ],
+)
+def test_sweep_ends_exactly_at_stop(runner, args):
+    """start + 7·h and start + 11·h overshoot 1.0 by one ulp on these two
+    sweeps; the last point is stop itself, and D = 1 is in range."""
+    spec = parse_sweep(args[2])
+    h = (spec.stop - spec.start) / (spec.steps - 1)
+    assert spec.start + (spec.steps - 1) * h > 1.0
+    vals = spec.values()
+    assert vals[-1] == 1.0
+    assert vals[:-1] == [spec.start + i * h for i in range(spec.steps - 1)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert len(rows) == spec.steps
+    assert float(rows[-1]["d_norm"]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # analytic / sensing CSV
 
@@ -178,6 +201,29 @@ def test_missing_config_exits_2(runner, tmp_path):
         main, ["analytic", "--config", str(tmp_path / "nope.json"), "--sweep", "D:0.2:1:3"]
     )
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analytic", "--sweep", "D:0:1:3"],
+        ["analytic", "--sweep", "D:0.5:1.2:3"],
+        ["sensing", "--sweep", "D:0:1:3"],
+        ["sensing", "--sweep", "Mtw:0:10:3"],
+        ["analytic", "--sweep", "TfUf:0:2:3"],
+        ["analytic", "--sweep", "AlphaFo:2:4:3"],
+        ["simulate", "--sweep", "D:0.5:1.2:3", "--drops", "2", "--fades", "2"],
+        ["simulate", "--drops", "0"],
+        ["simulate", "--fades", "0"],
+    ],
+)
+def test_out_of_range_input_exits_2(runner, args):
+    """Values outside the model's range are usage errors with a one-line
+    message, not a traceback with the validation-failure code."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "Error: Invalid value for" in res.output
 
 
 def test_bad_sweep_usage_exits_2(runner):

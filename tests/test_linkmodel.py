@@ -1,4 +1,4 @@
-"""Link budget, path loss, and location-coefficient tests."""
+"""Link budget and location-coefficient tests."""
 
 from __future__ import annotations
 
@@ -10,14 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tiernet.linkmodel import (
-    LinkType,
     SystemParams,
     db_to_linear,
     dbm_to_watts,
     link_budget,
     linear_to_db,
     location_coeffs,
-    path_loss_db,
 )
 
 
@@ -29,7 +27,6 @@ def test_default_link_budget_decibels():
     assert lb.a_fi_db == pytest.approx(37.0, abs=1e-12)
     assert lb.a_cf_db == pytest.approx(42.0, abs=1e-12)
     assert lb.a_ff_db == pytest.approx(47.0, abs=1e-12)
-    assert lb.delta_f == pytest.approx(2.0 / 3.8, rel=1e-12)
 
 
 def test_linear_gains_invert_decibels():
@@ -54,32 +51,6 @@ def test_wall_losses_stack():
     lb8 = link_budget(p8)
     assert lb8.a_fc_db - lb0.a_fc_db == pytest.approx(3.0)
     assert lb8.a_ff_db - lb0.a_ff_db == pytest.approx(6.0)
-
-
-@pytest.mark.parametrize(
-    ("link", "alpha"),
-    [
-        (LinkType.MACRO_TO_CELL, 3.8),
-        (LinkType.MACRO_TO_FEMTO, 3.8),
-        (LinkType.FEMTO_TO_HOME, 3.0),
-        (LinkType.FEMTO_TO_CELL, 3.8),
-        (LinkType.FEMTO_TO_FEMTO, 3.8),
-    ],
-)
-def test_path_loss_slope_per_link(link, alpha):
-    p = SystemParams()
-    lb = link_budget(p)
-    l1 = path_loss_db(link, 100.0, lb, p)
-    l2 = path_loss_db(link, 1000.0, lb, p)
-    assert l2 - l1 == pytest.approx(10.0 * alpha, rel=1e-12)
-
-
-def test_path_loss_offsets_match_budget():
-    p = SystemParams()
-    lb = link_budget(p)
-    assert path_loss_db(LinkType.MACRO_TO_CELL, 1.0, lb, p) == pytest.approx(lb.a_c_db)
-    assert path_loss_db(LinkType.FEMTO_TO_HOME, 1.0, lb, p) == pytest.approx(lb.a_fi_db)
-    assert path_loss_db(LinkType.FEMTO_TO_FEMTO, 1.0, lb, p) == pytest.approx(lb.a_ff_db)
 
 
 def test_location_coeffs_closed_form():

@@ -21,10 +21,9 @@ from tiernet.sensing import (
     noise_floor_dbm,
     pilot_snr,
     power_ratio_bounds,
-    sensing_plan,
     solve_threshold,
 )
-from tiernet.simulator import ChannelDraw, ChannelMode, Drop, cellular_sir
+from tiernet.simulator import ChannelDraw, cellular_sir
 from tiernet.specfun import reg_inc_beta
 
 P = SystemParams()
@@ -46,16 +45,15 @@ def test_one_interferer_at_sensing_radius_hits_outage_budget():
     """A single femtocell at exactly the minimum sensing radius from a
     cell-edge user drives that user's outage to eps."""
     d_sense = min_sensing_radius(1.0, P)
-    drop = Drop(femto_positions=np.array([[P.r_c + d_sense, 0.0]]), seed=0)
+    positions = np.array([[P.r_c + d_sense, 0.0]])
     rng = np.random.default_rng(90125)
     n = 1_000_000
     draws = ChannelDraw(
         desired_power=rng.gamma(P.t_c - P.u_c + 1, 1.0, size=n),
         cross_tier_power=np.zeros(n),
         mark_powers=rng.gamma(P.u_f, 1.0, size=(n, 1)),
-        mode=ChannelMode.FAST_CHI2,
     )
-    sir = cellular_sir(1.0, drop, draws, P)
+    sir = cellular_sir(1.0, positions, draws, P)
     outage = float(np.mean(sir < P.gamma_target))
     assert outage == pytest.approx(P.eps, abs=0.005)
 
@@ -218,19 +216,3 @@ def test_max_sensing_range_infeasible_target():
     with pytest.raises(InfeasiblePlanError):
         max_sensing_range(500, 0.09, 0.1, P)
 
-
-def test_sensing_plan_bundles_components():
-    plan = sensing_plan(1.0, LAMBDA_60, P)
-    assert plan.d_sense_m == pytest.approx(min_sensing_radius(1.0, P), rel=1e-12)
-    lo_db, hi_db = power_ratio_bounds(1.0, LAMBDA_60, P)
-    assert (plan.pc_over_pf_lb_db, plan.pc_over_pf_ub_db) == (lo_db, hi_db)
-    assert plan.blend_weight == 0.7
-    assert plan.m_tw == 500
-    assert plan.p_false == pytest.approx(0.1, abs=1e-9)
-    assert plan.p_detect == pytest.approx(
-        detection_probability_sc(
-            pilot_snr(plan.d_sense_m, P), 500, plan.threshold, P.t_f
-        ),
-        rel=1e-12,
-    )
-    assert plan.noise_power_dbm == noise_floor_dbm(P)

@@ -10,23 +10,20 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from tiernet import simulator
 from tiernet.analytic import max_contention_density_femto
 from tiernet.linkmodel import SystemParams
 from tiernet.simulator import (
     ChannelDraw,
     ChannelMode,
-    Drop,
     PowerPolicy,
     Scenario,
     ScenarioConfig,
     _drop_rng,
-    _scenario_positions,
     _zf_desired_batch,
     _zf_leakage_batch,
     _worker_count,
     cellular_sir,
-    draw_ppp,
-    estimate_outage,
     femto_sir,
     simulate,
     zf_precoder,
@@ -40,14 +37,26 @@ P = SystemParams()
 # geometry
 
 
-def test_ppp_count_and_uniformity():
-    lam = 100.0 / (math.pi * P.r_c**2)
-    counts, radii = [], []
-    for seed in range(300):
-        drop = draw_ppp(lam, P, seed)
-        counts.append(len(drop.femto_positions))
-        radii.extend(np.hypot(*drop.femto_positions.T))
-    radii = np.asarray(radii)
+def _scenario_drops(monkeypatch, cfg, n_drops, seed):
+    """Femtocell positions of the first n_drops drops of a run, as they
+    reach the SIR function."""
+    seen = []
+    for name in ("cellular_sir", "femto_sir"):
+        def spy(d_norm, positions, *args, _sir=getattr(simulator, name), **kwargs):
+            seen.append(positions)
+            return _sir(d_norm, positions, *args, **kwargs)
+        monkeypatch.setattr(simulator, name, spy)
+    for i in range(n_drops):
+        simulator._drop_sinr(cfg, i, 1, P, seed, 0.0, None, None)
+    return seen
+
+
+def test_ppp_count_and_uniformity(monkeypatch):
+    cfg = ScenarioConfig(d_norm=0.5, n_f_target=100.0)
+    receiver = np.array([0.5 * P.r_c, 0.0])
+    drops = _scenario_drops(monkeypatch, cfg, 300, 0)
+    counts = [len(pos) for pos in drops]
+    radii = np.concatenate([np.linalg.norm(pos - receiver, axis=1) for pos in drops])
     # Poisson mean 100 -> sample mean CI ~ +-1.2; uniform disc mean radius 2R/3
     assert np.mean(counts) == pytest.approx(100.0, abs=2.0)
     assert np.var(counts) == pytest.approx(100.0, rel=0.25)
@@ -58,28 +67,19 @@ def test_ppp_count_and_uniformity():
 @pytest.mark.parametrize(
     "scenario", [Scenario.REFERENCE_CELLULAR_USER, Scenario.REFERENCE_HOTSPOT]
 )
-def test_scenario_drop_surrounds_cell_edge_receiver(scenario):
+def test_scenario_drop_surrounds_cell_edge_receiver(monkeypatch, scenario):
     """A receiver at the cell edge sees the full femtocell density around
     it: drops are centred on the receiver, not on the macrocell (whose disc
     would leave the outer half of the neighbourhood empty)."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=1.0, n_f_target=60.0)
     receiver = np.array([P.r_c, 0.0])
     near, total = [], []
-    for i in range(400):
-        pos = _scenario_positions(_drop_rng(8, i), cfg, P)
+    for pos in _scenario_drops(monkeypatch, cfg, 400, 8):
         total.append(len(pos))
         near.append(np.count_nonzero(np.linalg.norm(pos - receiver, axis=1) <= 230.0))
     # Poisson means: 60 per drop, lambda*pi*230^2 = 3.17 nearby (SE 0.09)
     assert np.mean(total) == pytest.approx(60.0, abs=1.6)
     assert np.mean(near) == pytest.approx(cfg.density(P) * math.pi * 230.0**2, abs=0.35)
-
-
-def test_ppp_reproducible_and_validated():
-    a = draw_ppp(1e-5, P, 7)
-    b = draw_ppp(1e-5, P, 7)
-    np.testing.assert_array_equal(a.femto_positions, b.femto_positions)
-    with pytest.raises(ValueError):
-        draw_ppp(-1e-9, P, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,6 @@ def test_zf_precoder_orthonormal_rows_transpose():
 
 
 def test_zf_precoder_rejections():
-    ok = np.eye(2, 4, dtype=complex)
-    with pytest.raises(ValueError, match="FullZF"):
-        zf_precoder(ok, mode=ChannelMode.FAST_CHI2)
     with pytest.raises(ValueError):
         zf_precoder(np.zeros((2, 4)))
     with pytest.raises(ValueError):
@@ -161,7 +158,6 @@ def _manual_draws(rng, n, shape_desired, shape_cross, k):
         desired_power=rng.gamma(shape_desired, 1.0, size=n),
         cross_tier_power=rng.gamma(shape_cross, 1.0, size=n),
         mark_powers=rng.gamma(P.u_f, 1.0, size=(n, k)),
-        mode=ChannelMode.FAST_CHI2,
     )
 
 
@@ -170,11 +166,11 @@ def test_femto_outage_with_macro_interference_only():
     from tiernet.linkmodel import location_coeffs
 
     d_norm = 0.3
-    drop = Drop(femto_positions=np.empty((0, 2)), seed=0)
+    positions = np.empty((0, 2))
     rng = np.random.default_rng(11)
     n = 400_000
     draws = _manual_draws(rng, n, P.t_f - P.u_f + 1, P.u_c, 0)
-    sir = femto_sir(d_norm, drop, draws, P)
+    sir = femto_sir(d_norm, positions, draws, P)
     outage = float(np.mean(sir < P.gamma_target))
     loc = location_coeffs(d_norm, P)
     want = reg_inc_beta(loc.kappa / (loc.kappa + 1.0), P.t_f - P.u_f + 1, P.u_c)
@@ -182,40 +178,42 @@ def test_femto_outage_with_macro_interference_only():
 
 
 def test_empty_drop_infinite_sir_for_cellular_user():
-    drop = Drop(femto_positions=np.empty((0, 2)), seed=0)
+    positions = np.empty((0, 2))
     rng = np.random.default_rng(12)
     draws = _manual_draws(rng, 100, P.t_c - P.u_c + 1, 0.0 + 1e-12, 0)
     draws = dataclasses.replace(draws, cross_tier_power=np.zeros(100))
-    sir = cellular_sir(0.5, drop, draws, P)
+    sir = cellular_sir(0.5, positions, draws, P)
     assert np.all(np.isinf(sir))
-    sinr = cellular_sir(0.5, drop, draws, P, noise_w=1e-15)
+    sinr = cellular_sir(0.5, positions, draws, P, noise_w=1e-15)
     assert np.all(np.isfinite(sinr))
 
 
 def test_sir_scales_with_power_ratio():
-    drop = Drop(femto_positions=np.array([[500.0, 100.0]]), seed=0)
+    positions = np.array([[500.0, 100.0]])
     rng = np.random.default_rng(13)
     draws = _manual_draws(rng, 1000, P.t_c - P.u_c + 1, 0.0, 1)
     draws = dataclasses.replace(draws, cross_tier_power=np.zeros(1000))
-    base = cellular_sir(0.4, drop, draws, P)
-    boosted = cellular_sir(0.4, drop, draws, P, p_c_dbm=P.p_c_dbm + 10.0)
+    base = cellular_sir(0.4, positions, draws, P)
+    boosted = cellular_sir(
+        0.4, positions, draws, dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0)
+    )
     np.testing.assert_allclose(boosted, base * 10.0, rtol=1e-12)
-    quieter = cellular_sir(0.4, drop, draws, P, p_f_interferer_dbm=P.p_f_dbm - 10.0)
+    quieter = cellular_sir(0.4, positions, draws, P, p_f_interferer_dbm=P.p_f_dbm - 10.0)
     np.testing.assert_allclose(quieter, base * 10.0, rtol=1e-12)
 
 
 def test_per_interferer_power_vector_accepted():
-    drop = Drop(femto_positions=np.array([[450.0, 80.0], [600.0, 0.0]]), seed=0)
+    positions = np.array([[450.0, 80.0], [600.0, 0.0]])
     rng = np.random.default_rng(14)
     draws = _manual_draws(rng, 500, P.t_c - P.u_c + 1, 0.0, 2)
     draws = dataclasses.replace(draws, cross_tier_power=np.zeros(500))
-    uniform = cellular_sir(0.4, drop, draws, P, p_f_interferer_dbm=23.0)
+    uniform = cellular_sir(0.4, positions, draws, P, p_f_interferer_dbm=23.0)
     vector = cellular_sir(
-        0.4, drop, draws, P, p_f_interferer_dbm=np.array([23.0, 23.0])
+        0.4, positions, draws, P, p_f_interferer_dbm=np.array([23.0, 23.0])
     )
     np.testing.assert_allclose(vector, uniform, rtol=1e-12)
     muted = cellular_sir(
-        0.4, drop, draws, P, p_f_interferer_dbm=np.array([23.0, -300.0])
+        0.4, positions, draws, P, p_f_interferer_dbm=np.array([23.0, -300.0])
     )
     assert np.all(muted >= uniform)
 
@@ -367,7 +365,7 @@ def test_sensed_policy_rejects_infeasible_density():
         include_noise=False,
     )
     with pytest.raises(InfeasiblePlanError):
-        estimate_outage(cfg, 5, 10, P, seed=1)
+        simulate(cfg, 5, 10, P, seed=1)
 
 
 def test_scenario_config_validation_and_round_trip():

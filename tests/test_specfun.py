@@ -14,7 +14,6 @@ from tiernet.specfun import (
     Accuracy,
     beta,
     chi2_cdf,
-    f_cdf,
     inv_reg_inc_beta,
     ln_gamma,
     ln_reg_lower_gamma,
@@ -135,16 +134,6 @@ def test_chi2_cdf_rejects_odd_dof():
         chi2_cdf(3, 1.0)
     with pytest.raises(ValueError):
         chi2_cdf(0, 1.0)
-
-
-def test_f_cdf_median_of_symmetric_pair():
-    # F(2,2) has median exactly 1
-    assert f_cdf(2, 2, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-@pytest.mark.parametrize(("d1", "d2", "x"), [(8, 2, 2.0), (2, 8, 0.3), (4, 6, 1.5), (10, 10, 0.9)])
-def test_f_cdf_matches_scipy(d1, d2, x):
-    assert f_cdf(d1, d2, x) == pytest.approx(scipy.stats.f.cdf(x, d1, d2), rel=1e-9)
 
 
 def test_accuracy_validation():
