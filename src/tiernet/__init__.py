@@ -5,12 +5,12 @@ Closed-form quantities (contention density caps, coverage radii, transmit
 power windows, sensing radii) live in :mod:`tiernet.analytic` and
 :mod:`tiernet.sensing`; the stochastic-geometry Monte Carlo used to validate
 them lives in :mod:`tiernet.simulator`. The names re-exported here are the
-public surface: parameters and link model, closed forms, sensing design, and
-the simulation entry point with the SIR and precoder functions it builds on.
+public surface: parameters, closed forms, sensing design, and the
+simulation entry point with its configuration types. The SIR, precoder and
+link-budget helpers stay in their own modules.
 """
 
 from .analytic import (
-    Regime,
     area_spectral_efficiency,
     cellular_coverage_radius,
     k_c,
@@ -23,22 +23,14 @@ from .analytic import (
     shot_noise_k_f,
     su_mu_radius_ratios,
 )
-from .linkmodel import (
-    LinkBudget,
-    LocationCoefficients,
-    SystemParams,
-    link_budget,
-    location_coeffs,
-)
+from .linkmodel import SystemParams, location_coeffs
 from .sensing import (
     InfeasiblePlanError,
-    blended_power_policy,
     detection_probability_ray,
     detection_probability_sc,
     false_alarm_probability,
     max_sensing_range,
     min_sensing_radius,
-    noise_floor_dbm,
     power_ratio_bounds,
     solve_threshold,
 )
@@ -48,10 +40,7 @@ from .simulator import (
     Scenario,
     ScenarioConfig,
     SimulationResult,
-    cellular_sir,
-    femto_sir,
     simulate,
-    zf_precoder,
 )
 
 __version__ = "0.1.0"
@@ -59,38 +48,29 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelMode",
     "InfeasiblePlanError",
-    "LinkBudget",
-    "LocationCoefficients",
     "PowerPolicy",
-    "Regime",
     "Scenario",
     "ScenarioConfig",
     "SimulationResult",
     "SystemParams",
     "area_spectral_efficiency",
-    "blended_power_policy",
     "cellular_coverage_radius",
-    "cellular_sir",
     "detection_probability_ray",
     "detection_probability_sc",
     "false_alarm_probability",
-    "femto_sir",
     "k_c",
     "k_correction_bounds",
     "k_f_limit",
-    "link_budget",
     "location_coeffs",
     "max_contention_density_cellular",
     "max_contention_density_femto",
     "max_sensing_range",
     "min_sensing_radius",
     "no_coverage_radius",
-    "noise_floor_dbm",
     "power_ratio_bounds",
     "shot_noise_c_f",
     "shot_noise_k_f",
     "simulate",
     "solve_threshold",
     "su_mu_radius_ratios",
-    "zf_precoder",
 ]

@@ -69,7 +69,8 @@ class SweepSpec:
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Parse "<var>:<start>:<stop>:<steps>"; steps >= 2 and start < stop."""
+    """Parse "<var>:<start>:<stop>:<steps>"; finite bounds, steps >= 2 and
+    start < stop."""
     parts = text.split(":")
     if len(parts) != 4:
         raise click.BadParameter(f"expected var:start:stop:steps, got {text!r}")
@@ -82,6 +83,10 @@ def parse_sweep(text: str) -> SweepSpec:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise click.BadParameter(f"bad sweep range in {text!r}: {exc}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise click.BadParameter(
+            f"bounds must be finite, got {start} and {stop}", param_hint="'--sweep'"
+        )
     if steps < 2:
         raise click.BadParameter(f"steps must be >= 2, got {steps}")
     if not start < stop:
@@ -329,7 +334,7 @@ def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
     # empirical KS distance against a dof-2k chi-squared on half scale
     x = np.sort(samples)
     n = len(x)
-    cdf = np.array([chi2_cdf(2 * k, 2.0 * v) for v in x])
+    cdf = chi2_cdf(2 * k, 2.0 * x)
     up = np.max(np.arange(1, n + 1) / n - cdf)
     down = np.max(cdf - np.arange(0, n) / n)
     return float(max(up, down))
@@ -391,7 +396,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
             power_policy=PowerPolicy.FIXED,
             n_f_target=lam_f * math.pi * p.r_c**2, include_noise=False,
         )
-        p_out = simulator.simulate(cfg_f, 1000, 1000, p, seed).p_outage
+        p_out = float(simulator.conditional_outage(cfg_f, 1000, p, seed).mean())
         record("femto_closure_outage",
                abs(p_out - p.eps) <= 0.03, p_out, f"{p.eps} +- 0.03")
 
@@ -401,7 +406,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         power_policy=PowerPolicy.FIXED,
         n_f_target=lam_c * math.pi * p.r_c**2, include_noise=False,
     )
-    p_out = simulator.simulate(cfg_c, 4000, 250, p, seed).p_outage
+    p_out = float(simulator.conditional_outage(cfg_c, 4000, p, seed).mean())
     record("cellular_closure_outage",
            abs(p_out - p.eps) <= 0.02, p_out, f"{p.eps} +- 0.02")
 

@@ -1,7 +1,8 @@
 """Stochastic-geometry Monte Carlo engine: Poisson femtocell drops, Rayleigh
 MIMO fading with zero-forcing precoding, per-tier SIR/SINR, and one
 simulation pass that yields the outage estimate and the empirical rate CDF,
-including the carrier-sensed power-control policy.
+including the carrier-sensed power-control policy; plus the exact per-drop
+outage with the FastChi2 fades integrated out (conditional_outage).
 
 Chi-squared bookkeeping: every dof-2k fading variable is stored on half
 scale as Gamma(k, 1) (mean k) — the natural normalization for unit-power
@@ -40,6 +41,7 @@ __all__ = [
     "femto_sir",
     "cellular_sir",
     "simulate",
+    "conditional_outage",
 ]
 
 
@@ -279,6 +281,15 @@ def _gamma(rng: np.random.Generator, shape: int, size) -> np.ndarray:
     return rng.gamma(shape, 1.0, size)
 
 
+def _fast_chi2_shapes(reference_tier: Scenario, p: SystemParams) -> tuple[int, int, int]:
+    """The FastChi2 laws of one reference user, as Gamma(shape, 1) shapes:
+    desired power T−U+1 of its own tier, cross-tier power u_c (0 for a
+    cellular user, who has no cross-tier term) and femtocell marks u_f."""
+    if reference_tier is Scenario.REFERENCE_HOTSPOT:
+        return p.t_f - p.u_f + 1, p.u_c, p.u_f
+    return p.t_c - p.u_c + 1, 0, p.u_f
+
+
 def _sample_draws(
     rng: np.random.Generator,
     n_fades: int,
@@ -291,13 +302,10 @@ def _sample_draws(
     draw order (desired, cross, marks) so results are seed-stable."""
     femto_ref = reference_tier is Scenario.REFERENCE_HOTSPOT
     if mode is ChannelMode.FAST_CHI2:
-        if femto_ref:
-            desired = _gamma(rng, p.t_f - p.u_f + 1, n_fades)
-            cross = _gamma(rng, p.u_c, n_fades)
-        else:
-            desired = _gamma(rng, p.t_c - p.u_c + 1, n_fades)
-            cross = np.zeros(n_fades)
-        marks = _gamma(rng, p.u_f, (n_fades, n_interferers))
+        m, cross_shape, mark_shape = _fast_chi2_shapes(reference_tier, p)
+        desired = _gamma(rng, m, n_fades)
+        cross = _gamma(rng, cross_shape, n_fades) if cross_shape else np.zeros(n_fades)
+        marks = _gamma(rng, mark_shape, (n_fades, n_interferers))
     else:
         if femto_ref:
             desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
@@ -314,6 +322,23 @@ def _sample_draws(
 # per-tier SIR
 
 
+def _interferer_weights(
+    positions: np.ndarray,
+    point: np.ndarray,
+    p_tx_dbm,
+    fixed_gain: float,
+    p: SystemParams,
+) -> np.ndarray:
+    # received power at point per unit mark of each femtocell; p_tx_dbm is a
+    # scalar or per-femtocell array, None for the nominal femto power
+    distances = np.linalg.norm(positions - point, axis=1)
+    if p_tx_dbm is None:
+        p_tx_dbm = p.p_f_dbm
+    p_tx_w = dbm_to_watts(np.asarray(p_tx_dbm, dtype=float))
+    with np.errstate(divide="ignore"):  # co-located interferer -> inf power
+        return (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
+
+
 def _interference_w(
     positions: np.ndarray,
     point: np.ndarray,
@@ -322,17 +347,36 @@ def _interference_w(
     fixed_gain: float,
     p: SystemParams,
 ) -> np.ndarray:
-    # per-trial femtocell interference power at point; p_tx_dbm is a scalar
-    # or per-femtocell array, None for the nominal femto power
+    # per-trial femtocell interference power at point
     if len(positions) == 0:
         return np.zeros(mark_powers.shape[0])
-    distances = np.linalg.norm(positions - point, axis=1)
-    if p_tx_dbm is None:
-        p_tx_dbm = p.p_f_dbm
-    p_tx_w = dbm_to_watts(np.asarray(p_tx_dbm, dtype=float))
-    with np.errstate(divide="ignore"):  # co-located interferer -> inf power
-        per_int = (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
-    return mark_powers @ per_int
+    return mark_powers @ _interferer_weights(positions, point, p_tx_dbm, fixed_gain, p)
+
+
+def _femto_link(
+    d_norm: float, p: SystemParams, p_f_serving_dbm: float | None = None
+) -> tuple[float, float, float]:
+    """Received power per unit fade at a femtocell user whose home femto sits
+    at D = d_norm·r_c: from the serving femto, from the macrocell (cross
+    tier), and the fixed gain of the femto-to-femto interferer links."""
+    budget = link_budget(p)
+    d = d_norm * p.r_c
+    pf_serv_w = dbm_to_watts(p.p_f_dbm if p_f_serving_dbm is None else p_f_serving_dbm)
+    pc_w = dbm_to_watts(p.p_c_dbm)
+    return (
+        (pf_serv_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
+        (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
+        budget.a_ff,
+    )
+
+
+def _cellular_link(d_norm: float, p: SystemParams) -> tuple[float, float, float]:
+    """As _femto_link for a cellular user at D = d_norm·r_c: the macrocell
+    serves it, so there is no cross-tier term."""
+    budget = link_budget(p)
+    d = d_norm * p.r_c
+    pc_w = dbm_to_watts(p.p_c_dbm)
+    return (pc_w / p.u_c) * budget.a_c * d**-p.alpha_c, 0.0, budget.a_cf
 
 
 def femto_sir(
@@ -352,18 +396,13 @@ def femto_sir(
     p_f_interferer_dbm may be a scalar or a per-interferer array; transmit
     powers default to the nominal SystemParams values.
     """
-    budget = link_budget(p)
+    desired_scale, cross_scale, gain = _femto_link(d_norm, p, p_f_serving_dbm)
     d = d_norm * p.r_c
-    pf_serv_w = dbm_to_watts(p.p_f_dbm if p_f_serving_dbm is None else p_f_serving_dbm)
-    pc_w = dbm_to_watts(p.p_c_dbm)
 
-    desired = (
-        (pf_serv_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi * draws.desired_power
-    )
-    cross = (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c * draws.cross_tier_power
+    desired = desired_scale * draws.desired_power
+    cross = cross_scale * draws.cross_tier_power
     marks = _interference_w(
-        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm,
-        budget.a_ff, p,
+        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm, gain, p
     )
     with np.errstate(divide="ignore"):
         return desired / (cross + marks + noise_w)
@@ -381,14 +420,12 @@ def cellular_sir(
     """Per-trial linear SIR (SINR when noise_w > 0) of a cellular user at
     D = d_norm·r_c served by the macrocell; every femto at positions (k, 2)
     interferes. No femtocells and zero noise give infinite SIR."""
-    budget = link_budget(p)
+    desired_scale, _, gain = _cellular_link(d_norm, p)
     d = d_norm * p.r_c
-    pc_w = dbm_to_watts(p.p_c_dbm)
 
-    desired = (pc_w / p.u_c) * budget.a_c * d**-p.alpha_c * draws.desired_power
+    desired = desired_scale * draws.desired_power
     marks = _interference_w(
-        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm,
-        budget.a_cf, p,
+        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm, gain, p
     )
     with np.errstate(divide="ignore"):
         return desired / (marks + noise_w)
@@ -435,6 +472,46 @@ def _reference_femto_power_dbm(cfg: ScenarioConfig, p: SystemParams) -> float:
     return min(p.p_f_dbm, p.p_c_dbm - blend_db)
 
 
+def _run_constants(
+    cfg: ScenarioConfig, p: SystemParams
+) -> tuple[float, float | None, float | None]:
+    """What a run computes once from the configuration: the noise power in
+    watts (0 without noise), the blended bound at the cell edge (None
+    without carrier sensing) and the reference hotspot's own power (None
+    for a cellular user)."""
+    noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
+    blend_edge_db = None
+    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
+        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+    serving_dbm = None
+    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
+        serving_dbm = _reference_femto_power_dbm(cfg, p)
+    return noise_w, blend_edge_db, serving_dbm
+
+
+def _drop_layout(
+    cfg: ScenarioConfig,
+    drop_index: int,
+    p: SystemParams,
+    seed: int,
+    blend_edge_db: float | None,
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The femtocells of one drop, drawn first from its own Philox stream:
+    positions on the disc of radius r_c centred on the receiver at (D, 0)
+    (see ScenarioConfig), and their transmit powers, which still follow each
+    femtocell's own macro distance. Returns the stream, ready for the fades,
+    with the positions and powers."""
+    rng = _drop_rng(seed, drop_index)
+    d = cfg.d_norm * p.r_c
+    positions = _disc_positions(rng, cfg.density(p), p, (d, 0.0))
+    user_point = np.array([d, 0.0])
+    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
+        # the sensed uplink user sits co-linearly outward from the femto
+        user_point[0] += cfg.user_offset_m
+    powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
+    return rng, positions, powers
+
+
 def _drop_sinr(
     cfg: ScenarioConfig,
     drop_index: int,
@@ -445,27 +522,17 @@ def _drop_sinr(
     blend_edge_db: float | None,
     serving_dbm: float | None,
 ) -> np.ndarray:
-    """Per-fade SINR of one drop, drawn from its own Philox stream:
-    femtocell positions on the disc of radius r_c centred on the receiver
-    at (D, 0) (see ScenarioConfig), then the fades. Powers still follow each
-    femtocell's own macro distance. noise_w, blend_edge_db and serving_dbm
-    (the reference hotspot's own power) are per-run constants computed by
-    simulate."""
-    rng = _drop_rng(seed, drop_index)
-    d = cfg.d_norm * p.r_c
-    positions = _disc_positions(rng, cfg.density(p), p, (d, 0.0))
+    """Per-fade SINR of one drop: the femtocells of _drop_layout, then the
+    fades from the same stream. noise_w, blend_edge_db and serving_dbm are
+    the per-run constants of _run_constants."""
+    rng, positions, powers = _drop_layout(cfg, drop_index, p, seed, blend_edge_db)
     draws = _sample_draws(
         rng, n_fades, len(positions), cfg.scenario, p, cfg.channel_mode
     )
     if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
-        user_point = np.array([d, 0.0])
-        powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
         return cellular_sir(
             cfg.d_norm, positions, draws, p, p_f_interferer_dbm=powers, noise_w=noise_w
         )
-    # hotspot: the sensed uplink user sits co-linearly outward from the femto
-    user_point = np.array([d + cfg.user_offset_m, 0.0])
-    powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
     return femto_sir(
         cfg.d_norm,
         positions,
@@ -505,13 +572,7 @@ def simulate(
     """
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
-    noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
-    blend_edge_db = None
-    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
-        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
-    serving_dbm = None
-    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        serving_dbm = _reference_femto_power_dbm(cfg, p)
+    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
 
     def row(i: int) -> np.ndarray:
         return _drop_sinr(cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm)
@@ -544,6 +605,76 @@ def simulate(
         n_fades=n_fades,
         seed=seed,
     )
+
+
+def _coverage_given(
+    s: float,
+    weights: np.ndarray,
+    cross: float,
+    noise_w: float,
+    shapes: tuple[int, int, int],
+) -> float:
+    """P(G ≥ s·(I + N)) for G ~ Gamma(m, 1) and I = cross·Gamma(u_x, 1) +
+    Σⱼ weightsⱼ·Gamma(u_k, 1), all independent, with (m, u_x, u_k) the
+    shapes of _fast_chi2_shapes.
+
+    Equals L(s)·Σ_{n<m} aₙ, with L the Laplace transform of I + N and
+    aₙ = (−s)ⁿ L⁽ⁿ⁾(s) / (n! L(s)) from the cumulant recursion
+    aₙ = (1/n) Σ_{k=1..n} g_k aₙ₋ₖ. Every g_k and aₙ is non-negative, so
+    nothing cancels. A co-located interferer (infinite weight) gives 0.
+    """
+    with np.errstate(divide="ignore"):  # zero weight -> 1/0 -> x = 0
+        x = 1.0 / (1.0 + 1.0 / (s * weights))
+    m, cross_shape, mark_shape = shapes
+    y = s * cross / (1.0 + s * cross)
+    ln_l = (
+        -s * noise_w - cross_shape * math.log1p(s * cross)
+        - mark_shape * np.log1p(s * weights).sum()
+    )
+    a = [1.0]
+    g: list[float] = []
+    x_k = np.ones_like(x)
+    for n in range(1, m):
+        x_k *= x
+        g.append(
+            cross_shape * y**n + mark_shape * x_k.sum() + (s * noise_w if n == 1 else 0.0)
+        )
+        a.append(sum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
+    return math.exp(ln_l) * sum(a)
+
+
+def conditional_outage(
+    cfg: ScenarioConfig, n_drops: int, p: SystemParams, seed: int
+) -> np.ndarray:
+    """Exact outage probability of each drop given its femtocell positions:
+    the FastChi2 fades integrated out instead of sampled.
+
+    Drop i has the positions and powers simulate's drop i has (same Philox
+    stream, same draws), so the mean is an estimate of the same outage with
+    strictly less variance (conditional Monte Carlo). Serial, in drop order.
+
+    Raises:
+        ValueError: fewer than one drop, or FullZF mode, which stays sampled
+            as the oracle for the Gamma laws this relies on.
+    """
+    if n_drops < 1:
+        raise ValueError(f"need at least 1 drop, got {n_drops}")
+    if cfg.channel_mode is ChannelMode.FULL_ZF:
+        raise ValueError("conditional_outage needs FastChi2 fades; FullZF is sampled")
+    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
+    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
+        desired, cross, gain = _cellular_link(cfg.d_norm, p)
+    else:
+        desired, cross, gain = _femto_link(cfg.d_norm, p, serving_dbm)
+    shapes = _fast_chi2_shapes(cfg.scenario, p)
+    s = p.gamma_target / desired
+    receiver = np.array([cfg.d_norm * p.r_c, 0.0])
+    outage = np.empty(n_drops)
+    for i in range(n_drops):
+        _, positions, powers = _drop_layout(cfg, i, p, seed, blend_edge_db)
+        weights = _interferer_weights(positions, receiver, powers, gain, p)
+        outage[i] = 1.0 - _coverage_given(s, weights, cross, noise_w, shapes)
+    return outage
 
 
 # the acceptance suite still imports the two estimates by their earlier names

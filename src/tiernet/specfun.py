@@ -11,7 +11,8 @@ parameter an integer and every beta parameter a positive integer or an
 integer minus delta in (0,1).
 
 Algorithms: Lanczos approximation for ln Γ; power series / continued
-fraction for the regularized incomplete gamma (switch at x = a+1);
+fraction for the regularized incomplete gamma (switch at x = a+1); the
+finite Poisson sum for the even-dof chi-squared CDF, vectorised over x;
 Lentz-style continued fraction with the standard symmetry switch at
 x > (a+1)/(a+b+2) for the incomplete beta; bracketed Newton iteration with
 bisection fallback for its inverse.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Accuracy",
@@ -285,16 +288,27 @@ def inv_reg_inc_beta(y: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC)
     )
 
 
-def chi2_cdf(k_dof: int, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
-    """CDF of the chi-squared distribution with an even number of dof.
+def chi2_cdf(k_dof: int, x):
+    """CDF of the chi-squared distribution with an even number of dof, at a
+    scalar or an array x; a scalar returns a float, an array an array.
 
-    Equals 1 - reg_upper_gamma(k_dof/2, x/2).
+    With v = x/2 and k = k_dof/2 it is the finite Poisson sum
+    1 − Σ_{n<k} e^{−v} vⁿ/n!, whose terms are formed in log space so that
+    neither e^{−v} nor vⁿ over- or underflows on its own. Equals
+    1 − reg_upper_gamma(k_dof/2, x/2).
 
     Raises:
-        ValueError: if k_dof is not an even integer >= 2, or x < 0.
+        ValueError: if k_dof is not an even integer >= 2, or any x < 0.
     """
     if k_dof < 2 or k_dof % 2 != 0:
         raise ValueError(f"chi2_cdf requires even k_dof >= 2, got {k_dof}")
-    if x < 0:
-        raise ValueError(f"chi2_cdf requires x >= 0, got x={x}")
-    return 1.0 - reg_upper_gamma(k_dof / 2.0, x / 2.0, acc)
+    v = np.asarray(x, dtype=float) / 2.0
+    if (v < 0).any():
+        raise ValueError(f"chi2_cdf requires x >= 0, got min x={2.0 * v.min()}")
+    with np.errstate(divide="ignore"):  # v = 0: every n >= 1 term is exp(-inf) = 0
+        ln_v = np.log(v)
+    tail = np.exp(-v)
+    for n in range(1, k_dof // 2):
+        tail += np.exp(n * ln_v - v - math.lgamma(n + 1))
+    cdf = 1.0 - tail
+    return float(cdf) if np.ndim(x) == 0 else cdf

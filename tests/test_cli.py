@@ -215,6 +215,9 @@ def test_missing_config_exits_2(runner, tmp_path):
         ["simulate", "--sweep", "D:0.5:1.2:3", "--drops", "2", "--fades", "2"],
         ["simulate", "--drops", "0"],
         ["simulate", "--fades", "0"],
+        ["analytic", "--sweep", "PcOverPfDb:0:inf:3"],
+        ["sensing", "--sweep", "Mtw:100:inf:3"],
+        ["analytic", "--sweep", "D:nan:1:3"],
     ],
 )
 def test_out_of_range_input_exits_2(runner, args):

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from tiernet import simulator
-from tiernet.analytic import max_contention_density_femto
-from tiernet.linkmodel import SystemParams
+from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
+from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
+from tiernet.sensing import noise_floor_dbm
 from tiernet.simulator import (
     ChannelDraw,
     ChannelMode,
@@ -28,7 +32,7 @@ from tiernet.simulator import (
     simulate,
     zf_precoder,
 )
-from tiernet.specfun import reg_inc_beta
+from tiernet.specfun import reg_inc_beta, reg_upper_gamma
 
 P = SystemParams()
 
@@ -396,3 +400,112 @@ def test_scenario_config_density_and_offset():
     assert cfg.density(P) == pytest.approx(60.0 / (math.pi * P.r_c**2), rel=1e-12)
     assert cfg.user_offset_m == pytest.approx(115.0)
     assert ScenarioConfig(co_located_user_offset=40.0).user_offset_m == 40.0
+
+
+# ---------------------------------------------------------------------------
+# conditional (fades integrated out) outage
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def _bench_cfg(name: str) -> ScenarioConfig:
+    raw = json.loads((BENCH_CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    return ScenarioConfig.from_dict(raw["scenario"])
+
+
+def _closure_cfg(scenario: Scenario) -> ScenarioConfig:
+    """The closure configurations of `tiernet validate` at the defaults:
+    a hotspot at the femto density cap at D = 0.5, a cellular user at the
+    cellular cap at D = 0.8, fixed powers, no noise."""
+    if scenario is Scenario.REFERENCE_HOTSPOT:
+        d_norm, (lam, _) = 0.5, max_contention_density_femto(0.5, P)
+    else:
+        d_norm, lam = 0.8, max_contention_density_cellular(0.8, P)
+    return ScenarioConfig(
+        scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
+        n_f_target=lam * math.pi * P.r_c**2, include_noise=False,
+    )
+
+
+@pytest.mark.parametrize(
+    ("cfg", "seed", "n_fades", "drops"),
+    [
+        (_bench_cfg("cellular_sensed"), 1, 200_000, (0, 3)),
+        (_bench_cfg("hotspot_sensed"), 1, 200_000, (0, 3)),
+        # ~1084 femtocells: 10^4 fades keep the mark matrix under 100 MB
+        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), 42, 10_000, (0, 5, 6)),
+    ],
+    ids=["cellular-sensed", "hotspot-sensed", "femto-closure"],
+)
+def test_conditional_outage_matches_brute_force_drop(cfg, seed, n_fades, drops):
+    """A drop's exact outage against many sampled fades of the very same
+    drop (same stream, same positions): within 4 binomial sigma. The drops
+    span typical and heavily interfered ones (exact outage 0.0001 to 0.46)."""
+    exact = simulator.conditional_outage(cfg, max(drops) + 1, P, seed)
+    constants = simulator._run_constants(cfg, P)
+    for i in drops:
+        q = exact[i]
+        sinr = simulator._drop_sinr(cfg, i, n_fades, P, seed, *constants)
+        sampled = np.count_nonzero(sinr < P.gamma_target) / n_fades
+        assert 0.0 < q < 1.0
+        assert abs(sampled - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n_fades), i
+
+
+@pytest.mark.parametrize(
+    ("cfg", "seed", "n_drops", "n_fades"),
+    [
+        (_bench_cfg("baseline_fixed"), 1, 300, 250),
+        (_bench_cfg("cellular_sensed"), 1, 300, 250),
+        (_bench_cfg("hotspot_sensed"), 1, 300, 250),
+        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), 42, 200, 100),
+        (_closure_cfg(Scenario.REFERENCE_CELLULAR_USER), 42, 300, 250),
+    ],
+    ids=["baseline-fixed", "cellular-sensed", "hotspot-sensed", "femto-closure",
+         "cellular-closure"],
+)
+def test_conditional_outage_matches_simulate(cfg, seed, n_drops, n_fades):
+    """Over the same drops, the sampled outage differs from the mean exact
+    one by fade noise alone: variance sum_i q_i(1-q_i)/n_fades / n_drops^2."""
+    q = simulator.conditional_outage(cfg, n_drops, P, seed)
+    sampled = simulate(cfg, n_drops, n_fades, P, seed).p_outage
+    sigma = math.sqrt(np.sum(q * (1.0 - q)) / n_fades) / n_drops
+    assert sigma > 0.0
+    assert abs(sampled - q.mean()) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("d_norm", [0.3, 0.8, 1.0])
+def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
+    """No femtocells: outage is P(Gamma(m, 1) < s·N) with s = Γ/A and A the
+    macro link's received power per unit fade."""
+    cfg = ScenarioConfig(d_norm=d_norm, n_f_target=0.0, include_noise=True)
+    q = simulator.conditional_outage(cfg, 3, P, seed=4)
+    pc_w = dbm_to_watts(P.p_c_dbm)
+    a = (pc_w / P.u_c) * link_budget(P).a_c * (d_norm * P.r_c) ** -P.alpha_c
+    s_n = P.gamma_target / a * dbm_to_watts(noise_floor_dbm(P))
+    expected = 1.0 - reg_upper_gamma(P.t_c - P.u_c + 1, s_n)
+    np.testing.assert_allclose(q, expected, rtol=1e-9, atol=1e-14)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_conditional_outage_co_located_interferer_is_certain(monkeypatch, scenario):
+    """A femtocell on top of the receiver has infinite interference weight:
+    outage exactly 1, with no NaN and no floating-point warning."""
+    cfg = ScenarioConfig(scenario=scenario, d_norm=0.6, n_f_target=60.0)
+    d = cfg.d_norm * P.r_c
+    monkeypatch.setattr(
+        simulator, "_disc_positions",
+        lambda *args: np.array([[d + 300.0, 40.0], [d, 0.0], [d - 90.0, -10.0]]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = simulator.conditional_outage(cfg, 2, P, seed=0)
+    np.testing.assert_array_equal(q, [1.0, 1.0])
+
+
+def test_conditional_outage_rejects_full_zf_and_empty_runs():
+    with pytest.raises(ValueError, match="FullZF"):
+        simulator.conditional_outage(
+            ScenarioConfig(channel_mode=ChannelMode.FULL_ZF), 10, P, seed=0
+        )
+    with pytest.raises(ValueError):
+        simulator.conditional_outage(ScenarioConfig(), 0, P, seed=0)

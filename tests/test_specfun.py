@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats
@@ -129,11 +130,27 @@ def test_chi2_cdf_matches_scipy(k_dof, x):
     assert chi2_cdf(k_dof, x) == pytest.approx(scipy.stats.chi2.cdf(x, k_dof), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_chi2_cdf_array_matches_scipy(k):
+    """One array call follows the scipy CDF over the bulk and both tails
+    (x = 0 included); a scalar gives a float."""
+    x = np.concatenate(([0.0], np.geomspace(1e-4, 200.0, 400)))
+    cdf = chi2_cdf(2 * k, x)
+    assert cdf.shape == x.shape
+    np.testing.assert_allclose(cdf, scipy.stats.chi2.cdf(x, 2 * k), rtol=1e-9, atol=1e-12)
+    assert chi2_cdf(2 * k, 0.0) == 0.0
+    assert type(chi2_cdf(2 * k, 3.0)) is float
+
+
 def test_chi2_cdf_rejects_odd_dof():
     with pytest.raises(ValueError):
         chi2_cdf(3, 1.0)
     with pytest.raises(ValueError):
         chi2_cdf(0, 1.0)
+    with pytest.raises(ValueError):
+        chi2_cdf(4, -1.0)
+    with pytest.raises(ValueError):
+        chi2_cdf(4, np.array([1.0, -1.0]))
 
 
 def test_accuracy_validation():
