@@ -69,6 +69,10 @@ class SystemParams:
     snr_edge_db: float = 12.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (1 <= self.u_c <= self.t_c):
             raise ValueError(f"need 1 <= u_c <= t_c, got u_c={self.u_c}, t_c={self.t_c}")
         if not (1 <= self.u_f <= self.t_f):

@@ -12,16 +12,14 @@ denominator share the convention.
 Reproducibility contract: trial randomness comes from counter-based Philox
 streams, one per drop, spawned as SeedSequence(seed, spawn_key=(drop_index,)).
 Within a drop the draw order is fixed (positions, then desired / cross / mark
-fades), so serial and parallel runs are bit-identical. The environment
-variable TIERNET_THREADS caps worker threads.
+fades), and drops are reduced in drop order, so a seeded run is
+bit-identical from run to run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -139,6 +137,10 @@ class ScenarioConfig:
     channel_mode: ChannelMode = ChannelMode.FAST_CHI2
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.d_norm <= 1.0:
             raise ValueError(f"d_norm must lie in (0,1], got {self.d_norm}")
         if not 0.0 <= self.blend_weight <= 1.0:
@@ -544,21 +546,6 @@ def _drop_sinr(
     )
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # honours taskset and cgroup cpusets
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(n_drops: int) -> int:
-    raw = os.environ.get("TIERNET_THREADS", "")
-    try:
-        requested = int(raw) if raw else _usable_cpus()
-    except ValueError:
-        requested = _usable_cpus()
-    return max(1, min(requested, n_drops))
-
-
 def simulate(
     cfg: ScenarioConfig, n_drops: int, n_fades: int, p: SystemParams, seed: int
 ) -> SimulationResult:
@@ -567,32 +554,18 @@ def simulate(
 
     Each drop's SINR row is counted against the SIR target, then stored as
     log2(1+SINR) in one n_drops×n_fades buffer that is sorted in place at
-    the end. Rows are independent Philox streams, reduced in drop order
-    whatever the completion order.
+    the end.
     """
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
     noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
-
-    def row(i: int) -> np.ndarray:
-        return _drop_sinr(cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm)
-
     rates = np.empty((n_drops, n_fades))
-
-    def reduce(rows) -> int:
-        outages = 0
-        for i, sinr in enumerate(rows):
-            outages += int(np.count_nonzero(sinr < p.gamma_target))
-            np.add(sinr, 1.0, out=rates[i])
-            np.log2(rates[i], out=rates[i])
-        return outages
-
-    workers = _worker_count(n_drops)
-    if workers == 1:
-        outages = reduce(map(row, range(n_drops)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outages = reduce(pool.map(row, range(n_drops)))
+    outages = 0
+    for i in range(n_drops):
+        sinr = _drop_sinr(cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm)
+        outages += int(np.count_nonzero(sinr < p.gamma_target))
+        np.add(sinr, 1.0, out=rates[i])
+        np.log2(rates[i], out=rates[i])
     rates = rates.reshape(-1)  # a view: the sort below is in place
     rates.sort()
     n = rates.size
@@ -651,7 +624,7 @@ def conditional_outage(
 
     Drop i has the positions and powers simulate's drop i has (same Philox
     stream, same draws), so the mean is an estimate of the same outage with
-    strictly less variance (conditional Monte Carlo). Serial, in drop order.
+    strictly less variance (conditional Monte Carlo).
 
     Raises:
         ValueError: fewer than one drop, or FullZF mode, which stays sampled
@@ -675,7 +648,3 @@ def conditional_outage(
         weights = _interferer_weights(positions, receiver, powers, gain, p)
         outage[i] = 1.0 - _coverage_given(s, weights, cross, noise_w, shapes)
     return outage
-
-
-# the acceptance suite still imports the two estimates by their earlier names
-estimate_outage = rate_cdf = simulate

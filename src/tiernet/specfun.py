@@ -140,7 +140,7 @@ def reg_upper_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
     """
     if not a > 0:
         raise ValueError(f"reg_upper_gamma requires a > 0, got a={a}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"reg_upper_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return 1.0
@@ -157,7 +157,7 @@ def ln_reg_lower_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> floa
     """
     if not a > 0:
         raise ValueError(f"ln_reg_lower_gamma requires a > 0, got a={a}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"ln_reg_lower_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return -math.inf
@@ -231,7 +231,7 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC) -> 
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
         return 0.0
@@ -256,7 +256,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC)
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"inv_reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if y < 0.0 or y > 1.0:
+    if not 0.0 <= y <= 1.0:
         raise ValueError(f"inv_reg_inc_beta requires 0 <= y <= 1, got y={y}")
     if y == 0.0:
         return 0.0
@@ -298,13 +298,15 @@ def chi2_cdf(k_dof: int, x):
     1 − reg_upper_gamma(k_dof/2, x/2).
 
     Raises:
-        ValueError: if k_dof is not an even integer >= 2, or any x < 0.
+        ValueError: if k_dof is not an even integer >= 2, or any x is negative
+            or NaN.
     """
     if k_dof < 2 or k_dof % 2 != 0:
         raise ValueError(f"chi2_cdf requires even k_dof >= 2, got {k_dof}")
     v = np.asarray(x, dtype=float) / 2.0
-    if (v < 0).any():
-        raise ValueError(f"chi2_cdf requires x >= 0, got min x={2.0 * v.min()}")
+    bad = 2.0 * v[~(v >= 0)]
+    if bad.size:
+        raise ValueError(f"chi2_cdf requires x >= 0, got x={bad[0]}")
     with np.errstate(divide="ignore"):  # v = 0: every n >= 1 term is exp(-inf) = 0
         ln_v = np.log(v)
     tail = np.exp(-v)

@@ -34,8 +34,7 @@ from tiernet.simulator import (
     PowerPolicy,
     Scenario,
     ScenarioConfig,
-    estimate_outage,
-    rate_cdf,
+    simulate,
 )
 from tiernet.specfun import chi2_cdf, inv_reg_inc_beta, reg_inc_beta
 
@@ -141,7 +140,7 @@ def test_criterion_07_femto_outage_closure():
             n_f_target=lam * AREA,
             include_noise=False,
         )
-        est = estimate_outage(cfg, 1000, 1000, P, seed=SEED)
+        est = simulate(cfg, 1000, 1000, P, seed=SEED)
         checks.append((
             f"outage at D={d_norm}",
             0.07 <= est.p_outage <= 0.13,
@@ -159,13 +158,13 @@ def test_criterion_08_cellular_outage_closure():
         n_f_target=lam_08 * AREA,
         include_noise=False,
     )
-    est_a = estimate_outage(cfg_a, 4000, 250, P, seed=SEED)
+    est_a = simulate(cfg_a, 4000, 250, P, seed=SEED)
 
     # the algebraic inverse: at D_c(lambda) for N_f = 60 the same budget binds
     lam60 = 60.0 / AREA
     d_c_norm = cellular_coverage_radius(lam60, P) / P.r_c
     cfg_b = dataclasses.replace(cfg_a, d_norm=d_c_norm, n_f_target=60.0)
-    est_b = estimate_outage(cfg_b, 4000, 250, P, seed=SEED)
+    est_b = simulate(cfg_b, 4000, 250, P, seed=SEED)
 
     _report(8, "cellular outage closure", [
         ("at max density, D=0.8", _within(est_a.p_outage, 0.10, 0.02),
@@ -292,7 +291,7 @@ def test_criterion_10_rate_cdf_reproduction():
         )
 
     for d_norm, target in ((0.8, 3.21), (1.0, 2.22)):
-        cdf = rate_cdf(sensed(Scenario.REFERENCE_CELLULAR_USER, d_norm), 1000, 1000, P, seed=SEED)
+        cdf = simulate(sensed(Scenario.REFERENCE_CELLULAR_USER, d_norm), 1000, 1000, P, seed=SEED)
         p10 = cdf.percentile(10)
         checks.append((
             f"cellular sensed D={d_norm}",
@@ -301,7 +300,7 @@ def test_criterion_10_rate_cdf_reproduction():
         ))
 
     for d_norm, target in ((0.11, 2.15), (0.4, 3.63), (0.6, 3.56), (0.8, 3.32), (0.9, 3.22)):
-        cdf = rate_cdf(sensed(Scenario.REFERENCE_HOTSPOT, d_norm), 1000, 1000, P, seed=SEED)
+        cdf = simulate(sensed(Scenario.REFERENCE_HOTSPOT, d_norm), 1000, 1000, P, seed=SEED)
         p10 = cdf.percentile(10)
         checks.append((
             f"hotspot D={d_norm}",
@@ -317,7 +316,7 @@ def test_criterion_10_rate_cdf_reproduction():
         n_f_target=60.0,
         include_noise=True,
     )
-    p10 = rate_cdf(baseline, 1000, 1000, P, seed=SEED).percentile(10)
+    p10 = simulate(baseline, 1000, 1000, P, seed=SEED).percentile(10)
     checks.append((
         "no-sensing baseline D=1.0",
         p10 < 0.7,

@@ -20,6 +20,9 @@ def runner():
     return CliRunner()
 
 
+SIM = ["simulate", "--drops", "2", "--fades", "2"]
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload)
@@ -218,15 +221,25 @@ def test_missing_config_exits_2(runner, tmp_path):
         ["analytic", "--sweep", "PcOverPfDb:0:inf:3"],
         ["sensing", "--sweep", "Mtw:100:inf:3"],
         ["analytic", "--sweep", "D:nan:1:3"],
+        [*SIM, "--config", '{"scenario": {"n_f_target": NaN}}'],
+        [*SIM, "--config", '{"scenario": {"n_f_target": Infinity}}'],
+        [*SIM, "--config", '{"scenario": {"sensing_radius_m": NaN}}'],
+        [*SIM, "--config", '{"system": {"p_c_dbm": NaN}}'],
+        [*SIM, "--config", '{"system": {"r_c": 1e999}}'],
     ],
 )
-def test_out_of_range_input_exits_2(runner, args):
+def test_out_of_range_input_exits_2(runner, tmp_path, args):
     """Values outside the model's range are usage errors with a one-line
-    message, not a traceback with the validation-failure code."""
+    message, not a traceback with the validation-failure code. A JSON
+    argument is written to a config file first."""
+    args = [_write(tmp_path, "cfg.json", a) if a.startswith("{") else a for a in args]
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
-    assert "Error: Invalid value for" in res.output
+    if "--config" in args:
+        assert "Error: config" in res.output and "must be finite" in res.output
+    else:
+        assert "Error: Invalid value for" in res.output
 
 
 def test_bad_sweep_usage_exits_2(runner):

@@ -1,5 +1,5 @@
-"""Package hygiene: no module imports a name it never uses, and every name
-an `__all__` lists resolves."""
+"""Package hygiene: no module imports a name it never uses or reads the
+process environment, and every name an `__all__` lists resolves."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 import tiernet
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -50,6 +51,44 @@ def test_unused_import_detector():
 def test_module_imports_are_used(module):
     path = Path(tiernet.__path__[0]) / f"{module}.py"
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Uses of the process environment through `os`: attribute reads such as
+    `os.environ` and `from os import getenv`-style imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENV_NAMES
+        ):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                f"line {node.lineno}: from os import {alias.name}"
+                for alias in node.names
+                if alias.name in ENV_NAMES
+            ]
+    return found
+
+
+def test_environment_read_detector():
+    source = "import os\nfrom os import getenv\nn = os.environ.get('N')\nos.cpu_count()\n"
+    assert _environment_reads(source) == ["line 2: from os import getenv", "line 3: os.environ"]
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour is set by arguments and config documents only: an
+    environment variable would be a knob that no CLI option or config key
+    shows."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        for use in _environment_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["tiernet"] + [f"tiernet.{m}" for m in MODULES])

@@ -55,7 +55,9 @@ def test_ln_reg_lower_gamma_deep_tail_finite():
     assert val == pytest.approx(direct, abs=1.0)
 
 
-@pytest.mark.parametrize(("a", "x"), [(-1.0, 1.0), (0.0, 1.0), (2.0, -0.5)])
+@pytest.mark.parametrize(
+    ("a", "x"), [(-1.0, 1.0), (0.0, 1.0), (2.0, -0.5), (2.0, math.nan), (math.nan, 1.0)]
+)
 def test_gamma_domain_errors(a, x):
     with pytest.raises(ValueError):
         reg_upper_gamma(a, x)
@@ -122,6 +124,10 @@ def test_inv_reg_inc_beta_edges_and_errors():
         inv_reg_inc_beta(-0.1, 3, 2)
     with pytest.raises(ValueError):
         inv_reg_inc_beta(1.1, 3, 2)
+    with pytest.raises(ValueError, match="y=nan"):
+        inv_reg_inc_beta(math.nan, 3, 2)
+    with pytest.raises(ValueError):
+        reg_inc_beta(math.nan, 3, 2)
 
 
 @pytest.mark.parametrize("k_dof", [2, 4, 8, 16, 1000])
@@ -151,6 +157,10 @@ def test_chi2_cdf_rejects_odd_dof():
         chi2_cdf(4, -1.0)
     with pytest.raises(ValueError):
         chi2_cdf(4, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        chi2_cdf(4, math.nan)
+    with pytest.raises(ValueError, match="x=nan"):
+        chi2_cdf(4, np.array([1.0, np.nan]))
 
 
 def test_accuracy_validation():
