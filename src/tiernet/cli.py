@@ -282,7 +282,9 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 @click.option("--sweep", "sweep_text", default=None,
               help="Optional D:start:stop:steps sweep of the reference location.")
 @click.option("--drops", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--fades", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--fades", type=click.IntRange(min=1), default=1000, show_default=True,
+              help="Fades sampled per drop in FullZF mode. FastChi2 integrates the "
+                   "fades out exactly and draws none; the CSV echoes the value.")
 def cmd_simulate(
     config_path: str | None,
     out_path: str | None,
@@ -314,7 +316,7 @@ def cmd_simulate(
     )
 
     def row(dn: float) -> list:
-        # a point's rates are freed before the next point allocates its own
+        # a point's rate law is freed before the next point builds its own
         cfg_d = dataclasses.replace(cfg, d_norm=dn)
         res = simulator.simulate(cfg_d, drops, fades, p, seed)
         return (

@@ -1,8 +1,9 @@
 """Stochastic-geometry Monte Carlo engine: Poisson femtocell drops, Rayleigh
 MIMO fading with zero-forcing precoding, per-tier SIR/SINR, and one
-simulation pass that yields the outage estimate and the empirical rate CDF,
-including the carrier-sensed power-control policy; plus the exact per-drop
-outage with the FastChi2 fades integrated out (conditional_outage).
+simulation pass that yields the outage estimate, its clustered confidence
+interval and the rate distribution, including the carrier-sensed
+power-control policy. FullZF mode samples the fades; FastChi2 mode
+integrates them out (tiernet.laplace).
 
 Chi-squared bookkeeping: every dof-2k fading variable is stored on half
 scale as Gamma(k, 1) (mean k) — the natural normalization for unit-power
@@ -11,20 +12,22 @@ denominator share the convention.
 
 Reproducibility contract: trial randomness comes from counter-based Philox
 streams, one per drop, spawned as SeedSequence(seed, spawn_key=(drop_index,)).
-Within a drop the draw order is fixed (positions, then desired / cross / mark
-fades), and drops are reduced in drop order, so a seeded run is
-bit-identical from run to run.
+Within a drop the draw order is fixed (femtocell count, radii, angles, then
+in FullZF mode the desired / cross / mark fades), and drops are reduced in
+drop order, so a seeded run is bit-identical from run to run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
+from .laplace import ExactLink, MixtureRates, weight_blocks
 from .linkmodel import SystemParams, dbm_to_watts, link_budget
 from .sensing import blended_power_policy, noise_floor_dbm
 
@@ -67,9 +70,8 @@ class ChannelDraw:
         zeros when the reference is the macro's own user.
     mark_powers: (n_fades, k) — per-interferer femto leakage.
 
-    In FastChi2 mode all three are direct Gamma draws; in FullZF mode they
-    are computed from explicit complex Gaussian matrices and
-    pseudoinverse-based precoders.
+    simulate builds them in FullZF mode, from explicit complex Gaussian
+    matrices and pseudoinverse-based precoders.
     """
 
     desired_power: np.ndarray
@@ -79,21 +81,21 @@ class ChannelDraw:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """One Monte Carlo pass over all (drop, fade) pairs: the share whose SINR
-    falls below the SIR target, with a binomial normal-approximation 95%
-    half-width, and the empirical distribution of log2(1+SINR)."""
+    """One Monte Carlo pass over the drops: the mean per-drop outage, its
+    95% half-width clustered on drops (NaN for one drop), and the law of
+    log2(1+SINR) that percentile(q) reads. FastChi2 only echoes n_fades."""
 
     p_outage: float
     ci_halfwidth_95: float
-    rates: np.ndarray  # sorted ascending, n_drops·n_fades of them
     n_drops: int
     n_fades: int
     seed: int
+    rate_law: "_SampledRates | MixtureRates"
 
     def percentile(self, q: float) -> float:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile q must lie in [0,100], got {q}")
-        return float(np.quantile(self.rates, q / 100.0))
+        return self.rate_law.quantile(float(q) / 100.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationResult):
@@ -102,7 +104,7 @@ class SimulationResult:
             (self.p_outage, self.ci_halfwidth_95, self.n_drops, self.n_fades, self.seed)
             == (other.p_outage, other.ci_halfwidth_95, other.n_drops, other.n_fades,
                 other.seed)
-            and np.array_equal(self.rates, other.rates)
+            and self.rate_law == other.rate_law
         )
 
 
@@ -151,6 +153,11 @@ class ScenarioConfig:
             raise ValueError(
                 f"sensing_radius_m must be positive, got {self.sensing_radius_m}"
             )
+        if self.co_located_user_offset is not None and self.co_located_user_offset < 0:
+            raise ValueError(
+                "co_located_user_offset is a distance outward from the hotspot and "
+                f"must be nonnegative, got {self.co_located_user_offset}"
+            )
 
     @property
     def user_offset_m(self) -> float:
@@ -197,17 +204,26 @@ def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _drop_draws(
+    cfg: ScenarioConfig, drop_index: int, p: SystemParams, seed: int
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Drop drop_index's stream, after drawing the femtocell count on the
+    disc of radius r_c and then one radius and one angle uniform each."""
+    rng = _drop_rng(seed, drop_index)
+    count = rng.poisson(cfg.density(p) * math.pi * p.r_c**2)
+    return rng, rng.random(count), rng.random(count)
+
+
 def _disc_positions(
-    rng: np.random.Generator,
-    lambda_f: float,
+    u_radius: np.ndarray,
+    u_angle: np.ndarray,
     p: SystemParams,
     centre: tuple[float, float],
 ) -> np.ndarray:
-    """Poisson field of density lambda_f on the disc of radius r_c about
-    centre, in meters from the macrocell: count, then radii, then angles."""
-    count = rng.poisson(lambda_f * math.pi * p.r_c**2)
-    radii = p.r_c * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
+    """Points uniform on the disc of radius r_c about centre, in meters
+    from the macrocell."""
+    radii = p.r_c * np.sqrt(u_radius)
+    angles = 2.0 * math.pi * u_angle
     return np.column_stack(
         (centre[0] + radii * np.cos(angles), centre[1] + radii * np.sin(angles))
     )
@@ -275,14 +291,6 @@ def _zf_leakage_batch(
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
 
-def _gamma(rng: np.random.Generator, shape: int, size) -> np.ndarray:
-    # Gamma(1, 1) is Exp(1): numpy's gamma draws shape 1 through the same
-    # exponential sampler, so the values and the stream state are identical
-    if shape == 1:
-        return rng.standard_exponential(size)
-    return rng.gamma(shape, 1.0, size)
-
-
 def _fast_chi2_shapes(reference_tier: Scenario, p: SystemParams) -> tuple[int, int, int]:
     """The FastChi2 laws of one reference user, as Gamma(shape, 1) shapes:
     desired power T−U+1 of its own tier, cross-tier power u_c (0 for a
@@ -298,25 +306,17 @@ def _sample_draws(
     n_interferers: int,
     reference_tier: Scenario,
     p: SystemParams,
-    mode: ChannelMode,
 ) -> ChannelDraw:
-    """All fading powers for n_fades trials against one drop, in a fixed
-    draw order (desired, cross, marks) so results are seed-stable."""
-    femto_ref = reference_tier is Scenario.REFERENCE_HOTSPOT
-    if mode is ChannelMode.FAST_CHI2:
-        m, cross_shape, mark_shape = _fast_chi2_shapes(reference_tier, p)
-        desired = _gamma(rng, m, n_fades)
-        cross = _gamma(rng, cross_shape, n_fades) if cross_shape else np.zeros(n_fades)
-        marks = _gamma(rng, mark_shape, (n_fades, n_interferers))
+    """All FullZF fading powers for n_fades trials against one drop, in a
+    fixed draw order (desired, cross, marks) so results are seed-stable."""
+    if reference_tier is Scenario.REFERENCE_HOTSPOT:
+        desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
+        cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)
     else:
-        if femto_ref:
-            desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
-            cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)
-        else:
-            desired = _zf_desired_batch(rng, n_fades, p.t_c, p.u_c)
-            cross = np.zeros(n_fades)
-        flat = _zf_leakage_batch(rng, n_fades * n_interferers, p.t_f, p.u_f)
-        marks = flat.reshape(n_fades, n_interferers)
+        desired = _zf_desired_batch(rng, n_fades, p.t_c, p.u_c)
+        cross = np.zeros(n_fades)
+    flat = _zf_leakage_batch(rng, n_fades * n_interferers, p.t_f, p.u_f)
+    marks = flat.reshape(n_fades, n_interferers)
     return ChannelDraw(desired_power=desired, cross_tier_power=cross, mark_powers=marks)
 
 
@@ -339,20 +339,6 @@ def _interferer_weights(
     p_tx_w = dbm_to_watts(np.asarray(p_tx_dbm, dtype=float))
     with np.errstate(divide="ignore"):  # co-located interferer -> inf power
         return (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
-
-
-def _interference_w(
-    positions: np.ndarray,
-    point: np.ndarray,
-    mark_powers: np.ndarray,
-    p_tx_dbm,
-    fixed_gain: float,
-    p: SystemParams,
-) -> np.ndarray:
-    # per-trial femtocell interference power at point
-    if len(positions) == 0:
-        return np.zeros(mark_powers.shape[0])
-    return mark_powers @ _interferer_weights(positions, point, p_tx_dbm, fixed_gain, p)
 
 
 def _femto_link(
@@ -403,8 +389,9 @@ def femto_sir(
 
     desired = desired_scale * draws.desired_power
     cross = cross_scale * draws.cross_tier_power
-    marks = _interference_w(
-        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm, gain, p
+    # per-trial femtocell interference: no femtocells give a (n, 0) @ (0,) = 0
+    marks = draws.mark_powers @ _interferer_weights(
+        positions, np.array([d, 0.0]), p_f_interferer_dbm, gain, p
     )
     with np.errstate(divide="ignore"):
         return desired / (cross + marks + noise_w)
@@ -426,8 +413,9 @@ def cellular_sir(
     d = d_norm * p.r_c
 
     desired = desired_scale * draws.desired_power
-    marks = _interference_w(
-        positions, np.array([d, 0.0]), draws.mark_powers, p_f_interferer_dbm, gain, p
+    # per-trial femtocell interference: no femtocells give a (n, 0) @ (0,) = 0
+    marks = draws.mark_powers @ _interferer_weights(
+        positions, np.array([d, 0.0]), p_f_interferer_dbm, gain, p
     )
     with np.errstate(divide="ignore"):
         return desired / (marks + noise_w)
@@ -491,27 +479,23 @@ def _run_constants(
     return noise_w, blend_edge_db, serving_dbm
 
 
-def _drop_layout(
+def _layout(
     cfg: ScenarioConfig,
-    drop_index: int,
     p: SystemParams,
-    seed: int,
+    u_radius: np.ndarray,
+    u_angle: np.ndarray,
     blend_edge_db: float | None,
-) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """The femtocells of one drop, drawn first from its own Philox stream:
-    positions on the disc of radius r_c centred on the receiver at (D, 0)
-    (see ScenarioConfig), and their transmit powers, which still follow each
-    femtocell's own macro distance. Returns the stream, ready for the fades,
-    with the positions and powers."""
-    rng = _drop_rng(seed, drop_index)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (about the receiver at (D, 0), see ScenarioConfig) and
+    transmit powers of the femtocells of one or more drops."""
     d = cfg.d_norm * p.r_c
-    positions = _disc_positions(rng, cfg.density(p), p, (d, 0.0))
+    positions = _disc_positions(u_radius, u_angle, p, (d, 0.0))
     user_point = np.array([d, 0.0])
     if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
         # the sensed uplink user sits co-linearly outward from the femto
         user_point[0] += cfg.user_offset_m
     powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
-    return rng, positions, powers
+    return positions, powers
 
 
 def _drop_sinr(
@@ -524,13 +508,11 @@ def _drop_sinr(
     blend_edge_db: float | None,
     serving_dbm: float | None,
 ) -> np.ndarray:
-    """Per-fade SINR of one drop: the femtocells of _drop_layout, then the
-    fades from the same stream. noise_w, blend_edge_db and serving_dbm are
-    the per-run constants of _run_constants."""
-    rng, positions, powers = _drop_layout(cfg, drop_index, p, seed, blend_edge_db)
-    draws = _sample_draws(
-        rng, n_fades, len(positions), cfg.scenario, p, cfg.channel_mode
-    )
+    """Per-fade FullZF SINR of one drop, given the constants of
+    _run_constants."""
+    rng, u_radius, u_angle = _drop_draws(cfg, drop_index, p, seed)
+    positions, powers = _layout(cfg, p, u_radius, u_angle, blend_edge_db)
+    draws = _sample_draws(rng, n_fades, len(positions), cfg.scenario, p)
     if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
         return cellular_sir(
             cfg.d_norm, positions, draws, p, p_f_interferer_dbm=powers, noise_w=noise_w
@@ -546,85 +528,98 @@ def _drop_sinr(
     )
 
 
+def _exact_run(
+    cfg: ScenarioConfig, n_drops: int, p: SystemParams, seed: int
+) -> tuple[ExactLink, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """A FastChi2 run's constants, and its drops' interferer weights in
+    blocks of whole drops (laplace.weight_blocks), laid out once per block."""
+    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
+    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
+        desired, cross, gain = _cellular_link(cfg.d_norm, p)
+    else:
+        desired, cross, gain = _femto_link(cfg.d_norm, p, serving_dbm)
+    link = ExactLink(desired, cross, noise_w, _fast_chi2_shapes(cfg.scenario, p))
+    receiver = np.array([cfg.d_norm * p.r_c, 0.0])
+
+    def weights(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+        positions, powers = _layout(cfg, p, u_radius, u_angle, blend_edge_db)
+        return _interferer_weights(positions, receiver, powers, gain, p)
+
+    draws = (_drop_draws(cfg, i, p, seed)[1:] for i in range(n_drops))
+    return link, weight_blocks(draws, weights)
+
+
+class _SampledRates:
+    """A FullZF run's sorted log2(1+SINR) of every (drop, fade) pair."""
+
+    def __init__(self, rates: np.ndarray) -> None:
+        self.rates = rates
+
+    def quantile(self, u: float) -> float:
+        return float(np.quantile(self.rates, u))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SampledRates):
+            return NotImplemented
+        return np.array_equal(self.rates, other.rates)
+
+
+def _clustered_ci(drop_outage: np.ndarray) -> float:
+    # 95% half-width with the drop as the sampling unit
+    if len(drop_outage) < 2:
+        return math.nan
+    return 1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(len(drop_outage))
+
+
 def simulate(
     cfg: ScenarioConfig, n_drops: int, n_fades: int, p: SystemParams, seed: int
 ) -> SimulationResult:
-    """Outage and rate distribution over all (drop, fade) pairs, from one
-    pass over the drops.
-
-    Each drop's SINR row is counted against the SIR target, then stored as
-    log2(1+SINR) in one n_drops×n_fades buffer that is sorted in place at
-    the end.
-    """
+    """Outage, its clustered CI and the rate law from one pass over the
+    drops: exact per drop in FastChi2 mode, which keeps the interferer
+    weights for percentiles; sampled in FullZF mode, which sorts one
+    n_drops×n_fades buffer of log2(1+SINR)."""
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
-    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
-    rates = np.empty((n_drops, n_fades))
-    outages = 0
-    for i in range(n_drops):
-        sinr = _drop_sinr(cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm)
-        outages += int(np.count_nonzero(sinr < p.gamma_target))
-        np.add(sinr, 1.0, out=rates[i])
-        np.log2(rates[i], out=rates[i])
-    rates = rates.reshape(-1)  # a view: the sort below is in place
-    rates.sort()
-    n = rates.size
-    p_hat = outages / n
+    if cfg.channel_mode is ChannelMode.FAST_CHI2:
+        link, blocks = _exact_run(cfg, n_drops, p, seed)
+        rate_law = MixtureRates(link, tuple(blocks))
+        drop_outage = 1.0 - np.concatenate(
+            [link.coverage(p.gamma_target, w, c)[0] for w, c in rate_law.blocks]
+        )
+        p_hat = float(drop_outage.mean())
+    else:
+        noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
+        rates = np.empty((n_drops, n_fades))
+        drop_outage = np.empty(n_drops)
+        outages = 0
+        for i in range(n_drops):
+            sinr = _drop_sinr(
+                cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm
+            )
+            count = int(np.count_nonzero(sinr < p.gamma_target))
+            outages += count
+            drop_outage[i] = count / n_fades
+            np.add(sinr, 1.0, out=rates[i])
+            np.log2(rates[i], out=rates[i])
+        rates = rates.reshape(-1)  # a view: the sort below is in place
+        rates.sort()
+        p_hat = outages / rates.size
+        rate_law = _SampledRates(rates)
     return SimulationResult(
         p_outage=p_hat,
-        ci_halfwidth_95=1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n),
-        rates=rates,
+        ci_halfwidth_95=_clustered_ci(drop_outage),
         n_drops=n_drops,
         n_fades=n_fades,
         seed=seed,
+        rate_law=rate_law,
     )
-
-
-def _coverage_given(
-    s: float,
-    weights: np.ndarray,
-    cross: float,
-    noise_w: float,
-    shapes: tuple[int, int, int],
-) -> float:
-    """P(G ≥ s·(I + N)) for G ~ Gamma(m, 1) and I = cross·Gamma(u_x, 1) +
-    Σⱼ weightsⱼ·Gamma(u_k, 1), all independent, with (m, u_x, u_k) the
-    shapes of _fast_chi2_shapes.
-
-    Equals L(s)·Σ_{n<m} aₙ, with L the Laplace transform of I + N and
-    aₙ = (−s)ⁿ L⁽ⁿ⁾(s) / (n! L(s)) from the cumulant recursion
-    aₙ = (1/n) Σ_{k=1..n} g_k aₙ₋ₖ. Every g_k and aₙ is non-negative, so
-    nothing cancels. A co-located interferer (infinite weight) gives 0.
-    """
-    with np.errstate(divide="ignore"):  # zero weight -> 1/0 -> x = 0
-        x = 1.0 / (1.0 + 1.0 / (s * weights))
-    m, cross_shape, mark_shape = shapes
-    y = s * cross / (1.0 + s * cross)
-    ln_l = (
-        -s * noise_w - cross_shape * math.log1p(s * cross)
-        - mark_shape * np.log1p(s * weights).sum()
-    )
-    a = [1.0]
-    g: list[float] = []
-    x_k = np.ones_like(x)
-    for n in range(1, m):
-        x_k *= x
-        g.append(
-            cross_shape * y**n + mark_shape * x_k.sum() + (s * noise_w if n == 1 else 0.0)
-        )
-        a.append(sum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
-    return math.exp(ln_l) * sum(a)
 
 
 def conditional_outage(
     cfg: ScenarioConfig, n_drops: int, p: SystemParams, seed: int
 ) -> np.ndarray:
-    """Exact outage probability of each drop given its femtocell positions:
-    the FastChi2 fades integrated out instead of sampled.
-
-    Drop i has the positions and powers simulate's drop i has (same Philox
-    stream, same draws), so the mean is an estimate of the same outage with
-    strictly less variance (conditional Monte Carlo).
+    """Exact FastChi2 outage of each drop given its femtocells, the values
+    whose mean simulate reports; each block is freed once used.
 
     Raises:
         ValueError: fewer than one drop, or FullZF mode, which stays sampled
@@ -634,17 +629,5 @@ def conditional_outage(
         raise ValueError(f"need at least 1 drop, got {n_drops}")
     if cfg.channel_mode is ChannelMode.FULL_ZF:
         raise ValueError("conditional_outage needs FastChi2 fades; FullZF is sampled")
-    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
-    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
-        desired, cross, gain = _cellular_link(cfg.d_norm, p)
-    else:
-        desired, cross, gain = _femto_link(cfg.d_norm, p, serving_dbm)
-    shapes = _fast_chi2_shapes(cfg.scenario, p)
-    s = p.gamma_target / desired
-    receiver = np.array([cfg.d_norm * p.r_c, 0.0])
-    outage = np.empty(n_drops)
-    for i in range(n_drops):
-        _, positions, powers = _drop_layout(cfg, i, p, seed, blend_edge_db)
-        weights = _interferer_weights(positions, receiver, powers, gain, p)
-        outage[i] = 1.0 - _coverage_given(s, weights, cross, noise_w, shapes)
-    return outage
+    link, blocks = _exact_run(cfg, n_drops, p, seed)
+    return np.concatenate([1.0 - link.coverage(p.gamma_target, w, c)[0] for w, c in blocks])

@@ -133,7 +133,7 @@ def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
 def reg_upper_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Γ(a,x)/Γ(a).
 
-    Monotone nonincreasing in x, with Q(a,0) = 1.
+    Monotone nonincreasing in x, with Q(a,0) = 1 and Q(a,inf) = 0.
 
     Raises:
         ValueError: if a <= 0 or x < 0.
@@ -144,6 +144,8 @@ def reg_upper_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
         raise ValueError(f"reg_upper_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < a + 1.0:
         return 1.0 - _lower_gamma_series(a, x, acc)
     return _upper_gamma_cf(a, x, acc)
@@ -154,6 +156,7 @@ def ln_reg_lower_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> floa
 
     Stable deep in the left tail (x << a) where P underflows; used by the
     energy-detector formulas whose product terms are only finite jointly.
+    ln P(a,0) = -inf and ln P(a,inf) = 0.
     """
     if not a > 0:
         raise ValueError(f"ln_reg_lower_gamma requires a > 0, got a={a}")
@@ -161,6 +164,8 @@ def ln_reg_lower_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> floa
         raise ValueError(f"ln_reg_lower_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return -math.inf
+    if x == math.inf:
+        return 0.0
     if x >= a + 1.0:
         return math.log1p(-_upper_gamma_cf(a, x, acc))
     # series in log space: P = x^a e^-x / Gamma(a+1) * sum_n prod x/(a+k)
@@ -227,10 +232,10 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC) -> 
     """Regularized incomplete beta I_x(a, b) — the Beta(a,b) CDF at x.
 
     Raises:
-        ValueError: if x outside [0,1] or a, b <= 0.
+        ValueError: if x outside [0,1], or a, b not positive and finite.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
@@ -295,7 +300,7 @@ def chi2_cdf(k_dof: int, x):
     With v = x/2 and k = k_dof/2 it is the finite Poisson sum
     1 − Σ_{n<k} e^{−v} vⁿ/n!, whose terms are formed in log space so that
     neither e^{−v} nor vⁿ over- or underflows on its own. Equals
-    1 − reg_upper_gamma(k_dof/2, x/2).
+    1 − reg_upper_gamma(k_dof/2, x/2); 1 at x = inf.
 
     Raises:
         ValueError: if k_dof is not an even integer >= 2, or any x is negative
@@ -307,10 +312,12 @@ def chi2_cdf(k_dof: int, x):
     bad = 2.0 * v[~(v >= 0)]
     if bad.size:
         raise ValueError(f"chi2_cdf requires x >= 0, got x={bad[0]}")
-    with np.errstate(divide="ignore"):  # v = 0: every n >= 1 term is exp(-inf) = 0
+    # v = 0: every n >= 1 term is exp(-inf) = 0; v = inf: inf - inf is NaN,
+    # replaced by the limit below
+    with np.errstate(divide="ignore", invalid="ignore"):
         ln_v = np.log(v)
-    tail = np.exp(-v)
-    for n in range(1, k_dof // 2):
-        tail += np.exp(n * ln_v - v - math.lgamma(n + 1))
-    cdf = 1.0 - tail
+        tail = np.exp(-v)
+        for n in range(1, k_dof // 2):
+            tail += np.exp(n * ln_v - v - math.lgamma(n + 1))
+    cdf = np.where(v == math.inf, 1.0, 1.0 - tail)
     return float(cdf) if np.ndim(x) == 0 else cdf

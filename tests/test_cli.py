@@ -242,6 +242,19 @@ def test_out_of_range_input_exits_2(runner, tmp_path, args):
         assert "Error: Invalid value for" in res.output
 
 
+def test_negative_user_offset_exits_2(runner, tmp_path):
+    """The co-located user's offset is a distance outward from the hotspot;
+    a negative one would put the user inward and must not run."""
+    cfg = _write(
+        tmp_path, "offset.json",
+        '{"scenario": {"scenario": "ReferenceHotspot", "co_located_user_offset": -500}}',
+    )
+    res = runner.invoke(main, [*SIM, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and "co_located_user_offset" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_bad_sweep_usage_exits_2(runner):
     assert runner.invoke(main, ["analytic", "--sweep", "D:1.0:0.2:5"]).exit_code == 2
     assert runner.invoke(main, ["analytic", "--sweep", "D:0.2:1.0:1"]).exit_code == 2

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from tiernet import simulator
+from tiernet import laplace, simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
 from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
 from tiernet.sensing import noise_floor_dbm
@@ -39,24 +39,20 @@ P = SystemParams()
 # geometry
 
 
-def _scenario_drops(monkeypatch, cfg, n_drops, seed):
-    """Femtocell positions of the first n_drops drops of a run, as they
-    reach the SIR function."""
+def _scenario_drops(cfg, n_drops, seed):
+    """Femtocell positions of the first n_drops drops of a run, as the
+    drop's own stream and the layout place them."""
     seen = []
-    for name in ("cellular_sir", "femto_sir"):
-        def spy(d_norm, positions, *args, _sir=getattr(simulator, name), **kwargs):
-            seen.append(positions)
-            return _sir(d_norm, positions, *args, **kwargs)
-        monkeypatch.setattr(simulator, name, spy)
     for i in range(n_drops):
-        simulator._drop_sinr(cfg, i, 1, P, seed, 0.0, None, None)
+        _, u_radius, u_angle = simulator._drop_draws(cfg, i, P, seed)
+        seen.append(simulator._layout(cfg, P, u_radius, u_angle, None)[0])
     return seen
 
 
-def test_ppp_count_and_uniformity(monkeypatch):
+def test_ppp_count_and_uniformity():
     cfg = ScenarioConfig(d_norm=0.5, n_f_target=100.0)
     receiver = np.array([0.5 * P.r_c, 0.0])
-    drops = _scenario_drops(monkeypatch, cfg, 300, 0)
+    drops = _scenario_drops(cfg, 300, 0)
     counts = [len(pos) for pos in drops]
     radii = np.concatenate([np.linalg.norm(pos - receiver, axis=1) for pos in drops])
     # Poisson mean 100 -> sample mean CI ~ +-1.2; uniform disc mean radius 2R/3
@@ -69,14 +65,14 @@ def test_ppp_count_and_uniformity(monkeypatch):
 @pytest.mark.parametrize(
     "scenario", [Scenario.REFERENCE_CELLULAR_USER, Scenario.REFERENCE_HOTSPOT]
 )
-def test_scenario_drop_surrounds_cell_edge_receiver(monkeypatch, scenario):
+def test_scenario_drop_surrounds_cell_edge_receiver(scenario):
     """A receiver at the cell edge sees the full femtocell density around
     it: drops are centred on the receiver, not on the macrocell (whose disc
     would leave the outer half of the neighbourhood empty)."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=1.0, n_f_target=60.0)
     receiver = np.array([P.r_c, 0.0])
     near, total = [], []
-    for pos in _scenario_drops(monkeypatch, cfg, 400, 8):
+    for pos in _scenario_drops(cfg, 400, 8):
         total.append(len(pos))
         near.append(np.count_nonzero(np.linalg.norm(pos - receiver, axis=1) <= 230.0))
     # Poisson means: 60 per drop, lambda*pi*230^2 = 3.17 nearby (SE 0.09)
@@ -247,9 +243,9 @@ def test_outage_estimate_reproducible_and_bounded():
 
 
 def test_exponential_draws_match_unit_shape_gamma():
-    """The fast path draws Gamma(1, 1) fades as standard exponentials: same
-    values and the same stream state afterwards, so seeded runs keep their
-    bits."""
+    """The sampled FastChi2 oracle (_gamma below) draws Gamma(1, 1) fades as
+    standard exponentials: same values and the same stream state afterwards,
+    so its seeded draws keep their bits."""
     def rng():
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
 
@@ -268,14 +264,17 @@ def test_exponential_draws_match_unit_shape_gamma():
     ids=["hotspot-fixed", "cellular-sensed", "hotspot-sensed"],
 )
 def test_simulate_one_pass_serves_outage_and_rates(cfg):
-    """The outage share is the share of rates below log2(1+Γ), the rates come
-    back sorted, and a second run gives the same result."""
+    """One pass serves all three: p_outage is the mean exact per-drop outage,
+    the CI is clustered on drops, the rate percentile at 100·p_outage is
+    log2(1+Γ) within the solver's tolerance, and a second run gives the
+    same result."""
     res = simulate(cfg, 24, 100, P, seed=5)
     assert simulate(cfg, 24, 100, P, seed=5) == res
-    assert res.rates.shape == (24 * 100,)
-    assert np.all(np.diff(res.rates) >= 0.0)
-    below = np.count_nonzero(res.rates < math.log2(1.0 + P.gamma_target))
-    assert res.p_outage == below / res.rates.size
+    q = simulator.conditional_outage(cfg, 24, P, seed=5)
+    assert res.p_outage == q.mean()
+    assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(24)
+    r_gamma = math.log2(1.0 + P.gamma_target)
+    assert res.percentile(100.0 * res.p_outage) == pytest.approx(r_gamma, rel=1e-10)
 
 
 def test_cellular_sensed_policy_without_femtocells():
@@ -288,7 +287,7 @@ def test_cellular_sensed_policy_without_femtocells():
     )
     res = simulate(cfg, 10, 20, P, seed=2)
     assert 0.0 <= res.p_outage <= 1.0
-    assert np.all(np.isfinite(res.rates))
+    assert all(math.isfinite(res.percentile(q)) for q in (1.0, 50.0, 99.0))
 
 
 def test_fast_and_full_modes_agree_at_single_user_config():
@@ -304,13 +303,19 @@ def test_fast_and_full_modes_agree_at_single_user_config():
 
 
 def test_rate_cdf_sorted_and_percentiles():
-    cfg = _hotspot_cfg()
-    cdf = simulate(cfg, 20, 50, P, seed=3)
-    assert len(cdf.rates) == 20 * 50
-    assert np.all(np.diff(cdf.rates) >= 0.0)
-    assert cdf.percentile(10.0) <= cdf.percentile(50.0) <= cdf.percentile(90.0)
-    with pytest.raises(ValueError):
-        cdf.percentile(100.5)
+    """The exact rate percentiles rise strictly with q on a fine grid, from
+    0 at q = 0 to inf at q = 100 (the mixture CDF reaches 1 only in the
+    limit); FullZF reads its sorted sampled rates."""
+    cdf = simulate(_hotspot_cfg(), 20, 50, P, seed=3)
+    grid = np.linspace(0.0, 100.0, 201)
+    pct = np.array([cdf.percentile(q) for q in grid])
+    assert pct[0] == 0.0 and pct[-1] == math.inf
+    assert np.all(np.diff(pct) > 0.0)
+    full = simulate(_hotspot_cfg(channel_mode=ChannelMode.FULL_ZF), 5, 20, P, seed=3)
+    assert full.percentile(10.0) <= full.percentile(50.0) <= full.percentile(90.0)
+    for res in (cdf, full):
+        with pytest.raises(ValueError):
+            res.percentile(100.5)
 
 
 def test_sensing_policy_reduces_cellular_outage():
@@ -367,6 +372,8 @@ def test_scenario_config_validation_and_round_trip():
         ScenarioConfig(blend_weight=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(n_f_target=-3.0)
+    with pytest.raises(ValueError, match="co_located_user_offset"):
+        ScenarioConfig(co_located_user_offset=-500.0)
 
 
 def test_scenario_config_density_and_offset():
@@ -377,7 +384,7 @@ def test_scenario_config_density_and_offset():
 
 
 # ---------------------------------------------------------------------------
-# conditional (fades integrated out) outage
+# exact FastChi2 engine (fades integrated out) against sampled fades
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -401,6 +408,40 @@ def _closure_cfg(scenario: Scenario) -> ScenarioConfig:
     )
 
 
+def _gamma(rng, shape, size):
+    # Gamma(1, 1) is Exp(1), drawn as such
+    # (see test_exponential_draws_match_unit_shape_gamma)
+    if shape == 1:
+        return rng.standard_exponential(size)
+    return rng.gamma(shape, 1.0, size)
+
+
+def _sampled_fast_chi2_sinr(cfg, drop_index, n_fades, seed, constants):
+    """The brute-force oracle of the exact engine: drop drop_index's
+    femtocells as simulate lays them out, then n_fades sampled FastChi2
+    fades from the same stream (desired, cross, marks), through the per-tier
+    SIR functions. constants are simulator._run_constants(cfg, P)."""
+    noise_w, blend_edge_db, serving_dbm = constants
+    rng, u_radius, u_angle = simulator._drop_draws(cfg, drop_index, P, seed)
+    positions, powers = simulator._layout(cfg, P, u_radius, u_angle, blend_edge_db)
+    m, cross_shape, mark_shape = simulator._fast_chi2_shapes(cfg.scenario, P)
+    draws = ChannelDraw(
+        desired_power=_gamma(rng, m, n_fades),
+        cross_tier_power=(
+            _gamma(rng, cross_shape, n_fades) if cross_shape else np.zeros(n_fades)
+        ),
+        mark_powers=_gamma(rng, mark_shape, (n_fades, len(positions))),
+    )
+    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
+        return cellular_sir(
+            cfg.d_norm, positions, draws, P, p_f_interferer_dbm=powers, noise_w=noise_w
+        )
+    return femto_sir(
+        cfg.d_norm, positions, draws, P, p_f_serving_dbm=serving_dbm,
+        p_f_interferer_dbm=powers, noise_w=noise_w,
+    )
+
+
 @pytest.mark.parametrize(
     ("cfg", "seed", "n_fades", "drops"),
     [
@@ -419,7 +460,7 @@ def test_conditional_outage_matches_brute_force_drop(cfg, seed, n_fades, drops):
     constants = simulator._run_constants(cfg, P)
     for i in drops:
         q = exact[i]
-        sinr = simulator._drop_sinr(cfg, i, n_fades, P, seed, *constants)
+        sinr = _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants)
         sampled = np.count_nonzero(sinr < P.gamma_target) / n_fades
         assert 0.0 < q < 1.0
         assert abs(sampled - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n_fades), i
@@ -438,10 +479,19 @@ def test_conditional_outage_matches_brute_force_drop(cfg, seed, n_fades, drops):
          "cellular-closure"],
 )
 def test_conditional_outage_matches_simulate(cfg, seed, n_drops, n_fades):
-    """Over the same drops, the sampled outage differs from the mean exact
-    one by fade noise alone: variance sum_i q_i(1-q_i)/n_fades / n_drops^2."""
+    """simulate's FastChi2 outage is the mean exact per-drop outage, with the
+    CI clustered on drops; over the same drops, the sampled oracle differs
+    from it by fade noise alone: variance sum_i q_i(1-q_i)/n_fades / n_drops^2."""
     q = simulator.conditional_outage(cfg, n_drops, P, seed)
-    sampled = simulate(cfg, n_drops, n_fades, P, seed).p_outage
+    res = simulate(cfg, n_drops, n_fades, P, seed)
+    assert res.p_outage == q.mean()
+    assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(n_drops)
+    constants = simulator._run_constants(cfg, P)
+    sampled = sum(
+        np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants)
+                         < P.gamma_target)
+        for i in range(n_drops)
+    ) / (n_drops * n_fades)
     sigma = math.sqrt(np.sum(q * (1.0 - q)) / n_fades) / n_drops
     assert sigma > 0.0
     assert abs(sampled - q.mean()) <= 4.0 * sigma
@@ -463,17 +513,91 @@ def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_conditional_outage_co_located_interferer_is_certain(monkeypatch, scenario):
     """A femtocell on top of the receiver has infinite interference weight:
-    outage exactly 1, with no NaN and no floating-point warning."""
+    outage exactly 1, with no NaN and no floating-point warning. Its drop
+    puts an atom at rate 0, which the percentiles up to its mass read."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=0.6, n_f_target=60.0)
-    d = cfg.d_norm * P.r_c
+    # femtocells at (300, 40), (0, 0) and (-90, -10) m from the receiver;
+    # a zero radius uniform puts the second exactly on it
+    offsets = np.array([[300.0, 40.0], [0.0, 0.0], [-90.0, -10.0]])
+    u_radius = (np.hypot(*offsets.T) / P.r_c) ** 2
+    u_angle = np.arctan2(offsets[:, 1], offsets[:, 0]) / (2.0 * math.pi) % 1.0
+    clear = (None, u_radius[[0, 2]], u_angle[[0, 2]])
     monkeypatch.setattr(
-        simulator, "_disc_positions",
-        lambda *args: np.array([[d + 300.0, 40.0], [d, 0.0], [d - 90.0, -10.0]]),
+        simulator, "_drop_draws",
+        lambda cfg, i, p, seed: (None, u_radius, u_angle) if i < 2 else clear,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q = simulator.conditional_outage(cfg, 2, P, seed=0)
+        res = simulate(cfg, 4, 1, P, seed=0)
     np.testing.assert_array_equal(q, [1.0, 1.0])
+    assert res.percentile(50.0) == 0.0 < res.percentile(50.1)
+
+
+@pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
+def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
+    """The exact rate percentiles of four drops against 5·10⁴ sampled fades
+    of each of the same drops (2·10⁵ in all): at each exact percentile r_q
+    the pooled empirical CDF lies within the DKW band of q/100. The band
+    takes the union bound over the drops' own DKW bands, sup |F_n − F| ≤
+    eps with probability 1 − 8·exp(−2·n·eps²) for n fades per drop, at
+    α = 1e-3."""
+    cfg, seed, n_drops, n_fades = _bench_cfg(name), 1, 4, 50_000
+    res = simulate(cfg, n_drops, 1, P, seed)
+    constants = simulator._run_constants(cfg, P)
+    rates = np.sort(np.concatenate([
+        np.log2(1.0 + _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants))
+        for i in range(n_drops)
+    ]))
+    eps = math.sqrt(math.log(2.0 * n_drops / 1e-3) / (2.0 * n_fades))
+    for q in (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0):
+        ecdf = np.searchsorted(rates, res.percentile(q), side="right") / rates.size
+        assert abs(ecdf - q / 100.0) <= eps, (q, ecdf, eps)
+
+
+@pytest.mark.parametrize("block", [1, 150])
+def test_blocks_do_not_change_per_drop_outage(monkeypatch, block):
+    """How drops are grouped into blocks changes nothing per drop: one drop
+    per block, or blocks that close mid-run after about 150 femtocells,
+    give the exact outages of the default blocks, empty drops included."""
+    cfg = _bench_cfg("hotspot_sensed")
+    sparse = dataclasses.replace(cfg, n_f_target=0.5)
+    want = [simulator.conditional_outage(c, 40, P, seed=2) for c in (cfg, sparse)]
+    monkeypatch.setattr(laplace, "_BLOCK_INTERFERERS", block)
+    for c, q in zip((cfg, sparse), want):
+        np.testing.assert_array_equal(simulator.conditional_outage(c, 40, P, seed=2), q)
+    assert any(len(simulator._drop_draws(sparse, i, P, 2)[1]) == 0 for i in range(40))
+
+
+def test_fast_chi2_simulate_draws_no_fades():
+    """FastChi2 allocates and draws no fades: a billion fades per drop
+    (5·10¹⁰ in all, which no sampler would finish) gives the same result
+    as one, with n_fades only echoed."""
+    cfg = _bench_cfg("cellular_sensed")
+    many = simulate(cfg, 50, 10**9, P, seed=3)
+    one = simulate(cfg, 50, 1, P, seed=3)
+    assert many.n_fades == 10**9
+    assert (many.p_outage, many.ci_halfwidth_95) == (one.p_outage, one.ci_halfwidth_95)
+    assert many.percentile(10.0) == one.percentile(10.0)
+
+
+def test_full_zf_ci_is_clustered_on_drops():
+    """FullZF keeps sampling: p_outage is the share of all (drop, fade)
+    pairs, and the CI is 1.96·sd(per-drop sampled outage)/√n_drops, not the
+    binomial half-width over pairs; a single drop has no CI."""
+    cfg = _hotspot_cfg(n_f_target=60.0, channel_mode=ChannelMode.FULL_ZF)
+    n_drops, n_fades = 12, 40
+    res = simulate(cfg, n_drops, n_fades, P, seed=6)
+    constants = simulator._run_constants(cfg, P)
+    frac = np.array([
+        np.count_nonzero(
+            simulator._drop_sinr(cfg, i, n_fades, P, 6, *constants) < P.gamma_target
+        ) / n_fades
+        for i in range(n_drops)
+    ])
+    assert res.p_outage == pytest.approx(frac.mean(), rel=1e-12)
+    assert res.ci_halfwidth_95 == 1.96 * np.std(frac, ddof=1) / math.sqrt(n_drops)
+    assert math.isnan(simulate(cfg, 1, n_fades, P, seed=6).ci_halfwidth_95)
 
 
 def test_conditional_outage_rejects_full_zf_and_empty_runs():

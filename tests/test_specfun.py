@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,26 @@ def test_chi2_cdf_rejects_odd_dof():
         chi2_cdf(4, math.nan)
     with pytest.raises(ValueError, match="x=nan"):
         chi2_cdf(4, np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 4.0, 100.0])
+def test_infinite_x_gives_limits(a):
+    """x = +inf returns the limit, as scipy does, with no floating-point
+    warning; an infinite shape of the incomplete beta is a domain error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reg_upper_gamma(a, math.inf) == sp.gammaincc(a, math.inf) == 0.0
+        assert ln_reg_lower_gamma(a, math.inf) == math.log(sp.gammainc(a, math.inf)) == 0.0
+        k_dof = 2 * math.ceil(a)
+        assert chi2_cdf(k_dof, math.inf) == scipy.stats.chi2.cdf(math.inf, k_dof) == 1.0
+        np.testing.assert_array_equal(
+            chi2_cdf(k_dof, np.array([0.0, math.inf])),
+            scipy.stats.chi2.cdf([0.0, math.inf], k_dof),
+        )
+    with pytest.raises(ValueError):
+        reg_inc_beta(0.5, math.inf, 2.0)
+    with pytest.raises(ValueError):
+        reg_inc_beta(0.5, 2.0, math.inf)
 
 
 def test_accuracy_validation():
