@@ -6,7 +6,7 @@ power windows, sensing radii) live in :mod:`tiernet.analytic` and
 :mod:`tiernet.sensing`; the stochastic-geometry Monte Carlo used to validate
 them lives in :mod:`tiernet.simulator`. The names re-exported here are the
 public surface: parameters, closed forms, sensing design, and the
-simulation entry point with its configuration types. The SIR, precoder and
+simulation entry point with its configuration types. The precoder and
 link-budget helpers stay in their own modules.
 """
 

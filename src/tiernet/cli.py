@@ -318,7 +318,14 @@ def cmd_simulate(
     def row(dn: float) -> list:
         # a point's rate law is freed before the next point builds its own
         cfg_d = dataclasses.replace(cfg, d_norm=dn)
-        res = simulator.simulate(cfg_d, drops, fades, p, seed)
+        try:
+            res = simulator.simulate(cfg_d, drops, fades, p, seed)
+        except sensing.InfeasiblePlanError as exc:
+            raise ConfigError(
+                f"n_f_target = {cfg.n_f_target:g} femtocells "
+                f"(lambda_f = {cfg.density(p):.4g} per m^2) admits no carrier-sensed "
+                f"power plan at D = {dn:g}: {exc}"
+            ) from None
         return (
             [cfg_d.scenario, dn, cfg_d.density(p), drops, fades, seed,
              res.p_outage, res.ci_halfwidth_95]
@@ -398,7 +405,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
             power_policy=PowerPolicy.FIXED,
             n_f_target=lam_f * math.pi * p.r_c**2, include_noise=False,
         )
-        p_out = float(simulator.conditional_outage(cfg_f, 1000, p, seed).mean())
+        p_out = simulator.simulate(cfg_f, 1000, 1, p, seed).p_outage
         record("femto_closure_outage",
                abs(p_out - p.eps) <= 0.03, p_out, f"{p.eps} +- 0.03")
 
@@ -408,7 +415,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         power_policy=PowerPolicy.FIXED,
         n_f_target=lam_c * math.pi * p.r_c**2, include_noise=False,
     )
-    p_out = float(simulator.conditional_outage(cfg_c, 4000, p, seed).mean())
+    p_out = simulator.simulate(cfg_c, 4000, 1, p, seed).p_outage
     record("cellular_closure_outage",
            abs(p_out - p.eps) <= 0.02, p_out, f"{p.eps} +- 0.02")
 

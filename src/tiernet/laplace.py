@@ -68,15 +68,29 @@ def _per_drop_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class ExactLink(NamedTuple):
-    """What a drop's exact coverage needs besides its weights: received
-    power per unit fade of the desired link and of the cross-tier link (0
-    when there is none), the noise power, and the Gamma shapes (m, u_x, u_k)
-    of the desired power, the cross-tier power and each interferer's mark."""
+    """What a drop's SINR needs besides its weights: received power per
+    unit fade of the desired link and of the cross-tier link (0 when there
+    is none), the noise power, and the Gamma shapes (m, u_x, u_k) of the
+    desired power, the cross-tier power and each interferer's mark, which
+    the exact coverage integrates over."""
 
     desired: float
     cross: float
     noise_w: float
     shapes: tuple[int, int, int]
+
+    def sinr(
+        self, desired: np.ndarray, cross: np.ndarray, marks: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        """SINR of n sampled fades of one drop: desired and cross-tier
+        powers (n,) and marks (n, k) per unit fade, against the drop's k
+        weights. No interferers (an (n, 0) @ (0,) sum of 0) and no noise
+        give an infinite SINR."""
+        with np.errstate(divide="ignore"):
+            return self.desired * desired / (
+                (self.cross * cross + marks @ weights) + self.noise_w
+            )
 
     def coverage(
         self, theta: float, weights: np.ndarray, counts: np.ndarray
@@ -181,14 +195,3 @@ class MixtureRates:
                 return math.inf
         raise RuntimeError(f"rate quantile at u={u} did not converge; bracket [{lo}, {hi}]")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MixtureRates):
-            return NotImplemented
-        return (
-            self.link == other.link
-            and len(self.blocks) == len(other.blocks)
-            and all(
-                np.array_equal(w, w2) and np.array_equal(c, c2)
-                for (w, c), (w2, c2) in zip(self.blocks, other.blocks)
-            )
-        )

@@ -39,6 +39,34 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+# the values a field annotated with each of these types takes from JSON: a
+# bool is not a number, and an int field takes no float
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _check_fields(params) -> None:
+    """Reject a dataclass field value whose JSON type does not match the
+    field's annotation (None passes an optional field), and a non-finite
+    float.
+
+    Raises:
+        TypeError: a value of the wrong type.
+        ValueError: a non-finite float.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is None and f.type.endswith(" | None"):
+            continue
+        kind = f.type.removesuffix(" | None")
+        allowed = _JSON_TYPES.get(kind)
+        if allowed and (
+            not isinstance(value, allowed) or (isinstance(value, bool) and kind != "bool")
+        ):
+            raise TypeError(f"{f.name} must be of type {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full parameter set of the two-tier network; defaults are the reference
@@ -69,10 +97,7 @@ class SystemParams:
     snr_edge_db: float = 12.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _check_fields(self)
         if not (1 <= self.u_c <= self.t_c):
             raise ValueError(f"need 1 <= u_c <= t_c, got u_c={self.u_c}, t_c={self.t_c}")
         if not (1 <= self.u_f <= self.t_f):

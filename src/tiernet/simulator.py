@@ -1,9 +1,11 @@
 """Stochastic-geometry Monte Carlo engine: Poisson femtocell drops, Rayleigh
-MIMO fading with zero-forcing precoding, per-tier SIR/SINR, and one
-simulation pass that yields the outage estimate, its clustered confidence
-interval and the rate distribution, including the carrier-sensed
-power-control policy. FullZF mode samples the fades; FastChi2 mode
-integrates them out (tiernet.laplace).
+MIMO fading with zero-forcing precoding, the carrier-sensed power-control
+policy, and one simulation pass that yields the outage estimate, its
+clustered confidence interval and the rate distribution. Both tiers share
+one SINR, desired·D / (cross·C + Σⱼ wⱼ·Mⱼ + noise), whose link constants
+and interferer weights a run builds once (_run): FullZF mode samples the
+fades D, C and M of that link; FastChi2 mode integrates them out
+(tiernet.laplace).
 
 Chi-squared bookkeeping: every dof-2k fading variable is stored on half
 scale as Gamma(k, 1) (mean k) — the natural normalization for unit-power
@@ -21,28 +23,24 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .laplace import ExactLink, MixtureRates, weight_blocks
-from .linkmodel import SystemParams, dbm_to_watts, link_budget
+from .linkmodel import SystemParams, _check_fields, dbm_to_watts, link_budget
 from .sensing import blended_power_policy, noise_floor_dbm
 
 __all__ = [
     "ChannelMode",
     "Scenario",
     "PowerPolicy",
-    "ChannelDraw",
     "SimulationResult",
     "ScenarioConfig",
     "zf_precoder",
-    "femto_sir",
-    "cellular_sir",
     "simulate",
-    "conditional_outage",
 ]
 
 
@@ -59,24 +57,6 @@ class Scenario(Enum):
 class PowerPolicy(Enum):
     FIXED = "Fixed"
     CARRIER_SENSED_BLEND = "CarrierSensedBlend"
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """Fading powers for a batch of trials against one drop.
-
-    desired_power: (n_fades,) — serving-link beamforming gain, Gamma(T−U+1, 1).
-    cross_tier_power: (n_fades,) — macro-precoder leakage at a femto user,
-        zeros when the reference is the macro's own user.
-    mark_powers: (n_fades, k) — per-interferer femto leakage.
-
-    simulate builds them in FullZF mode, from explicit complex Gaussian
-    matrices and pseudoinverse-based precoders.
-    """
-
-    desired_power: np.ndarray
-    cross_tier_power: np.ndarray
-    mark_powers: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +76,6 @@ class SimulationResult:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile q must lie in [0,100], got {q}")
         return self.rate_law.quantile(float(q) / 100.0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimulationResult):
-            return NotImplemented
-        return (
-            (self.p_outage, self.ci_halfwidth_95, self.n_drops, self.n_fades, self.seed)
-            == (other.p_outage, other.ci_halfwidth_95, other.n_drops, other.n_fades,
-                other.seed)
-            and self.rate_law == other.rate_law
-        )
 
 
 @dataclass(frozen=True)
@@ -139,10 +109,7 @@ class ScenarioConfig:
     channel_mode: ChannelMode = ChannelMode.FAST_CHI2
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        _check_fields(self)
         if not 0.0 < self.d_norm <= 1.0:
             raise ValueError(f"d_norm must lie in (0,1], got {self.d_norm}")
         if not 0.0 <= self.blend_weight <= 1.0:
@@ -291,24 +258,17 @@ def _zf_leakage_batch(
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
 
-def _fast_chi2_shapes(reference_tier: Scenario, p: SystemParams) -> tuple[int, int, int]:
-    """The FastChi2 laws of one reference user, as Gamma(shape, 1) shapes:
-    desired power T−U+1 of its own tier, cross-tier power u_c (0 for a
-    cellular user, who has no cross-tier term) and femtocell marks u_f."""
-    if reference_tier is Scenario.REFERENCE_HOTSPOT:
-        return p.t_f - p.u_f + 1, p.u_c, p.u_f
-    return p.t_c - p.u_c + 1, 0, p.u_f
-
-
 def _sample_draws(
     rng: np.random.Generator,
     n_fades: int,
     n_interferers: int,
     reference_tier: Scenario,
     p: SystemParams,
-) -> ChannelDraw:
-    """All FullZF fading powers for n_fades trials against one drop, in a
-    fixed draw order (desired, cross, marks) so results are seed-stable."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All FullZF fading powers for n_fades trials against one drop: the
+    desired (n_fades,), cross-tier (n_fades,; zeros for a cellular user)
+    and mark (n_fades, n_interferers) powers, drawn in that fixed order so
+    results are seed-stable."""
     if reference_tier is Scenario.REFERENCE_HOTSPOT:
         desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
         cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)
@@ -316,12 +276,11 @@ def _sample_draws(
         desired = _zf_desired_batch(rng, n_fades, p.t_c, p.u_c)
         cross = np.zeros(n_fades)
     flat = _zf_leakage_batch(rng, n_fades * n_interferers, p.t_f, p.u_f)
-    marks = flat.reshape(n_fades, n_interferers)
-    return ChannelDraw(desired_power=desired, cross_tier_power=cross, mark_powers=marks)
+    return desired, cross, flat.reshape(n_fades, n_interferers)
 
 
 # ---------------------------------------------------------------------------
-# per-tier SIR
+# scenario engine
 
 
 def _interferer_weights(
@@ -332,97 +291,11 @@ def _interferer_weights(
     p: SystemParams,
 ) -> np.ndarray:
     # received power at point per unit mark of each femtocell; p_tx_dbm is a
-    # scalar or per-femtocell array, None for the nominal femto power
+    # scalar or per-femtocell array
     distances = np.linalg.norm(positions - point, axis=1)
-    if p_tx_dbm is None:
-        p_tx_dbm = p.p_f_dbm
-    p_tx_w = dbm_to_watts(np.asarray(p_tx_dbm, dtype=float))
+    p_tx_w = dbm_to_watts(p_tx_dbm)
     with np.errstate(divide="ignore"):  # co-located interferer -> inf power
         return (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
-
-
-def _femto_link(
-    d_norm: float, p: SystemParams, p_f_serving_dbm: float | None = None
-) -> tuple[float, float, float]:
-    """Received power per unit fade at a femtocell user whose home femto sits
-    at D = d_norm·r_c: from the serving femto, from the macrocell (cross
-    tier), and the fixed gain of the femto-to-femto interferer links."""
-    budget = link_budget(p)
-    d = d_norm * p.r_c
-    pf_serv_w = dbm_to_watts(p.p_f_dbm if p_f_serving_dbm is None else p_f_serving_dbm)
-    pc_w = dbm_to_watts(p.p_c_dbm)
-    return (
-        (pf_serv_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
-        (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
-        budget.a_ff,
-    )
-
-
-def _cellular_link(d_norm: float, p: SystemParams) -> tuple[float, float, float]:
-    """As _femto_link for a cellular user at D = d_norm·r_c: the macrocell
-    serves it, so there is no cross-tier term."""
-    budget = link_budget(p)
-    d = d_norm * p.r_c
-    pc_w = dbm_to_watts(p.p_c_dbm)
-    return (pc_w / p.u_c) * budget.a_c * d**-p.alpha_c, 0.0, budget.a_cf
-
-
-def femto_sir(
-    d_norm: float,
-    positions: np.ndarray,
-    draws: ChannelDraw,
-    p: SystemParams,
-    *,
-    p_f_serving_dbm: float | None = None,
-    p_f_interferer_dbm=None,
-    noise_w: float = 0.0,
-) -> np.ndarray:
-    """Per-trial linear SIR (SINR when noise_w > 0) of a femtocell user whose
-    home femto sits at D = d_norm·r_c; positions (k, 2), in meters from the
-    macrocell, hold the interfering femtos only (the serving one is excluded).
-
-    p_f_interferer_dbm may be a scalar or a per-interferer array; transmit
-    powers default to the nominal SystemParams values.
-    """
-    desired_scale, cross_scale, gain = _femto_link(d_norm, p, p_f_serving_dbm)
-    d = d_norm * p.r_c
-
-    desired = desired_scale * draws.desired_power
-    cross = cross_scale * draws.cross_tier_power
-    # per-trial femtocell interference: no femtocells give a (n, 0) @ (0,) = 0
-    marks = draws.mark_powers @ _interferer_weights(
-        positions, np.array([d, 0.0]), p_f_interferer_dbm, gain, p
-    )
-    with np.errstate(divide="ignore"):
-        return desired / (cross + marks + noise_w)
-
-
-def cellular_sir(
-    d_norm: float,
-    positions: np.ndarray,
-    draws: ChannelDraw,
-    p: SystemParams,
-    *,
-    p_f_interferer_dbm=None,
-    noise_w: float = 0.0,
-) -> np.ndarray:
-    """Per-trial linear SIR (SINR when noise_w > 0) of a cellular user at
-    D = d_norm·r_c served by the macrocell; every femto at positions (k, 2)
-    interferes. No femtocells and zero noise give infinite SIR."""
-    desired_scale, _, gain = _cellular_link(d_norm, p)
-    d = d_norm * p.r_c
-
-    desired = desired_scale * draws.desired_power
-    # per-trial femtocell interference: no femtocells give a (n, 0) @ (0,) = 0
-    marks = draws.mark_powers @ _interferer_weights(
-        positions, np.array([d, 0.0]), p_f_interferer_dbm, gain, p
-    )
-    with np.errstate(divide="ignore"):
-        return desired / (marks + noise_w)
-
-
-# ---------------------------------------------------------------------------
-# scenario engine
 
 
 def _policy_powers_dbm(
@@ -462,23 +335,6 @@ def _reference_femto_power_dbm(cfg: ScenarioConfig, p: SystemParams) -> float:
     return min(p.p_f_dbm, p.p_c_dbm - blend_db)
 
 
-def _run_constants(
-    cfg: ScenarioConfig, p: SystemParams
-) -> tuple[float, float | None, float | None]:
-    """What a run computes once from the configuration: the noise power in
-    watts (0 without noise), the blended bound at the cell edge (None
-    without carrier sensing) and the reference hotspot's own power (None
-    for a cellular user)."""
-    noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
-    blend_edge_db = None
-    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
-        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
-    serving_dbm = None
-    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        serving_dbm = _reference_femto_power_dbm(cfg, p)
-    return noise_w, blend_edge_db, serving_dbm
-
-
 def _layout(
     cfg: ScenarioConfig,
     p: SystemParams,
@@ -498,55 +354,53 @@ def _layout(
     return positions, powers
 
 
-def _drop_sinr(
-    cfg: ScenarioConfig,
-    drop_index: int,
-    n_fades: int,
-    p: SystemParams,
-    seed: int,
-    noise_w: float,
-    blend_edge_db: float | None,
-    serving_dbm: float | None,
-) -> np.ndarray:
-    """Per-fade FullZF SINR of one drop, given the constants of
-    _run_constants."""
-    rng, u_radius, u_angle = _drop_draws(cfg, drop_index, p, seed)
-    positions, powers = _layout(cfg, p, u_radius, u_angle, blend_edge_db)
-    draws = _sample_draws(rng, n_fades, len(positions), cfg.scenario, p)
-    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
-        return cellular_sir(
-            cfg.d_norm, positions, draws, p, p_f_interferer_dbm=powers, noise_w=noise_w
+def _run(
+    cfg: ScenarioConfig, p: SystemParams
+) -> tuple[ExactLink, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """What a run computes once from the configuration, for both channel
+    modes: the link, and the map from the radius and angle draws of one or
+    more drops to their interferer weights (received power at the reference
+    receiver per unit mark).
+
+    The link holds the received power per unit fade of the desired link
+    (the macrocell for a cellular user; for a hotspot its own femto, at the
+    power of _reference_femto_power_dbm) and of the cross-tier link (the
+    macrocell at a hotspot's user, 0 for a cellular user), the noise power
+    (0 without noise) and the FastChi2 Gamma shapes: desired power T−U+1 of
+    the user's own tier, cross-tier power u_c (0 without a cross-tier term)
+    and femtocell marks u_f.
+    """
+    budget = link_budget(p)
+    d = cfg.d_norm * p.r_c
+    pc_w = dbm_to_watts(p.p_c_dbm)
+    noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
+    blend_edge_db = None
+    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
+        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
+        serving_w = dbm_to_watts(_reference_femto_power_dbm(cfg, p))
+        link = ExactLink(
+            (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
+            (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
+            noise_w,
+            (p.t_f - p.u_f + 1, p.u_c, p.u_f),
         )
-    return femto_sir(
-        cfg.d_norm,
-        positions,
-        draws,
-        p,
-        p_f_serving_dbm=serving_dbm,
-        p_f_interferer_dbm=powers,
-        noise_w=noise_w,
-    )
-
-
-def _exact_run(
-    cfg: ScenarioConfig, n_drops: int, p: SystemParams, seed: int
-) -> tuple[ExactLink, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """A FastChi2 run's constants, and its drops' interferer weights in
-    blocks of whole drops (laplace.weight_blocks), laid out once per block."""
-    noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
-    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
-        desired, cross, gain = _cellular_link(cfg.d_norm, p)
+        gain = budget.a_ff
     else:
-        desired, cross, gain = _femto_link(cfg.d_norm, p, serving_dbm)
-    link = ExactLink(desired, cross, noise_w, _fast_chi2_shapes(cfg.scenario, p))
-    receiver = np.array([cfg.d_norm * p.r_c, 0.0])
+        link = ExactLink(
+            (pc_w / p.u_c) * budget.a_c * d**-p.alpha_c,
+            0.0,
+            noise_w,
+            (p.t_c - p.u_c + 1, 0, p.u_f),
+        )
+        gain = budget.a_cf
+    receiver = np.array([d, 0.0])
 
     def weights(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
         positions, powers = _layout(cfg, p, u_radius, u_angle, blend_edge_db)
         return _interferer_weights(positions, receiver, powers, gain, p)
 
-    draws = (_drop_draws(cfg, i, p, seed)[1:] for i in range(n_drops))
-    return link, weight_blocks(draws, weights)
+    return link, weights
 
 
 class _SampledRates:
@@ -557,11 +411,6 @@ class _SampledRates:
 
     def quantile(self, u: float) -> float:
         return float(np.quantile(self.rates, u))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SampledRates):
-            return NotImplemented
-        return np.array_equal(self.rates, other.rates)
 
 
 def _clustered_ci(drop_outage: np.ndarray) -> float:
@@ -580,22 +429,22 @@ def simulate(
     n_drops×n_fades buffer of log2(1+SINR)."""
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
+    link, weights = _run(cfg, p)
     if cfg.channel_mode is ChannelMode.FAST_CHI2:
-        link, blocks = _exact_run(cfg, n_drops, p, seed)
-        rate_law = MixtureRates(link, tuple(blocks))
+        draws = (_drop_draws(cfg, i, p, seed)[1:] for i in range(n_drops))
+        rate_law = MixtureRates(link, tuple(weight_blocks(draws, weights)))
         drop_outage = 1.0 - np.concatenate(
             [link.coverage(p.gamma_target, w, c)[0] for w, c in rate_law.blocks]
         )
         p_hat = float(drop_outage.mean())
     else:
-        noise_w, blend_edge_db, serving_dbm = _run_constants(cfg, p)
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)
         outages = 0
         for i in range(n_drops):
-            sinr = _drop_sinr(
-                cfg, i, n_fades, p, seed, noise_w, blend_edge_db, serving_dbm
-            )
+            rng, u_radius, u_angle = _drop_draws(cfg, i, p, seed)
+            w = weights(u_radius, u_angle)
+            sinr = link.sinr(*_sample_draws(rng, n_fades, len(w), cfg.scenario, p), w)
             count = int(np.count_nonzero(sinr < p.gamma_target))
             outages += count
             drop_outage[i] = count / n_fades
@@ -614,20 +463,3 @@ def simulate(
         rate_law=rate_law,
     )
 
-
-def conditional_outage(
-    cfg: ScenarioConfig, n_drops: int, p: SystemParams, seed: int
-) -> np.ndarray:
-    """Exact FastChi2 outage of each drop given its femtocells, the values
-    whose mean simulate reports; each block is freed once used.
-
-    Raises:
-        ValueError: fewer than one drop, or FullZF mode, which stays sampled
-            as the oracle for the Gamma laws this relies on.
-    """
-    if n_drops < 1:
-        raise ValueError(f"need at least 1 drop, got {n_drops}")
-    if cfg.channel_mode is ChannelMode.FULL_ZF:
-        raise ValueError("conditional_outage needs FastChi2 fades; FullZF is sampled")
-    link, blocks = _exact_run(cfg, n_drops, p, seed)
-    return np.concatenate([1.0 - link.coverage(p.gamma_target, w, c)[0] for w, c in blocks])

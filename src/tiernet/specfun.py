@@ -21,12 +21,10 @@ bisection fallback for its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Accuracy",
     "ln_gamma",
     "reg_upper_gamma",
     "ln_reg_lower_gamma",
@@ -37,21 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Convergence budget for the iterative evaluations."""
-
-    abs_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-_DEFAULT_ACC = Accuracy()
+# convergence budget of the iterative evaluations: the tolerance at which a
+# series, continued fraction or Newton iteration stops, and its step cap
+_ABS_TOL = 1e-10
+_MAX_ITER = 200
 
 # Lanczos coefficients (g=7, n=9), good to ~1e-15 relative over the
 # positive real axis.
@@ -90,30 +77,30 @@ def ln_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
 
 
-def _lower_gamma_series(a: float, x: float, acc: Accuracy) -> float:
+def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a,x) by power series; x < a+1."""
     if x == 0.0:
         return 0.0
     term = 1.0 / a
     total = term
     n = a
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         n += 1.0
         term *= x / n
         total += term
-        if abs(term) < abs(total) * acc.abs_tol:
+        if abs(term) < abs(total) * _ABS_TOL:
             break
     return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
 
 
-def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
+def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a,x) by continued fraction; x >= a+1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -125,12 +112,12 @@ def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.abs_tol:
+        if abs(delta - 1.0) < _ABS_TOL:
             break
     return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
 
 
-def reg_upper_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
+def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Γ(a,x)/Γ(a).
 
     Monotone nonincreasing in x, with Q(a,0) = 1 and Q(a,inf) = 0.
@@ -147,11 +134,11 @@ def reg_upper_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
     if x == math.inf:
         return 0.0
     if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x, acc)
-    return _upper_gamma_cf(a, x, acc)
+        return 1.0 - _lower_gamma_series(a, x)
+    return _upper_gamma_cf(a, x)
 
 
-def ln_reg_lower_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> float:
+def ln_reg_lower_gamma(a: float, x: float) -> float:
     """log of the regularized lower incomplete gamma P(a, x).
 
     Stable deep in the left tail (x << a) where P underflows; used by the
@@ -167,16 +154,16 @@ def ln_reg_lower_gamma(a: float, x: float, acc: Accuracy = _DEFAULT_ACC) -> floa
     if x == math.inf:
         return 0.0
     if x >= a + 1.0:
-        return math.log1p(-_upper_gamma_cf(a, x, acc))
+        return math.log1p(-_upper_gamma_cf(a, x))
     # series in log space: P = x^a e^-x / Gamma(a+1) * sum_n prod x/(a+k)
     term = 1.0
     total = 1.0
     n = a
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         n += 1.0
         term *= x / n
         total += term
-        if term < total * acc.abs_tol:
+        if term < total * _ABS_TOL:
             break
     return a * math.log(x) - x - ln_gamma(a + 1.0) + math.log(total)
 
@@ -188,7 +175,7 @@ def beta(a: float, b: float) -> float:
     return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
-def _beta_cf(x: float, a: float, b: float, acc: Accuracy) -> float:
+def _beta_cf(x: float, a: float, b: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     tiny = 1e-300
     qab = a + b
@@ -200,7 +187,7 @@ def _beta_cf(x: float, a: float, b: float, acc: Accuracy) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, acc.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -223,12 +210,12 @@ def _beta_cf(x: float, a: float, b: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.abs_tol:
+        if abs(delta - 1.0) < _ABS_TOL:
             break
     return h
 
 
-def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) — the Beta(a,b) CDF at x.
 
     Raises:
@@ -245,11 +232,11 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC) -> 
     ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(x, a, b, acc) / a
-    return 1.0 - front * _beta_cf(1.0 - x, b, a, acc) / b
+        return front * _beta_cf(x, a, b) / a
+    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
 
-def inv_reg_inc_beta(y: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC) -> float:
+def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of reg_inc_beta in x: returns x with I_x(a,b) = y.
 
     Bracketed Newton with bisection fallback; converges for all valid inputs.
@@ -270,13 +257,13 @@ def inv_reg_inc_beta(y: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC)
     lo, hi = 0.0, 1.0
     x = a / (a + b)  # mean of Beta(a,b) as the starting point
     ln_norm = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-    for _ in range(acc.max_iter):
-        f = reg_inc_beta(x, a, b, acc) - y
+    for _ in range(_MAX_ITER):
+        f = reg_inc_beta(x, a, b) - y
         if f > 0.0:
             hi = x
         else:
             lo = x
-        if abs(f) < acc.abs_tol:
+        if abs(f) < _ABS_TOL:
             return x
         # Newton step using the Beta density
         ln_pdf = ln_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
@@ -284,7 +271,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACC)
         x_new = x - step
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < acc.abs_tol and abs(f) < math.sqrt(acc.abs_tol):
+        if abs(x_new - x) < _ABS_TOL and abs(f) < math.sqrt(_ABS_TOL):
             return x_new
         x = x_new
     raise RuntimeError(

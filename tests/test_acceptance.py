@@ -180,7 +180,7 @@ def _ks_vs_chi2(samples, k):
     2k degrees of freedom on the half scale (Gamma(k, 1))."""
     s = np.sort(samples)
     n = s.size
-    cdf = np.array([chi2_cdf(2 * k, 2 * x) for x in s])
+    cdf = chi2_cdf(2 * k, 2 * s)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 

@@ -255,6 +255,50 @@ def test_negative_user_offset_exits_2(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    ("config", "field"),
+    [
+        ('{"system": {"t_f": 2.0}}', "t_f"),
+        ('{"system": {"t_c": true}}', "t_c"),
+        ('{"system": {"p_c_dbm": "43"}}', "p_c_dbm"),
+        ('{"scenario": {"include_noise": "no"}}', "include_noise"),
+        ('{"scenario": {"fixed_pc_over_pf_db": true}}', "fixed_pc_over_pf_db"),
+        ('{"scenario": {"co_located_user_offset": false}}', "co_located_user_offset"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(runner, tmp_path, config, field):
+    """A config value whose JSON type does not match its field (a float or
+    a bool where an int belongs, a bool or a string for a float, a string
+    for a bool) is a config error, not a crash or a silent conversion."""
+    cfg = _write(tmp_path, "typed.json", config)
+    for args in (["analytic", "--sweep", "D:0.5:1:2"], SIM):
+        res = runner.invoke(main, [*args, "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert "Error: config" in res.output and field in res.output
+        assert "Traceback" not in res.output
+
+
+def test_config_numbers_of_json_int_form_accepted(runner, tmp_path):
+    """A float field takes a JSON integer, and an optional one takes null."""
+    cfg = _write(
+        tmp_path, "ints.json",
+        '{"system": {"p_c_dbm": 43}, "scenario": {"n_f_target": 60, '
+        '"co_located_user_offset": null}}',
+    )
+    res = runner.invoke(main, [*SIM, "--config", cfg])
+    assert res.exit_code == 0, res.output
+
+
+def test_simulate_infeasible_sensed_density_exits_2(runner, tmp_path):
+    """A density whose carrier-sensed power window is empty is a usage
+    error that names the density, not a traceback."""
+    cfg = _write(tmp_path, "dense.json", '{"scenario": {"n_f_target": 2000}}')
+    res = runner.invoke(main, [*SIM, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "n_f_target = 2000" in res.output and "lambda_f" in res.output
+
+
 def test_bad_sweep_usage_exits_2(runner):
     assert runner.invoke(main, ["analytic", "--sweep", "D:1.0:0.2:5"]).exit_code == 2
     assert runner.invoke(main, ["analytic", "--sweep", "D:0.2:1.0:1"]).exit_code == 2

@@ -23,7 +23,8 @@ from tiernet.sensing import (
     power_ratio_bounds,
     solve_threshold,
 )
-from tiernet.simulator import ChannelDraw, cellular_sir
+from tiernet import simulator
+from tiernet.simulator import PowerPolicy, ScenarioConfig
 from tiernet.specfun import reg_inc_beta
 
 P = SystemParams()
@@ -45,15 +46,15 @@ def test_one_interferer_at_sensing_radius_hits_outage_budget():
     """A single femtocell at exactly the minimum sensing radius from a
     cell-edge user drives that user's outage to eps."""
     d_sense = min_sensing_radius(1.0, P)
-    positions = np.array([[P.r_c + d_sense, 0.0]])
+    # one femtocell at the nominal 23 dBm, d_sense outward from the user
+    cfg = ScenarioConfig(d_norm=1.0, power_policy=PowerPolicy.FIXED, include_noise=False)
+    link, weights = simulator._run(cfg, P)
+    w = weights(np.array([(d_sense / P.r_c) ** 2]), np.array([0.0]))
     rng = np.random.default_rng(90125)
     n = 1_000_000
-    draws = ChannelDraw(
-        desired_power=rng.gamma(P.t_c - P.u_c + 1, 1.0, size=n),
-        cross_tier_power=np.zeros(n),
-        mark_powers=rng.gamma(P.u_f, 1.0, size=(n, 1)),
-    )
-    sir = cellular_sir(1.0, positions, draws, P)
+    desired = rng.gamma(P.t_c - P.u_c + 1, 1.0, size=n)
+    marks = rng.gamma(P.u_f, 1.0, size=(n, 1))
+    sir = link.sinr(desired, np.zeros(n), marks, w)
     outage = float(np.mean(sir < P.gamma_target))
     assert outage == pytest.approx(P.eps, abs=0.005)
 

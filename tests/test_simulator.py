@@ -17,7 +17,6 @@ from tiernet.analytic import max_contention_density_cellular, max_contention_den
 from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
 from tiernet.sensing import noise_floor_dbm
 from tiernet.simulator import (
-    ChannelDraw,
     ChannelMode,
     PowerPolicy,
     Scenario,
@@ -25,14 +24,14 @@ from tiernet.simulator import (
     _drop_rng,
     _zf_desired_batch,
     _zf_leakage_batch,
-    cellular_sir,
-    femto_sir,
     simulate,
     zf_precoder,
 )
 from tiernet.specfun import reg_inc_beta, reg_upper_gamma
 
 P = SystemParams()
+# the rate percentiles tiernet simulate writes
+PCT_GRID = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +147,52 @@ def test_full_zf_leakage_power_distribution(t, u):
 
 
 # ---------------------------------------------------------------------------
-# SIR assembly against closed forms
+# the run's link and weights against closed forms
 
 
-def _manual_draws(rng, n, shape_desired, shape_cross, k):
-    return ChannelDraw(
-        desired_power=rng.gamma(shape_desired, 1.0, size=n),
-        cross_tier_power=rng.gamma(shape_cross, 1.0, size=n),
-        mark_powers=rng.gamma(P.u_f, 1.0, size=(n, k)),
+def _gamma(rng, shape, size):
+    # Gamma(1, 1) is Exp(1), drawn as such
+    # (see test_exponential_draws_match_unit_shape_gamma)
+    if shape == 1:
+        return rng.standard_exponential(size)
+    return rng.gamma(shape, 1.0, size)
+
+
+def _fades(rng, link, n_fades, k):
+    """n_fades sampled FastChi2 fades of a drop with k interferers, in the
+    engine's draw order: desired, cross-tier (zeros without a cross-tier
+    term), marks."""
+    m, cross_shape, mark_shape = link.shapes
+    desired = _gamma(rng, m, n_fades)
+    cross = _gamma(rng, cross_shape, n_fades) if cross_shape else np.zeros(n_fades)
+    return desired, cross, _gamma(rng, mark_shape, (n_fades, k))
+
+
+def _uniforms(offsets):
+    """The radius and angle uniforms that the layout turns into femtocells
+    at offsets (k, 2), in meters from the receiver."""
+    u_radius = (np.hypot(*offsets.T) / P.r_c) ** 2
+    u_angle = np.arctan2(offsets[:, 1], offsets[:, 0]) / (2.0 * math.pi) % 1.0
+    return u_radius, u_angle
+
+
+def _fixed_cfg(scenario=Scenario.REFERENCE_CELLULAR_USER, **kw):
+    # interferers at P_c − 20 dB = the nominal 23 dBm femto power, no noise
+    return ScenarioConfig(
+        scenario=scenario, power_policy=PowerPolicy.FIXED, include_noise=False, **kw
     )
 
 
 def test_femto_outage_with_macro_interference_only():
-    """No femto interferers: outage equals the macro-leakage beta term."""
+    """No femto interferers: outage equals the macro-leakage beta term
+    (0.121 at D = 0.1, where the macrocell is near enough to matter)."""
     from tiernet.linkmodel import location_coeffs
 
-    d_norm = 0.3
-    positions = np.empty((0, 2))
+    d_norm = 0.1
+    link, _ = simulator._run(_fixed_cfg(Scenario.REFERENCE_HOTSPOT, d_norm=d_norm), P)
     rng = np.random.default_rng(11)
     n = 400_000
-    draws = _manual_draws(rng, n, P.t_f - P.u_f + 1, P.u_c, 0)
-    sir = femto_sir(d_norm, positions, draws, P)
+    sir = link.sinr(*_fades(rng, link, n, 0), np.empty(0))
     outage = float(np.mean(sir < P.gamma_target))
     loc = location_coeffs(d_norm, P)
     want = reg_inc_beta(loc.kappa / (loc.kappa + 1.0), P.t_f - P.u_f + 1, P.u_c)
@@ -176,44 +200,48 @@ def test_femto_outage_with_macro_interference_only():
 
 
 def test_empty_drop_infinite_sir_for_cellular_user():
-    positions = np.empty((0, 2))
-    rng = np.random.default_rng(12)
-    draws = _manual_draws(rng, 100, P.t_c - P.u_c + 1, 0.0 + 1e-12, 0)
-    draws = dataclasses.replace(draws, cross_tier_power=np.zeros(100))
-    sir = cellular_sir(0.5, positions, draws, P)
-    assert np.all(np.isinf(sir))
-    sinr = cellular_sir(0.5, positions, draws, P, noise_w=1e-15)
-    assert np.all(np.isfinite(sinr))
+    cfg = _fixed_cfg(d_norm=0.5)
+    link, weights = simulator._run(cfg, P)
+    no_femtocells = weights(np.empty(0), np.empty(0))
+    fades = _fades(np.random.default_rng(12), link, 100, 0)
+    assert link.cross == 0.0 and no_femtocells.shape == (0,)
+    assert np.all(np.isinf(link.sinr(*fades, no_femtocells)))
+    noisy, _ = simulator._run(dataclasses.replace(cfg, include_noise=True), P)
+    assert np.all(np.isfinite(noisy.sinr(*fades, no_femtocells)))
 
 
 def test_sir_scales_with_power_ratio():
-    positions = np.array([[500.0, 100.0]])
-    rng = np.random.default_rng(13)
-    draws = _manual_draws(rng, 1000, P.t_c - P.u_c + 1, 0.0, 1)
-    draws = dataclasses.replace(draws, cross_tier_power=np.zeros(1000))
-    base = cellular_sir(0.4, positions, draws, P)
-    boosted = cellular_sir(
-        0.4, positions, draws, dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0)
-    )
-    np.testing.assert_allclose(boosted, base * 10.0, rtol=1e-12)
-    quieter = cellular_sir(0.4, positions, draws, P, p_f_interferer_dbm=P.p_f_dbm - 10.0)
-    np.testing.assert_allclose(quieter, base * 10.0, rtol=1e-12)
+    """10 dB more macro power at the same interferer power, or 10 dB less
+    interferer power, is 10× the SIR of every fade."""
+    cfg = _fixed_cfg(d_norm=0.4)
+    u = _uniforms(np.array([[100.0, 100.0]]))  # at (500, 100) m
+    link, weights = simulator._run(cfg, P)
+    fades = _fades(np.random.default_rng(13), link, 1000, 1)
+    base = link.sinr(*fades, weights(*u))
+    quieter_cfg = dataclasses.replace(cfg, fixed_pc_over_pf_db=30.0)
+    for p in (dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0), P):
+        scaled, scaled_weights = simulator._run(quieter_cfg, p)
+        np.testing.assert_allclose(
+            scaled.sinr(*fades, scaled_weights(*u)), base * 10.0, rtol=1e-12
+        )
 
 
 def test_per_interferer_power_vector_accepted():
+    """Interferer weights take one power for all femtocells or one each;
+    muting one raises the SIR of every fade."""
     positions = np.array([[450.0, 80.0], [600.0, 0.0]])
-    rng = np.random.default_rng(14)
-    draws = _manual_draws(rng, 500, P.t_c - P.u_c + 1, 0.0, 2)
-    draws = dataclasses.replace(draws, cross_tier_power=np.zeros(500))
-    uniform = cellular_sir(0.4, positions, draws, P, p_f_interferer_dbm=23.0)
-    vector = cellular_sir(
-        0.4, positions, draws, P, p_f_interferer_dbm=np.array([23.0, 23.0])
-    )
-    np.testing.assert_allclose(vector, uniform, rtol=1e-12)
-    muted = cellular_sir(
-        0.4, positions, draws, P, p_f_interferer_dbm=np.array([23.0, -300.0])
-    )
-    assert np.all(muted >= uniform)
+    receiver = np.array([400.0, 0.0])
+    gain = link_budget(P).a_cf  # femtocell to outdoor cellular user
+    link, _ = simulator._run(_fixed_cfg(d_norm=0.4), P)
+    fades = _fades(np.random.default_rng(14), link, 500, 2)
+
+    def sir(p_tx_dbm):
+        w = simulator._interferer_weights(positions, receiver, p_tx_dbm, gain, P)
+        return link.sinr(*fades, w)
+
+    uniform = sir(23.0)
+    np.testing.assert_allclose(sir(np.array([23.0, 23.0])), uniform, rtol=1e-12)
+    assert np.all(sir(np.array([23.0, -300.0])) >= uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +260,17 @@ def _hotspot_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def _summary(res):
+    # what tiernet simulate writes of a result
+    return (res.p_outage, res.ci_halfwidth_95, res.n_drops, res.n_fades, res.seed,
+            [res.percentile(q) for q in PCT_GRID])
+
+
 def test_outage_estimate_reproducible_and_bounded():
     cfg = _hotspot_cfg()
     a = simulate(cfg, 50, 200, P, seed=99)
     b = simulate(cfg, 50, 200, P, seed=99)
-    assert a == b
+    assert _summary(a) == _summary(b)
     assert 0.0 <= a.p_outage <= 1.0
     assert a.ci_halfwidth_95 > 0.0
     assert (a.n_drops, a.n_fades, a.seed) == (50, 200, 99)
@@ -269,8 +303,8 @@ def test_simulate_one_pass_serves_outage_and_rates(cfg):
     log2(1+Γ) within the solver's tolerance, and a second run gives the
     same result."""
     res = simulate(cfg, 24, 100, P, seed=5)
-    assert simulate(cfg, 24, 100, P, seed=5) == res
-    q = simulator.conditional_outage(cfg, 24, P, seed=5)
+    assert _summary(simulate(cfg, 24, 100, P, seed=5)) == _summary(res)
+    q = _exact_outage(cfg, 24, seed=5)
     assert res.p_outage == q.mean()
     assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(24)
     r_gamma = math.log2(1.0 + P.gamma_target)
@@ -294,7 +328,7 @@ def test_fast_and_full_modes_agree_at_single_user_config():
     """Both channel models share the fading laws at U=1, so the sampled FullZF
     outage matches FastChi2's exact per-drop outage on the same drops within
     fade-level Monte Carlo noise."""
-    fast = simulator.conditional_outage(_hotspot_cfg(n_f_target=800.0), 150, P, seed=21).mean()
+    fast = simulate(_hotspot_cfg(n_f_target=800.0), 150, 1, P, seed=21).p_outage
     full = simulate(
         _hotspot_cfg(n_f_target=800.0, channel_mode=ChannelMode.FULL_ZF),
         150, 150, P, seed=21,
@@ -408,38 +442,26 @@ def _closure_cfg(scenario: Scenario) -> ScenarioConfig:
     )
 
 
-def _gamma(rng, shape, size):
-    # Gamma(1, 1) is Exp(1), drawn as such
-    # (see test_exponential_draws_match_unit_shape_gamma)
-    if shape == 1:
-        return rng.standard_exponential(size)
-    return rng.gamma(shape, 1.0, size)
+def _exact_outage(cfg, n_drops, seed):
+    """Exact FastChi2 outage of each of a run's first n_drops drops given
+    its femtocells: the per-drop values whose mean simulate reports."""
+    link, weights = simulator._run(cfg, P)
+    draws = (simulator._drop_draws(cfg, i, P, seed)[1:] for i in range(n_drops))
+    return np.concatenate([
+        1.0 - link.coverage(P.gamma_target, w, c)[0]
+        for w, c in laplace.weight_blocks(draws, weights)
+    ])
 
 
-def _sampled_fast_chi2_sinr(cfg, drop_index, n_fades, seed, constants):
+def _sampled_fast_chi2_sinr(cfg, drop_index, n_fades, seed, run):
     """The brute-force oracle of the exact engine: drop drop_index's
     femtocells as simulate lays them out, then n_fades sampled FastChi2
-    fades from the same stream (desired, cross, marks), through the per-tier
-    SIR functions. constants are simulator._run_constants(cfg, P)."""
-    noise_w, blend_edge_db, serving_dbm = constants
+    fades from the same stream (desired, cross, marks), through the link's
+    SINR as FullZF computes it. run is simulator._run(cfg, P)."""
+    link, weights = run
     rng, u_radius, u_angle = simulator._drop_draws(cfg, drop_index, P, seed)
-    positions, powers = simulator._layout(cfg, P, u_radius, u_angle, blend_edge_db)
-    m, cross_shape, mark_shape = simulator._fast_chi2_shapes(cfg.scenario, P)
-    draws = ChannelDraw(
-        desired_power=_gamma(rng, m, n_fades),
-        cross_tier_power=(
-            _gamma(rng, cross_shape, n_fades) if cross_shape else np.zeros(n_fades)
-        ),
-        mark_powers=_gamma(rng, mark_shape, (n_fades, len(positions))),
-    )
-    if cfg.scenario is Scenario.REFERENCE_CELLULAR_USER:
-        return cellular_sir(
-            cfg.d_norm, positions, draws, P, p_f_interferer_dbm=powers, noise_w=noise_w
-        )
-    return femto_sir(
-        cfg.d_norm, positions, draws, P, p_f_serving_dbm=serving_dbm,
-        p_f_interferer_dbm=powers, noise_w=noise_w,
-    )
+    w = weights(u_radius, u_angle)
+    return link.sinr(*_fades(rng, link, n_fades, len(w)), w)
 
 
 @pytest.mark.parametrize(
@@ -456,11 +478,11 @@ def test_conditional_outage_matches_brute_force_drop(cfg, seed, n_fades, drops):
     """A drop's exact outage against many sampled fades of the very same
     drop (same stream, same positions): within 4 binomial sigma. The drops
     span typical and heavily interfered ones (exact outage 0.0001 to 0.46)."""
-    exact = simulator.conditional_outage(cfg, max(drops) + 1, P, seed)
-    constants = simulator._run_constants(cfg, P)
+    exact = _exact_outage(cfg, max(drops) + 1, seed)
+    run = simulator._run(cfg, P)
     for i in drops:
         q = exact[i]
-        sinr = _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants)
+        sinr = _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run)
         sampled = np.count_nonzero(sinr < P.gamma_target) / n_fades
         assert 0.0 < q < 1.0
         assert abs(sampled - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n_fades), i
@@ -482,13 +504,13 @@ def test_conditional_outage_matches_simulate(cfg, seed, n_drops, n_fades):
     """simulate's FastChi2 outage is the mean exact per-drop outage, with the
     CI clustered on drops; over the same drops, the sampled oracle differs
     from it by fade noise alone: variance sum_i q_i(1-q_i)/n_fades / n_drops^2."""
-    q = simulator.conditional_outage(cfg, n_drops, P, seed)
+    q = _exact_outage(cfg, n_drops, seed)
     res = simulate(cfg, n_drops, n_fades, P, seed)
     assert res.p_outage == q.mean()
     assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(n_drops)
-    constants = simulator._run_constants(cfg, P)
+    run = simulator._run(cfg, P)
     sampled = sum(
-        np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants)
+        np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run)
                          < P.gamma_target)
         for i in range(n_drops)
     ) / (n_drops * n_fades)
@@ -502,7 +524,7 @@ def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
     """No femtocells: outage is P(Gamma(m, 1) < s·N) with s = Γ/A and A the
     macro link's received power per unit fade."""
     cfg = ScenarioConfig(d_norm=d_norm, n_f_target=0.0, include_noise=True)
-    q = simulator.conditional_outage(cfg, 3, P, seed=4)
+    q = _exact_outage(cfg, 3, seed=4)
     pc_w = dbm_to_watts(P.p_c_dbm)
     a = (pc_w / P.u_c) * link_budget(P).a_c * (d_norm * P.r_c) ** -P.alpha_c
     s_n = P.gamma_target / a * dbm_to_watts(noise_floor_dbm(P))
@@ -518,9 +540,7 @@ def test_conditional_outage_co_located_interferer_is_certain(monkeypatch, scenar
     cfg = ScenarioConfig(scenario=scenario, d_norm=0.6, n_f_target=60.0)
     # femtocells at (300, 40), (0, 0) and (-90, -10) m from the receiver;
     # a zero radius uniform puts the second exactly on it
-    offsets = np.array([[300.0, 40.0], [0.0, 0.0], [-90.0, -10.0]])
-    u_radius = (np.hypot(*offsets.T) / P.r_c) ** 2
-    u_angle = np.arctan2(offsets[:, 1], offsets[:, 0]) / (2.0 * math.pi) % 1.0
+    u_radius, u_angle = _uniforms(np.array([[300.0, 40.0], [0.0, 0.0], [-90.0, -10.0]]))
     clear = (None, u_radius[[0, 2]], u_angle[[0, 2]])
     monkeypatch.setattr(
         simulator, "_drop_draws",
@@ -528,7 +548,7 @@ def test_conditional_outage_co_located_interferer_is_certain(monkeypatch, scenar
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q = simulator.conditional_outage(cfg, 2, P, seed=0)
+        q = _exact_outage(cfg, 2, seed=0)
         res = simulate(cfg, 4, 1, P, seed=0)
     np.testing.assert_array_equal(q, [1.0, 1.0])
     assert res.percentile(50.0) == 0.0 < res.percentile(50.1)
@@ -544,9 +564,9 @@ def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
     α = 1e-3."""
     cfg, seed, n_drops, n_fades = _bench_cfg(name), 1, 4, 50_000
     res = simulate(cfg, n_drops, 1, P, seed)
-    constants = simulator._run_constants(cfg, P)
+    run = simulator._run(cfg, P)
     rates = np.sort(np.concatenate([
-        np.log2(1.0 + _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, constants))
+        np.log2(1.0 + _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run))
         for i in range(n_drops)
     ]))
     eps = math.sqrt(math.log(2.0 * n_drops / 1e-3) / (2.0 * n_fades))
@@ -562,10 +582,10 @@ def test_blocks_do_not_change_per_drop_outage(monkeypatch, block):
     give the exact outages of the default blocks, empty drops included."""
     cfg = _bench_cfg("hotspot_sensed")
     sparse = dataclasses.replace(cfg, n_f_target=0.5)
-    want = [simulator.conditional_outage(c, 40, P, seed=2) for c in (cfg, sparse)]
+    want = [_exact_outage(c, 40, seed=2) for c in (cfg, sparse)]
     monkeypatch.setattr(laplace, "_BLOCK_INTERFERERS", block)
     for c, q in zip((cfg, sparse), want):
-        np.testing.assert_array_equal(simulator.conditional_outage(c, 40, P, seed=2), q)
+        np.testing.assert_array_equal(_exact_outage(c, 40, seed=2), q)
     assert any(len(simulator._drop_draws(sparse, i, P, 2)[1]) == 0 for i in range(40))
 
 
@@ -588,22 +608,25 @@ def test_full_zf_ci_is_clustered_on_drops():
     cfg = _hotspot_cfg(n_f_target=60.0, channel_mode=ChannelMode.FULL_ZF)
     n_drops, n_fades = 12, 40
     res = simulate(cfg, n_drops, n_fades, P, seed=6)
-    constants = simulator._run_constants(cfg, P)
+    link, weights = simulator._run(cfg, P)
+
+    def drop_sinr(i):
+        rng, u_radius, u_angle = simulator._drop_draws(cfg, i, P, 6)
+        w = weights(u_radius, u_angle)
+        return link.sinr(*simulator._sample_draws(rng, n_fades, len(w), cfg.scenario, P), w)
+
     frac = np.array([
-        np.count_nonzero(
-            simulator._drop_sinr(cfg, i, n_fades, P, 6, *constants) < P.gamma_target
-        ) / n_fades
-        for i in range(n_drops)
+        np.count_nonzero(drop_sinr(i) < P.gamma_target) / n_fades for i in range(n_drops)
     ])
     assert res.p_outage == pytest.approx(frac.mean(), rel=1e-12)
     assert res.ci_halfwidth_95 == 1.96 * np.std(frac, ddof=1) / math.sqrt(n_drops)
     assert math.isnan(simulate(cfg, 1, n_fades, P, seed=6).ci_halfwidth_95)
 
 
-def test_conditional_outage_rejects_full_zf_and_empty_runs():
-    with pytest.raises(ValueError, match="FullZF"):
-        simulator.conditional_outage(
-            ScenarioConfig(channel_mode=ChannelMode.FULL_ZF), 10, P, seed=0
-        )
-    with pytest.raises(ValueError):
-        simulator.conditional_outage(ScenarioConfig(), 0, P, seed=0)
+def test_simulate_rejects_empty_runs():
+    for mode in ChannelMode:
+        cfg = ScenarioConfig(channel_mode=mode)
+        with pytest.raises(ValueError, match="counts must be >= 1"):
+            simulate(cfg, 0, 10, P, seed=0)
+        with pytest.raises(ValueError, match="counts must be >= 1"):
+            simulate(cfg, 10, 0, P, seed=0)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiernet.specfun import (
-    Accuracy,
     beta,
     chi2_cdf,
     inv_reg_inc_beta,
@@ -183,11 +182,3 @@ def test_infinite_x_gives_limits(a):
     with pytest.raises(ValueError):
         reg_inc_beta(0.5, 2.0, math.inf)
 
-
-def test_accuracy_validation():
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(max_iter=0)
-    loose = Accuracy(abs_tol=1e-6, max_iter=50)
-    assert reg_upper_gamma(3.0, 2.0, loose) == pytest.approx(sp.gammaincc(3.0, 2.0), rel=1e-5)
