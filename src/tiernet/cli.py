@@ -24,6 +24,7 @@ import numpy as np
 
 from . import analytic, sensing, simulator
 from .linkmodel import SystemParams, location_coeffs
+from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
 from .specfun import chi2_cdf, reg_inc_beta
 from .simulator import ChannelMode, PowerPolicy, Scenario, ScenarioConfig
 
@@ -207,7 +208,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
     ]
     rows = []
     for value in spec.values():
-        p2, dn, _ = _apply_sweep(spec.variable, value, p, cfg.d_norm, 500)
+        p2, dn, _ = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
         lam_f, regime = analytic.max_contention_density_femto(dn, p2)
         n_f = lam_f * math.pi * p2.r_c**2
         try:
@@ -242,33 +243,26 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         "threshold", "p_false", "p_detect_at_d_sense", "max_range_m",
     ]
     rows = []
-    # the threshold depends on m_tw alone; the range also on the pilot budget
-    # and the branch count, which PcOverPfDb and TfUf sweeps move
-    threshold_cache: dict[int, float] = {}
-    range_cache: dict[tuple[int, SystemParams], float] = {}
     for value in spec.values():
-        p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, 500)
+        p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
         d_sense = sensing.min_sensing_radius(dn, p2)
         try:
             lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2)
             blend = cfg.blend_weight * hi_db + (1.0 - cfg.blend_weight) * lo_db
         except sensing.InfeasiblePlanError:
             lo_db = hi_db = blend = math.nan
-        if m_tw not in threshold_cache:
-            threshold_cache[m_tw] = sensing.solve_threshold(m_tw, 0.1)
-        threshold = threshold_cache[m_tw]
-        if (m_tw, p2) not in range_cache:
-            try:
-                range_cache[m_tw, p2] = sensing.max_sensing_range(m_tw, 0.9, 0.1, p2)
-            except sensing.InfeasiblePlanError:
-                range_cache[m_tw, p2] = math.nan
+        threshold = sensing.solve_threshold(m_tw, DETECTOR_P_FALSE)
+        try:
+            max_range = sensing.max_sensing_range(m_tw, DETECTOR_P_DETECT, DETECTOR_P_FALSE, p2)
+        except sensing.InfeasiblePlanError:
+            max_range = math.nan
         rows.append([
             spec.variable, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
             threshold, sensing.false_alarm_probability(m_tw, threshold),
             sensing.detection_probability_sc(
                 sensing.pilot_snr(d_sense, p2), m_tw, threshold, p2.t_f
             ),
-            range_cache[m_tw, p2],
+            max_range,
         ])
     _write_csv(out_path, header, rows)
 
@@ -362,7 +356,7 @@ def _lemma_inversion_errors(p: SystemParams, lambda_f: float) -> tuple[float, fl
 
     p_hi = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + hi_db)
     loc = location_coeffs(1.0, p_hi)
-    k_max = (p.t_f - p.u_f + 1) ** delta * math.gamma(1.0 - delta)
+    k_max = analytic.k_correction_bounds(p.t_f, p.u_f, p)[1]
     macro_term = reg_inc_beta(loc.kappa / (loc.kappa + 1.0), p.t_f - p.u_f + 1, p.u_c)
     lam_back_hi = (
         (p.eps - macro_term)
@@ -426,10 +420,11 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     except sensing.InfeasiblePlanError as exc:
         record("power_window_inversion", False, math.nan, str(exc))
 
-    threshold = sensing.solve_threshold(500, 0.1)
-    p_fa = sensing.false_alarm_probability(500, threshold)
-    record("detector_cfar_threshold", abs(p_fa - 0.1) < 1e-6, p_fa, "0.1 +- 1e-6")
-    p_zero = sensing.detection_probability_ray(0.0, 500, threshold)
+    threshold = sensing.solve_threshold(DETECTOR_M_TW, DETECTOR_P_FALSE)
+    p_fa = sensing.false_alarm_probability(DETECTOR_M_TW, threshold)
+    record("detector_cfar_threshold", abs(p_fa - DETECTOR_P_FALSE) < 1e-6, p_fa,
+           f"{DETECTOR_P_FALSE} +- 1e-6")
+    p_zero = sensing.detection_probability_ray(0.0, DETECTOR_M_TW, threshold)
     record("detector_zero_snr_floor", abs(p_zero - p_fa) < 1e-12, p_zero,
            "== p_false")
 

@@ -9,9 +9,10 @@ Power ratios are handled in dB at the API surface; detector quantities
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .analytic import k_c, shot_noise_c_f
+from .analytic import k_c, k_correction_bounds, shot_noise_c_f
 from .linkmodel import (
     SystemParams,
     db_to_linear,
@@ -19,12 +20,7 @@ from .linkmodel import (
     link_budget,
     location_coeffs,
 )
-from .specfun import (
-    inv_reg_inc_beta,
-    ln_gamma,
-    ln_reg_lower_gamma,
-    reg_upper_gamma,
-)
+from .specfun import inv_reg_inc_beta, ln_reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
     "InfeasiblePlanError",
@@ -43,6 +39,12 @@ __all__ = [
 # The sensed uplink pilot is transmitted this far below the maximum user
 # terminal power.
 PILOT_BACKOFF_DB = 3.0
+
+# the energy detector's design point: time-bandwidth product, false-alarm
+# target and detection target
+DETECTOR_M_TW = 500
+DETECTOR_P_FALSE = 0.1
+DETECTOR_P_DETECT = 0.9
 
 _BISECT_TOL = 1e-9
 
@@ -94,7 +96,7 @@ def power_ratio_bounds(
         * (c_f * lambda_f / (p.eps * k_c(p))) ** (1.0 / delta)
     )
 
-    k_max = (p.t_f - p.u_f + 1) ** delta * math.exp(ln_gamma(1.0 - delta))
+    k_max = k_correction_bounds(p.t_f, p.u_f, p)[1]
     load = lambda_f * c_f * (loc.q_f * g) ** delta
     if load >= 1.0:
         raise InfeasiblePlanError(
@@ -147,26 +149,23 @@ def noise_floor_dbm(p: SystemParams) -> float:
     )
 
 
+def _pilot_budget_db(p: SystemParams) -> float:
+    # pilot SNR in dB at 1 m: sent PILOT_BACKOFF_DB below the maximum
+    # terminal power, through the outdoor-to-indoor fixed loss
+    return (p.p_ut_dbm - PILOT_BACKOFF_DB) - link_budget(p).a_fc_db - noise_floor_dbm(p)
+
+
 def pilot_snr(d_femto_to_user: float, p: SystemParams) -> float:
     """Average sensed uplink-pilot SNR (linear) at a femtocell a distance
-    d_femto_to_user meters from the transmitting cellular user.
-
-    The pilot is sent PILOT_BACKOFF_DB below the maximum terminal power and
-    propagates on the outdoor exponent with the outdoor-to-indoor fixed loss.
+    d_femto_to_user meters from the transmitting cellular user; the pilot
+    propagates on the outdoor exponent alpha_c.
 
     Raises:
         ValueError: if d_femto_to_user <= 0.
     """
     if not d_femto_to_user > 0:
         raise ValueError(f"pilot_snr requires d > 0, got {d_femto_to_user}")
-    budget = link_budget(p)
-    snr_db = (
-        (p.p_ut_dbm - PILOT_BACKOFF_DB)
-        - budget.a_fc_db
-        - 10.0 * p.alpha_c * math.log10(d_femto_to_user)
-        - noise_floor_dbm(p)
-    )
-    return db_to_linear(snr_db)
+    return db_to_linear(_pilot_budget_db(p) - 10.0 * p.alpha_c * math.log10(d_femto_to_user))
 
 
 def false_alarm_probability(m_tw: int, threshold: float) -> float:
@@ -216,21 +215,51 @@ def detection_probability_sc(
     return min(1.0, max(0.0, t_f * total))
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    # the point in [lo, hi] where the monotone predicate below(x) turns false
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@functools.cache
 def solve_threshold(m_tw: int, p_false_target: float) -> float:
     """Detector threshold achieving the false-alarm target (constant
     false-alarm-rate calibration); bisection on the monotone tail."""
     if not 0.0 < p_false_target < 1.0:
         raise ValueError(f"p_false_target must lie in (0,1), got {p_false_target}")
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while false_alarm_probability(m_tw, hi) > p_false_target:
         hi *= 2.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if false_alarm_probability(m_tw, mid) > p_false_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: false_alarm_probability(m_tw, t) > p_false_target, 0.0, hi)
+
+
+@functools.cache
+def _detection_snr_db(m_tw: int, threshold: float, p_detect_target: float, t_f: int) -> float:
+    """Average pilot SNR (dB) at which the selection-combining detector
+    reaches p_detect_target: the detection probability rises monotonically
+    in SNR from the false-alarm floor P_d(0) = P_fa to 1, and between
+    -200 and 200 dB it spans that whole range in double precision.
+
+    Raises:
+        InfeasiblePlanError: p_detect_target is at or below the floor.
+    """
+    p_false = false_alarm_probability(m_tw, threshold)
+    if p_detect_target <= p_false:
+        raise InfeasiblePlanError(
+            f"detect target {p_detect_target} is not above the false-alarm "
+            f"floor {p_false:.4g} at m_tw={m_tw}"
+        )
+
+    def below(snr_db: float) -> bool:
+        p_detect = detection_probability_sc(db_to_linear(snr_db), m_tw, threshold, t_f)
+        return p_detect < p_detect_target
+
+    return _bisect(below, -200.0, 200.0)
 
 
 def max_sensing_range(
@@ -241,37 +270,15 @@ def max_sensing_range(
 ) -> float:
     """Largest distance at which the pilot of a cellular user is still
     detected with probability >= p_detect_target, after calibrating the
-    threshold to p_false_target.
+    threshold to p_false_target: the distance at which the pilot budget
+    falls to the SNR the detector needs.
 
     Raises:
-        InfeasiblePlanError: the detect target is unreachable even as the
-            pilot source approaches the femtocell.
+        InfeasiblePlanError: the detect target is not above the false-alarm
+            floor, so no distance meets it.
     """
     if not 0.0 < p_detect_target < 1.0:
         raise ValueError(f"p_detect_target must lie in (0,1), got {p_detect_target}")
     threshold = solve_threshold(m_tw, p_false_target)
-
-    def p_detect(d: float) -> float:
-        return detection_probability_sc(pilot_snr(d, p), m_tw, threshold, p.t_f)
-
-    lo = 1e-3
-    if p_detect(lo) < p_detect_target:
-        raise InfeasiblePlanError(
-            f"detect target {p_detect_target} unreachable at m_tw={m_tw} "
-            f"(P_detect={p_detect(lo):.4f} even at {lo} m)"
-        )
-    hi = 1.0
-    while p_detect(hi) >= p_detect_target:
-        hi *= 2.0
-        if hi > 1e8:
-            raise InfeasiblePlanError(
-                f"detect target {p_detect_target} not bounded above the "
-                f"false-alarm floor at m_tw={m_tw}"
-            )
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if p_detect(mid) >= p_detect_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    snr_db = _detection_snr_db(m_tw, threshold, p_detect_target, p.t_f)
+    return 10.0 ** ((_pilot_budget_db(p) - snr_db) / (10.0 * p.alpha_c))

@@ -323,18 +323,6 @@ def _policy_powers_dbm(
     return powers
 
 
-def _reference_femto_power_dbm(cfg: ScenarioConfig, p: SystemParams) -> float:
-    """Transmit power of the reference hotspot femto itself: it senses its
-    co-located uplink-active user whenever the offset is within the sensing
-    radius."""
-    if cfg.power_policy is PowerPolicy.FIXED:
-        return p.p_c_dbm - cfg.fixed_pc_over_pf_db
-    if cfg.user_offset_m > cfg.sensing_radius_m:
-        return p.p_c_dbm - cfg.fixed_pc_over_pf_db
-    blend_db = blended_power_policy(cfg.d_norm, cfg.density(p), cfg.blend_weight, p)
-    return min(p.p_f_dbm, p.p_c_dbm - blend_db)
-
-
 def _layout(
     cfg: ScenarioConfig,
     p: SystemParams,
@@ -363,12 +351,13 @@ def _run(
     receiver per unit mark).
 
     The link holds the received power per unit fade of the desired link
-    (the macrocell for a cellular user; for a hotspot its own femto, at the
-    power of _reference_femto_power_dbm) and of the cross-tier link (the
-    macrocell at a hotspot's user, 0 for a cellular user), the noise power
-    (0 without noise) and the FastChi2 Gamma shapes: desired power T−U+1 of
-    the user's own tier, cross-tier power u_c (0 without a cross-tier term)
-    and femtocell marks u_f.
+    (the macrocell for a cellular user; for a hotspot its own femto, priced
+    by the policy like every femtocell, with its user user_offset_m
+    outward) and of the cross-tier link (the macrocell at a hotspot's user,
+    0 for a cellular user), the noise power (0 without noise) and the
+    FastChi2 Gamma shapes: desired power T−U+1 of the user's own tier,
+    cross-tier power u_c (0 without a cross-tier term) and femtocell marks
+    u_f.
     """
     budget = link_budget(p)
     d = cfg.d_norm * p.r_c
@@ -378,7 +367,10 @@ def _run(
     if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
         blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
     if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        serving_w = dbm_to_watts(_reference_femto_power_dbm(cfg, p))
+        own_dbm = _policy_powers_dbm(
+            cfg, np.array([[d, 0.0]]), np.array([d + cfg.user_offset_m, 0.0]), p, blend_edge_db
+        )
+        serving_w = dbm_to_watts(own_dbm[0])
         link = ExactLink(
             (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
             (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,

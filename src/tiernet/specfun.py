@@ -15,7 +15,8 @@ fraction for the regularized incomplete gamma (switch at x = a+1); the
 finite Poisson sum for the even-dof chi-squared CDF, vectorised over x;
 Lentz-style continued fraction with the standard symmetry switch at
 x > (a+1)/(a+b+2) for the incomplete beta; bracketed Newton iteration with
-bisection fallback for its inverse.
+bisection fallback for its inverse. The series and continued fractions may
+take a number of steps that grows with √a, and raise when they reach it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ __all__ = [
 # series, continued fraction or Newton iteration stops, and its step cap
 _ABS_TOL = 1e-10
 _MAX_ITER = 200
+
+
+def _budget(a: float) -> int:
+    # step cap of a series or continued fraction in shape a: near x = a
+    # both need O(sqrt(a)) steps
+    return _MAX_ITER + 10 * math.ceil(math.sqrt(a))
+
 
 # Lanczos coefficients (g=7, n=9), good to ~1e-15 relative over the
 # positive real axis.
@@ -77,20 +85,18 @@ def ln_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a,x) by power series; x < a+1."""
-    if x == 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
+def _ln_lower_gamma_series(a: float, x: float) -> float:
+    """log of the regularized lower incomplete gamma P(a,x) by power series,
+    P = x^a e^-x / Γ(a+1) · Σ_n Π_{k<=n} x/(a+k); 0 < x < a+1."""
+    term = total = 1.0
     n = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_budget(a)):
         n += 1.0
         term *= x / n
         total += term
-        if abs(term) < abs(total) * _ABS_TOL:
-            break
-    return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
+        if term < total * _ABS_TOL:
+            return a * math.log(x) - x - ln_gamma(a + 1.0) + math.log(total)
+    raise RuntimeError(f"gamma series did not converge in {_budget(a)} steps at a={a}, x={x}")
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
@@ -100,7 +106,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _budget(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -113,8 +119,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _ABS_TOL:
-            break
-    return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
+    raise RuntimeError(f"gamma fraction did not converge in {_budget(a)} steps at a={a}, x={x}")
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
@@ -134,7 +140,7 @@ def reg_upper_gamma(a: float, x: float) -> float:
     if x == math.inf:
         return 0.0
     if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
+        return -math.expm1(_ln_lower_gamma_series(a, x))
     return _upper_gamma_cf(a, x)
 
 
@@ -155,17 +161,7 @@ def ln_reg_lower_gamma(a: float, x: float) -> float:
         return 0.0
     if x >= a + 1.0:
         return math.log1p(-_upper_gamma_cf(a, x))
-    # series in log space: P = x^a e^-x / Gamma(a+1) * sum_n prod x/(a+k)
-    term = 1.0
-    total = 1.0
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if term < total * _ABS_TOL:
-            break
-    return a * math.log(x) - x - ln_gamma(a + 1.0) + math.log(total)
+    return _ln_lower_gamma_series(a, x)
 
 
 def beta(a: float, b: float) -> float:
@@ -187,7 +183,7 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, _budget(max(a, b)) + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -211,8 +207,10 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _ABS_TOL:
-            break
-    return h
+            return h
+    raise RuntimeError(
+        f"beta fraction did not converge in {_budget(max(a, b))} steps at x={x}, a={a}, b={b}"
+    )
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

@@ -131,6 +131,17 @@ def test_sensing_max_range_follows_swept_parameters(runner, sweep, params):
     assert len({row["max_range_m"] for row in rows}) == len(rows)
 
 
+def test_sensing_alpha_fo_sweep_repeats_one_range(runner):
+    """The range depends on the pilot budget and the detector, not on the
+    femto-tier exponent: every AlphaFo row prints the default range."""
+    res = runner.invoke(main, ["sensing", "--sweep", "AlphaFo:2.5:4.5:5"])
+    assert res.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert len(rows) == 5
+    want = max_sensing_range(500, 0.9, 0.1, SystemParams())
+    assert {float(row["max_range_m"]) for row in rows} == {float(f"{want:.12g}")}
+
+
 def test_sensing_infeasible_window_reported_as_nan(runner, tmp_path):
     # dense enough that the power window closes: rows survive with nan bounds
     cfg = _write(tmp_path, "dense.json", '{"scenario": {"n_f_target": 2000.0}}')
@@ -297,6 +308,22 @@ def test_simulate_infeasible_sensed_density_exits_2(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert "n_f_target = 2000" in res.output and "lambda_f" in res.output
+
+
+def test_sensed_hotspot_without_femtocells_is_fixed(runner, tmp_path):
+    """With no femtocells there is no power window: the carrier-sensed
+    hotspot's own femto transmits at the fixed policy's power."""
+    rows = []
+    for policy in ("CarrierSensedBlend", "Fixed"):
+        cfg = _write(
+            tmp_path, f"{policy}.json",
+            '{"scenario": {"scenario": "ReferenceHotspot", "n_f_target": 0, '
+            f'"power_policy": "{policy}"}}}}',
+        )
+        res = runner.invoke(main, [*SIM, "--config", cfg])
+        assert res.exit_code == 0, res.output
+        rows.append(res.output)
+    assert rows[0] == rows[1]
 
 
 def test_bad_sweep_usage_exits_2(runner):

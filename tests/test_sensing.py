@@ -211,6 +211,17 @@ def test_max_sensing_range_detects_at_boundary():
     )
 
 
+def test_max_sensing_range_scales_with_pilot_power():
+    """The detector needs one SNR; a pilot Δ dB stronger reaches it
+    10^(Δ/(10·alpha_c)) times farther."""
+    r = max_sensing_range(500, 0.9, 0.1, P)
+    for delta_db in (-7.5, 3.0, 10.0):
+        louder = dataclasses.replace(P, p_ut_dbm=P.p_ut_dbm + delta_db)
+        assert max_sensing_range(500, 0.9, 0.1, louder) == pytest.approx(
+            r * 10.0 ** (delta_db / (10.0 * P.alpha_c)), rel=1e-12
+        )
+
+
 def test_max_sensing_range_infeasible_target():
     # detection probability never drops below the false-alarm floor, so a
     # target at or under it has no finite crossing distance

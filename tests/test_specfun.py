@@ -12,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiernet import specfun
 from tiernet.specfun import (
     beta,
     chi2_cdf,
@@ -43,6 +44,37 @@ def test_ln_reg_lower_gamma_matches_scipy(a, x):
     ref = sp.gammainc(a, x)
     if ref > 1e-290:  # scipy underflows below this; the log form does not
         assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(ref), rel=1e-9, abs=1e-9)
+
+
+LARGE_SHAPE_POINTS = [
+    (a, x)
+    for a in (4000.0, 1e4, 4e4)
+    for x in (0.95 * a, a, a + 1.0, a + math.sqrt(a))
+]
+
+
+@pytest.mark.parametrize(("a", "x"), LARGE_SHAPE_POINTS)
+def test_large_shape_gamma_matches_scipy(a, x):
+    """Near x = a the series and the continued fraction need O(sqrt(a))
+    steps, more than the base cap of 200 once a reaches a few thousand."""
+    assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=1e-8)
+    assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(sp.gammainc(a, x)), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reg_upper_gamma(100.0, 90.0),  # series
+        lambda: reg_upper_gamma(100.0, 120.0),  # continued fraction
+        lambda: ln_reg_lower_gamma(100.0, 90.0),  # log-space series
+        lambda: reg_inc_beta(0.4, 50.0, 60.0),  # beta continued fraction
+    ],
+    ids=["series", "cf", "log-series", "beta-cf"],
+)
+def test_iteration_cap_raises(monkeypatch, call):
+    monkeypatch.setattr(specfun, "_budget", lambda a: 3)
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        call()
 
 
 def test_ln_reg_lower_gamma_deep_tail_finite():
