@@ -1,22 +1,23 @@
-"""Stochastic-geometry Monte Carlo engine: Poisson femtocell drops, Rayleigh
+"""Stochastic-geometry simulation engine: Poisson femtocell fields, Rayleigh
 MIMO fading with zero-forcing precoding, the carrier-sensed power-control
-policy, and one simulation pass that yields the outage estimate, its
-clustered confidence interval and the rate distribution. Both tiers share
-one SINR, desired·D / (cross·C + Σⱼ wⱼ·Mⱼ + noise), whose link constants
-and interferer weights a run builds once (_run): FullZF mode samples the
-fades D, C and M of that link; FastChi2 mode integrates them out
-(tiernet.laplace).
+policy, and one pass that yields the outage, its precision and the rate
+distribution. Both tiers share one SINR,
+desired·D / (cross·C + Σⱼ wⱼ·Mⱼ + noise), whose link constants and
+interferer weights a run builds once (_run): FullZF mode samples drops and
+the fades D, C and M of that link; FastChi2 mode integrates the fades and
+the femtocell field out (tiernet.laplace, on the nodes of _field).
 
 Chi-squared bookkeeping: every dof-2k fading variable is stored on half
 scale as Gamma(k, 1) (mean k) — the natural normalization for unit-power
 complex Gaussian entries; SIR ratios are unaffected because numerator and
 denominator share the convention.
 
-Reproducibility contract: trial randomness comes from counter-based Philox
-streams, one per drop, spawned as SeedSequence(seed, spawn_key=(drop_index,)).
-Within a drop the draw order is fixed (femtocell count, radii, angles, then
-in FullZF mode the desired / cross / mark fades), and drops are reduced in
-drop order, so a seeded run is bit-identical from run to run.
+Reproducibility contract: FastChi2 draws nothing. FullZF's randomness comes
+from counter-based Philox streams, one per drop, spawned as
+SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
+fixed (femtocell count, radii, angles, then the desired / cross / mark
+fades), and drops are reduced in drop order, so a seeded run is
+bit-identical from run to run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .laplace import ExactLink, MixtureRates, weight_blocks
+from .laplace import ExactLink, MixtureRates
 from .linkmodel import SystemParams, _check_fields, dbm_to_watts, link_budget
 from .sensing import blended_power_policy, noise_floor_dbm
 
@@ -61,9 +62,15 @@ class PowerPolicy(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """One Monte Carlo pass over the drops: the mean per-drop outage, its
-    95% half-width clustered on drops (NaN for one drop), and the law of
-    log2(1+SINR) that percentile(q) reads. FastChi2 only echoes n_fades."""
+    """One simulation pass: the outage, its precision ci_halfwidth_95, and
+    the law of log2(1+SINR) that percentile(q) reads.
+
+    FastChi2: the exact outage averaged over the fades and the Poisson
+    field, and as ci_halfwidth_95 its quadrature error, |value on the
+    field's nodes − value on nodes refined 2× on both axes|; n_drops,
+    n_fades and seed are only echoed. FullZF: the share of sampled
+    (drop, fade) pairs in outage, and as ci_halfwidth_95 its 95% half-width
+    clustered on drops (NaN for one drop)."""
 
     p_outage: float
     ci_halfwidth_95: float
@@ -331,7 +338,8 @@ def _layout(
     blend_edge_db: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions (about the receiver at (D, 0), see ScenarioConfig) and
-    transmit powers of the femtocells of one or more drops."""
+    transmit powers of femtocells at the given radius and angle uniforms:
+    a drop's draws, or the nodes of the field."""
     d = cfg.d_norm * p.r_c
     positions = _disc_positions(u_radius, u_angle, p, (d, 0.0))
     user_point = np.array([d, 0.0])
@@ -346,9 +354,9 @@ def _run(
     cfg: ScenarioConfig, p: SystemParams
 ) -> tuple[ExactLink, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """What a run computes once from the configuration, for both channel
-    modes: the link, and the map from the radius and angle draws of one or
-    more drops to their interferer weights (received power at the reference
-    receiver per unit mark).
+    modes: the link, and the map from radius and angle uniforms (a FullZF
+    drop's draws or the FastChi2 field's nodes) to interferer weights
+    (received power at the reference receiver per unit mark).
 
     The link holds the received power per unit fade of the desired link
     (the macrocell for a cellular user; for a hotspot its own femto, priced
@@ -395,6 +403,45 @@ def _run(
     return link, weights
 
 
+# the FastChi2 field quadrature (_field): Gauss–Legendre nodes in log ρ per
+# piece of a ray, rays in angle, and the radius (m) inside which the field,
+# of mass λ·π·ρ² there (6·10⁻¹³ at 60 femtocells), is left out
+_RADIAL_NODES = 80
+_RAYS = 128
+_INNER_M = 1e-4
+
+
+def _field(
+    cfg: ScenarioConfig, p: SystemParams, refine: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature nodes of the femtocell field on the disc of radius r_c
+    about the receiver, as the radius and angle uniforms that the layout
+    takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's mass,
+    density × area. refine multiplies the node counts on both axes.
+
+    Polar about the receiver: _RAYS rays at the midpoints in φ, each split
+    where it crosses the sensing circle about the sensed user, where the
+    policy's power jumps: at ρ = o·cos φ ± √(R_s² − o²·sin² φ), clipped to
+    [_INNER_M, r_c], o the user's offset from the receiver (0 for a
+    cellular user). Each piece takes Gauss–Legendre nodes in log ρ, where
+    the area element is ρ²·d(log ρ)·dφ; a piece that the ray misses is
+    empty and weighs 0.
+    """
+    n_rays = _RAYS * refine
+    phi = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
+    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    half = np.sqrt(np.maximum(cfg.sensing_radius_m**2 - (o * np.sin(phi)) ** 2, 0.0))
+    edges = np.stack([np.zeros(n_rays), o * np.cos(phi) - half, o * np.cos(phi) + half,
+                      np.full(n_rays, p.r_c)])
+    log_edges = np.log(np.clip(edges, _INNER_M, p.r_c))[..., None]
+    mid, half_width = (log_edges[1:] + log_edges[:-1]) / 2, (log_edges[1:] - log_edges[:-1]) / 2
+    t, t_weight = np.polynomial.legendre.leggauss(_RADIAL_NODES * refine)
+    rho = np.exp(mid + half_width * t)  # (piece, ray, node)
+    mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
+    u_angle = np.broadcast_to((phi / (2.0 * math.pi))[:, None], rho.shape)
+    return ((rho / p.r_c) ** 2).ravel(), u_angle.ravel(), mass.ravel()
+
+
 class _SampledRates:
     """A FullZF run's sorted log2(1+SINR) of every (drop, fade) pair."""
 
@@ -405,30 +452,26 @@ class _SampledRates:
         return float(np.quantile(self.rates, u))
 
 
-def _clustered_ci(drop_outage: np.ndarray) -> float:
-    # 95% half-width with the drop as the sampling unit
-    if len(drop_outage) < 2:
-        return math.nan
-    return 1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(len(drop_outage))
-
-
 def simulate(
     cfg: ScenarioConfig, n_drops: int, n_fades: int, p: SystemParams, seed: int
 ) -> SimulationResult:
-    """Outage, its clustered CI and the rate law from one pass over the
-    drops: exact per drop in FastChi2 mode, which keeps the interferer
-    weights for percentiles; sampled in FullZF mode, which sorts one
+    """Outage, its precision and the rate law of the configured scenario.
+    FastChi2 mode computes them exactly, averaged over the fades and over
+    the Poisson field of the drops (_field), and draws neither drops nor
+    fades: n_drops, n_fades and seed are only echoed. FullZF mode samples
+    n_drops drops of n_fades fades each in one pass, which sorts one
     n_drops×n_fades buffer of log2(1+SINR)."""
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
     link, weights = _run(cfg, p)
     if cfg.channel_mode is ChannelMode.FAST_CHI2:
-        draws = (_drop_draws(cfg, i, p, seed)[1:] for i in range(n_drops))
-        rate_law = MixtureRates(link, tuple(weight_blocks(draws, weights)))
-        drop_outage = 1.0 - np.concatenate(
-            [link.coverage(p.gamma_target, w, c)[0] for w, c in rate_law.blocks]
-        )
-        p_hat = float(drop_outage.mean())
+        fields = [
+            (weights(u_radius, u_angle), mass)
+            for u_radius, u_angle, mass in (_field(cfg, p, 1), _field(cfg, p, 2))
+        ]
+        p_hat, p_fine = (1.0 - link.coverage(p.gamma_target, *f)[0] for f in fields)
+        ci = abs(p_hat - p_fine)
+        rate_law = MixtureRates(link, *fields[0])
     else:
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)
@@ -445,10 +488,14 @@ def simulate(
         rates = rates.reshape(-1)  # a view: the sort below is in place
         rates.sort()
         p_hat = outages / rates.size
+        # 95% half-width with the drop as the sampling unit
+        ci = math.nan if n_drops < 2 else (
+            1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(n_drops)
+        )
         rate_law = _SampledRates(rates)
     return SimulationResult(
         p_outage=p_hat,
-        ci_halfwidth_95=_clustered_ci(drop_outage),
+        ci_halfwidth_95=ci,
         n_drops=n_drops,
         n_fades=n_fades,
         seed=seed,

@@ -5,14 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
-from tiernet import laplace, simulator
+from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
 from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
 from tiernet.sensing import noise_floor_dbm
@@ -298,15 +298,20 @@ def test_exponential_draws_match_unit_shape_gamma():
     ids=["hotspot-fixed", "cellular-sensed", "hotspot-sensed"],
 )
 def test_simulate_one_pass_serves_outage_and_rates(cfg):
-    """One pass serves all three: p_outage is the mean exact per-drop outage,
-    the CI is clustered on drops, the rate percentile at 100·p_outage is
-    log2(1+Γ) within the solver's tolerance, and a second run gives the
-    same result."""
+    """One pass serves all three: p_outage is one minus the mean coverage
+    at Γ over the field's nodes, the CI is its distance to the same on a
+    grid refined 2× on both axes (under 1e-8 here), the rate percentile at
+    100·p_outage is log2(1+Γ) within the solver's tolerance, and a second
+    run gives the same result."""
     res = simulate(cfg, 24, 100, P, seed=5)
     assert _summary(simulate(cfg, 24, 100, P, seed=5)) == _summary(res)
-    q = _exact_outage(cfg, 24, seed=5)
-    assert res.p_outage == q.mean()
-    assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(24)
+    link, weights = simulator._run(cfg, P)
+    coarse, fine = (
+        1.0 - link.coverage(P.gamma_target, weights(u_radius, u_angle), mass)[0]
+        for u_radius, u_angle, mass in (simulator._field(cfg, P, k) for k in (1, 2))
+    )
+    assert res.p_outage == coarse
+    assert res.ci_halfwidth_95 == abs(coarse - fine) < 1e-8
     r_gamma = math.log2(1.0 + P.gamma_target)
     assert res.percentile(100.0 * res.p_outage) == pytest.approx(r_gamma, rel=1e-10)
 
@@ -325,15 +330,22 @@ def test_cellular_sensed_policy_without_femtocells():
 
 
 def test_fast_and_full_modes_agree_at_single_user_config():
-    """Both channel models share the fading laws at U=1, so the sampled FullZF
-    outage matches FastChi2's exact per-drop outage on the same drops within
-    fade-level Monte Carlo noise."""
-    fast = simulate(_hotspot_cfg(n_f_target=800.0), 150, 1, P, seed=21).p_outage
-    full = simulate(
-        _hotspot_cfg(n_f_target=800.0, channel_mode=ChannelMode.FULL_ZF),
-        150, 150, P, seed=21,
-    )
-    assert fast == pytest.approx(full.p_outage, abs=0.015)
+    """Both channel models share the fading laws at U=1, so on the same
+    drops the sampled FullZF outage matches sampled Gamma fades through the
+    same link within fade-level Monte Carlo noise: 4 sigma, with variance
+    2·sum_i q_i(1-q_i) / n_fades / n_drops^2, each drop's outage q_i
+    estimated by the Gamma side's share."""
+    cfg = _hotspot_cfg(n_f_target=800.0, channel_mode=ChannelMode.FULL_ZF)
+    n_drops, n_fades, seed = 150, 150, 21
+    full = simulate(cfg, n_drops, n_fades, P, seed).p_outage
+    run = simulator._run(cfg, P)
+    q = np.array([
+        np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run) < P.gamma_target)
+        for i in range(n_drops)
+    ]) / n_fades
+    sigma = math.sqrt(2.0 * np.sum(q * (1.0 - q)) / n_fades) / n_drops
+    assert sigma > 0.0
+    assert abs(full - q.mean()) <= 4.0 * sigma
 
 
 def test_rate_cdf_sorted_and_percentiles():
@@ -442,163 +454,172 @@ def _closure_cfg(scenario: Scenario) -> ScenarioConfig:
     )
 
 
-def _exact_outage(cfg, n_drops, seed):
-    """Exact FastChi2 outage of each of a run's first n_drops drops given
-    its femtocells: the per-drop values whose mean simulate reports."""
-    link, weights = simulator._run(cfg, P)
-    draws = (simulator._drop_draws(cfg, i, P, seed)[1:] for i in range(n_drops))
-    return np.concatenate([
-        1.0 - link.coverage(P.gamma_target, w, c)[0]
-        for w, c in laplace.weight_blocks(draws, weights)
-    ])
-
-
 def _sampled_fast_chi2_sinr(cfg, drop_index, n_fades, seed, run):
-    """The brute-force oracle of the exact engine: drop drop_index's
-    femtocells as simulate lays them out, then n_fades sampled FastChi2
-    fades from the same stream (desired, cross, marks), through the link's
-    SINR as FullZF computes it. run is simulator._run(cfg, P)."""
+    """Sampled FastChi2 fades of one drop: drop drop_index's femtocells as
+    simulate lays them out, then n_fades Gamma fades from the same stream
+    (desired, cross, marks), through the link's SINR as FullZF computes it.
+    run is simulator._run(cfg, P)."""
     link, weights = run
     rng, u_radius, u_angle = simulator._drop_draws(cfg, drop_index, P, seed)
     w = weights(u_radius, u_angle)
     return link.sinr(*_fades(rng, link, n_fades, len(w)), w)
 
 
+def _sampled_field(cfg, n_drops, n_fades, seed, p=P):
+    """The drop oracle of the PGFL: n_drops independent Poisson drops of
+    the run's field, each with n_fades sampled FastChi2 fades (Gamma
+    desired, cross-tier and mark powers), through the SINR
+    A·D / ((c·C + Σⱼ wⱼ·Mⱼ) + N). Returns the (n_fades, n_drops) SINR."""
+    link, weights = simulator._run(cfg, p)
+    m, cross_shape, mark_shape = link.shapes
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(cfg.n_f_target, n_drops)
+    k = int(counts.sum())
+    w = weights(rng.random(k), rng.random(k))
+    drop = np.repeat(np.arange(n_drops), counts)
+    interference = np.array([
+        np.bincount(drop, weights=marks * w, minlength=n_drops)
+        for marks in _gamma(rng, mark_shape, (n_fades, k))
+    ])
+    cross = _gamma(rng, cross_shape, (n_fades, n_drops)) if cross_shape else 0.0
+    desired = _gamma(rng, m, (n_fades, n_drops))
+    return link.desired * desired / ((link.cross * cross + interference) + link.noise_w)
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["no-noise", "noise"])
 @pytest.mark.parametrize(
-    ("cfg", "seed", "n_fades", "drops"),
+    ("scenario", "one_antenna"),
     [
-        (_bench_cfg("cellular_sensed"), 1, 200_000, (0, 3)),
-        (_bench_cfg("hotspot_sensed"), 1, 200_000, (0, 3)),
-        # ~1084 femtocells: 10^4 fades keep the mark matrix under 100 MB
-        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), 42, 10_000, (0, 5, 6)),
+        (Scenario.REFERENCE_CELLULAR_USER, {"t_c": 1, "u_c": 1}),
+        (Scenario.REFERENCE_HOTSPOT, {"t_f": 1, "u_f": 1}),
     ],
-    ids=["cellular-sensed", "hotspot-sensed", "femto-closure"],
+    ids=["cellular", "hotspot"],
 )
-def test_conditional_outage_matches_brute_force_drop(cfg, seed, n_fades, drops):
-    """A drop's exact outage against many sampled fades of the very same
-    drop (same stream, same positions): within 4 binomial sigma. The drops
-    span typical and heavily interfered ones (exact outage 0.0001 to 0.46)."""
-    exact = _exact_outage(cfg, max(drops) + 1, seed)
-    run = simulator._run(cfg, P)
-    for i in drops:
-        q = exact[i]
-        sinr = _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run)
-        sampled = np.count_nonzero(sinr < P.gamma_target) / n_fades
-        assert 0.0 < q < 1.0
-        assert abs(sampled - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n_fades), i
+def test_single_antenna_outage_matches_radial_integral(scenario, one_antenna, noise):
+    """One antenna on the served link (m = 1, u_f = 1) and fixed powers,
+    where a femtocell's weight w(ρ) depends on its distance alone: the mean
+    coverage is the Laplace transform itself,
+    e^{−sN}·(1+sc)^{−u_c}·exp(−2πλ ∫₀^{r_c} ρ·sw/(1+sw) dρ), and simulate's
+    outage matches scipy's quad of it to 1e-9."""
+    p = dataclasses.replace(P, **one_antenna)
+    cfg = ScenarioConfig(
+        scenario=scenario, d_norm=0.5, power_policy=PowerPolicy.FIXED,
+        n_f_target=200.0, include_noise=noise,
+    )
+    link, weights = simulator._run(cfg, p)
+    s = p.gamma_target / link.desired
+
+    def integrand(rho):
+        sw = s * weights(np.array([(rho / p.r_c) ** 2]), np.zeros(1))[0]
+        return rho / (1.0 + 1.0 / sw)
+
+    field, _ = scipy.integrate.quad(
+        integrand, 0.0, p.r_c, epsabs=0.0, epsrel=1e-13, limit=500,
+        points=[0.1, 1.0, 10.0, 100.0],
+    )
+    ln_coverage = (
+        -s * link.noise_w - link.shapes[1] * math.log1p(s * link.cross)
+        - 2.0 * math.pi * cfg.density(p) * field
+    )
+    assert link.shapes[0] == 1
+    want = -math.expm1(ln_coverage)
+    assert simulate(cfg, 1, 1, p, seed=0).p_outage == pytest.approx(want, rel=1e-9)
+
+
+# two-stream femtocells: Gamma(2, 1) marks; a hotspot's own link has m = 3
+TWO_STREAMS = dataclasses.replace(P, t_f=4, u_f=2)
 
 
 @pytest.mark.parametrize(
-    ("cfg", "seed", "n_drops", "n_fades"),
+    ("cfg", "p", "n_drops", "n_fades"),
     [
-        (_bench_cfg("baseline_fixed"), 1, 300, 250),
-        (_bench_cfg("cellular_sensed"), 1, 300, 250),
-        (_bench_cfg("hotspot_sensed"), 1, 300, 250),
-        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), 42, 200, 100),
-        (_closure_cfg(Scenario.REFERENCE_CELLULAR_USER), 42, 300, 250),
+        (_bench_cfg("baseline_fixed"), P, 16_000, 4),
+        (_bench_cfg("cellular_sensed"), P, 16_000, 4),
+        (_bench_cfg("hotspot_sensed"), P, 16_000, 4),
+        # ~1084 femtocells per drop
+        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), P, 1000, 4),
+        (_closure_cfg(Scenario.REFERENCE_CELLULAR_USER), P, 4000, 4),
+        (_hotspot_cfg(n_f_target=60.0), TWO_STREAMS, 16_000, 4),
+        (_fixed_cfg(d_norm=0.8, n_f_target=60.0), TWO_STREAMS, 16_000, 4),
     ],
     ids=["baseline-fixed", "cellular-sensed", "hotspot-sensed", "femto-closure",
-         "cellular-closure"],
+         "cellular-closure", "hotspot-two-streams", "cellular-two-stream-marks"],
 )
-def test_conditional_outage_matches_simulate(cfg, seed, n_drops, n_fades):
-    """simulate's FastChi2 outage is the mean exact per-drop outage, with the
-    CI clustered on drops; over the same drops, the sampled oracle differs
-    from it by fade noise alone: variance sum_i q_i(1-q_i)/n_fades / n_drops^2."""
-    q = _exact_outage(cfg, n_drops, seed)
-    res = simulate(cfg, n_drops, n_fades, P, seed)
-    assert res.p_outage == q.mean()
-    assert res.ci_halfwidth_95 == 1.96 * np.std(q, ddof=1) / math.sqrt(n_drops)
-    run = simulator._run(cfg, P)
-    sampled = sum(
-        np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run)
-                         < P.gamma_target)
-        for i in range(n_drops)
-    ) / (n_drops * n_fades)
-    sigma = math.sqrt(np.sum(q * (1.0 - q)) / n_fades) / n_drops
-    assert sigma > 0.0
-    assert abs(sampled - q.mean()) <= 4.0 * sigma
+def test_conditional_outage_matches_simulate(cfg, p, n_drops, n_fades):
+    """Multi-antenna links (m = 2 or 3 for a hotspot, 4 for a cellular
+    user; one or two streams per femtocell): the mean of the drop oracle's
+    outage shares, each conditional on its drop and estimated from sampled
+    Gamma fades, matches simulate's outage at a fixed seed within 1.5 of
+    the oracle's clustered 95% half-widths (about 3 standard errors).
+    Drops are independent, so their outage shares are the independent
+    samples."""
+    sinr = _sampled_field(cfg, n_drops, n_fades, seed=7, p=p)
+    drop_outage = np.mean(sinr < p.gamma_target, axis=0)
+    half_width = 1.96 * np.std(drop_outage, ddof=1) / math.sqrt(n_drops)
+    assert half_width > 0.0
+    assert abs(simulate(cfg, 1, 1, p, seed=0).p_outage - drop_outage.mean()) <= 1.5 * half_width
 
 
 @pytest.mark.parametrize("d_norm", [0.3, 0.8, 1.0])
 def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
-    """No femtocells: outage is P(Gamma(m, 1) < s·N) with s = Γ/A and A the
-    macro link's received power per unit fade."""
+    """No femtocells, so every drop is the same: outage is
+    P(Gamma(m, 1) < s·N) with s = Γ/A and A the macro link's received power
+    per unit fade, and the empty field has no quadrature error."""
     cfg = ScenarioConfig(d_norm=d_norm, n_f_target=0.0, include_noise=True)
-    q = _exact_outage(cfg, 3, seed=4)
+    res = simulate(cfg, 3, 1, P, seed=4)
     pc_w = dbm_to_watts(P.p_c_dbm)
     a = (pc_w / P.u_c) * link_budget(P).a_c * (d_norm * P.r_c) ** -P.alpha_c
     s_n = P.gamma_target / a * dbm_to_watts(noise_floor_dbm(P))
     expected = 1.0 - reg_upper_gamma(P.t_c - P.u_c + 1, s_n)
-    np.testing.assert_allclose(q, expected, rtol=1e-9, atol=1e-14)
+    assert res.p_outage == pytest.approx(expected, rel=1e-9, abs=1e-14)
+    assert res.ci_halfwidth_95 == 0.0
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
-def test_conditional_outage_co_located_interferer_is_certain(monkeypatch, scenario):
-    """A femtocell on top of the receiver has infinite interference weight:
-    outage exactly 1, with no NaN and no floating-point warning. Its drop
-    puts an atom at rate 0, which the percentiles up to its mass read."""
-    cfg = ScenarioConfig(scenario=scenario, d_norm=0.6, n_f_target=60.0)
-    # femtocells at (300, 40), (0, 0) and (-90, -10) m from the receiver;
-    # a zero radius uniform puts the second exactly on it
-    u_radius, u_angle = _uniforms(np.array([[300.0, 40.0], [0.0, 0.0], [-90.0, -10.0]]))
-    clear = (None, u_radius[[0, 2]], u_angle[[0, 2]])
-    monkeypatch.setattr(
-        simulator, "_drop_draws",
-        lambda cfg, i, p, seed: (None, u_radius, u_angle) if i < 2 else clear,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        q = _exact_outage(cfg, 2, seed=0)
-        res = simulate(cfg, 4, 1, P, seed=0)
-    np.testing.assert_array_equal(q, [1.0, 1.0])
-    assert res.percentile(50.0) == 0.0 < res.percentile(50.1)
+def test_field_nodes_weigh_disc_and_sensing_circle(scenario):
+    """The node rule integrates area: the masses sum to λ·π·r_c², and those
+    of the nodes inside the sensing circle about the sensed user (the
+    receiver for a cellular user, user_offset_m outward for a hotspot) to
+    λ·π·R_s², so the split falls on the circle where the policy's power
+    jumps."""
+    cfg = ScenarioConfig(scenario=scenario, d_norm=0.5, n_f_target=60.0)
+    u_radius, u_angle, mass = simulator._field(cfg, P, 1)
+    offsets = simulator._disc_positions(u_radius, u_angle, P, (0.0, 0.0))
+    user = cfg.user_offset_m if scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    inside = np.hypot(offsets[:, 0] - user, offsets[:, 1]) <= cfg.sensing_radius_m
+    lam = cfg.density(P)
+    assert mass.sum() == pytest.approx(lam * math.pi * P.r_c**2, rel=1e-12)
+    assert mass[inside].sum() == pytest.approx(lam * math.pi * cfg.sensing_radius_m**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
 def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
-    """The exact rate percentiles of four drops against 5·10⁴ sampled fades
-    of each of the same drops (2·10⁵ in all): at each exact percentile r_q
-    the pooled empirical CDF lies within the DKW band of q/100. The band
-    takes the union bound over the drops' own DKW bands, sup |F_n − F| ≤
-    eps with probability 1 − 8·exp(−2·n·eps²) for n fades per drop, at
+    """The exact rate percentiles against 5·10⁴ independent drops with one
+    sampled fade each, that is 5·10⁴ independent draws of the rate law: at
+    each exact percentile r_q the empirical CDF lies within the DKW band of
+    q/100, sup |F_n − F| ≤ eps with probability 1 − 2·exp(−2·n·eps²), at
     α = 1e-3."""
-    cfg, seed, n_drops, n_fades = _bench_cfg(name), 1, 4, 50_000
-    res = simulate(cfg, n_drops, 1, P, seed)
-    run = simulator._run(cfg, P)
-    rates = np.sort(np.concatenate([
-        np.log2(1.0 + _sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run))
-        for i in range(n_drops)
-    ]))
-    eps = math.sqrt(math.log(2.0 * n_drops / 1e-3) / (2.0 * n_fades))
-    for q in (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0):
-        ecdf = np.searchsorted(rates, res.percentile(q), side="right") / rates.size
+    cfg, n = _bench_cfg(name), 50_000
+    res = simulate(cfg, 1, 1, P, seed=0)
+    rates = np.sort(np.log2(1.0 + _sampled_field(cfg, n, 1, seed=1)[0]))
+    eps = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
+    for q in PCT_GRID:
+        ecdf = np.searchsorted(rates, res.percentile(q), side="right") / n
         assert abs(ecdf - q / 100.0) <= eps, (q, ecdf, eps)
 
 
-@pytest.mark.parametrize("block", [1, 150])
-def test_blocks_do_not_change_per_drop_outage(monkeypatch, block):
-    """How drops are grouped into blocks changes nothing per drop: one drop
-    per block, or blocks that close mid-run after about 150 femtocells,
-    give the exact outages of the default blocks, empty drops included."""
-    cfg = _bench_cfg("hotspot_sensed")
-    sparse = dataclasses.replace(cfg, n_f_target=0.5)
-    want = [_exact_outage(c, 40, seed=2) for c in (cfg, sparse)]
-    monkeypatch.setattr(laplace, "_BLOCK_INTERFERERS", block)
-    for c, q in zip((cfg, sparse), want):
-        np.testing.assert_array_equal(_exact_outage(c, 40, seed=2), q)
-    assert any(len(simulator._drop_draws(sparse, i, P, 2)[1]) == 0 for i in range(40))
-
-
 def test_fast_chi2_simulate_draws_no_fades():
-    """FastChi2 allocates and draws no fades: a billion fades per drop
-    (5·10¹⁰ in all, which no sampler would finish) gives the same result
-    as one, with n_fades only echoed."""
+    """FastChi2 draws neither drops nor fades: a billion fades per drop
+    (5·10¹⁰ in all, which no sampler would finish), other drop counts and
+    other seeds give the same result as one drop of one fade, with n_drops,
+    n_fades and seed only echoed."""
     cfg = _bench_cfg("cellular_sensed")
-    many = simulate(cfg, 50, 10**9, P, seed=3)
-    one = simulate(cfg, 50, 1, P, seed=3)
-    assert many.n_fades == 10**9
-    assert (many.p_outage, many.ci_halfwidth_95) == (one.p_outage, one.ci_halfwidth_95)
-    assert many.percentile(10.0) == one.percentile(10.0)
+    one = simulate(cfg, 1, 1, P, seed=3)
+    for n_drops, n_fades, seed in ((50, 10**9, 3), (4000, 1, 3), (1, 1, 42)):
+        res = simulate(cfg, n_drops, n_fades, P, seed)
+        assert (res.n_drops, res.n_fades, res.seed) == (n_drops, n_fades, seed)
+        assert (res.p_outage, res.ci_halfwidth_95) == (one.p_outage, one.ci_halfwidth_95)
+        assert [res.percentile(q) for q in PCT_GRID] == [one.percentile(q) for q in PCT_GRID]
 
 
 def test_full_zf_ci_is_clustered_on_drops():

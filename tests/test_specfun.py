@@ -61,6 +61,15 @@ def test_large_shape_gamma_matches_scipy(a, x):
     assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(sp.gammainc(a, x)), abs=1e-8)
 
 
+@pytest.mark.parametrize("a", [4000.0, 4e4])
+@pytest.mark.parametrize("dx", [-1.0, 0.0, 0.5])
+def test_gamma_series_remainder_near_x_equals_a(a, dx):
+    """Near x = a the series' terms shrink slowly, so the sum stops on a
+    bound of its remainder rather than on its last term."""
+    x = a + dx
+    assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=2e-10)
+
+
 @pytest.mark.parametrize(
     "call",
     [
