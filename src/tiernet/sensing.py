@@ -20,7 +20,7 @@ from .linkmodel import (
     link_budget,
     location_coeffs,
 )
-from .specfun import inv_reg_inc_beta, ln_reg_lower_gamma, reg_upper_gamma
+from .specfun import inv_reg_inc_beta, ln_reg_lower_gamma, newton, reg_upper_gamma
 
 __all__ = [
     "InfeasiblePlanError",
@@ -46,7 +46,11 @@ DETECTOR_M_TW = 500
 DETECTOR_P_FALSE = 0.1
 DETECTOR_P_DETECT = 0.9
 
-_BISECT_TOL = 1e-9
+# steps at which the detector solves stop: relative for the threshold; in
+# dB for the SNR, whose root P_d's rounding (~4e-11 at m_tw = 10^4,
+# t_f = 4) blurs by ~1e-9 dB
+_THRESHOLD_RTOL = 1e-10
+_SNR_TOL_DB = 1e-9
 
 
 class InfeasiblePlanError(ValueError):
@@ -177,26 +181,45 @@ def false_alarm_probability(m_tw: int, threshold: float) -> float:
     return reg_upper_gamma(2 * m_tw, threshold)
 
 
+def _ln_gamma_pdf(a: float, x: float) -> float:
+    # ln of the Gamma(a, 1) density at x > 0
+    return (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+
+def _excess(gamma_bar: float, m_tw: int, threshold: float, t_f: int) -> tuple[float, float]:
+    """P_d − P_fa with t_f selection-combined branches at average SNR
+    gamma_bar > 0, and its slope in dB.
+
+    P_d is the floor Q(a, λ), a = 2m−1, plus e^L(u) from each branch i at
+    u = m·γ̄/(i+1), weighted by t_f·(−1)ⁱC(t_f−1,i)/(i+1); the weights sum
+    to one. With z = λu/(1+u) and p_a the Gamma(a) density,
+        L(u) = −λ/(1+u) + a·ln(1+1/u) + ln P(a, z),
+        dL/du = λ/(1+u)² − a/(u(1+u)) + [p_a(z)/P(a, z)]·λ/(1+u)²,
+    and du/ds = u·ln10/10 for s in dB; the slope is summed as
+    u·e^L·dL/du = [e^L·(z − a) + e^(L − ln P(a, z))·p_a(z)·z]/(1+u), whose
+    terms stay finite. L is formed in log space: for large m the factor
+    (1+1/u)^a and P(a, z) over- and underflow separately while e^L stays in
+    [0, 1]. The floor is P_fa − p_{2m}(λ), by Q(a, x) = Q(a+1, x) − p_{a+1}(x);
+    as γ̄ → 0 each e^L tends to p_{2m}(λ), so P_d meets P_fa to rounding.
+    """
+    a = 2 * m_tw - 1
+    lam = threshold
+    total = slope = 0.0
+    for i in range(t_f):
+        u = m_tw * gamma_bar / (i + 1)
+        z = lam * u / (1.0 + u)
+        ln_mid = -lam / (1.0 + u) + a * math.log1p(1.0 / u)
+        tail = math.exp(min(ln_mid + ln_reg_lower_gamma(a, z), 0.0))
+        weight = t_f * (-1.0) ** i * math.comb(t_f - 1, i) / (i + 1)
+        total += weight * tail
+        slope += weight * (tail * (z - a) + math.exp(ln_mid + _ln_gamma_pdf(a, z)) * z) / (1.0 + u)
+    return total - math.exp(_ln_gamma_pdf(a + 1, lam)), slope * math.log(10.0) / 10.0
+
+
 def detection_probability_ray(gamma_bar: float, m_tw: int, threshold: float) -> float:
     """Detection probability of the energy detector for a Rayleigh-faded
-    signal with average SNR gamma_bar.
-
-    Evaluated in log space: for large m_tw the middle factor
-    (1+1/(m·γ̄))^(2m−1) and the lower-tail incomplete gamma underflow/overflow
-    separately while their product stays in [0,1].
-    """
-    if m_tw < 1:
-        raise ValueError(f"m_tw must be >= 1, got {m_tw}")
-    if gamma_bar < 0:
-        raise ValueError(f"gamma_bar must be nonnegative, got {gamma_bar}")
-    a = 2 * m_tw - 1
-    u = m_tw * gamma_bar
-    if u == 0.0:
-        return false_alarm_probability(m_tw, threshold)
-    ln_mid = -threshold / (1.0 + u) + a * math.log1p(1.0 / u)
-    ln_tail = ln_reg_lower_gamma(a, threshold * u / (1.0 + u))
-    val = reg_upper_gamma(a, threshold) + math.exp(min(ln_mid + ln_tail, 0.0))
-    return min(1.0, max(0.0, val))
+    signal with average SNR gamma_bar: one branch of selection combining."""
+    return detection_probability_sc(gamma_bar, m_tw, threshold, 1)
 
 
 def detection_probability_sc(
@@ -205,45 +228,42 @@ def detection_probability_sc(
     """Detection probability with selection combining over t_f antenna
     branches: the detector sees the strongest of t_f i.i.d. Rayleigh fades,
     giving the alternating-sign sum over single-branch detectors at
-    gamma_bar/(i+1)."""
+    gamma_bar/(i+1) (`_excess`)."""
     if t_f < 1:
         raise ValueError(f"t_f must be >= 1, got {t_f}")
-    total = 0.0
-    for i in range(t_f):
-        p_ray = detection_probability_ray(gamma_bar / (i + 1), m_tw, threshold)
-        total += (-1.0) ** i * math.comb(t_f - 1, i) / (i + 1) * p_ray
-    return min(1.0, max(0.0, t_f * total))
-
-
-def _bisect(below, lo: float, hi: float) -> float:
-    # the point in [lo, hi] where the monotone predicate below(x) turns false
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if gamma_bar < 0:
+        raise ValueError(f"gamma_bar must be nonnegative, got {gamma_bar}")
+    p_false = false_alarm_probability(m_tw, threshold)
+    if gamma_bar == 0.0 or threshold == 0.0:
+        # no signal, or a threshold that every energy passes
+        return p_false
+    return min(1.0, max(0.0, p_false + _excess(gamma_bar, m_tw, threshold, t_f)[0]))
 
 
 @functools.cache
 def solve_threshold(m_tw: int, p_false_target: float) -> float:
     """Detector threshold achieving the false-alarm target (constant
-    false-alarm-rate calibration); bisection on the monotone tail."""
+    false-alarm-rate calibration): Newton on P_false = Q(2m, t), whose slope
+    in t is minus the Gamma(2m) density, from t = 2m. The bracket's upper
+    end is Cantelli's bound, Q(2m, 2m + √(2m(1/P_fa − 1))) <= P_fa."""
     if not 0.0 < p_false_target < 1.0:
         raise ValueError(f"p_false_target must lie in (0,1), got {p_false_target}")
-    hi = 1.0
-    while false_alarm_probability(m_tw, hi) > p_false_target:
-        hi *= 2.0
-    return _bisect(lambda t: false_alarm_probability(m_tw, t) > p_false_target, 0.0, hi)
+    a = 2 * m_tw
+
+    def fn(t: float) -> tuple[float, float]:
+        return p_false_target - false_alarm_probability(m_tw, t), math.exp(_ln_gamma_pdf(a, t))
+
+    hi = a + math.sqrt(a * (1.0 / p_false_target - 1.0))
+    return newton(fn, float(a), 0.0, hi, _THRESHOLD_RTOL * a)
 
 
 @functools.cache
 def _detection_snr_db(m_tw: int, threshold: float, p_detect_target: float, t_f: int) -> float:
     """Average pilot SNR (dB) at which the selection-combining detector
-    reaches p_detect_target: the detection probability rises monotonically
-    in SNR from the false-alarm floor P_d(0) = P_fa to 1, and between
-    -200 and 200 dB it spans that whole range in double precision.
+    reaches p_detect_target: Newton in dB from 0 dB, with P_fa computed
+    once. The detection probability rises monotonically in SNR from the
+    false-alarm floor P_d(0) = P_fa to 1, and between -200 and 200 dB it
+    spans that whole range in double precision.
 
     Raises:
         InfeasiblePlanError: p_detect_target is at or below the floor.
@@ -255,11 +275,11 @@ def _detection_snr_db(m_tw: int, threshold: float, p_detect_target: float, t_f: 
             f"floor {p_false:.4g} at m_tw={m_tw}"
         )
 
-    def below(snr_db: float) -> bool:
-        p_detect = detection_probability_sc(db_to_linear(snr_db), m_tw, threshold, t_f)
-        return p_detect < p_detect_target
+    def fn(snr_db: float) -> tuple[float, float]:
+        excess, slope = _excess(db_to_linear(snr_db), m_tw, threshold, t_f)
+        return excess - (p_detect_target - p_false), slope
 
-    return _bisect(below, -200.0, 200.0)
+    return newton(fn, 0.0, -200.0, 200.0, _SNR_TOL_DB)
 
 
 def max_sensing_range(

@@ -238,9 +238,12 @@ def zf_precoder(channel_matrix: np.ndarray) -> np.ndarray:
 
 
 def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
-    # rows: (n, U, T) unit row directions -> (n, T, U) unit-column precoders
-    gram = rows @ rows.conj().transpose(0, 2, 1)
-    w = rows.conj().transpose(0, 2, 1) @ np.linalg.inv(gram)
+    # rows: (n, U, T) unit row directions -> (n, T, U) unit-column precoders;
+    # with one stream that column is the row's adjoint (maximum ratio)
+    adjoint = rows.conj().transpose(0, 2, 1)
+    if rows.shape[1] == 1:
+        return adjoint
+    w = adjoint @ np.linalg.inv(rows @ adjoint)
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 

@@ -10,13 +10,15 @@ number of complex dimensions, which keeps every incomplete-gamma shape
 parameter an integer and every beta parameter a positive integer or an
 integer minus delta in (0,1).
 
-Algorithms: Lanczos approximation for ln Γ; power series / continued
-fraction for the regularized incomplete gamma (switch at x = a+1); the
-finite Poisson sum for the even-dof chi-squared CDF, vectorised over x;
-Lentz-style continued fraction with the standard symmetry switch at
-x > (a+1)/(a+b+2) for the incomplete beta; bracketed Newton iteration with
-bisection fallback for its inverse. The series and continued fractions may
-take a number of steps that grows with √a, and raise when they reach it.
+Algorithms: `math.lgamma` for ln Γ; power series / continued fraction for
+the regularized incomplete gamma (switch at x = a+1); the finite Poisson
+sum for the even-dof chi-squared CDF, vectorised over x; Lentz-style
+continued fraction with the standard symmetry switch at x > (a+1)/(a+b+2)
+for the incomplete beta. `newton` is the one root finder: Newton steps from
+a closed-form slope, kept inside a bracket by bisection. It inverts the
+incomplete beta here, and the energy detector's threshold and SNR in
+`sensing`. The series and continued fractions may take a number of steps
+that grows with √a, and raise when they reach it.
 """
 
 from __future__ import annotations
@@ -40,30 +42,14 @@ __all__ = [
 # series, continued fraction or Newton iteration stops, and its step cap
 _ABS_TOL = 1e-10
 _MAX_ITER = 200
+# just below ln of the smallest positive double, 4.9e-324
+_LN_TINY = -745.2
 
 
 def _budget(a: float) -> int:
     # step cap of a series or continued fraction in shape a: near x = a
     # both need O(sqrt(a)) steps
     return _MAX_ITER + 10 * math.ceil(math.sqrt(a))
-
-
-# Lanczos coefficients (g=7, n=9), good to ~1e-15 relative over the
-# positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.9189385332046727
 
 
 def ln_gamma(x: float) -> float:
@@ -74,15 +60,34 @@ def ln_gamma(x: float) -> float:
     """
     if not x > 0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        s += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
+
+
+def newton(fn, x: float, lo: float, hi: float, tol: float) -> float:
+    """Root of fn in [lo, hi] by Newton's method, starting at x.
+
+    fn(x) returns (f, slope) with f increasing in x and changing sign in
+    [lo, hi]. Each evaluation narrows the bracket; a step that would leave
+    it, or an unusable slope, falls back to bisection. Stops once a step
+    moves x by at most tol, and returns the stepped x.
+
+    Raises:
+        RuntimeError: if that takes more than _MAX_ITER evaluations
+            (reports the last bracket).
+    """
+    for _ in range(_MAX_ITER):
+        f, slope = fn(x)
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        x_new = x - f / slope if slope > 0.0 else math.nan
+        if not abs(x_new - x) <= tol and not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= tol:
+            return x_new
+        x = x_new
+    raise RuntimeError(f"newton did not converge in {_MAX_ITER} steps; last bracket [{lo}, {hi}]")
 
 
 def _ln_lower_gamma_series(a: float, x: float) -> float:
@@ -238,9 +243,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
-    """Inverse of reg_inc_beta in x: returns x with I_x(a,b) = y.
+    """Inverse of reg_inc_beta in x: returns x with I_x(a,b) = y, to a
+    relative step of 1e-10.
 
-    Bracketed Newton with bisection fallback; converges for all valid inputs.
+    Newton on ln I_x against ln x, which is nearly linear in the lower tail
+    (I_x ~ x^a), from the mean. A root above 1/2 with y > 1/2, where 1 − y
+    is exact, is found as 1 − x from I_{1−x}(b, a) = 1 − y, so that the
+    step is relative to 1 − x there.
 
     Raises:
         ValueError: on domain violations.
@@ -255,30 +264,23 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         return 0.0
     if y == 1.0:
         return 1.0
-    lo, hi = 0.0, 1.0
-    x = a / (a + b)  # mean of Beta(a,b) as the starting point
+    flip = y > 0.5 and reg_inc_beta(0.5, a, b) < y
+    if flip:
+        y, a, b = 1.0 - y, b, a
+    ln_y = math.log(y)
     ln_norm = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-    for _ in range(_MAX_ITER):
-        f = reg_inc_beta(x, a, b) - y
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) < _ABS_TOL:
-            return x
-        # Newton step using the Beta density
-        ln_pdf = ln_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
-        step = f * math.exp(-ln_pdf) if ln_pdf > -700 else math.inf
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < _ABS_TOL and abs(f) < math.sqrt(_ABS_TOL):
-            return x_new
-        x = x_new
-    raise RuntimeError(
-        f"inv_reg_inc_beta failed to converge for y={y}, a={a}, b={b}; "
-        f"last bracket [{lo}, {hi}]"
-    )
+
+    def fn(t: float) -> tuple[float, float]:
+        # ln I_x − ln y and its slope x·pdf(x)/I_x in t = ln x
+        x = math.exp(t)
+        i = reg_inc_beta(x, a, b)
+        if i == 0.0:  # underflow, far below the root
+            return -math.inf, 0.0
+        ln_pdf_x = ln_norm + a * t + (b - 1.0) * math.log1p(-x)
+        return math.log(i) - ln_y, math.exp(ln_pdf_x) / i
+
+    x = math.exp(newton(fn, math.log(a / (a + b)), _LN_TINY, 0.0, _ABS_TOL))
+    return 1.0 - x if flip else x
 
 
 def chi2_cdf(k_dof: int, x):

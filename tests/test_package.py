@@ -1,5 +1,6 @@
-"""Package hygiene: no module imports a name it never uses or reads the
-process environment, and every name an `__all__` lists resolves."""
+"""Package hygiene: no module imports a name it never uses, reads the
+process environment or imports scipy, and every name an `__all__` lists
+resolves."""
 
 from __future__ import annotations
 
@@ -87,6 +88,39 @@ def test_no_module_reads_the_environment():
         f"{path.name} {use}"
         for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
         for use in _environment_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def _scipy_imports(source: str) -> list[str]:
+    """Import statements that bind scipy or any of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scipy_import_detector():
+    source = (
+        "import numpy\nimport scipy.special as sp\nfrom scipy import stats\n"
+        "from . import scipyish\n"
+    )
+    assert _scipy_imports(source) == ["line 2: scipy.special", "line 3: scipy"]
+
+
+def test_no_module_imports_scipy():
+    """The runtime dependencies are numpy and click; scipy is a test oracle.
+    Importing scipy.special alone costs about 0.3 s, more than the whole CLI."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        for use in _scipy_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from tiernet.analytic import max_contention_density_cellular, shot_noise_c_f
 from tiernet.linkmodel import SystemParams, linear_to_db, location_coeffs
@@ -23,9 +24,9 @@ from tiernet.sensing import (
     power_ratio_bounds,
     solve_threshold,
 )
-from tiernet import simulator
+from tiernet import sensing, simulator
 from tiernet.simulator import PowerPolicy, ScenarioConfig
-from tiernet.specfun import reg_inc_beta
+from tiernet.specfun import ln_reg_lower_gamma, reg_inc_beta
 
 P = SystemParams()
 LAMBDA_60 = 60.0 / (math.pi * P.r_c**2)
@@ -139,6 +140,66 @@ def test_threshold_solves_false_alarm_target():
     assert solve_threshold(500, 0.1) == pytest.approx(1040.73430801, abs=1e-4)
 
 
+@pytest.mark.parametrize("m", [100, 500, 10_000])
+def test_threshold_newton_cost_and_accuracy(monkeypatch, m):
+    calls = []
+
+    def counted(m_tw, threshold):
+        calls.append(threshold)
+        return false_alarm_probability(m_tw, threshold)
+
+    monkeypatch.setattr(sensing, "false_alarm_probability", counted)
+    lam = solve_threshold.__wrapped__(m, 0.1)
+    assert len(calls) <= 8
+    # at m = 10^4 the tail itself carries ~3e-11 relative rounding, from the
+    # prefactor e^(a·ln x − x − ln Γ(a)) of two ~2e5-sized terms
+    rel = 1e-12 if m <= 500 else 1e-10
+    assert abs(false_alarm_probability(m, lam) / 0.1 - 1.0) <= rel
+
+
+def _oracle_detection_probability(snr_db, m, lam, t_f):
+    # Digham-Alouini-Simon selection combining, every incomplete gamma from scipy
+    gbar = 10.0 ** (snr_db / 10.0)
+    a = 2 * m - 1
+    total = 0.0
+    for i in range(t_f):
+        u = m * gbar / (i + 1)
+        ln_p = math.log(sp.gammainc(a, lam * u / (1.0 + u)))
+        ln_tail = -lam / (1.0 + u) + a * math.log1p(1.0 / u) + ln_p
+        weight = (-1.0) ** i * math.comb(t_f - 1, i) / (i + 1)
+        total += weight * (sp.gammaincc(a, lam) + math.exp(ln_tail))
+    return t_f * total
+
+
+@pytest.mark.parametrize("t_f", [1, 2, 4])
+@pytest.mark.parametrize("m", [100, 500, 10_000])
+def test_detection_snr_newton_cost_and_accuracy(monkeypatch, m, t_f):
+    lam = solve_threshold(m, 0.1)
+    calls = []
+
+    def counted(a, x):
+        calls.append(x)
+        return ln_reg_lower_gamma(a, x)
+
+    # one lower incomplete gamma per branch and evaluation
+    monkeypatch.setattr(sensing, "ln_reg_lower_gamma", counted)
+    snr_db = sensing._detection_snr_db.__wrapped__(m, lam, 0.9, t_f)
+    assert len(calls) <= 12 * t_f
+    assert _oracle_detection_probability(snr_db, m, lam, t_f) == pytest.approx(0.9, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_f", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 100, 500])
+def test_detection_floor_meets_false_alarm(m, t_f):
+    """The floor Q(2m−1, λ) is added once; as γ̄ → 0 each branch adds the
+    Gamma(2m) density at λ and the weights sum to one, giving Q(2m, λ). Near
+    0 the bound is `validate`'s, as t_f = 4 alternates four ~1e-2 tails."""
+    lam = solve_threshold(m, 0.1)
+    p_false = false_alarm_probability(m, lam)
+    assert detection_probability_sc(0.0, m, lam, t_f) == pytest.approx(p_false, abs=1e-13)
+    assert detection_probability_sc(1e-15, m, lam, t_f) == pytest.approx(p_false, abs=1e-12)
+
+
 def test_detection_probability_zero_snr_is_false_alarm():
     lam = solve_threshold(500, 0.1)
     assert detection_probability_ray(0.0, 500, lam) == pytest.approx(
@@ -153,8 +214,9 @@ def test_detection_probability_limits_and_monotonicity():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.97
     assert all(0.0 <= v <= 1.0 for v in vals)
-    # tighter threshold detects less
+    # tighter threshold detects less; a zero threshold passes every energy
     assert detection_probability_ray(0.01, 100, lam * 1.2) < vals[2]
+    assert detection_probability_sc(0.01, 100, 0.0, 2) == 1.0
 
 
 def test_selection_combining_reduces_to_single_branch():

@@ -158,6 +158,32 @@ def test_inv_reg_inc_beta_round_trip(y, a, b):
     assert reg_inc_beta(x, a, b) == pytest.approx(y, abs=1e-8)
 
 
+@pytest.mark.parametrize("y", [1e-300, 1e-6, 1e-4, 0.1, 0.999])
+@pytest.mark.parametrize(
+    ("a", "b"), [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (4, 1), (1, 4), (5, 5), (50, 2)]
+)
+def test_inv_reg_inc_beta_relative_accuracy_in_both_tails(y, a, b):
+    """The inverse stops on a step relative to x, so a lower-tail root such
+    as I_x(2, 1) = x² = 1e-4 keeps its relative digits. At (1e-300, 50, 2)
+    one bisection step lands where I_x underflows to 0."""
+    assert inv_reg_inc_beta(y, a, b) == pytest.approx(sp.betaincinv(a, b, y), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(("y", "a", "b"), [(0.515, 0.04, 837.0), (0.6, 0.1, 1000.0)])
+def test_inv_reg_inc_beta_skewed_root_below_half(y, a, b):
+    # y > 1/2 but the root is ~1e-11 and ~4e-6: solved as x, not as 1 − x
+    assert inv_reg_inc_beta(y, a, b) == pytest.approx(sp.betaincinv(a, b, y), rel=1e-10, abs=0.0)
+
+
+def test_newton_bisects_without_a_slope(monkeypatch):
+    # a zero slope leaves only bisection, which still meets the tolerance
+    root = specfun.newton(lambda x: (x - 0.3, 0.0), 0.9, 0.0, 1.0, 1e-12)
+    assert root == pytest.approx(0.3, abs=1e-12)
+    monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match="newton did not converge in 3 steps"):
+        specfun.newton(lambda x: (x - 0.3, 0.0), 0.9, 0.0, 1.0, 1e-12)
+
+
 def test_inv_reg_inc_beta_edges_and_errors():
     assert inv_reg_inc_beta(0.0, 3, 2) == 0.0
     assert inv_reg_inc_beta(1.0, 3, 2) == 1.0
