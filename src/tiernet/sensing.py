@@ -20,7 +20,13 @@ from .linkmodel import (
     link_budget,
     location_coeffs,
 )
-from .specfun import inv_reg_inc_beta, ln_reg_lower_gamma, newton, reg_upper_gamma
+from .specfun import (
+    _lower_gamma_sum,
+    inv_reg_inc_beta,
+    ln_reg_lower_gamma,
+    newton,
+    reg_upper_gamma,
+)
 
 __all__ = [
     "InfeasiblePlanError",
@@ -199,21 +205,34 @@ def _excess(gamma_bar: float, m_tw: int, threshold: float, t_f: int) -> tuple[fl
     u·e^L·dL/du = [e^L·(z − a) + e^(L − ln P(a, z))·p_a(z)·z]/(1+u), whose
     terms stay finite. L is formed in log space: for large m the factor
     (1+1/u)^a and P(a, z) over- and underflow separately while e^L stays in
-    [0, 1]. The floor is P_fa − p_{2m}(λ), by Q(a, x) = Q(a+1, x) − p_{a+1}(x);
-    as γ̄ → 0 each e^L tends to p_{2m}(λ), so P_d meets P_fa to rounding.
+    [0, 1]. The floor is P_fa − p_{2m}(λ), by Q(a, x) = Q(a+1, x) − p_{a+1}(x).
+
+    Below u = 1, where z < a + 1, the factors cancel in closed form: with
+    P(a, z) = z^a·e^(−z)·S(z)/Γ(a+1) (S the series sum, _lower_gamma_sum)
+    and z·(1+1/u) = λ, e^L = p_{2m}(λ)·S(z) and u·e^L·dL/du =
+    p_{2m}(λ)·[z·S + a·(1 − S)]/(1+u). Nothing there grows with −ln u, so
+    as γ̄ → 0 (even subnormal, where 1/u overflows) S → 1 and P_d meets P_fa
+    to rounding.
     """
     a = 2 * m_tw - 1
     lam = threshold
+    floor_pdf = math.exp(_ln_gamma_pdf(a + 1, lam))
     total = slope = 0.0
     for i in range(t_f):
         u = m_tw * gamma_bar / (i + 1)
         z = lam * u / (1.0 + u)
-        ln_mid = -lam / (1.0 + u) + a * math.log1p(1.0 / u)
-        tail = math.exp(min(ln_mid + ln_reg_lower_gamma(a, z), 0.0))
         weight = t_f * (-1.0) ** i * math.comb(t_f - 1, i) / (i + 1)
+        if u < 1.0 and z < a + 1.0:
+            s_sum = _lower_gamma_sum(a, z)
+            tail = floor_pdf * s_sum
+            d_tail = floor_pdf * (z * s_sum + a * (1.0 - s_sum))
+        else:
+            ln_mid = -lam / (1.0 + u) + a * math.log1p(1.0 / u)
+            tail = math.exp(min(ln_mid + ln_reg_lower_gamma(a, z), 0.0))
+            d_tail = tail * (z - a) + math.exp(ln_mid + _ln_gamma_pdf(a, z)) * z
         total += weight * tail
-        slope += weight * (tail * (z - a) + math.exp(ln_mid + _ln_gamma_pdf(a, z)) * z) / (1.0 + u)
-    return total - math.exp(_ln_gamma_pdf(a + 1, lam)), slope * math.log(10.0) / 10.0
+        slope += weight * d_tail / (1.0 + u)
+    return total - floor_pdf, slope * math.log(10.0) / 10.0
 
 
 def detection_probability_ray(gamma_bar: float, m_tw: int, threshold: float) -> float:

@@ -22,6 +22,7 @@ bit-identical from run to run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable
@@ -407,11 +408,22 @@ def _run(
 
 
 # the FastChi2 field quadrature (_field): Gauss–Legendre nodes in log ρ per
-# piece of a ray, rays in angle, and the radius (m) inside which the field,
-# of mass λ·π·ρ² there (6·10⁻¹³ at 60 femtocells), is left out
+# piece of a ray, rays in angle on the half-plane above the macrocell–receiver
+# axis (each standing for itself and its mirror image), and the radius (m)
+# inside which the field, of mass λ·π·ρ² there (6·10⁻¹³ at 60 femtocells), is
+# left out
 _RADIAL_NODES = 80
-_RAYS = 128
+_RAYS = 64
 _INNER_M = 1e-4
+
+
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss–Legendre nodes and weights on [−1, 1], built once
+    per n and returned read-only."""
+    t, t_weight = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = t_weight.flags.writeable = False
+    return t, t_weight
 
 
 def _field(
@@ -422,24 +434,29 @@ def _field(
     takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's mass,
     density × area. refine multiplies the node counts on both axes.
 
-    Polar about the receiver: _RAYS rays at the midpoints in φ, each split
-    where it crosses the sensing circle about the sensed user, where the
-    policy's power jumps: at ρ = o·cos φ ± √(R_s² − o²·sin² φ), clipped to
-    [_INNER_M, r_c], o the user's offset from the receiver (0 for a
-    cellular user). Each piece takes Gauss–Legendre nodes in log ρ, where
-    the area element is ρ²·d(log ρ)·dφ; a piece that the ray misses is
-    empty and weighs 0.
+    Polar about the receiver: _RAYS rays at the midpoints in φ ∈ (0, π),
+    each split where it crosses the sensing circle about the sensed user,
+    where the policy's power jumps: at ρ = o·cos φ ± √(R_s² − o²·sin² φ),
+    clipped to [_INNER_M, r_c], o the user's offset from the receiver (0
+    for a cellular user). Each piece takes Gauss–Legendre nodes in log ρ,
+    where the area element is ρ²·d(log ρ)·dφ; a piece that the ray misses
+    is empty and weighs 0. The macrocell, the receiver and the sensed user
+    all lie on the axis φ = 0, so the layout, the policy and the weights
+    are the same at φ and −φ: each node also stands for its mirror image
+    and carries twice its own area, which makes this exactly the upper half
+    of the 2·_RAYS-ray rule on the full circle.
     """
     n_rays = _RAYS * refine
-    phi = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
+    phi = (np.arange(n_rays) + 0.5) * (math.pi / n_rays)
     o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
     half = np.sqrt(np.maximum(cfg.sensing_radius_m**2 - (o * np.sin(phi)) ** 2, 0.0))
     edges = np.stack([np.zeros(n_rays), o * np.cos(phi) - half, o * np.cos(phi) + half,
                       np.full(n_rays, p.r_c)])
     log_edges = np.log(np.clip(edges, _INNER_M, p.r_c))[..., None]
     mid, half_width = (log_edges[1:] + log_edges[:-1]) / 2, (log_edges[1:] - log_edges[:-1]) / 2
-    t, t_weight = np.polynomial.legendre.leggauss(_RADIAL_NODES * refine)
+    t, t_weight = _legendre(_RADIAL_NODES * refine)
     rho = np.exp(mid + half_width * t)  # (piece, ray, node)
+    # dφ = π/n_rays on the half-plane, doubled for the mirror image
     mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
     u_angle = np.broadcast_to((phi / (2.0 * math.pi))[:, None], rho.shape)
     return ((rho / p.r_c) ** 2).ravel(), u_angle.ravel(), mass.ravel()
@@ -460,10 +477,13 @@ def simulate(
 ) -> SimulationResult:
     """Outage, its precision and the rate law of the configured scenario.
     FastChi2 mode computes them exactly, averaged over the fades and over
-    the Poisson field of the drops (_field), and draws neither drops nor
-    fades: n_drops, n_fades and seed are only echoed. FullZF mode samples
-    n_drops drops of n_fades fades each in one pass, which sorts one
-    n_drops×n_fades buffer of log2(1+SINR)."""
+    the Poisson field of the drops, and draws neither drops nor fades:
+    n_drops, n_fades and seed are only echoed. The field's nodes (_field)
+    cover the half-plane on one side of the macrocell–receiver axis, whose
+    mirror image the scenario repeats, so p_outage and each percentile's
+    coverage sums run over 15 360 nodes, and the CI over 61 440 more.
+    FullZF mode samples n_drops drops of n_fades fades each in one pass,
+    which sorts one n_drops×n_fades buffer of log2(1+SINR)."""
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
     link, weights = _run(cfg, p)

@@ -177,12 +177,17 @@ def test_detection_snr_newton_cost_and_accuracy(monkeypatch, m, t_f):
     lam = solve_threshold(m, 0.1)
     calls = []
 
-    def counted(a, x):
-        calls.append(x)
-        return ln_reg_lower_gamma(a, x)
+    def counting(fn):
+        def counted(a, x):
+            calls.append(x)
+            return fn(a, x)
 
-    # one lower incomplete gamma per branch and evaluation
-    monkeypatch.setattr(sensing, "ln_reg_lower_gamma", counted)
+        return counted
+
+    # one lower incomplete gamma per branch and evaluation, or below u = 1
+    # its series sum alone
+    monkeypatch.setattr(sensing, "ln_reg_lower_gamma", counting(ln_reg_lower_gamma))
+    monkeypatch.setattr(sensing, "_lower_gamma_sum", counting(sensing._lower_gamma_sum))
     snr_db = sensing._detection_snr_db.__wrapped__(m, lam, 0.9, t_f)
     assert len(calls) <= 12 * t_f
     assert _oracle_detection_probability(snr_db, m, lam, t_f) == pytest.approx(0.9, abs=1e-9)
@@ -198,6 +203,20 @@ def test_detection_floor_meets_false_alarm(m, t_f):
     p_false = false_alarm_probability(m, lam)
     assert detection_probability_sc(0.0, m, lam, t_f) == pytest.approx(p_false, abs=1e-13)
     assert detection_probability_sc(1e-15, m, lam, t_f) == pytest.approx(p_false, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_f", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 500, 10_000])
+@pytest.mark.parametrize("gamma_bar", [1e-300, 1e-310, 1e-320])
+def test_detection_at_vanishing_snr_is_false_alarm(gamma_bar, m, t_f):
+    """At an average SNR down to subnormal, where 1/(m·γ̄) overflows, the
+    detector still reads the false-alarm probability, and its slope in dB
+    is finite and non-negative."""
+    lam = solve_threshold(m, 0.1)
+    p_false = false_alarm_probability(m, lam)
+    assert detection_probability_sc(gamma_bar, m, lam, t_f) == pytest.approx(p_false, abs=1e-12)
+    slope = sensing._excess(gamma_bar, m, lam, t_f)[1]
+    assert 0.0 <= slope < 1e-12
 
 
 def test_detection_probability_zero_snr_is_false_alarm():

@@ -592,6 +592,107 @@ def test_field_nodes_weigh_disc_and_sensing_circle(scenario):
     assert mass[inside].sum() == pytest.approx(lam * math.pi * cfg.sensing_radius_m**2, rel=1e-12)
 
 
+def _full_circle_field(cfg, p, refine):
+    """The field rule on the full circle, as _field built it before the
+    fold: 128·refine rays at the midpoints in φ ∈ (0, 2π), each node of
+    its own area only."""
+    n_rays = 128 * refine
+    phi = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
+    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    half = np.sqrt(np.maximum(cfg.sensing_radius_m**2 - (o * np.sin(phi)) ** 2, 0.0))
+    edges = np.stack([np.zeros(n_rays), o * np.cos(phi) - half, o * np.cos(phi) + half,
+                      np.full(n_rays, p.r_c)])
+    log_edges = np.log(np.clip(edges, 1e-4, p.r_c))[..., None]
+    mid, half_width = (log_edges[1:] + log_edges[:-1]) / 2, (log_edges[1:] - log_edges[:-1]) / 2
+    t, t_weight = np.polynomial.legendre.leggauss(80 * refine)
+    rho = np.exp(mid + half_width * t)
+    mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
+    u_angle = np.broadcast_to((phi / (2.0 * math.pi))[:, None], rho.shape)
+    return ((rho / p.r_c) ** 2).ravel(), u_angle.ravel(), mass.ravel()
+
+
+_MIRROR_CASES = [
+    ScenarioConfig(scenario=scenario, power_policy=policy, n_f_target=60.0)
+    for scenario in Scenario
+    for policy in PowerPolicy
+] + [
+    ScenarioConfig(
+        scenario=Scenario.REFERENCE_HOTSPOT, n_f_target=60.0, co_located_user_offset=400.0
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", _MIRROR_CASES,
+    ids=lambda c: f"{c.scenario.value}-{c.power_policy.value}-{c.user_offset_m:g}",
+)
+def test_interferer_weights_mirror_symmetric(cfg):
+    """_field integrates the half-plane only and doubles each node's mass,
+    which holds because the layout, the policy and the weights are the same
+    at φ and −φ: the macrocell, the receiver and the sensed user all lie on
+    the axis. A scenario that moves one of them off it fails here, and must
+    give up the fold."""
+    _, weights = simulator._run(cfg, P)
+    rng = np.random.default_rng(13)
+    u_radius, u_angle = rng.random(2000), rng.random(2000)
+    np.testing.assert_allclose(
+        weights(u_radius, 1.0 - u_angle), weights(u_radius, u_angle), rtol=1e-13
+    )
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("offset", [None, 400.0], ids=["default-offset", "offset-400"])
+@pytest.mark.parametrize("d_norm", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("policy", list(PowerPolicy))
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refine):
+    """The half-plane rule gives the coverage of the full-circle rule that
+    it folds, and its masses sum to the full circle's."""
+    cfg = ScenarioConfig(
+        scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
+        co_located_user_offset=offset,
+    )
+    link, weights = simulator._run(cfg, P)
+    folded, full = (
+        (weights(u_radius, u_angle), mass)
+        for u_radius, u_angle, mass in (
+            simulator._field(cfg, P, refine), _full_circle_field(cfg, P, refine)
+        )
+    )
+    assert len(folded[1]) * 2 == len(full[1])
+    assert folded[1].sum() == pytest.approx(full[1].sum(), rel=1e-12)
+    for theta in (P.gamma_target, 0.1 * P.gamma_target, 10.0 * P.gamma_target):
+        cov, d_cov = link.coverage(theta, *folded)
+        cov_full, d_cov_full = link.coverage(theta, *full)
+        assert cov == pytest.approx(cov_full, rel=1e-12)
+        assert d_cov == pytest.approx(d_cov_full, rel=1e-12)
+
+
+def test_field_cost_and_legendre_cache(monkeypatch):
+    """A FastChi2 run's fixed cost: 3 pieces × 64 rays × 80 radial nodes,
+    refined 2× on both axes for its error estimate, and each Gauss–Legendre
+    rule built once per process and shared read-only."""
+    cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
+    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [3 * 64 * 80, 3 * 128 * 160]
+
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    simulator._legendre.cache_clear()
+    for d_norm in (0.4, 0.8):
+        simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
+    assert sorted(built) == [80, 160]
+    t, t_weight = simulator._legendre(80)
+    for cached in (t, t_weight):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
 @pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
 def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
     """The exact rate percentiles against 5·10⁴ independent drops with one
