@@ -73,9 +73,11 @@ class ExactLink(NamedTuple):
         x = sw / (1.0 + sw)
         ln_survive = -mark_shape * np.log1p(sw)  # ln (1+sw)^(−u_k)
         y = s * self.cross / (1.0 + s * self.cross)
+        # numpy's own sum, not a 1-D @: BLAS splits that over threads above
+        # 10⁴ elements, and waking them can cost milliseconds per call
         ln_l = (
             -s * self.noise_w - cross_shape * math.log1p(s * self.cross)
-            + float(mass @ np.expm1(ln_survive))
+            + float((mass * np.expm1(ln_survive)).sum())
         )
         a = [1.0]
         g: list[float] = []

@@ -279,10 +279,13 @@ def solve_threshold(m_tw: int, p_false_target: float) -> float:
 @functools.cache
 def _detection_snr_db(m_tw: int, threshold: float, p_detect_target: float, t_f: int) -> float:
     """Average pilot SNR (dB) at which the selection-combining detector
-    reaches p_detect_target: Newton in dB from 0 dB, with P_fa computed
-    once. The detection probability rises monotonically in SNR from the
-    false-alarm floor P_d(0) = P_fa to 1, and between -200 and 200 dB it
-    spans that whole range in double precision.
+    reaches p_detect_target: Newton in dB, with P_fa computed once. The
+    detection probability rises monotonically in SNR from the false-alarm
+    floor P_d(0) = P_fa to 1, and between -200 and 200 dB it spans that
+    whole range in double precision. The energy detector's deflection grows
+    as √m·γ̄, so the SNR it needs falls 5 dB per decade of m: Newton starts
+    at 8 − 5·log10(m) dB, near the root (the solved SNR + 5·log10(m) lies in
+    [4.5, 14.2] dB for m from 1 to 10⁴ and t_f from 1 to 4).
 
     Raises:
         InfeasiblePlanError: p_detect_target is at or below the floor.
@@ -298,7 +301,7 @@ def _detection_snr_db(m_tw: int, threshold: float, p_detect_target: float, t_f: 
         excess, slope = _excess(db_to_linear(snr_db), m_tw, threshold, t_f)
         return excess - (p_detect_target - p_false), slope
 
-    return newton(fn, 0.0, -200.0, 200.0, _SNR_TOL_DB)
+    return newton(fn, 8.0 - 5.0 * math.log10(m_tw), -200.0, 200.0, _SNR_TOL_DB)
 
 
 def max_sensing_range(

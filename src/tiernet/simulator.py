@@ -189,21 +189,6 @@ def _drop_draws(
     return rng, rng.random(count), rng.random(count)
 
 
-def _disc_positions(
-    u_radius: np.ndarray,
-    u_angle: np.ndarray,
-    p: SystemParams,
-    centre: tuple[float, float],
-) -> np.ndarray:
-    """Points uniform on the disc of radius r_c about centre, in meters
-    from the macrocell."""
-    radii = p.r_c * np.sqrt(u_radius)
-    angles = 2.0 * math.pi * u_angle
-    return np.column_stack(
-        (centre[0] + radii * np.cos(angles), centre[1] + radii * np.sin(angles))
-    )
-
-
 def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # unit-power complex Gaussian entries (variance 1/2 per real dimension)
     re = rng.standard_normal(shape)
@@ -294,66 +279,6 @@ def _sample_draws(
 # scenario engine
 
 
-def _interferer_weights(
-    positions: np.ndarray,
-    point: np.ndarray,
-    p_tx_dbm,
-    fixed_gain: float,
-    p: SystemParams,
-) -> np.ndarray:
-    # received power at point per unit mark of each femtocell; p_tx_dbm is a
-    # scalar or per-femtocell array
-    distances = np.linalg.norm(positions - point, axis=1)
-    p_tx_w = dbm_to_watts(p_tx_dbm)
-    with np.errstate(divide="ignore"):  # co-located interferer -> inf power
-        return (p_tx_w / p.u_f) * fixed_gain * distances**-p.alpha_fo
-
-
-def _policy_powers_dbm(
-    cfg: ScenarioConfig,
-    positions: np.ndarray,
-    user_point: np.ndarray,
-    p: SystemParams,
-    blend_edge_db: float | None,
-) -> np.ndarray:
-    """Per-femto transmit power under the configured policy.
-
-    The blended bound in dB is affine in log-distance (both window edges
-    scale as D^alpha_c), so it is evaluated once per run at the cell edge
-    (blend_edge_db, None without carrier sensing) and shifted per femto.
-    """
-    n = len(positions)
-    ambient_dbm = p.p_c_dbm - cfg.fixed_pc_over_pf_db
-    if blend_edge_db is None or n == 0:
-        return np.full(n, ambient_dbm)
-    d_norm_j = np.linalg.norm(positions, axis=1) / p.r_c
-    blend_db = blend_edge_db + 10.0 * p.alpha_c * np.log10(d_norm_j)
-    sensed = np.linalg.norm(positions - user_point, axis=1) <= cfg.sensing_radius_m
-    powers = np.full(n, ambient_dbm)
-    powers[sensed] = np.minimum(p.p_f_dbm, p.p_c_dbm - blend_db[sensed])
-    return powers
-
-
-def _layout(
-    cfg: ScenarioConfig,
-    p: SystemParams,
-    u_radius: np.ndarray,
-    u_angle: np.ndarray,
-    blend_edge_db: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (about the receiver at (D, 0), see ScenarioConfig) and
-    transmit powers of femtocells at the given radius and angle uniforms:
-    a drop's draws, or the nodes of the field."""
-    d = cfg.d_norm * p.r_c
-    positions = _disc_positions(u_radius, u_angle, p, (d, 0.0))
-    user_point = np.array([d, 0.0])
-    if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        # the sensed uplink user sits co-linearly outward from the femto
-        user_point[0] += cfg.user_offset_m
-    powers = _policy_powers_dbm(cfg, positions, user_point, p, blend_edge_db)
-    return positions, powers
-
-
 def _run(
     cfg: ScenarioConfig, p: SystemParams
 ) -> tuple[ExactLink, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
@@ -370,19 +295,45 @@ def _run(
     FastChi2 Gamma shapes: desired power T−U+1 of the user's own tier,
     cross-tier power u_c (0 without a cross-tier term) and femtocell marks
     u_f.
+
+    The map places a femtocell at ρ = r_c·√u_radius from the receiver, at
+    angle φ = 2π·u_angle from the macrocell–receiver axis (see
+    ScenarioConfig), and prices it from that polar position. With D the
+    receiver's and o the sensed user's distance outward along the axis
+    (o = 0 for a cellular user), its squared distances to the macrocell and
+    to the sensed user are d_m² = D² + ρ² + 2Dρ·cos φ and
+    d_u² = ρ² + o² − 2oρ·cos φ. Its weight is (P_tx/u_f)·gain·ρ^(−α_fo),
+    P_tx the policy's power: the ambient P_c/(fixed ratio), or, if it senses
+    the user (d_u ≤ R_s) under carrier sensing,
+    min(P_f, P_c·10^(−b/10)·(d_m/r_c)^(−α_c)), b the blended bound at the
+    cell edge in dB. That bound is affine in log-distance (both window
+    edges scale as D^α_c), so it is solved once per run and scaled per
+    femtocell.
     """
     budget = link_budget(p)
     d = cfg.d_norm * p.r_c
+    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
     pc_w = dbm_to_watts(p.p_c_dbm)
     noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
-    blend_edge_db = None
-    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
+    ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+    carrier_sensing = (
+        cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0
+    )
+    if carrier_sensing:
         blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+        blend_w, pf_w = dbm_to_watts(p.p_c_dbm - blend_edge_db), dbm_to_watts(p.p_f_dbm)
+
+    def power_w(macro_sq, user_sq):
+        # the policy's transmit power at these squared distances from the
+        # macrocell and the sensed user
+        if not carrier_sensing:
+            return ambient_w
+        with np.errstate(divide="ignore"):  # a femtocell on the macrocell -> P_f
+            blended = np.minimum(pf_w, blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c))
+        return np.where(user_sq <= cfg.sensing_radius_m**2, blended, ambient_w)
+
     if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        own_dbm = _policy_powers_dbm(
-            cfg, np.array([[d, 0.0]]), np.array([d + cfg.user_offset_m, 0.0]), p, blend_edge_db
-        )
-        serving_w = dbm_to_watts(own_dbm[0])
+        serving_w = float(power_w(d * d, o * o))
         link = ExactLink(
             (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
             (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
@@ -398,20 +349,24 @@ def _run(
             (p.t_c - p.u_c + 1, 0, p.u_f),
         )
         gain = budget.a_cf
-    receiver = np.array([d, 0.0])
 
     def weights(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
-        positions, powers = _layout(cfg, p, u_radius, u_angle, blend_edge_db)
-        return _interferer_weights(positions, receiver, powers, gain, p)
+        rho_sq = p.r_c**2 * u_radius
+        tx_w = ambient_w
+        if carrier_sensing:
+            rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
+            tx_w = power_w(d * d + rho_sq + 2.0 * d * rho_cos, rho_sq + o * o - 2.0 * o * rho_cos)
+        with np.errstate(divide="ignore"):  # co-located interferer -> inf power
+            return (tx_w * (gain / p.u_f)) * rho_sq ** (-0.5 * p.alpha_fo)
 
     return link, weights
 
 
 # the FastChi2 field quadrature (_field): Gauss–Legendre nodes in log ρ per
-# piece of a ray, rays in angle on the half-plane above the macrocell–receiver
-# axis (each standing for itself and its mirror image), and the radius (m)
-# inside which the field, of mass λ·π·ρ² there (6·10⁻¹³ at 60 femtocells), is
-# left out
+# non-empty piece of a ray (empty pieces are dropped), rays in angle on the
+# half-plane above the macrocell–receiver axis (each standing for itself and
+# its mirror image), and the radius (m) inside which the field, of mass
+# λ·π·ρ² there (6·10⁻¹³ at 60 femtocells), is left out
 _RADIAL_NODES = 80
 _RAYS = 64
 _INNER_M = 1e-4
@@ -430,21 +385,25 @@ def _field(
     cfg: ScenarioConfig, p: SystemParams, refine: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes of the femtocell field on the disc of radius r_c
-    about the receiver, as the radius and angle uniforms that the layout
-    takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's mass,
-    density × area. refine multiplies the node counts on both axes.
+    about the receiver, as the radius and angle uniforms that the run's
+    weight map takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's
+    mass, density × area. refine multiplies the node counts on both axes.
 
     Polar about the receiver: _RAYS rays at the midpoints in φ ∈ (0, π),
     each split where it crosses the sensing circle about the sensed user,
     where the policy's power jumps: at ρ = o·cos φ ± √(R_s² − o²·sin² φ),
     clipped to [_INNER_M, r_c], o the user's offset from the receiver (0
     for a cellular user). Each piece takes Gauss–Legendre nodes in log ρ,
-    where the area element is ρ²·d(log ρ)·dφ; a piece that the ray misses
-    is empty and weighs 0. The macrocell, the receiver and the sensed user
-    all lie on the axis φ = 0, so the layout, the policy and the weights
-    are the same at φ and −φ: each node also stands for its mirror image
-    and carries twice its own area, which makes this exactly the upper half
-    of the 2·_RAYS-ray rule on the full circle.
+    where the area element is ρ²·d(log ρ)·dφ. A piece that the ray misses
+    weighs 0 and is dropped, and so is every node of an empty field: only
+    nodes of positive mass are returned. With o < R_s, as for a cellular
+    user and the default hotspot offset R_s/2, every ray starts inside the
+    circle, so its first piece is empty and 2·_RAYS·_RADIAL_NODES nodes are
+    kept (10 240, and 40 960 refined 2×). The macrocell, the receiver and
+    the sensed user all lie on the axis φ = 0, so the layout, the policy
+    and the weights are the same at φ and −φ: each node also stands for its
+    mirror image and carries twice its own area, which makes this exactly
+    the upper half of the 2·_RAYS-ray rule on the full circle.
     """
     n_rays = _RAYS * refine
     phi = (np.arange(n_rays) + 0.5) * (math.pi / n_rays)
@@ -452,14 +411,17 @@ def _field(
     half = np.sqrt(np.maximum(cfg.sensing_radius_m**2 - (o * np.sin(phi)) ** 2, 0.0))
     edges = np.stack([np.zeros(n_rays), o * np.cos(phi) - half, o * np.cos(phi) + half,
                       np.full(n_rays, p.r_c)])
-    log_edges = np.log(np.clip(edges, _INNER_M, p.r_c))[..., None]
+    log_edges = np.log(np.clip(edges, _INNER_M, p.r_c))
     mid, half_width = (log_edges[1:] + log_edges[:-1]) / 2, (log_edges[1:] - log_edges[:-1]) / 2
+    # the (piece, ray) pairs of positive mass, in piece-major order
+    kept = half_width * cfg.density(p) > 0.0
+    mid, half_width = mid[kept][:, None], half_width[kept][:, None]
+    u_angle = np.broadcast_to(phi / (2.0 * math.pi), kept.shape)[kept]
     t, t_weight = _legendre(_RADIAL_NODES * refine)
-    rho = np.exp(mid + half_width * t)  # (piece, ray, node)
+    rho = np.exp(mid + half_width * t)  # (kept piece, node)
     # dφ = π/n_rays on the half-plane, doubled for the mirror image
     mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
-    u_angle = np.broadcast_to((phi / (2.0 * math.pi))[:, None], rho.shape)
-    return ((rho / p.r_c) ** 2).ravel(), u_angle.ravel(), mass.ravel()
+    return ((rho / p.r_c) ** 2).ravel(), np.repeat(u_angle, t.size), mass.ravel()
 
 
 class _SampledRates:
@@ -480,8 +442,11 @@ def simulate(
     the Poisson field of the drops, and draws neither drops nor fades:
     n_drops, n_fades and seed are only echoed. The field's nodes (_field)
     cover the half-plane on one side of the macrocell–receiver axis, whose
-    mirror image the scenario repeats, so p_outage and each percentile's
-    coverage sums run over 15 360 nodes, and the CI over 61 440 more.
+    mirror image the scenario repeats; pieces of a ray that hold no field
+    are dropped, so with the sensed user inside the sensing circle about
+    the receiver (a cellular user, or a hotspot at its default offset)
+    p_outage and each percentile's coverage sums run over 10 240 nodes, and
+    the CI over 40 960 more.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
     which sorts one n_drops×n_fades buffer of log2(1+SINR)."""
     if n_drops < 1 or n_fades < 1:

@@ -15,7 +15,7 @@ import scipy.stats
 from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
 from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
-from tiernet.sensing import noise_floor_dbm
+from tiernet.sensing import blended_power_policy, noise_floor_dbm
 from tiernet.simulator import (
     ChannelMode,
     PowerPolicy,
@@ -39,21 +39,23 @@ PCT_GRID = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
 
 def _scenario_drops(cfg, n_drops, seed):
-    """Femtocell positions of the first n_drops drops of a run, as the
-    drop's own stream and the layout place them."""
+    """Femtocell distances to the receiver in the first n_drops drops of a
+    run, as the drop's own stream and the run's weight map place them: at
+    fixed power a weight falls as ρ^(−α_fo), so ρ = r_c·(w / w(r_c))^(−1/α_fo)."""
+    _, weights = simulator._run(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
+    at_edge = weights(np.ones(1), np.zeros(1))[0]
     seen = []
     for i in range(n_drops):
         _, u_radius, u_angle = simulator._drop_draws(cfg, i, P, seed)
-        seen.append(simulator._layout(cfg, P, u_radius, u_angle, None)[0])
+        seen.append(P.r_c * (weights(u_radius, u_angle) / at_edge) ** (-1.0 / P.alpha_fo))
     return seen
 
 
 def test_ppp_count_and_uniformity():
     cfg = ScenarioConfig(d_norm=0.5, n_f_target=100.0)
-    receiver = np.array([0.5 * P.r_c, 0.0])
     drops = _scenario_drops(cfg, 300, 0)
-    counts = [len(pos) for pos in drops]
-    radii = np.concatenate([np.linalg.norm(pos - receiver, axis=1) for pos in drops])
+    counts = [len(rho) for rho in drops]
+    radii = np.concatenate(drops)
     # Poisson mean 100 -> sample mean CI ~ +-1.2; uniform disc mean radius 2R/3
     assert np.mean(counts) == pytest.approx(100.0, abs=2.0)
     assert np.var(counts) == pytest.approx(100.0, rel=0.25)
@@ -69,11 +71,10 @@ def test_scenario_drop_surrounds_cell_edge_receiver(scenario):
     it: drops are centred on the receiver, not on the macrocell (whose disc
     would leave the outer half of the neighbourhood empty)."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=1.0, n_f_target=60.0)
-    receiver = np.array([P.r_c, 0.0])
     near, total = [], []
-    for pos in _scenario_drops(cfg, 400, 8):
-        total.append(len(pos))
-        near.append(np.count_nonzero(np.linalg.norm(pos - receiver, axis=1) <= 230.0))
+    for rho in _scenario_drops(cfg, 400, 8):
+        total.append(len(rho))
+        near.append(np.count_nonzero(rho <= 230.0))
     # Poisson means: 60 per drop, lambda*pi*230^2 = 3.17 nearby (SE 0.09)
     assert np.mean(total) == pytest.approx(60.0, abs=1.6)
     assert np.mean(near) == pytest.approx(cfg.density(P) * math.pi * 230.0**2, abs=0.35)
@@ -227,21 +228,26 @@ def test_sir_scales_with_power_ratio():
 
 
 def test_per_interferer_power_vector_accepted():
-    """Interferer weights take one power for all femtocells or one each;
-    muting one raises the SIR of every fade."""
-    positions = np.array([[450.0, 80.0], [600.0, 0.0]])
-    receiver = np.array([400.0, 0.0])
-    gain = link_budget(P).a_cf  # femtocell to outdoor cellular user
-    link, _ = simulator._run(_fixed_cfg(d_norm=0.4), P)
-    fades = _fades(np.random.default_rng(14), link, 500, 2)
-
-    def sir(p_tx_dbm):
-        w = simulator._interferer_weights(positions, receiver, p_tx_dbm, gain, P)
-        return link.sinr(*fades, w)
-
-    uniform = sir(23.0)
-    np.testing.assert_allclose(sir(np.array([23.0, 23.0])), uniform, rtol=1e-12)
-    assert np.all(sir(np.array([23.0, -300.0])) >= uniform)
+    """The weight map prices each femtocell on its own: a batch gives the
+    weights of its femtocells one at a time, under carrier sensing each at
+    its own power (at most the fixed one, and the fixed one outside the
+    sensing circle); muting one raises the SIR of every fade."""
+    # femtocells at (450, 80), (600, 0) and (700, 0) m, the user at (400, 0) m
+    u = _uniforms(np.array([[50.0, 80.0], [200.0, 0.0], [300.0, 0.0]]))
+    cfg = _fixed_cfg(d_norm=0.4)
+    link, fixed_weights = simulator._run(cfg, P)
+    _, sensed_weights = simulator._run(
+        dataclasses.replace(cfg, power_policy=PowerPolicy.CARRIER_SENSED_BLEND), P
+    )
+    fades = _fades(np.random.default_rng(14), link, 500, 3)
+    for weights in (fixed_weights, sensed_weights):
+        w = weights(*u)
+        one_by_one = np.concatenate([weights(u[0][j:j + 1], u[1][j:j + 1]) for j in range(3)])
+        np.testing.assert_allclose(w, one_by_one, rtol=1e-12)
+        uniform = link.sinr(*fades, w)
+        assert np.all(link.sinr(*fades, w * np.array([1.0, 0.0, 1.0])) >= uniform)
+    w_fixed, w_sensed = fixed_weights(*u), sensed_weights(*u)
+    assert np.all(w_sensed[:2] < w_fixed[:2]) and w_sensed[2] == w_fixed[2]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +581,166 @@ def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
     assert res.ci_halfwidth_95 == 0.0
 
 
+def _cartesian_positions(u_radius, u_angle, p):
+    """Points uniform on the disc of radius r_c about the receiver, in
+    meters from it, the macrocell at (−D, 0)."""
+    radii = p.r_c * np.sqrt(u_radius)
+    angles = 2.0 * math.pi * u_angle
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+
+def _cartesian_map(cfg, p):
+    """The oracle of the run's weight map, the layout that it replaced:
+    femtocells placed in Cartesian coordinates, priced in dBm by the policy
+    (the blended bound at the cell edge shifted by 10·α_c·log10 of each
+    normalized macro distance, capped at P_f, for the femtocells within R_s
+    of the sensed user) and weighed at their Euclidean distance to the
+    receiver. Returns the map from radius and angle uniforms to (weights,
+    sensed mask), and the serving power in W of a hotspot's own femtocell,
+    which sits on the receiver.
+
+    The coordinates are centred on the receiver, with the macrocell at
+    (−D, 0). The layout placed femtocells about the macrocell instead, and
+    its receiver distance D + ρ·cos φ − D lost digits at small ρ: 5·10⁻¹⁰
+    relative at the field's innermost nodes (ρ = 0.1 mm, D = 200 m), where
+    a weight's (1 + s·w)^(−u_f) is 0 to double precision either way."""
+    hotspot = cfg.scenario is Scenario.REFERENCE_HOTSPOT
+    d = cfg.d_norm * p.r_c
+    macrocell = np.array([-d, 0.0])
+    user = np.array([cfg.user_offset_m if hotspot else 0.0, 0.0])
+    blend_edge_db = None
+    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
+        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+
+    def powers_dbm(positions):
+        powers = np.full(len(positions), p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+        sensed = np.zeros(len(positions), dtype=bool)
+        if blend_edge_db is not None:
+            blend_db = blend_edge_db + 10.0 * p.alpha_c * np.log10(
+                np.linalg.norm(positions - macrocell, axis=1) / p.r_c
+            )
+            sensed = np.linalg.norm(positions - user, axis=1) <= cfg.sensing_radius_m
+            powers[sensed] = np.minimum(p.p_f_dbm, p.p_c_dbm - blend_db[sensed])
+        return powers, sensed
+
+    gain = link_budget(p).a_ff if hotspot else link_budget(p).a_cf
+
+    def layout(u_radius, u_angle):
+        positions = _cartesian_positions(u_radius, u_angle, p)
+        powers, sensed = powers_dbm(positions)
+        distances = np.linalg.norm(positions, axis=1)
+        with np.errstate(divide="ignore"):  # co-located interferer -> inf power
+            return (dbm_to_watts(powers) / p.u_f) * gain * distances**-p.alpha_fo, sensed
+
+    return layout, dbm_to_watts(powers_dbm(np.zeros((1, 2)))[0][0])
+
+
+@pytest.mark.parametrize("offset", [None, 400.0], ids=["default-offset", "offset-400"])
+@pytest.mark.parametrize("d_norm", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("policy", list(PowerPolicy))
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
+    """The run's weight map prices each femtocell from its polar position
+    in linear power. The Cartesian layout in dBm that it replaced gives the
+    same weights within rel 1e-12 and the same sensed set, at the draws of
+    FullZF drops, at the field's nodes and at a femtocell on the receiver
+    (an infinite weight), and the same serving power for a hotspot. The
+    ambient power sits 10 dB below the cap P_f, so a femtocell that the map
+    put on the other side of the sensing circle would change its weight."""
+    cfg = ScenarioConfig(
+        scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
+        co_located_user_offset=offset, fixed_pc_over_pf_db=30.0,
+    )
+    link, weights = simulator._run(cfg, P)
+    _, ambient_weights = simulator._run(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
+    oracle, serving_w = _cartesian_map(cfg, P)
+    drops = [simulator._drop_draws(cfg, i, P, 5)[1:] for i in range(200)]
+    nodes = [simulator._field(cfg, P, k)[:2] for k in (1, 2)]
+    u_radius, u_angle = (
+        np.concatenate(x) for x in zip(*drops, *nodes, (np.zeros(1), np.zeros(1)))
+    )
+    got = weights(u_radius, u_angle)
+    want, want_sensed = oracle(u_radius, u_angle)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got[-1] == math.inf
+    sensed = ~np.isclose(got, ambient_weights(u_radius, u_angle), rtol=1e-9, atol=0.0)
+    np.testing.assert_array_equal(sensed[:-1], want_sensed[:-1])
+    assert want_sensed.any() == (policy is PowerPolicy.CARRIER_SENSED_BLEND)
+    if scenario is Scenario.REFERENCE_HOTSPOT:
+        budget = link_budget(P)
+        assert link.desired == pytest.approx(
+            (serving_w / P.u_f) * budget.a_fi * P.r_f**-P.alpha_fi, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_weight_map_without_femtocells(scenario):
+    """With no femtocells there is no power window to blend: the carrier-
+    sensed map prices every femtocell at the ambient power, as the
+    Cartesian layout does, an empty drop has no weights, and the field has
+    no nodes."""
+    cfg = ScenarioConfig(scenario=scenario, n_f_target=0.0, fixed_pc_over_pf_db=30.0)
+    _, weights = simulator._run(cfg, P)
+    u_radius, u_angle = np.random.default_rng(3).random((2, 500))
+    np.testing.assert_allclose(
+        weights(u_radius, u_angle), _cartesian_map(cfg, P)[0](u_radius, u_angle)[0], rtol=1e-12
+    )
+    assert weights(np.empty(0), np.empty(0)).shape == (0,)
+    assert [len(x) for x in simulator._field(cfg, P, 1)] == [0, 0, 0]
+
+
+def _fsum_coverage(link, theta, weights, mass):
+    """ExactLink.coverage with every sum over the field taken by math.fsum,
+    correctly rounded: the same terms, summed exactly."""
+    m, cross_shape, mark_shape = link.shapes
+    s = theta / link.desired
+    sw = s * weights
+    x = sw / (1.0 + sw)
+    ln_survive = -mark_shape * np.log1p(sw)
+    y = s * link.cross / (1.0 + s * link.cross)
+    ln_l = (
+        -s * link.noise_w - cross_shape * math.log1p(s * link.cross)
+        + math.fsum(mass * np.expm1(ln_survive))
+    )
+    a, g = [1.0], []
+    for n in range(1, m + 1):
+        field = math.fsum(mass * np.exp(ln_survive) * x**n)
+        g.append(
+            cross_shape * y**n + n * math.comb(mark_shape + n - 1, n) * field
+            + (s * link.noise_w if n == 1 else 0.0)
+        )
+        a.append(math.fsum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
+    laplace = math.exp(ln_l)
+    return laplace * math.fsum(a[:m]), -(m / theta) * a[m] * laplace
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize(
+    ("cfg", "p"),
+    [
+        (_bench_cfg("baseline_fixed"), P),
+        (_bench_cfg("cellular_sensed"), P),
+        (_bench_cfg("hotspot_sensed"), P),
+        (_closure_cfg(Scenario.REFERENCE_HOTSPOT), P),
+        (_hotspot_cfg(n_f_target=60.0), TWO_STREAMS),
+    ],
+    ids=["baseline-fixed", "cellular-sensed", "hotspot-sensed", "femto-closure",
+         "hotspot-two-streams"],
+)
+def test_coverage_sums_match_exact_summation(cfg, p, refine):
+    """The coverage's sums over the field's nodes (10 240, and 40 960 for
+    the error estimate) match math.fsum of the same terms within rel 1e-13,
+    as do the coverage and its derivative, from a tenth to ten times Γ."""
+    link, weights = simulator._run(cfg, p)
+    u_radius, u_angle, mass = simulator._field(cfg, p, refine)
+    w = weights(u_radius, u_angle)
+    for theta in (0.1 * p.gamma_target, p.gamma_target, 10.0 * p.gamma_target):
+        cov, d_cov = link.coverage(theta, w, mass)
+        want, d_want = _fsum_coverage(link, theta, w, mass)
+        assert cov == pytest.approx(want, rel=1e-13)
+        assert d_cov == pytest.approx(d_want, rel=1e-13)
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_field_nodes_weigh_disc_and_sensing_circle(scenario):
     """The node rule integrates area: the masses sum to λ·π·r_c², and those
@@ -584,7 +750,7 @@ def test_field_nodes_weigh_disc_and_sensing_circle(scenario):
     jumps."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=0.5, n_f_target=60.0)
     u_radius, u_angle, mass = simulator._field(cfg, P, 1)
-    offsets = simulator._disc_positions(u_radius, u_angle, P, (0.0, 0.0))
+    offsets = _cartesian_positions(u_radius, u_angle, P)
     user = cfg.user_offset_m if scenario is Scenario.REFERENCE_HOTSPOT else 0.0
     inside = np.hypot(offsets[:, 0] - user, offsets[:, 1]) <= cfg.sensing_radius_m
     lam = cfg.density(P)
@@ -647,7 +813,8 @@ def test_interferer_weights_mirror_symmetric(cfg):
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refine):
     """The half-plane rule gives the coverage of the full-circle rule that
-    it folds, and its masses sum to the full circle's."""
+    it folds, and its masses sum to the full circle's. It keeps only nodes
+    of positive mass, half as many as the full circle has."""
     cfg = ScenarioConfig(
         scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
         co_located_user_offset=offset,
@@ -659,7 +826,8 @@ def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refi
             simulator._field(cfg, P, refine), _full_circle_field(cfg, P, refine)
         )
     )
-    assert len(folded[1]) * 2 == len(full[1])
+    assert np.all(folded[1] > 0.0)
+    assert np.count_nonzero(full[1] > 0.0) == 2 * len(folded[1])
     assert folded[1].sum() == pytest.approx(full[1].sum(), rel=1e-12)
     for theta in (P.gamma_target, 0.1 * P.gamma_target, 10.0 * P.gamma_target):
         cov, d_cov = link.coverage(theta, *folded)
@@ -669,11 +837,14 @@ def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refi
 
 
 def test_field_cost_and_legendre_cache(monkeypatch):
-    """A FastChi2 run's fixed cost: 3 pieces × 64 rays × 80 radial nodes,
-    refined 2× on both axes for its error estimate, and each Gauss–Legendre
-    rule built once per process and shared read-only."""
+    """A FastChi2 run's fixed cost: with the sensed user inside the sensing
+    circle about the receiver (o < R_s), every ray's first piece is empty,
+    so 2 pieces × 64 rays × 80 radial nodes, refined 2× on both axes for
+    its error estimate; each Gauss–Legendre rule is built once per process
+    and shared read-only."""
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
-    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [3 * 64 * 80, 3 * 128 * 160]
+    assert cfg.user_offset_m < cfg.sensing_radius_m
+    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [2 * 64 * 80, 2 * 128 * 160]
 
     built = []
     leggauss = np.polynomial.legendre.leggauss
