@@ -8,6 +8,7 @@ expansion); the Monte Carlo engine in `tiernet.simulator` validates them.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -72,9 +73,11 @@ def su_mu_radius_ratios(p: SystemParams) -> tuple[float, float]:
     return ratio_mu, ratio_one
 
 
+@functools.cache
 def shot_noise_c_f(p: SystemParams) -> float:
     """Shot-noise interference coefficient C_f of the femtocell field:
-    pi·delta·u_f^(-delta) · sum_k C(u_f,k)·B(k+delta, u_f-k-delta)."""
+    pi·delta·u_f^(-delta) · sum_k C(u_f,k)·B(k+delta, u_f-k-delta);
+    memoised per parameter set."""
     delta = 2.0 / p.alpha_fo
     total = 0.0
     for k in range(p.u_f):

@@ -96,6 +96,8 @@ def parse_sweep(text: str) -> SweepSpec:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: tested first
+        return f"{value:.12g}"
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, bool):

@@ -9,6 +9,7 @@ surface and watts internally.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict, fields
@@ -169,13 +170,14 @@ class LinkBudget:
         return db_to_linear(-self.a_ff_db)
 
 
+@functools.cache
 def link_budget(p: SystemParams) -> LinkBudget:
     """Derive the five fixed losses from carrier frequency and wall loss.
 
     The outdoor intercept is 30·log10(f_c) − 71 dB; one wall partition adds
     wall_db on the macro-to-indoor link; indoor-to-outdoor and
     indoor-to-other-home links use the 37 dB indoor intercept plus one or
-    two wall losses.
+    two wall losses. Memoised per parameter set; the result is frozen.
     """
     a_c = 30.0 * math.log10(p.f_c_mhz) - 71.0
     return LinkBudget(

@@ -178,8 +178,10 @@ def pilot_snr(d_femto_to_user: float, p: SystemParams) -> float:
     return db_to_linear(_pilot_budget_db(p) - 10.0 * p.alpha_c * math.log10(d_femto_to_user))
 
 
+@functools.cache
 def false_alarm_probability(m_tw: int, threshold: float) -> float:
-    """P_false of the energy detector with time-bandwidth product m_tw."""
+    """P_false of the energy detector with time-bandwidth product m_tw.
+    Memoised: a sweep reads it at each design point's solved threshold."""
     if m_tw < 1:
         raise ValueError(f"m_tw must be >= 1, got {m_tw}")
     if threshold < 0:

@@ -431,7 +431,18 @@ class _SampledRates:
         self.rates = rates
 
     def quantile(self, u: float) -> float:
-        return float(np.quantile(self.rates, u))
+        """np.quantile's default ("linear") method, read off the two order
+        statistics around (n−1)·u and interpolated by its `_lerp`, bit for
+        bit, without partitioning the sorted rates again."""
+        rates = self.rates
+        v = (rates.size - 1) * u
+        if math.isnan(rates[-1]):  # a NaN sorts last and makes every quantile NaN
+            return math.nan
+        if v >= rates.size - 1:
+            return float(rates[-1])
+        i = math.floor(v)
+        a, b, t = float(rates[i]), float(rates[i + 1]), v - i
+        return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def simulate(

@@ -23,6 +23,7 @@ that grows with √a, and raise when they reach it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -248,6 +249,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
 
+@functools.cache
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of reg_inc_beta in x: returns x with I_x(a,b) = y, to a
     relative step of 1e-10.
@@ -255,7 +257,8 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     Newton on ln I_x against ln x, which is nearly linear in the lower tail
     (I_x ~ x^a), from the mean. A root above 1/2 with y > 1/2, where 1 − y
     is exact, is found as 1 − x from I_{1−x}(b, a) = 1 − y, so that the
-    step is relative to 1 − x there.
+    step is relative to 1 − x there. Memoised: the closed forms invert at
+    (ε or a window's ε_eff, antenna counts), which a sweep over D repeats.
 
     Raises:
         ValueError: on domain violations.

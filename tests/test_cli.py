@@ -10,6 +10,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from tiernet import sensing, specfun
 from tiernet.cli import SweepSpec, SweepVar, main, parse_sweep
 from tiernet.linkmodel import SystemParams
 from tiernet.sensing import max_sensing_range
@@ -141,6 +142,41 @@ def test_sensing_alpha_fo_sweep_repeats_one_range(runner):
     assert len(rows) == 5
     want = max_sensing_range(500, 0.9, 0.1, SystemParams())
     assert {float(row["max_range_m"]) for row in rows} == {float(f"{want:.12g}")}
+
+
+def test_closed_form_sweeps_solve_design_point_once(runner, monkeypatch, clear_memos):
+    """Along a sweep of D the inverse betas (no-coverage radius, minimum
+    sensing radius, the power window's ε_eff) and the detector's P_fa take
+    arguments fixed by the design point: each is evaluated once, so the
+    evaluations do not grow with the rows. They are counted at their one
+    callee, the incomplete beta inside specfun and Q(2m, t) inside
+    sensing, with the memos in front of them."""
+    counts = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(specfun, "reg_inc_beta")
+    counting(sensing, "reg_upper_gamma")
+
+    def evaluations(rows):
+        clear_memos()
+        counts.clear()
+        for command in ("analytic", "sensing"):
+            res = runner.invoke(main, [command, "--sweep", f"D:0.05:1.0:{rows}"])
+            assert res.exit_code == 0, res.output
+            assert len(res.output.strip().split("\n")) == rows + 1
+        return dict(counts)
+
+    few = evaluations(20)
+    assert few["reg_inc_beta"] > 0 and few["reg_upper_gamma"] > 0
+    assert evaluations(200) == few
 
 
 def test_sensing_infeasible_window_reported_as_nan(runner, tmp_path):

@@ -5,13 +5,16 @@ resolves."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tiernet
+from tiernet import analytic, linkmodel, sensing, specfun
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
@@ -131,3 +134,28 @@ def test_all_names_resolve(module):
     names = getattr(mod, "__all__", [])
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(mod, name)] == []
+
+
+def test_memos_return_what_their_functions_compute():
+    """Each scalar memo, cold and then warm, returns exactly what its
+    function computes on the same arguments, at random design points."""
+    rng = np.random.default_rng(7)
+    base = linkmodel.SystemParams()
+    for _ in range(20):
+        t_f = int(rng.integers(1, 5))
+        p = dataclasses.replace(
+            base, t_f=t_f, u_f=int(rng.integers(1, t_f + 1)),
+            alpha_fo=float(rng.uniform(2.1, 6.0)), wall_db=float(rng.uniform(0.0, 20.0)),
+            f_c_mhz=float(rng.uniform(500.0, 6000.0)),
+        )
+        m_tw = int(rng.integers(1, 2000))
+        cases = [
+            (specfun.inv_reg_inc_beta,
+             (float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 6)), float(rng.uniform(0.2, 5.0)))),
+            (sensing.false_alarm_probability, (m_tw, float(rng.uniform(0.0, 4.0 * m_tw)))),
+            (linkmodel.link_budget, (p,)),
+            (analytic.shot_noise_c_f, (p,)),
+        ]
+        for memo, args in cases:
+            want = memo.__wrapped__(*args)
+            assert memo(*args) == want and memo(*args) == want, (memo.__name__, args)

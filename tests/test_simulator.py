@@ -370,6 +370,18 @@ def test_rate_cdf_sorted_and_percentiles():
             res.percentile(100.5)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+def test_sampled_quantile_is_numpy_linear(n):
+    """FullZF reads a quantile off its sorted rates as np.quantile's default
+    method does, to the bit: near-ties, u just above 0 and just below 1, and
+    both branches of its interpolation (weight below and above 1/2)."""
+    rng = np.random.default_rng(n)
+    for x in (rng.exponential(3.0, n), np.round(rng.exponential(3.0, n), 1)):
+        rates = simulator._SampledRates(np.sort(x))
+        for u in (0.0, 1e-9, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12, 1.0):
+            assert rates.quantile(u) == float(np.quantile(x, u)), (n, u)
+
+
 def test_sensing_policy_reduces_cellular_outage():
     def run(policy):
         cfg = ScenarioConfig(
@@ -842,10 +854,6 @@ def test_field_cost_and_legendre_cache(monkeypatch):
     so 2 pieces × 64 rays × 80 radial nodes, refined 2× on both axes for
     its error estimate; each Gauss–Legendre rule is built once per process
     and shared read-only."""
-    cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
-    assert cfg.user_offset_m < cfg.sensing_radius_m
-    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [2 * 64 * 80, 2 * 128 * 160]
-
     built = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -854,7 +862,9 @@ def test_field_cost_and_legendre_cache(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    simulator._legendre.cache_clear()
+    cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
+    assert cfg.user_offset_m < cfg.sensing_radius_m
+    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [2 * 64 * 80, 2 * 128 * 160]
     for d_norm in (0.4, 0.8):
         simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
     assert sorted(built) == [80, 160]
