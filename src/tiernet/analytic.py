@@ -8,12 +8,11 @@ expansion); the Monte Carlo engine in `tiernet.simulator` validates them.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 
 from .linkmodel import SystemParams, link_budget, location_coeffs, db_to_linear
-from .specfun import beta, inv_reg_inc_beta, reg_inc_beta
+from .specfun import inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "Regime",
@@ -73,16 +72,14 @@ def su_mu_radius_ratios(p: SystemParams) -> tuple[float, float]:
     return ratio_mu, ratio_one
 
 
-@functools.cache
 def shot_noise_c_f(p: SystemParams) -> float:
-    """Shot-noise interference coefficient C_f of the femtocell field:
-    pi·delta·u_f^(-delta) · sum_k C(u_f,k)·B(k+delta, u_f-k-delta);
-    memoised per parameter set."""
-    delta = 2.0 / p.alpha_fo
-    total = 0.0
-    for k in range(p.u_f):
-        total += math.comb(p.u_f, k) * beta(k + delta, p.u_f - k - delta)
-    return math.pi * delta * p.u_f ** (-delta) * total
+    """Shot-noise interference coefficient C_f of the femtocell field, the
+    paper's pi·delta·u_f^(-delta) · sum_k C(u_f,k)·B(k+delta, u_f-k-delta)
+    in closed form: pi·u_f^(-delta)·Γ(u_f+delta)·Γ(1-delta)/Γ(u_f)."""
+    delta, u = 2.0 / p.alpha_fo, p.u_f
+    return math.pi * u**-delta * math.exp(
+        math.lgamma(u + delta) + math.lgamma(1.0 - delta) - math.lgamma(u)
+    )
 
 
 def k_f_limit(p: SystemParams) -> float:

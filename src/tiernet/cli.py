@@ -223,7 +223,8 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
             analytic.no_coverage_radius(p2),
             lam_f, regime, n_f, n_f * p2.u_f,
             analytic.max_contention_density_cellular(dn, p2),
-            analytic.cellular_coverage_radius(lam_scenario, p2),
+            # no femtocells: the radius's limit as the density falls to 0
+            analytic.cellular_coverage_radius(lam_scenario, p2) if lam_scenario > 0 else math.inf,
             analytic.area_spectral_efficiency(lam_f, p2),
             r_mu, r_one,
         ])
@@ -249,7 +250,8 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
         d_sense = sensing.min_sensing_radius(dn, p2)
         try:
-            lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2)
+            # no femtocells, like an infeasible plan, leaves no window
+            lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2) if lam > 0 else (math.nan,) * 2
             blend = cfg.blend_weight * hi_db + (1.0 - cfg.blend_weight) * lo_db
         except sensing.InfeasiblePlanError:
             lo_db = hi_db = blend = math.nan
@@ -327,7 +329,7 @@ def cmd_simulate(
         return (
             [cfg_d.scenario, dn, cfg_d.density(p), drops, fades, seed,
              res.p_outage, res.ci_halfwidth_95]
-            + [res.percentile(q) for q in pct_grid]
+            + res.percentiles(pct_grid)
         )
 
     _write_csv(out_path, header, [row(dn) for dn in d_values])

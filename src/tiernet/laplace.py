@@ -15,15 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .specfun import newton
+
 __all__ = ["ExactLink", "MixtureRates"]
 
 _LN2 = math.log(2.0)
-# the rate-quantile solve: relative step at which it stops, the rate read as
-# infinite (theta = 2^r − 1 over a link gain far below 1 must not overflow)
-# and its iteration cap
+# the rate-quantile solve (specfun.newton): the step at which it stops, and
+# the top of its bracket, beyond which a rate reads as infinite (theta =
+# 2^r − 1 over a link gain far below 1 must not overflow)
 _RATE_TOL = 1e-12
 _MAX_RATE = 512.0
-_MAX_SOLVER_STEPS = 200
 
 
 class ExactLink(NamedTuple):
@@ -102,43 +103,30 @@ class MixtureRates(NamedTuple):
     weights: np.ndarray
     mass: np.ndarray
 
-    def quantile(self, u: float) -> float:
-        """The smallest rate r with F(r) ≥ u: 0 for u = 0, inf for u = 1 or
-        beyond _MAX_RATE, else safeguarded Newton on a bracket
-        F(lo) < u < F(hi), bisecting (doubling while hi is unknown) when a
-        step leaves the bracket or fails to halve the step before last.
+    def quantiles(self, us: list[float]) -> list[float]:
+        """The smallest rates r with F(r) ≥ u, in the order of us: 0 for
+        u = 0, inf for u = 1 or beyond _MAX_RATE, else `newton` on
+        [0, _MAX_RATE]. The distinct u are solved in increasing order, each
+        starting at the root below it, which is also the bracket's lower
+        end (the first starts at r = 1)."""
+        roots: dict[float, float] = {}
+        r = 0.0
+        for u in sorted(set(us)):
+            r = roots[u] = self._solve(u, r)
+        return [roots[u] for u in us]
 
-        Raises:
-            RuntimeError: if the iteration does not converge.
-        """
+    def _solve(self, u: float, lo: float) -> float:
+        # the root of F(r) − u above lo, with F(lo) ≤ u
         if u <= 0.0:
             return 0.0
-        if u >= 1.0:
+        if u >= 1.0 or lo == math.inf:
             return math.inf
-        lo, hi = 0.0, math.inf
-        r, step, step_old = 1.0, math.inf, math.inf
-        for _ in range(_MAX_SOLVER_STEPS):
+
+        def fn(r: float) -> tuple[float, float]:
             theta = math.expm1(r * _LN2)
             cov, d_cov = self.link.coverage(theta, self.weights, self.mass)
-            d_cov *= _LN2 * (theta + 1.0)  # d(coverage)/dr
-            f = (1.0 - u) - cov  # increasing in r, F(r) − u
-            if f < 0.0:
-                lo = r
-            else:
-                hi = r
-            newton = f / d_cov if d_cov < 0.0 else math.inf  # -f / (dF/dr)
-            if abs(newton) <= _RATE_TOL * (1.0 + r):
-                return r + newton
-            # with no upper end yet, no step goes beyond r -> 2r + 1
-            if lo < r + newton < min(hi, 2.0 * r + 1.0) and abs(newton) < 0.5 * abs(step_old):
-                step_old, step = step, newton
-            elif hi < math.inf:
-                step_old, step = step, 0.5 * (lo + hi) - r
-            else:
-                step_old, step = step, r + 1.0
-            r += step
-            if abs(step) <= _RATE_TOL * (1.0 + r):
-                return r
-            if r > _MAX_RATE:
-                return math.inf
-        raise RuntimeError(f"rate quantile at u={u} did not converge; bracket [{lo}, {hi}]")
+            return (1.0 - u) - cov, -d_cov * _LN2 * (theta + 1.0)
+
+        r = newton(fn, lo if lo > 0.0 else 1.0, lo, _MAX_RATE, _RATE_TOL)
+        # F < u on the whole bracket: newton closes in on its top
+        return r if r < _MAX_RATE - _RATE_TOL else math.inf

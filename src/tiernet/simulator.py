@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
@@ -64,7 +64,7 @@ class PowerPolicy(Enum):
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """One simulation pass: the outage, its precision ci_halfwidth_95, and
-    the law of log2(1+SINR) that percentile(q) reads.
+    the law of log2(1+SINR) that percentiles(qs) reads.
 
     FastChi2: the exact outage averaged over the fades and the Poisson
     field, and as ci_halfwidth_95 its quadrature error, |value on the
@@ -80,10 +80,12 @@ class SimulationResult:
     seed: int
     rate_law: "_SampledRates | MixtureRates"
 
-    def percentile(self, q: float) -> float:
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile q must lie in [0,100], got {q}")
-        return self.rate_law.quantile(float(q) / 100.0)
+    def percentiles(self, qs: Sequence[float]) -> list[float]:
+        """The rate percentiles at qs (each in [0, 100]), in the order of qs."""
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError(f"percentile q must lie in [0,100], got {q}")
+        return self.rate_law.quantiles([float(q) / 100.0 for q in qs])
 
 
 @dataclass(frozen=True)
@@ -443,6 +445,9 @@ class _SampledRates:
         i = math.floor(v)
         a, b, t = float(rates[i]), float(rates[i + 1]), v - i
         return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+    def quantiles(self, us: list[float]) -> list[float]:
+        return [self.quantile(u) for u in us]
 
 
 def simulate(

@@ -16,9 +16,10 @@ sum for the even-dof chi-squared CDF, vectorised over x; Lentz-style
 continued fraction with the standard symmetry switch at x > (a+1)/(a+b+2)
 for the incomplete beta. `newton` is the one root finder: Newton steps from
 a closed-form slope, kept inside a bracket by bisection. It inverts the
-incomplete beta here, and the energy detector's threshold and SNR in
-`sensing`. The series and continued fractions may take a number of steps
-that grows with √a, and raise when they reach it.
+incomplete beta here, the energy detector's threshold and SNR in
+`sensing`, and the exact rate CDF in `laplace`. The series and continued
+fractions may take a number of steps that grows with √a, and raise when
+they reach it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "ln_gamma",
     "reg_upper_gamma",
     "ln_reg_lower_gamma",
-    "beta",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "chi2_cdf",
@@ -177,13 +177,6 @@ def ln_reg_lower_gamma(a: float, x: float) -> float:
     if x >= a + 1.0:
         return math.log1p(-_upper_gamma_cf(a, x))
     return _ln_lower_gamma_series(a, x)
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function B(a,b) = Γ(a)Γ(b)/Γ(a+b), for a, b > 0."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta requires a, b > 0, got a={a}, b={b}")
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:

@@ -292,7 +292,7 @@ def test_criterion_10_rate_cdf_reproduction():
 
     for d_norm, target in ((0.8, 3.21), (1.0, 2.22)):
         cdf = simulate(sensed(Scenario.REFERENCE_CELLULAR_USER, d_norm), 1000, 1000, P, seed=SEED)
-        p10 = cdf.percentile(10)
+        (p10,) = cdf.percentiles([10])
         checks.append((
             f"cellular sensed D={d_norm}",
             _within(p10, target, 0.25),
@@ -301,7 +301,7 @@ def test_criterion_10_rate_cdf_reproduction():
 
     for d_norm, target in ((0.11, 2.15), (0.4, 3.63), (0.6, 3.56), (0.8, 3.32), (0.9, 3.22)):
         cdf = simulate(sensed(Scenario.REFERENCE_HOTSPOT, d_norm), 1000, 1000, P, seed=SEED)
-        p10 = cdf.percentile(10)
+        (p10,) = cdf.percentiles([10])
         checks.append((
             f"hotspot D={d_norm}",
             _within(p10, target, 0.25),
@@ -316,7 +316,7 @@ def test_criterion_10_rate_cdf_reproduction():
         n_f_target=60.0,
         include_noise=True,
     )
-    p10 = simulate(baseline, 1000, 1000, P, seed=SEED).percentile(10)
+    (p10,) = simulate(baseline, 1000, 1000, P, seed=SEED).percentiles([10])
     checks.append((
         "no-sensing baseline D=1.0",
         p10 < 0.7,

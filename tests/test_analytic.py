@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+import scipy.special as sp
 
 from tiernet.analytic import (
     Regime,
@@ -40,6 +42,20 @@ def test_shot_noise_coefficient_single_stream_closed_form():
     assert shot_noise_c_f(P) == pytest.approx(
         math.pi**2 * delta / math.sin(math.pi * delta), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("u_f", [1, 2, 3, 4])
+def test_shot_noise_coefficient_matches_paper_sum(u_f):
+    """The closed form pi·u^(-delta)·Γ(u+delta)·Γ(1-delta)/Γ(u) against the
+    paper's sum pi·delta·u^(-delta)·sum_k C(u,k)·B(k+delta, u-k-delta),
+    with scipy's beta as the oracle, for alpha_fo across (2, 7)."""
+    for alpha_fo in np.linspace(2.02, 6.98, 63):
+        p = dataclasses.replace(P, t_f=4, u_f=u_f, alpha_fo=float(alpha_fo))
+        delta = 2.0 / p.alpha_fo
+        paper = math.pi * delta * u_f**-delta * sum(
+            math.comb(u_f, k) * sp.beta(k + delta, u_f - k - delta) for k in range(u_f)
+        )
+        assert shot_noise_c_f(p) == pytest.approx(paper, rel=1e-13), alpha_fo
 
 
 def test_cellular_correction_frozen():

@@ -190,6 +190,28 @@ def test_sensing_infeasible_window_reported_as_nan(runner, tmp_path):
     assert row[header.index("d_sense_m")] != "nan"
 
 
+@pytest.mark.parametrize(
+    ("command", "empty"),
+    [
+        ("analytic", {"d_c_m": "inf"}),
+        ("sensing", dict.fromkeys(["pc_over_pf_lb_db", "pc_over_pf_ub_db", "blend_db"], "nan")),
+    ],
+)
+def test_closed_forms_without_femtocells_write_rows(runner, tmp_path, command, empty):
+    """n_f_target = 0 is a valid scenario: analytic writes the cellular
+    coverage radius's limit as the density falls to 0, inf, and sensing no
+    power window, nan, as for an infeasible plan. No other column depends
+    on the density, so the rest of each row is that of the default run."""
+    cfg = _write(tmp_path, "empty.json", '{"scenario": {"n_f_target": 0}}')
+    sweep = ["--sweep", "D:0.5:1.0:2"]
+    res = runner.invoke(main, [command, "--config", cfg, *sweep])
+    assert res.exit_code == 0, res.output
+    default = runner.invoke(main, [command, *sweep])
+    got = list(csv.DictReader(io.StringIO(res.output)))
+    want = [{**row, **empty} for row in csv.DictReader(io.StringIO(default.output))]
+    assert len(got) == 2 and got == want
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tiernet
-from tiernet import analytic, linkmodel, sensing, specfun
+from tiernet import linkmodel, sensing, specfun
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
@@ -154,7 +154,6 @@ def test_memos_return_what_their_functions_compute():
              (float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 6)), float(rng.uniform(0.2, 5.0)))),
             (sensing.false_alarm_probability, (m_tw, float(rng.uniform(0.0, 4.0 * m_tw)))),
             (linkmodel.link_budget, (p,)),
-            (analytic.shot_noise_c_f, (p,)),
         ]
         for memo, args in cases:
             want = memo.__wrapped__(*args)

@@ -269,7 +269,7 @@ def _hotspot_cfg(**kw):
 def _summary(res):
     # what tiernet simulate writes of a result
     return (res.p_outage, res.ci_halfwidth_95, res.n_drops, res.n_fades, res.seed,
-            [res.percentile(q) for q in PCT_GRID])
+            res.percentiles(PCT_GRID))
 
 
 def test_outage_estimate_reproducible_and_bounded():
@@ -319,7 +319,7 @@ def test_simulate_one_pass_serves_outage_and_rates(cfg):
     assert res.p_outage == coarse
     assert res.ci_halfwidth_95 == abs(coarse - fine) < 1e-8
     r_gamma = math.log2(1.0 + P.gamma_target)
-    assert res.percentile(100.0 * res.p_outage) == pytest.approx(r_gamma, rel=1e-10)
+    assert res.percentiles([100.0 * res.p_outage]) == [pytest.approx(r_gamma, rel=1e-10)]
 
 
 def test_cellular_sensed_policy_without_femtocells():
@@ -332,7 +332,17 @@ def test_cellular_sensed_policy_without_femtocells():
     )
     res = simulate(cfg, 10, 20, P, seed=2)
     assert 0.0 <= res.p_outage <= 1.0
-    assert all(math.isfinite(res.percentile(q)) for q in (1.0, 50.0, 99.0))
+    assert all(math.isfinite(r) for r in res.percentiles([1.0, 50.0, 99.0]))
+
+
+def test_empty_noiseless_field_reads_infinite_rates():
+    """No femtocells and no noise: the coverage is 1 at every rate, so each
+    percentile in (0, 100) lies at the top of the solver's bracket and
+    reads inf, not a finite rate just below it; q = 0 still reads 0."""
+    cfg = ScenarioConfig(n_f_target=0.0, include_noise=False)
+    res = simulate(cfg, 1, 1, P, seed=0)
+    assert res.p_outage == 0.0
+    assert res.percentiles([0.0, 1e-9, *PCT_GRID, 100.0 - 1e-9, 100.0]) == [0.0] + [math.inf] * 12
 
 
 def test_fast_and_full_modes_agree_at_single_user_config():
@@ -360,14 +370,15 @@ def test_rate_cdf_sorted_and_percentiles():
     limit); FullZF reads its sorted sampled rates."""
     cdf = simulate(_hotspot_cfg(), 20, 50, P, seed=3)
     grid = np.linspace(0.0, 100.0, 201)
-    pct = np.array([cdf.percentile(q) for q in grid])
+    pct = np.array(cdf.percentiles(grid))
     assert pct[0] == 0.0 and pct[-1] == math.inf
     assert np.all(np.diff(pct) > 0.0)
     full = simulate(_hotspot_cfg(channel_mode=ChannelMode.FULL_ZF), 5, 20, P, seed=3)
-    assert full.percentile(10.0) <= full.percentile(50.0) <= full.percentile(90.0)
+    p10, p50, p90 = full.percentiles([10.0, 50.0, 90.0])
+    assert p10 <= p50 <= p90
     for res in (cdf, full):
         with pytest.raises(ValueError):
-            res.percentile(100.5)
+            res.percentiles([100.5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10_000])
@@ -885,9 +896,49 @@ def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
     res = simulate(cfg, 1, 1, P, seed=0)
     rates = np.sort(np.log2(1.0 + _sampled_field(cfg, n, 1, seed=1)[0]))
     eps = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * n))
-    for q in PCT_GRID:
-        ecdf = np.searchsorted(rates, res.percentile(q), side="right") / n
+    for q, r_q in zip(PCT_GRID, res.percentiles(PCT_GRID)):
+        ecdf = np.searchsorted(rates, r_q, side="right") / n
         assert abs(ecdf - q / 100.0) <= eps, (q, ecdf, eps)
+
+
+@pytest.mark.parametrize(
+    ("name", "d_norm", "solo_calls"),
+    [
+        ("cellular_sensed", 0.8, 67),
+        ("cellular_sensed", 1.0, 61),
+        ("hotspot_sensed", 0.4, 71),
+        ("hotspot_sensed", 0.6, 70),
+        ("hotspot_sensed", 0.8, 64),
+        ("baseline_fixed", 1.0, 70),
+    ],
+)
+def test_percentiles_warm_start_saves_coverage_evaluations(monkeypatch, name, d_norm, solo_calls):
+    """The CLI's nine percentiles at the bench rows take fewer coverage
+    evaluations than solo_calls, what they cost when each was solved on its
+    own from r = 1 by a safeguarded Newton with bracket doubling. Solving
+    them in increasing q, each from the root below it, is what saves them:
+    newton started at r = 1 for every q takes 71–97 per row."""
+    res = simulate(dataclasses.replace(_bench_cfg(name), d_norm=d_norm), 1, 1, P, seed=0)
+    calls = []
+    coverage = simulator.ExactLink.coverage
+
+    def counted(link, *args):
+        calls.append(args[0])
+        return coverage(link, *args)
+
+    monkeypatch.setattr(simulator.ExactLink, "coverage", counted)
+    res.percentiles(PCT_GRID)
+    assert len(calls) < solo_calls
+
+
+@pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed", "baseline_fixed"])
+def test_percentiles_any_order_match_cold_solves(name):
+    """percentiles(qs) answers in the caller's order, a repeated q included,
+    and each value is the one-q solve from r = 1 to within 1e-12."""
+    res = simulate(_bench_cfg(name), 1, 1, P, seed=0)
+    qs = [50.0, 1.0, 99.0, 25.0, 50.0, 5.0, 95.0, 10.0, 75.0, 90.0]
+    cold = [res.percentiles([q])[0] for q in qs]
+    assert res.percentiles(qs) == pytest.approx(cold, rel=0.0, abs=1e-12)
 
 
 def test_fast_chi2_simulate_draws_no_fades():
@@ -901,7 +952,7 @@ def test_fast_chi2_simulate_draws_no_fades():
         res = simulate(cfg, n_drops, n_fades, P, seed)
         assert (res.n_drops, res.n_fades, res.seed) == (n_drops, n_fades, seed)
         assert (res.p_outage, res.ci_halfwidth_95) == (one.p_outage, one.ci_halfwidth_95)
-        assert [res.percentile(q) for q in PCT_GRID] == [one.percentile(q) for q in PCT_GRID]
+        assert res.percentiles(PCT_GRID) == one.percentiles(PCT_GRID)
 
 
 def test_full_zf_ci_is_clustered_on_drops():

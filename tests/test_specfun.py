@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tiernet import specfun
 from tiernet.specfun import (
-    beta,
     chi2_cdf,
     inv_reg_inc_beta,
     ln_gamma,
@@ -104,11 +103,6 @@ def test_gamma_domain_errors(a, x):
         reg_upper_gamma(a, x)
     with pytest.raises(ValueError):
         ln_reg_lower_gamma(a, x)
-
-
-def test_beta_matches_scipy():
-    for a, b in [(1, 1), (2, 3), (0.5, 0.5), (7, 1), (12.5, 3.25)]:
-        assert beta(a, b) == pytest.approx(sp.beta(a, b), rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0, 7.5, 20.0])
