@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .linkmodel import SystemParams, link_budget, location_coeffs, db_to_linear
+from .linkmodel import SystemParams, location_coeffs
 from .specfun import inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
@@ -36,23 +36,20 @@ class Regime(Enum):
 
 
 def _falling_delta_sum(n: int, delta: float, start: float) -> float:
-    # start + sum_{l=1}^{n} (1/l!)·prod_{m<l}(m-delta), summed in index order
-    total, prod = start, 1.0
-    for l in range(1, n + 1):
-        prod *= l - 1 - delta
-        total += prod / math.factorial(l)
-    return total
+    # start + sum_{l=1}^{n} (1/l!)·prod_{m<l}(m-delta), where 1 + the sum
+    # is Γ(n+1-delta)/(Γ(1-delta)·n!)
+    return start - 1.0 + math.exp(
+        math.lgamma(n + 1 - delta) - math.lgamma(1.0 - delta) - math.lgamma(n + 1)
+    )
 
 
 def no_coverage_radius(p: SystemParams) -> float:
     """Radius D_f around the macrocell inside which no femtocell user can
-    meet the outage target, due to macro-tier interference alone."""
-    lb = link_budget(p)
+    meet the outage target, due to macro-tier interference alone: where
+    kappa, which falls as D^(−α_c), meets kappa* = y/(1−y) with
+    y = I⁻¹_ε(t_f−u_f+1, u_c), so D_f = r_c·(kappa(r_c)/kappa*)^(1/α_c)."""
     y = inv_reg_inc_beta(p.eps, p.t_f - p.u_f + 1, p.u_c)
-    k = (lb.a_fi / lb.a_fc) * p.r_f ** (-p.alpha_fi)
-    pf_over_pc = db_to_linear(p.p_f_dbm - p.p_c_dbm)
-    val = (k / p.gamma_target) * (pf_over_pc * p.u_c / p.u_f) * y / (1.0 - y)
-    return val ** (-1.0 / p.alpha_c)
+    return p.r_c * (location_coeffs(1.0, p).kappa * (1.0 - y) / y) ** (1.0 / p.alpha_c)
 
 
 def su_mu_radius_ratios(p: SystemParams) -> tuple[float, float]:
@@ -156,16 +153,13 @@ def max_contention_density_cellular(d_norm: float, p: SystemParams) -> float:
 def cellular_coverage_radius(lambda_f: float, p: SystemParams) -> float:
     """Largest macro distance D_c at which a cellular user still meets the
     outage target under femtocell density lambda_f; algebraic inverse of
-    max_contention_density_cellular."""
+    max_contention_density_cellular, which falls as D^(−δ·α_c) (δ = 2/α_fo):
+    D_c = r_c·(lambda*_c(r_c)/lambda_f)^(1/(δ·α_c))."""
     if not lambda_f > 0:
         raise ValueError(f"cellular_coverage_radius requires lambda_f > 0, got {lambda_f}")
     delta = 2.0 / p.alpha_fo
-    lb = link_budget(p)
-    pc_over_pf = db_to_linear(p.p_c_dbm - p.p_f_dbm)
-    prefix = (pc_over_pf * (lb.a_c / lb.a_cf) / (p.gamma_target * p.u_c)) ** (1.0 / p.alpha_c)
-    return prefix * (p.eps * k_c(p) / (lambda_f * shot_noise_c_f(p))) ** (
-        1.0 / (delta * p.alpha_c)
-    )
+    cap = max_contention_density_cellular(1.0, p)
+    return p.r_c * (cap / lambda_f) ** (1.0 / (delta * p.alpha_c))
 
 
 def area_spectral_efficiency(lambda_f: float, p: SystemParams) -> float:

@@ -73,13 +73,19 @@ class ExactLink(NamedTuple):
         sw = s * weights
         x = sw / (1.0 + sw)
         ln_survive = -mark_shape * np.log1p(sw)  # ln (1+sw)^(−u_k)
-        y = s * self.cross / (1.0 + s * self.cross)
         # numpy's own sum, not a 1-D @: BLAS splits that over threads above
         # 10⁴ elements, and waking them can cost milliseconds per call
         ln_l = (
             -s * self.noise_w - cross_shape * math.log1p(s * self.cross)
             + float((mass * np.expm1(ln_survive)).sum())
         )
+        laplace = math.exp(ln_l)
+        if laplace == 0.0:
+            # ln Λ is convex with ln Λ(0) = 0, so each term aₙ·Λ is at most
+            # (2n/e)ⁿ·Λ^(1/2)/n! < 2ⁿ·10⁻¹⁶¹: 0 to within 10⁻¹⁵⁰ for m ≤ 8,
+            # where summing would multiply 0 by an aₙ that has overflowed
+            return 0.0, 0.0
+        y = s * self.cross / (1.0 + s * self.cross)
         a = [1.0]
         g: list[float] = []
         field = mass * np.exp(ln_survive)  # massⱼ·xⱼᵏ·(1+s·wⱼ)^(−u_k), k = 0
@@ -90,7 +96,6 @@ class ExactLink(NamedTuple):
                 + (s * self.noise_w if n == 1 else 0.0)
             )
             a.append(sum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
-        laplace = math.exp(ln_l)
         return laplace * sum(a[:m]), -(m / theta) * a[m] * laplace
 
 

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, asdict, fields
+from typing import NamedTuple
 
 __all__ = [
     "SystemParams",
@@ -189,8 +190,7 @@ def link_budget(p: SystemParams) -> LinkBudget:
     )
 
 
-@dataclass(frozen=True)
-class LocationCoefficients:
+class LocationCoefficients(NamedTuple):
     """Dimensionless interference coefficients at normalized macro distance
     d_norm = D/R_c: the macro-to-femto interference strength script_p_f, the
     femto-tier normalization q_f, their combination kappa, and the
@@ -206,7 +206,10 @@ class LocationCoefficients:
 def location_coeffs(d_norm: float, p: SystemParams) -> LocationCoefficients:
     """Interference coefficients for a reference location at D = d_norm·R_c.
 
-    kappa is strictly decreasing in D, q_c strictly increasing.
+    The one place where the link budget is composed: kappa ∝ (P_c/P_f)·D^(−α_c)
+    is strictly decreasing in D, q_c ∝ (P_f/P_c)·D^(α_c) strictly
+    increasing, and every closed form that inverts one of them rescales
+    these values along those power laws.
 
     Raises:
         ValueError: if d_norm is outside (0, 1].
@@ -220,6 +223,4 @@ def location_coeffs(d_norm: float, p: SystemParams) -> LocationCoefficients:
     q_f = (lb.a_ff / lb.a_fi) * p.r_f**p.alpha_fi * p.u_f
     q_c = p.u_c * (1.0 / pc_over_pf) * (lb.a_cf / lb.a_c) * d**p.alpha_c
     kappa = script_p_f * q_f * p.gamma_target / p.u_c
-    return LocationCoefficients(
-        kappa=kappa, q_f=q_f, script_p_f=script_p_f, q_c=q_c, d_norm=d_norm
-    )
+    return LocationCoefficients(kappa, q_f, script_p_f, q_c, d_norm)

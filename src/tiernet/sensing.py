@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .analytic import k_c, k_correction_bounds, shot_noise_c_f
+from .analytic import k_correction_bounds, max_contention_density_cellular, shot_noise_c_f
 from .linkmodel import (
     SystemParams,
     db_to_linear,
@@ -83,7 +83,10 @@ def power_ratio_bounds(
     how weak the macro can be relative to the femto field); the ceiling
     keeps femtocell users covered against macro interference, with the
     worst-case hotspot correction factor substituted for the
-    location-dependent one.
+    location-dependent one. Both rescale the current ratio R = P_c/P_f:
+    the cellular cap lambda*_c grows as R^δ (δ = 2/α_fo), so the floor is
+    R·(lambda_f/lambda*_c)^(1/δ); kappa grows as R, so the ceiling is
+    R·kappa*/kappa, with kappa* = y/(1−y) at the effective budget.
 
     Raises:
         InfeasiblePlanError: outage budget infeasible at this density, or
@@ -92,22 +95,10 @@ def power_ratio_bounds(
     if not lambda_f > 0:
         raise ValueError(f"power_ratio_bounds requires lambda_f > 0, got {lambda_f}")
     delta = 2.0 / p.alpha_fo
-    budget = link_budget(p)
     loc = location_coeffs(d_norm, p)
-    d = d_norm * p.r_c
-    g = p.gamma_target
     c_f = shot_noise_c_f(p)
-
-    lb_lin = (
-        g
-        * (budget.a_cf / budget.a_c)
-        * p.u_c
-        * d**p.alpha_c
-        * (c_f * lambda_f / (p.eps * k_c(p))) ** (1.0 / delta)
-    )
-
     k_max = k_correction_bounds(p.t_f, p.u_f, p)[1]
-    load = lambda_f * c_f * (loc.q_f * g) ** delta
+    load = lambda_f * c_f * (loc.q_f * p.gamma_target) ** delta
     if load >= 1.0:
         raise InfeasiblePlanError(
             f"femtocell load {load:.4g} >= 1 at lambda_f={lambda_f:.4g}"
@@ -119,16 +110,10 @@ def power_ratio_bounds(
             f"lambda_f={lambda_f:.4g}, d_norm={d_norm:.4g}"
         )
     y = inv_reg_inc_beta(eps_eff, p.t_f - p.u_f + 1, p.u_c)
-    kappa_star = y / (1.0 - y)
-    ub_lin = (
-        kappa_star
-        * p.u_c
-        * (budget.a_fi / budget.a_fc)
-        * d**p.alpha_c
-        / (g * p.u_f * p.r_f**p.alpha_fi)
-    )
-
-    lo_db, hi_db = linear_to_db(lb_lin), linear_to_db(ub_lin)
+    cap = max_contention_density_cellular(d_norm, p)
+    ratio_db = p.p_c_dbm - p.p_f_dbm
+    lo_db = ratio_db + linear_to_db(lambda_f / cap) / delta
+    hi_db = ratio_db + linear_to_db(y / (1.0 - y) / loc.kappa)
     if lo_db > hi_db:
         raise InfeasiblePlanError(
             f"empty power window at d_norm={d_norm:.4g}, "

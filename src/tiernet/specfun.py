@@ -7,8 +7,8 @@ incomplete gamma function, so these are implemented here once, self-contained,
 and kept pure. Degrees of freedom are restricted to even integers: the
 network model only ever produces chi-squared variables with an integer
 number of complex dimensions, which keeps every incomplete-gamma shape
-parameter an integer and every beta parameter a positive integer or an
-integer minus delta in (0,1).
+parameter an integer, and every closed form calls the incomplete beta with
+positive integer shapes.
 
 Algorithms: `math.lgamma` for ln Γ; power series / continued fraction for
 the regularized incomplete gamma (switch at x = a+1); the finite Poisson
@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
     "reg_upper_gamma",
     "ln_reg_lower_gamma",
     "reg_inc_beta",
@@ -51,17 +50,6 @@ def _budget(a: float) -> int:
     # step cap of a series or continued fraction in shape a: near x = a
     # both need O(sqrt(a)) steps
     return _MAX_ITER + 10 * math.ceil(math.sqrt(a))
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Raises:
-        ValueError: if x <= 0.
-    """
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def newton(fn, x: float, lo: float, hi: float, tol: float) -> float:
@@ -111,7 +99,7 @@ def _ln_lower_gamma_series(a: float, x: float) -> float:
     """log of P(a,x) by its power series (_lower_gamma_sum), 0 < x < a+1.
     At a = 10⁶ the error left, about 10⁻⁹ relative, is the cancellation in
     the prefactor, not the tail."""
-    return a * math.log(x) - x - ln_gamma(a + 1.0) + math.log(_lower_gamma_sum(a, x))
+    return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(_lower_gamma_sum(a, x))
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
@@ -134,7 +122,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _ABS_TOL:
-            return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise RuntimeError(f"gamma fraction did not converge in {_budget(a)} steps at a={a}, x={x}")
 
 
@@ -235,7 +223,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * math.log(x) + b * math.log1p(-x)
+    ln_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(x, a, b) / a
@@ -270,7 +260,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     if flip:
         y, a, b = 1.0 - y, b, a
     ln_y = math.log(y)
-    ln_norm = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+    ln_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
     def fn(t: float) -> tuple[float, float]:
         # ln I_x − ln y and its slope x·pdf(x)/I_x in t = ln x

@@ -23,7 +23,9 @@ from tiernet.analytic import (
     shot_noise_k_f,
     su_mu_radius_ratios,
 )
-from tiernet.linkmodel import SystemParams
+from tiernet.linkmodel import SystemParams, db_to_linear, link_budget, location_coeffs
+from tiernet.sensing import InfeasiblePlanError, power_ratio_bounds
+from tiernet.specfun import inv_reg_inc_beta
 
 P = SystemParams()
 AREA = math.pi * P.r_c**2
@@ -136,8 +138,6 @@ def test_femto_density_regime_walk():
 def test_femto_density_plateau_near_cell_edge():
     """Far from the macrocell the cap converges to the hotspot-limited
     plateau eps*K_limit / (C_f (q_f Gamma)^delta)."""
-    from tiernet.linkmodel import location_coeffs
-
     delta = 2.0 / P.alpha_fo
     loc = location_coeffs(1.0, P)
     plateau = (
@@ -229,3 +229,120 @@ def test_negative_or_zero_density_rejected_by_radius():
         cellular_coverage_radius(0.0, P)
     with pytest.raises(ValueError):
         cellular_coverage_radius(-1e-6, P)
+
+
+# ---------------------------------------------------------------------------
+# the inversions as rescalings of location_coeffs, away from the defaults
+
+
+def _design_grid(n: int = 30) -> list[SystemParams]:
+    """Seeded design points with three different path-loss exponents
+    (continuous draws), unequal powers (disjoint ranges), and varied walls,
+    home radii and antenna counts."""
+    rng = np.random.default_rng(20091)
+    grid = []
+    for _ in range(n):
+        t_c, t_f = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        grid.append(SystemParams(
+            eps=float(rng.uniform(0.05, 0.2)),
+            r_f=float(rng.uniform(10.0, 60.0)),
+            t_c=t_c, u_c=int(rng.integers(1, t_c + 1)),
+            t_f=t_f, u_f=int(rng.integers(1, t_f + 1)),
+            p_c_dbm=float(rng.uniform(35.0, 50.0)), p_f_dbm=float(rng.uniform(5.0, 25.0)),
+            wall_db=float(rng.uniform(0.0, 20.0)),
+            alpha_c=float(rng.uniform(2.5, 4.5)), alpha_fo=float(rng.uniform(2.2, 5.0)),
+            alpha_fi=float(rng.uniform(2.1, 4.0)),
+        ))
+    return grid
+
+
+GRID = _design_grid()
+
+
+def _explicit_no_coverage_radius(p):
+    # D_f with the link budget written out
+    lb = link_budget(p)
+    y = inv_reg_inc_beta(p.eps, p.t_f - p.u_f + 1, p.u_c)
+    k = (lb.a_fi / lb.a_fc) * p.r_f ** (-p.alpha_fi)
+    pf_over_pc = db_to_linear(p.p_f_dbm - p.p_c_dbm)
+    val = (k / p.gamma_target) * (pf_over_pc * p.u_c / p.u_f) * y / (1.0 - y)
+    return val ** (-1.0 / p.alpha_c)
+
+
+def _explicit_coverage_radius(lambda_f, p):
+    # D_c with the link budget written out
+    delta, lb = 2.0 / p.alpha_fo, link_budget(p)
+    pc_over_pf = db_to_linear(p.p_c_dbm - p.p_f_dbm)
+    prefix = (pc_over_pf * (lb.a_c / lb.a_cf) / (p.gamma_target * p.u_c)) ** (1.0 / p.alpha_c)
+    return prefix * (p.eps * k_c(p) / (lambda_f * shot_noise_c_f(p))) ** (
+        1.0 / (delta * p.alpha_c)
+    )
+
+
+def _explicit_window(d_norm, lambda_f, p):
+    """(floor, ceiling) as linear P_c/P_f with the link budget written out,
+    and kappa* at the effective outage budget."""
+    delta, g, lb = 2.0 / p.alpha_fo, p.gamma_target, link_budget(p)
+    d, c_f = d_norm * p.r_c, shot_noise_c_f(p)
+    floor = (g * (lb.a_cf / lb.a_c) * p.u_c * d**p.alpha_c
+             * (c_f * lambda_f / (p.eps * k_c(p))) ** (1.0 / delta))
+    load = lambda_f * c_f * (location_coeffs(d_norm, p).q_f * g) ** delta
+    k_max = k_correction_bounds(p.t_f, p.u_f, p)[1]
+    y = inv_reg_inc_beta((p.eps - load / k_max) / (1.0 - load), p.t_f - p.u_f + 1, p.u_c)
+    kappa_star = y / (1.0 - y)
+    ceiling = (kappa_star * p.u_c * (lb.a_fi / lb.a_fc) * d**p.alpha_c
+               / (g * p.u_f * p.r_f**p.alpha_fi))
+    return floor, ceiling, kappa_star
+
+
+def test_no_coverage_radius_rescales_kappa_at_any_design_point():
+    """kappa at D_f is kappa* = y/(1−y), and D_f is the explicit formula."""
+    checked = 0
+    for p in GRID:
+        d_f = no_coverage_radius(p)
+        if not 0.0 < d_f <= p.r_c:
+            continue
+        y = inv_reg_inc_beta(p.eps, p.t_f - p.u_f + 1, p.u_c)
+        assert location_coeffs(d_f / p.r_c, p).kappa == pytest.approx(y / (1.0 - y), rel=1e-12)
+        assert d_f == pytest.approx(_explicit_no_coverage_radius(p), rel=1e-13)
+        checked += 1
+    assert checked >= 20
+
+
+def test_coverage_radius_rescales_cellular_cap_at_any_design_point():
+    """The cellular cap at D_c is the density asked for, and D_c is the
+    explicit formula."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for p in GRID:
+        lam = float(rng.uniform(5.0, 300.0)) / (math.pi * p.r_c**2)
+        d_c = cellular_coverage_radius(lam, p)
+        if not 0.0 < d_c <= p.r_c:
+            continue
+        assert max_contention_density_cellular(d_c / p.r_c, p) == pytest.approx(lam, rel=1e-12)
+        assert d_c == pytest.approx(_explicit_coverage_radius(lam, p), rel=1e-13)
+        checked += 1
+    assert checked >= 10
+
+
+def test_power_window_rescales_both_caps_at_any_design_point():
+    """At the floor the cellular cap is the design density; at the ceiling
+    kappa is kappa*; both edges are the explicit formulas."""
+    rng = np.random.default_rng(6)
+    checked = 0
+    for p in GRID:
+        d_norm = float(rng.uniform(0.2, 1.0))
+        lam = float(rng.uniform(5.0, 100.0)) / (math.pi * p.r_c**2)
+        try:
+            lo_db, hi_db = power_ratio_bounds(d_norm, lam, p)
+        except InfeasiblePlanError:
+            continue
+        floor, ceiling, kappa_star = _explicit_window(d_norm, lam, p)
+        p_lo = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + lo_db)
+        p_hi = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + hi_db)
+        assert max_contention_density_cellular(d_norm, p_lo) == pytest.approx(lam, rel=1e-12)
+        assert location_coeffs(d_norm, p_hi).kappa == pytest.approx(kappa_star, rel=1e-12)
+        assert db_to_linear(lo_db) == pytest.approx(floor, rel=1e-13)
+        assert db_to_linear(hi_db) == pytest.approx(ceiling, rel=1e-13)
+        checked += 1
+    assert checked >= 10

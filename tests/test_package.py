@@ -1,5 +1,6 @@
 """Package hygiene: no module imports a name it never uses, reads the
-process environment or imports scipy, and every name an `__all__` lists
+process environment or imports scipy, only the link model and the simulator
+read the link budget's linear gains, and every name an `__all__` lists
 resolves."""
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from tiernet import linkmodel, sensing, specfun
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+LINK_GAINS = {"a_c", "a_fc", "a_fi", "a_cf", "a_ff"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -124,6 +126,34 @@ def test_no_module_imports_scipy():
         f"{path.name} {use}"
         for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
         for use in _scipy_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def _gain_reads(source: str) -> list[str]:
+    """Attribute reads of a LinkBudget linear gain (`.a_c`, `.a_fc`, ...);
+    the dB losses (`.a_c_db`, ...) are other names."""
+    return [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in LINK_GAINS
+    ]
+
+
+def test_gain_read_detector():
+    source = "lb = link_budget(p)\nx = lb.a_fi / lb.a_fc\ny = lb.a_c_db\n"
+    assert _gain_reads(source) == ["line 2: .a_fi", "line 2: .a_fc"]
+
+
+def test_only_linkmodel_and_simulator_read_link_gains():
+    """linkmodel.location_coeffs is the one place where the closed forms'
+    link budget is composed into kappa and q_c; every inversion rescales
+    those. The simulator prices the exact model in watts on its own."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        if path.stem not in ("linkmodel", "simulator")
+        for use in _gain_reads(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 

@@ -941,6 +941,38 @@ def test_percentiles_any_order_match_cold_solves(name):
     assert res.percentiles(qs) == pytest.approx(cold, rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    ("name", "d_norm", "printed"),
+    [
+        ("cellular_sensed", 0.8, (0.895170390138, 2.57871573274, 3.07142957535, 3.74213546894,
+                                  4.39754495189, 5.0031094355, 5.51649641859, 5.81077980905,
+                                  6.33739455572)),
+        ("cellular_sensed", 1.0, (0.787316564896, 1.778178127, 2.14770381891, 2.71198205176,
+                                  3.30484102921, 3.87393207966, 4.36646085697, 4.65167783911,
+                                  5.16581601427)),
+        ("baseline_fixed", 0.8, (0.00226307223936, 0.0471495832234, 0.167996768652,
+                                 0.775030780125, 1.97369084959, 3.20428651502, 4.16012173259,
+                                 4.66254013294, 5.48886702059)),
+        ("baseline_fixed", 1.0, (0.00096969482271, 0.0203828225287, 0.0743590835678,
+                                 0.383623060248, 1.17243845588, 2.17608723022, 3.04068020817,
+                                 3.5133170025, 4.30779891459)),
+    ],
+)
+def test_coverage_vanishes_at_high_rates_with_noise(name, d_norm, printed):
+    """With noise, ln Λ falls below the smallest double's log long before
+    the rate bracket's top: e^(ln Λ) is 0 while the cumulant terms aₙ
+    overflow. The coverage there reads (0, 0), not NaN, and the nine
+    percentiles of the bench row are those `simulate` prints (12 digits)."""
+    cfg = dataclasses.replace(_bench_cfg(name), d_norm=d_norm)
+    link, weights = simulator._run(cfg, P)
+    u_radius, u_angle, mass = simulator._field(cfg, P, 1)
+    w = weights(u_radius, u_angle)
+    for rate in (300.0, 400.0, 511.0):
+        assert link.coverage(math.expm1(rate * math.log(2.0)), w, mass) == (0.0, 0.0)
+    res = simulate(cfg, 1, 1, P, seed=0)
+    assert res.percentiles(PCT_GRID) == pytest.approx(printed, rel=1e-11)
+
+
 def test_fast_chi2_simulate_draws_no_fades():
     """FastChi2 draws neither drops nor fades: a billion fades per drop
     (5·10¹⁰ in all, which no sampler would finish), other drop counts and
