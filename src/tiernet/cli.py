@@ -387,14 +387,14 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
 
     n_ks = 100_000
     crit = KS_CRITICAL_1PCT / math.sqrt(n_ks)
-    for idx, (name, sampler, k) in enumerate((
-        ("ks_desired_femto", simulator._zf_desired_batch, p.t_f - p.u_f + 1),
-        ("ks_desired_cellular", simulator._zf_desired_batch, p.t_c - p.u_c + 1),
-        ("ks_cross_tier", simulator._zf_leakage_batch, p.u_c),
-        ("ks_marks", simulator._zf_leakage_batch, p.u_f),
+    femto, cellular = (p.t_f, p.u_f), (p.t_c, p.u_c)
+    for idx, (name, sampler, (t, u), k) in enumerate((
+        ("ks_desired_femto", simulator._zf_desired_batch, femto, p.t_f - p.u_f + 1),
+        ("ks_desired_cellular", simulator._zf_desired_batch, cellular, p.t_c - p.u_c + 1),
+        ("ks_cross_tier", simulator._zf_leakage_batch, cellular, p.u_c),
+        ("ks_marks", simulator._zf_leakage_batch, femto, p.u_f),
     )):
         rng = simulator._drop_rng(seed, idx)
-        t, u = (p.t_f, p.u_f) if name.endswith(("femto", "marks")) else (p.t_c, p.u_c)
         stat = _ks_statistic_chi2(sampler(rng, n_ks, t, u), k)
         record(name, stat < crit, stat, f"< {crit:.6f}")
 
@@ -430,7 +430,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     p_fa = sensing.false_alarm_probability(DETECTOR_M_TW, threshold)
     record("detector_cfar_threshold", abs(p_fa - DETECTOR_P_FALSE) < 1e-6, p_fa,
            f"{DETECTOR_P_FALSE} +- 1e-6")
-    p_zero = sensing.detection_probability_ray(0.0, DETECTOR_M_TW, threshold)
+    p_zero = sensing.detection_probability_sc(0.0, DETECTOR_M_TW, threshold, 1)
     record("detector_zero_snr_floor", abs(p_zero - p_fa) < 1e-12, p_zero,
            "== p_false")
 

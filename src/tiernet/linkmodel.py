@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 from typing import NamedTuple
 
 __all__ = [
@@ -116,6 +116,8 @@ class SystemParams:
             raise ValueError(f"need 0 < r_f < r_c, got r_f={self.r_f}, r_c={self.r_c}")
         if not self.gamma_target > 0:
             raise ValueError(f"gamma_target must be positive, got {self.gamma_target}")
+        if not self.f_c_mhz > 0:
+            raise ValueError(f"f_c_mhz must be positive, got {self.f_c_mhz}")
 
     # -- JSON round trip; keys are exactly the field names, missing keys take
     #    the defaults above.
@@ -148,27 +150,16 @@ class LinkBudget:
     a_fi_db: float
     a_cf_db: float
     a_ff_db: float
+    # linear gains, used by everything downstream: set once from the losses
+    a_c: float = field(init=False)
+    a_fc: float = field(init=False)
+    a_fi: float = field(init=False)
+    a_cf: float = field(init=False)
+    a_ff: float = field(init=False)
 
-    # linear gains, used by everything downstream
-    @property
-    def a_c(self) -> float:
-        return db_to_linear(-self.a_c_db)
-
-    @property
-    def a_fc(self) -> float:
-        return db_to_linear(-self.a_fc_db)
-
-    @property
-    def a_fi(self) -> float:
-        return db_to_linear(-self.a_fi_db)
-
-    @property
-    def a_cf(self) -> float:
-        return db_to_linear(-self.a_cf_db)
-
-    @property
-    def a_ff(self) -> float:
-        return db_to_linear(-self.a_ff_db)
+    def __post_init__(self) -> None:
+        for name in ("a_c", "a_fc", "a_fi", "a_cf", "a_ff"):
+            object.__setattr__(self, name, db_to_linear(-getattr(self, f"{name}_db")))
 
 
 @functools.cache

@@ -36,7 +36,6 @@ __all__ = [
     "noise_floor_dbm",
     "pilot_snr",
     "false_alarm_probability",
-    "detection_probability_ray",
     "detection_probability_sc",
     "solve_threshold",
     "max_sensing_range",
@@ -220,12 +219,6 @@ def _excess(gamma_bar: float, m_tw: int, threshold: float, t_f: int) -> tuple[fl
         total += weight * tail
         slope += weight * d_tail / (1.0 + u)
     return total - floor_pdf, slope * math.log(10.0) / 10.0
-
-
-def detection_probability_ray(gamma_bar: float, m_tw: int, threshold: float) -> float:
-    """Detection probability of the energy detector for a Rayleigh-faded
-    signal with average SNR gamma_bar: one branch of selection combining."""
-    return detection_probability_sc(gamma_bar, m_tw, threshold, 1)
 
 
 def detection_probability_sc(

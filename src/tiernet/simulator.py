@@ -41,7 +41,6 @@ __all__ = [
     "PowerPolicy",
     "SimulationResult",
     "ScenarioConfig",
-    "zf_precoder",
     "simulate",
 ]
 
@@ -64,7 +63,8 @@ class PowerPolicy(Enum):
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """One simulation pass: the outage, its precision ci_halfwidth_95, and
-    the law of log2(1+SINR) that percentiles(qs) reads.
+    rate_law, the map from probabilities us to the quantiles of
+    log2(1+SINR) at them, that percentiles(qs) reads.
 
     FastChi2: the exact outage averaged over the fades and the Poisson
     field, and as ci_halfwidth_95 its quadrature error, |value on the
@@ -78,14 +78,14 @@ class SimulationResult:
     n_drops: int
     n_fades: int
     seed: int
-    rate_law: "_SampledRates | MixtureRates"
+    rate_law: Callable[[list[float]], list[float]]
 
     def percentiles(self, qs: Sequence[float]) -> list[float]:
         """The rate percentiles at qs (each in [0, 100]), in the order of qs."""
         for q in qs:
             if not 0.0 <= q <= 100.0:
                 raise ValueError(f"percentile q must lie in [0,100], got {q}")
-        return self.rate_law.quantiles([float(q) / 100.0 for q in qs])
+        return self.rate_law([float(q) / 100.0 for q in qs])
 
 
 @dataclass(frozen=True)
@@ -196,33 +196,6 @@ def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / math.sqrt(2.0)
-
-
-def zf_precoder(channel_matrix: np.ndarray) -> np.ndarray:
-    """Unit-column zero-forcing precoder: normalized columns of the
-    pseudoinverse of the U×T row matrix of channel directions, so that
-    row i times column j vanishes for i ≠ j.
-
-    Rows are re-normalized internally (idempotent on unit rows). For U=1
-    this is the conjugated normalized channel (maximum-ratio); for
-    orthonormal rows with U=T it is the conjugate transpose.
-
-    Raises:
-        ValueError: wrong shape, U > T, or a rank-deficient matrix.
-    """
-    h = np.asarray(channel_matrix, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError(f"channel_matrix must be 2-D, got shape {h.shape}")
-    u, t = h.shape
-    if u > t:
-        raise ValueError(f"need U <= T, got U={u}, T={t}")
-    norms = np.linalg.norm(h, axis=1, keepdims=True)
-    if not np.all(norms > 0):
-        raise ValueError("channel_matrix has a zero row")
-    try:
-        return _zf_precoder_batch((h / norms)[None])[0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"rank-deficient channel matrix: {exc}") from exc
 
 
 def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
@@ -426,30 +399,6 @@ def _field(
     return ((rho / p.r_c) ** 2).ravel(), np.repeat(u_angle, t.size), mass.ravel()
 
 
-class _SampledRates:
-    """A FullZF run's sorted log2(1+SINR) of every (drop, fade) pair."""
-
-    def __init__(self, rates: np.ndarray) -> None:
-        self.rates = rates
-
-    def quantile(self, u: float) -> float:
-        """np.quantile's default ("linear") method, read off the two order
-        statistics around (n−1)·u and interpolated by its `_lerp`, bit for
-        bit, without partitioning the sorted rates again."""
-        rates = self.rates
-        v = (rates.size - 1) * u
-        if math.isnan(rates[-1]):  # a NaN sorts last and makes every quantile NaN
-            return math.nan
-        if v >= rates.size - 1:
-            return float(rates[-1])
-        i = math.floor(v)
-        a, b, t = float(rates[i]), float(rates[i + 1]), v - i
-        return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
-
-    def quantiles(self, us: list[float]) -> list[float]:
-        return [self.quantile(u) for u in us]
-
-
 def simulate(
     cfg: ScenarioConfig, n_drops: int, n_fades: int, p: SystemParams, seed: int
 ) -> SimulationResult:
@@ -464,7 +413,8 @@ def simulate(
     p_outage and each percentile's coverage sums run over 10 240 nodes, and
     the CI over 40 960 more.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
-    which sorts one n_drops×n_fades buffer of log2(1+SINR)."""
+    whose percentiles are np.quantile over its n_drops×n_fades buffer of
+    log2(1+SINR), unsorted until a percentiles call partitions a copy."""
     if n_drops < 1 or n_fades < 1:
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
     link, weights = _run(cfg, p)
@@ -475,7 +425,7 @@ def simulate(
         ]
         p_hat, p_fine = (1.0 - link.coverage(p.gamma_target, *f)[0] for f in fields)
         ci = abs(p_hat - p_fine)
-        rate_law = MixtureRates(link, *fields[0])
+        rate_law = MixtureRates(link, *fields[0]).quantiles
     else:
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)
@@ -489,14 +439,14 @@ def simulate(
             drop_outage[i] = count / n_fades
             np.add(sinr, 1.0, out=rates[i])
             np.log2(rates[i], out=rates[i])
-        rates = rates.reshape(-1)  # a view: the sort below is in place
-        rates.sort()
         p_hat = outages / rates.size
         # 95% half-width with the drop as the sampling unit
         ci = math.nan if n_drops < 2 else (
             1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(n_drops)
         )
-        rate_law = _SampledRates(rates)
+
+        def rate_law(us: list[float]) -> list[float]:
+            return np.quantile(rates, us).tolist()
     return SimulationResult(
         p_outage=p_hat,
         ci_halfwidth_95=ci,

@@ -325,6 +325,22 @@ def test_negative_user_offset_exits_2(runner, tmp_path):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("f_c_mhz", ["0", "0.0", "-5"])
+@pytest.mark.parametrize(
+    "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"],
+             SIM, ["validate"]],
+    ids=["analytic", "sensing", "simulate", "validate"],
+)
+def test_nonpositive_carrier_frequency_exits_2(runner, tmp_path, args, f_c_mhz):
+    """The link budget takes log10 of the carrier frequency: one at or
+    below 0 MHz is a config error, not a math-domain traceback."""
+    cfg = _write(tmp_path, "fc.json", f'{{"system": {{"f_c_mhz": {f_c_mhz}}}}}')
+    res = runner.invoke(main, [*args, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and "f_c_mhz must be positive" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize(
     ("config", "field"),
     [

@@ -1,7 +1,7 @@
 """Package hygiene: no module imports a name it never uses, reads the
 process environment or imports scipy, only the link model and the simulator
-read the link budget's linear gains, and every name an `__all__` lists
-resolves."""
+read the link budget's linear gains, every name an `__all__` lists resolves
+and is defined in that module, and the package root imports nothing."""
 
 from __future__ import annotations
 
@@ -156,6 +156,49 @@ def test_only_linkmodel_and_simulator_read_link_gains():
         for use in _gain_reads(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def _undefined_exports(source: str) -> list[str]:
+    """Names that the module's `__all__` lists but its top level does not
+    define by a `def`, a `class` or an assignment: an imported name is
+    another module's, reachable from there."""
+    defined: set[str] = set()
+    exported: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+def test_undefined_export_detector():
+    source = (
+        "from .a import f\nimport math\ndef g(): pass\nclass C: pass\nK = 1\n"
+        "T: int = 2\n__all__ = ['f', 'math', 'g', 'C', 'K', 'T']\n"
+    )
+    assert _undefined_exports(source) == ["f", "math"]
+
+
+@pytest.mark.parametrize("module", ["__init__"] + MODULES)
+def test_exports_are_defined_where_listed(module):
+    """Each public name has one path, its own module: no module lists in
+    `__all__` a name it only imports."""
+    path = Path(tiernet.__path__[0]) / f"{module}.py"
+    assert _undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_root_imports_nothing():
+    """`tiernet/__init__.py` is the package's docstring: importing a
+    submodule loads only what that submodule needs."""
+    tree = ast.parse((Path(tiernet.__path__[0]) / "__init__.py").read_text(encoding="utf-8"))
+    assert [
+        node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ] == []
 
 
 @pytest.mark.parametrize("module", ["tiernet"] + [f"tiernet.{m}" for m in MODULES])

@@ -14,7 +14,6 @@ from tiernet.linkmodel import SystemParams, linear_to_db, location_coeffs
 from tiernet.sensing import (
     InfeasiblePlanError,
     blended_power_policy,
-    detection_probability_ray,
     detection_probability_sc,
     false_alarm_probability,
     max_sensing_range,
@@ -227,7 +226,7 @@ def test_detection_at_vanishing_snr_is_false_alarm(gamma_bar, m, t_f):
 
 def test_detection_probability_zero_snr_is_false_alarm():
     lam = solve_threshold(500, 0.1)
-    assert detection_probability_ray(0.0, 500, lam) == pytest.approx(
+    assert detection_probability_sc(0.0, 500, lam, 1) == pytest.approx(
         false_alarm_probability(500, lam), abs=1e-12
     )
 
@@ -235,24 +234,26 @@ def test_detection_probability_zero_snr_is_false_alarm():
 def test_detection_probability_limits_and_monotonicity():
     lam = solve_threshold(100, 0.1)
     gbars = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
-    vals = [detection_probability_ray(g, 100, lam) for g in gbars]
+    vals = [detection_probability_sc(g, 100, lam, 1) for g in gbars]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.97
     assert all(0.0 <= v <= 1.0 for v in vals)
     # tighter threshold detects less; a zero threshold passes every energy
-    assert detection_probability_ray(0.01, 100, lam * 1.2) < vals[2]
+    assert detection_probability_sc(0.01, 100, lam * 1.2, 1) < vals[2]
     assert detection_probability_sc(0.01, 100, 0.0, 2) == 1.0
 
 
 def test_selection_combining_reduces_to_single_branch():
+    """The strongest of two Exp(1) fades has density 2e^(−x) − 2e^(−2x), so
+    two branches detect 2·P₁(γ̄) − P₁(γ̄/2), P₁ the single-branch detector,
+    and more than one branch does."""
     lam = solve_threshold(200, 0.1)
     for g in (0.01, 0.1):
-        assert detection_probability_sc(g, 200, lam, 1) == pytest.approx(
-            detection_probability_ray(g, 200, lam), rel=1e-12
-        )
-        assert detection_probability_sc(g, 200, lam, 2) > detection_probability_ray(
-            g, 200, lam
-        )
+        one = detection_probability_sc(g, 200, lam, 1)
+        two = detection_probability_sc(g, 200, lam, 2)
+        assert two == pytest.approx(2.0 * one - detection_probability_sc(g / 2, 200, lam, 1),
+                                    rel=1e-12)
+        assert two > one
 
 
 def test_detector_closed_forms_match_monte_carlo():
@@ -269,7 +270,7 @@ def test_detector_closed_forms_match_monte_carlo():
         x = rng.exponential(1.0, size=n)
         y1 = 0.5 * rng.noncentral_chisquare(4 * m, 2 * m * gbar * x, size=n)
         assert np.mean(y1 > lam) == pytest.approx(
-            detection_probability_ray(gbar, m, lam), abs=0.005
+            detection_probability_sc(gbar, m, lam, 1), abs=0.005
         )
     gbar = 0.012
     x_sc = np.maximum(rng.exponential(1.0, size=n), rng.exponential(1.0, size=n))
