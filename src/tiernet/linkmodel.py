@@ -41,6 +41,12 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+# the largest decibel magnitude of a derived linear quantity: 10^(±300) and
+# its reciprocal are finite, positive floats (10·log10 of the largest float
+# is 3082.5 dB)
+_MAX_DB = 3000.0
+
+
 # the values a field annotated with each of these types takes from JSON: a
 # bool is not a number, and an int field takes no float
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -118,6 +124,27 @@ class SystemParams:
             raise ValueError(f"gamma_target must be positive, got {self.gamma_target}")
         if not self.f_c_mhz > 0:
             raise ValueError(f"f_c_mhz must be positive, got {self.f_c_mhz}")
+        a_c_db, a_fc_db, _, _, a_ff_db = _losses_db(self)
+        # the linear powers, gains and path losses derived from the fields,
+        # in dB: outside ±_MAX_DB one of them or its reciprocal overflows
+        # or vanishes downstream
+        for name, level_db in (
+            ("p_c_dbm", self.p_c_dbm - 30.0),
+            ("p_f_dbm", self.p_f_dbm - 30.0),
+            ("p_ut_dbm", self.p_ut_dbm - 30.0),
+            ("p_c_dbm - p_f_dbm", self.p_c_dbm - self.p_f_dbm),
+            ("snr_edge_db", self.snr_edge_db),
+            ("f_c_mhz", a_c_db),
+            ("f_c_mhz + wall_db", a_fc_db),
+            ("wall_db", a_ff_db),  # beyond the bound before a_cf_db = wall_db + 37
+            ("r_f", 10.0 * self.alpha_fi * math.log10(self.r_f)),
+            ("r_c", 10.0 * self.alpha_c * math.log10(self.r_c)),
+        ):
+            if not abs(level_db) < _MAX_DB:
+                raise ValueError(
+                    f"{name} puts a derived power, gain or path loss at "
+                    f"{level_db:.6g} dB; it must lie within ±{_MAX_DB:g} dB"
+                )
 
     # -- JSON round trip; keys are exactly the field names, missing keys take
     #    the defaults above.
@@ -171,14 +198,13 @@ def link_budget(p: SystemParams) -> LinkBudget:
     indoor-to-other-home links use the 37 dB indoor intercept plus one or
     two wall losses. Memoised per parameter set; the result is frozen.
     """
+    return LinkBudget(*_losses_db(p))
+
+
+def _losses_db(p: SystemParams) -> tuple[float, float, float, float, float]:
+    # the five fixed losses in LinkBudget's field order
     a_c = 30.0 * math.log10(p.f_c_mhz) - 71.0
-    return LinkBudget(
-        a_c_db=a_c,
-        a_fc_db=a_c + p.wall_db,
-        a_fi_db=37.0,
-        a_cf_db=p.wall_db + 37.0,
-        a_ff_db=2.0 * p.wall_db + 37.0,
-    )
+    return a_c, a_c + p.wall_db, 37.0, p.wall_db + 37.0, 2.0 * p.wall_db + 37.0
 
 
 class LocationCoefficients(NamedTuple):

@@ -192,18 +192,30 @@ def _drop_draws(
 
 
 def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # unit-power complex Gaussian entries (variance 1/2 per real dimension)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    # unit-power complex Gaussian entries (variance 1/2 per real dimension):
+    # the real block, then the imaginary block, filled into one array and
+    # scaled in place, bit for bit (re + 1j·im)/√2
+    z = np.empty(shape, complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= math.sqrt(2.0)
+    return z
+
+
+def _cn_parts(rng: np.random.Generator, n: int, t: int) -> np.ndarray:
+    # the (2, n, t) real and imaginary blocks of _cn_matrix(rng, (n, 1, t)),
+    # drawn in its order but left unscaled (variance 1 per real dimension)
+    parts = np.empty((2, n, t))
+    rng.standard_normal(out=parts[0])
+    rng.standard_normal(out=parts[1])
+    return parts
 
 
 def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
     # rows: (n, U, T) unit row directions -> (n, T, U) unit-column precoders;
-    # with one stream that column is the row's adjoint (maximum ratio)
+    # the samplers call it at U > 1 only, as one stream's column is the
+    # row's adjoint (maximum ratio)
     adjoint = rows.conj().transpose(0, 2, 1)
-    if rows.shape[1] == 1:
-        return adjoint
     w = adjoint @ np.linalg.inv(rows @ adjoint)
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
@@ -211,7 +223,11 @@ def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
 def _zf_desired_batch(
     rng: np.random.Generator, n: int, t: int, u: int
 ) -> np.ndarray:
-    # |h0^dag w0|^2 for the served user: raw channels, adjoint row directions
+    # |h0^dag w0|^2 for the served user: raw channels, adjoint row directions;
+    # one stream's column is h0/||h0|| (maximum ratio), so that is ||h0||^2
+    if u == 1:
+        h = _cn_parts(rng, n, t)
+        return np.einsum("knt,knt->n", h, h) / 2.0
     h = _cn_matrix(rng, (n, u, t))
     rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
     w = _zf_precoder_batch(rows)
@@ -221,7 +237,18 @@ def _zf_desired_batch(
 def _zf_leakage_batch(
     rng: np.random.Generator, n: int, t: int, u: int
 ) -> np.ndarray:
-    # ||g^dag W||^2 at a victim with channel g independent of the precoder
+    # ||g^dag W||^2 at a victim with channel g independent of the precoder;
+    # one stream's W is h/||h||, so that is |g^dag h|^2/||h||^2, here from the
+    # unscaled parts x + iy of h and g as |g^dag h|^2/(2·||h||^2)
+    if u == 1:
+        h = _cn_parts(rng, n, t)
+        g = rng.standard_normal((n, t))
+        re = np.einsum("nt,nt->n", g, h[0])
+        im = np.einsum("nt,nt->n", g, h[1])
+        rng.standard_normal(out=g)
+        re += np.einsum("nt,nt->n", g, h[1])
+        im -= np.einsum("nt,nt->n", g, h[0])
+        return (re * re + im * im) / (2.0 * np.einsum("knt,knt->n", h, h))
     h = _cn_matrix(rng, (n, u, t))
     rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
     w = _zf_precoder_batch(rows)
@@ -239,7 +266,10 @@ def _sample_draws(
     """All FullZF fading powers for n_fades trials against one drop: the
     desired (n_fades,), cross-tier (n_fades,; zeros for a cellular user)
     and mark (n_fades, n_interferers) powers, drawn in that fixed order so
-    results are seed-stable."""
+    results are seed-stable. Each sampler draws its channels' real block,
+    then their imaginary block (then the victim's, for leakage) at every U;
+    at U = 1 it forms no precoder but reads the maximum-ratio closed forms
+    off those same normals, so every later draw stays where it was."""
     if reference_tier is Scenario.REFERENCE_HOTSPOT:
         desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
         cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)

@@ -342,6 +342,26 @@ def test_nonpositive_carrier_frequency_exits_2(runner, tmp_path, args, f_c_mhz):
 
 
 @pytest.mark.parametrize(
+    ("field", "value"),
+    [("p_c_dbm", "1e6"), ("p_f_dbm", "-1e6"), ("f_c_mhz", "1e-300"), ("r_f", "1e-300"),
+     ("snr_edge_db", "1e6")],
+)
+@pytest.mark.parametrize(
+    "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
+    ids=["analytic", "sensing", "simulate"],
+)
+def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, value):
+    """A finite value whose linear power, gain or r_f^α overflows or
+    vanishes as a float is a config error that names the field, not an
+    OverflowError or ZeroDivisionError traceback."""
+    cfg = _write(tmp_path, "scale.json", f'{{"system": {{"{field}": {value}}}}}')
+    res = runner.invoke(main, [*args, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and f"{field} puts a derived" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     ("config", "field"),
     [
         ('{"system": {"t_f": 2.0}}', "t_f"),
@@ -418,8 +438,19 @@ def test_flat_system_config_accepted(runner, tmp_path):
 # validate (full suites; the two slowest tests in this file)
 
 
+# validate's four KS distances at the default config and seed 42: the FullZF
+# samplers' Philox streams are pinned, whatever arithmetic reads them
+VALIDATE_KS_SEED_42 = {
+    "ks_desired_femto": 0.001907289593499506,
+    "ks_desired_cellular": 0.0035124134052270106,
+    "ks_cross_tier": 0.001667908746254887,
+    "ks_marks": 0.002908159516063935,
+}
+
+
 def test_validate_default_config_passes(runner, tmp_path):
-    """The report passes at seeds 42 and 1, and the closure outages, which
+    """The report passes at seeds 42 and 1, the KS distances at seed 42 stay
+    within 1e-12 of VALIDATE_KS_SEED_42, and the closure outages, which
     FastChi2 computes without drawing, read the same at both."""
     closures = []
     for seed in ("42", "1"):
@@ -433,6 +464,9 @@ def test_validate_default_config_passes(runner, tmp_path):
                 "power_window_inversion_floor", "detector_cfar_threshold"} <= set(values)
         assert all(c["passed"] for c in report["checks"])
         closures.append((values["femto_closure_outage"], values["cellular_closure_outage"]))
+        if seed == "42":
+            for name, pinned in VALIDATE_KS_SEED_42.items():
+                assert values[name] == pytest.approx(pinned, rel=0, abs=1e-12), name
     assert closures[0] == closures[1]
 
 

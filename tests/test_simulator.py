@@ -140,6 +140,52 @@ def test_full_zf_leakage_power_distribution(t, u):
     assert stat < 1.6276 / math.sqrt(n)
 
 
+def _general_desired(rng, n, t, u):
+    # |h0^H w0|^2 with w0 the first column of the zero-forcing precoder
+    h = simulator._cn_matrix(rng, (n, u, t))
+    w = _zf_precoder_batch(h.conj() / np.linalg.norm(h, axis=2, keepdims=True))
+    return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
+
+
+def _general_leakage(rng, n, t, u):
+    # ||g^H W||^2 for a victim channel g drawn after the precoded channels
+    h = simulator._cn_matrix(rng, (n, u, t))
+    w = _zf_precoder_batch(h.conj() / np.linalg.norm(h, axis=2, keepdims=True))
+    g = simulator._cn_matrix(rng, (n, t))
+    return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("t", [2, 4])
+def test_single_stream_samplers_are_the_general_formula(t):
+    """At U = 1 the samplers form no precoder, but read ||h||² and
+    |gᴴh|²/||h||² off the same normals: each equals the precoded formula
+    replayed on a copy of the stream, and leaves the stream where the
+    replay does."""
+    n = 5000
+    rng, replay = _drop_rng(27, 5), _drop_rng(27, 5)
+    for sampler, general in (
+        (_zf_desired_batch, _general_desired), (_zf_leakage_batch, _general_leakage)
+    ):
+        np.testing.assert_allclose(sampler(rng, n, t, 1), general(replay, n, t, 1), rtol=1e-12)
+        assert rng.random() == replay.random()
+
+
+def test_cn_matrix_is_scaled_complex_normals():
+    """_cn_matrix fills one array in place, bit for bit (re + 1j·im)/√2
+    of a real block drawn before an imaginary one."""
+    shape = (1000, 3, 4)
+    rng = _drop_rng(27, 6)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert np.array_equal(simulator._cn_matrix(_drop_rng(27, 6), shape), (re + 1j * im) / np.sqrt(2))
+
+
+@pytest.mark.parametrize(("t", "u"), [(2, 2), (3, 2), (4, 4)])
+def test_multi_stream_desired_power_is_its_replay(t, u):
+    n = 2000
+    sample = _zf_desired_batch(_drop_rng(27, 7), n, t, u)
+    assert np.array_equal(sample, _general_desired(_drop_rng(27, 7), n, t, u))
+
+
 # ---------------------------------------------------------------------------
 # the run's link and weights against closed forms
 
