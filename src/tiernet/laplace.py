@@ -67,17 +67,38 @@ class ExactLink(NamedTuple):
         + k·C(u_k+k−1, k)·Σⱼ massⱼ·xⱼᵏ·(1+s·wⱼ)^(−u_k), x = sw/(1+sw) and
         y = sc/(1+sc); every term is non-negative. One more step gives the
         derivative −(m/theta)·a_m·Λ(s).
+
+        The mark shape u_k is a positive integer, so the field's terms need
+        no logarithm or exponential: with one reciprocal r = 1/(1+sw) per
+        node and x = sw·r, 1 − (1+sw)^(−u_k) = x·Σ_{j<u_k} (1+sw)^(−j)
+        = x·Σ_{j<u_k} rʲ, whose terms are non-negative, and
+        (1+sw)^(−u_k) = r^u_k, both built by multiplication. Where s·w
+        overflows, r = 0 and x = 1. At s = ∞ the coverage is P(SINR = ∞):
+        1 with no noise, no cross-tier power and no field mass, else 0, and
+        its derivative 0.
         """
         m, cross_shape, mark_shape = self.shapes
         s = theta / self.desired
-        sw = s * weights
-        x = sw / (1.0 + sw)
-        ln_survive = -mark_shape * np.log1p(sw)  # ln (1+sw)^(−u_k)
+        if s == math.inf:
+            # −s·N and u_x·ln(1+sc) would read inf·0 = NaN at N = 0 or c = 0
+            return float(not (self.noise_w or self.cross or mass.any())), 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # where s·w overflows, sw·r reads inf·0 = NaN, and fmin takes 1;
+            # r and x reuse the buffers of 1 + sw and sw
+            sw = s * weights
+            r = sw + 1.0
+            np.reciprocal(r, out=r)
+            x = np.fmin(np.multiply(sw, r, out=sw), 1.0, out=sw)
+        # lost = x·Σ_{j<u_k} rʲ by Horner, survive = r^u_k
+        lost, survive = x, r
+        for _ in range(mark_shape - 1):
+            lost = x + r * lost
+            survive = survive * r
         # numpy's own sum, not a 1-D @: BLAS splits that over threads above
         # 10⁴ elements, and waking them can cost milliseconds per call
         ln_l = (
             -s * self.noise_w - cross_shape * math.log1p(s * self.cross)
-            + float((mass * np.expm1(ln_survive)).sum())
+            - float((mass * lost).sum())
         )
         laplace = math.exp(ln_l)
         if laplace == 0.0:
@@ -88,7 +109,7 @@ class ExactLink(NamedTuple):
         y = s * self.cross / (1.0 + s * self.cross)
         a = [1.0]
         g: list[float] = []
-        field = mass * np.exp(ln_survive)  # massⱼ·xⱼᵏ·(1+s·wⱼ)^(−u_k), k = 0
+        field = mass * survive  # massⱼ·xⱼᵏ·(1+s·wⱼ)^(−u_k), k = 0
         for n in range(1, m + 1):
             field *= x
             g.append(

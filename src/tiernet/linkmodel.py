@@ -125,9 +125,10 @@ class SystemParams:
         if not self.f_c_mhz > 0:
             raise ValueError(f"f_c_mhz must be positive, got {self.f_c_mhz}")
         a_c_db, a_fc_db, _, _, a_ff_db = _losses_db(self)
-        # the linear powers, gains and path losses derived from the fields,
-        # in dB: outside ±_MAX_DB one of them or its reciprocal overflows
-        # or vanishes downstream
+        edge_loss_db = 10.0 * self.alpha_c * math.log10(self.r_c)
+        # the linear powers, gains, path losses and the SIR target derived
+        # from the fields, in dB: outside ±_MAX_DB one of them or its
+        # reciprocal overflows or vanishes downstream
         for name, level_db in (
             ("p_c_dbm", self.p_c_dbm - 30.0),
             ("p_f_dbm", self.p_f_dbm - 30.0),
@@ -138,11 +139,15 @@ class SystemParams:
             ("f_c_mhz + wall_db", a_fc_db),
             ("wall_db", a_ff_db),  # beyond the bound before a_cf_db = wall_db + 37
             ("r_f", 10.0 * self.alpha_fi * math.log10(self.r_f)),
-            ("r_c", 10.0 * self.alpha_c * math.log10(self.r_c)),
+            ("r_c", edge_loss_db),
+            ("gamma_target", 10.0 * math.log10(self.gamma_target)),
+            # sensing.noise_floor_dbm in dBW: each term above may lie inside
+            # the bound while their sum does not
+            ("noise floor", self.p_c_dbm - 30.0 - a_c_db - edge_loss_db - self.snr_edge_db),
         ):
             if not abs(level_db) < _MAX_DB:
                 raise ValueError(
-                    f"{name} puts a derived power, gain or path loss at "
+                    f"{name} puts a derived power, gain, path loss or SIR target at "
                     f"{level_db:.6g} dB; it must lie within ±{_MAX_DB:g} dB"
                 )
 

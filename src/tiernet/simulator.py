@@ -289,8 +289,9 @@ def _run(
 ) -> tuple[ExactLink, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """What a run computes once from the configuration, for both channel
     modes: the link, and the map from radius and angle uniforms (a FullZF
-    drop's draws or the FastChi2 field's nodes) to interferer weights
-    (received power at the reference receiver per unit mark).
+    drop's draws or the FastChi2 field's nodes, in any shapes that
+    broadcast) to interferer weights (received power at the reference
+    receiver per unit mark).
 
     The link holds the received power per unit fade of the desired link
     (the macrocell for a cellular user; for a hotspot its own femto, priced
@@ -393,6 +394,10 @@ def _field(
     about the receiver, as the radius and angle uniforms that the run's
     weight map takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's
     mass, density × area. refine multiplies the node counts on both axes.
+    u_radius and mass are (piece, node) arrays and u_angle is (piece, 1),
+    one angle per piece of a ray, which the weight map broadcasts over the
+    piece's nodes: each angle is priced once, not once per node. Raveled
+    in C order they are the nodes, piece by piece.
 
     Polar about the receiver: _RAYS rays at the midpoints in φ ∈ (0, π),
     each split where it crosses the sensing circle about the sensed user,
@@ -421,12 +426,12 @@ def _field(
     # the (piece, ray) pairs of positive mass, in piece-major order
     kept = half_width * cfg.density(p) > 0.0
     mid, half_width = mid[kept][:, None], half_width[kept][:, None]
-    u_angle = np.broadcast_to(phi / (2.0 * math.pi), kept.shape)[kept]
+    u_angle = np.broadcast_to(phi / (2.0 * math.pi), kept.shape)[kept][:, None]
     t, t_weight = _legendre(_RADIAL_NODES * refine)
     rho = np.exp(mid + half_width * t)  # (kept piece, node)
     # dφ = π/n_rays on the half-plane, doubled for the mirror image
     mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
-    return ((rho / p.r_c) ** 2).ravel(), np.repeat(u_angle, t.size), mass.ravel()
+    return (rho / p.r_c) ** 2, u_angle, mass
 
 
 def simulate(
@@ -450,7 +455,7 @@ def simulate(
     link, weights = _run(cfg, p)
     if cfg.channel_mode is ChannelMode.FAST_CHI2:
         fields = [
-            (weights(u_radius, u_angle), mass)
+            (weights(u_radius, u_angle).ravel(), mass.ravel())
             for u_radius, u_angle, mass in (_field(cfg, p, 1), _field(cfg, p, 2))
         ]
         p_hat, p_fine = (1.0 - link.coverage(p.gamma_target, *f)[0] for f in fields)

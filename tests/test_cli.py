@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -230,6 +231,71 @@ def test_simulate_byte_identical(runner, tmp_path):
     assert lines[0].startswith("scenario,d_norm,lambda_f")
 
 
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+# p_outage and the nine rate percentiles (1, 5, 10, 25, 50, 75, 90, 95, 99)
+# that `simulate` prints for each bench scenario at D = 0.4, 0.8 and 1.0
+SIMULATE_PINNED = {
+    "baseline_fixed": (
+        ("0.137820638754 0.0312066774308 0.548669474708 1.44369761891 3.44712144483 "
+         "5.38472697619 6.85115020893 7.8832045437 8.4086713112 9.25873467526"),
+        ("0.517530094487 0.00226307223936 0.0471495832234 0.167996768652 0.775030780125 "
+         "1.97369084959 3.20428651502 4.16012173259 4.66254013294 5.48886702059"),
+        ("0.724063063153 0.00096969482271 0.0203828225287 0.0743590835678 0.383623060248 "
+         "1.17243845588 2.17608723022 3.04068020817 3.5133170025 4.30779891459"),
+    ),
+    "cellular_sensed": (
+        ("0.0193708354378 0.939777279328 4.17523027704 5.54915803466 6.81538518253 "
+         "7.70478549112 8.422411284 8.99769236087 9.32023504495 9.89000369553"),
+        ("0.0268192654812 0.895170390138 2.57871573274 3.07142957535 3.74213546894 "
+         "4.39754495189 5.0031094355 5.51649641859 5.81077980905 6.33739455572"),
+        ("0.0847603888103 0.787316564896 1.778178127 2.14770381891 2.71198205176 "
+         "3.30484102921 3.87393207966 4.36646085697 4.65167783911 5.16581601427"),
+    ),
+    "hotspot_sensed": (
+        ("0.0173149306044 1.62376008763 2.94795043867 3.6054070798 4.67949680717 "
+         "5.90015519799 7.22341573086 8.5300132009 9.3405191119 10.7890290333"),
+        ("0.021765201756 1.48662592645 2.716731012 3.32997102089 4.3097738652 "
+         "5.35519220103 6.36774246591 7.2390912734 7.73216140324 8.58162763388"),
+        ("0.0303962904621 1.30817284969 2.42963423695 3.00186253223 3.91462857614 "
+         "4.86994634401 5.7689778864 6.52672255469 6.9534043913 7.6935089864"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_PINNED))
+def test_simulate_bench_rows_pinned(runner, name):
+    """The bench scenarios' outage and rate percentiles, as printed at 12
+    significant digits: a change to the coverage kernel or the field's
+    nodes that moves any of them shows here."""
+    config = str(BENCH_CONFIGS / f"{name}.json")
+    res = runner.invoke(main, ["simulate", "--config", config, "--sweep", "D:0.4:1.0:4"])
+    assert res.exit_code == 0, res.output
+    printed = [
+        " ".join([row["p_outage"], *(v for k, v in row.items() if k.startswith("rate_pct_"))])
+        for row in csv.DictReader(io.StringIO(res.stdout))
+        if row["d_norm"] in ("0.4", "0.8", "1")
+    ]
+    assert printed == list(SIMULATE_PINNED[name])
+
+
+@pytest.mark.parametrize("gamma_target", ["1e290", "1e299"])
+def test_simulate_huge_sir_target_reads_certain_outage(runner, tmp_path, gamma_target):
+    """An SIR target inside the ±3000 dB rule but far beyond any SINR is an
+    outage at every node: p_outage reads 1 and its CI 0, not NaN. At
+    Γ = 1e290, s·w overflows at the nodes nearest the receiver; at 1e299,
+    s = Γ/desired itself overflows."""
+    cfg = _write(
+        tmp_path, "gamma.json",
+        f'{{"system": {{"gamma_target": {gamma_target}}}, '
+        '"scenario": {"d_norm": 1.0, "power_policy": "Fixed"}}',
+    )
+    res = runner.invoke(main, [*SIM, "--config", cfg])
+    assert res.exit_code == 0, res.output
+    (row,) = csv.DictReader(io.StringIO(res.stdout))
+    assert (row["p_outage"], row["ci_halfwidth_95"]) == ("1", "0")
+
+
 def test_simulate_mode_override(runner):
     res = runner.invoke(
         main,
@@ -344,7 +410,7 @@ def test_nonpositive_carrier_frequency_exits_2(runner, tmp_path, args, f_c_mhz):
 @pytest.mark.parametrize(
     ("field", "value"),
     [("p_c_dbm", "1e6"), ("p_f_dbm", "-1e6"), ("f_c_mhz", "1e-300"), ("r_f", "1e-300"),
-     ("snr_edge_db", "1e6")],
+     ("snr_edge_db", "1e6"), ("gamma_target", "1e300")],
 )
 @pytest.mark.parametrize(
     "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
@@ -358,6 +424,24 @@ def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, 
     res = runner.invoke(main, [*args, "--config", cfg])
     assert res.exit_code == 2, res.output
     assert "Error: config" in res.output and f"{field} puts a derived" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
+    ids=["analytic", "sensing", "simulate"],
+)
+def test_config_noise_floor_beyond_range_exits_2(runner, tmp_path, args):
+    """Fields each inside ±3000 dB can still sum to a noise floor beyond
+    it, whose power in watts overflows: that is a config error naming the
+    noise floor, not an OverflowError (simulate) or a silent run."""
+    cfg = _write(
+        tmp_path, "floor.json",
+        '{"system": {"p_c_dbm": 2900, "p_f_dbm": 2900, "p_ut_dbm": 2900, "snr_edge_db": -2900}}',
+    )
+    res = runner.invoke(main, [*args, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and "noise floor puts a derived" in res.output
     assert "Traceback" not in res.output
 
 

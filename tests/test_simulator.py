@@ -353,7 +353,7 @@ def test_simulate_one_pass_serves_outage_and_rates(cfg):
     link, weights = simulator._run(cfg, P)
     coarse, fine = (
         1.0 - link.coverage(P.gamma_target, weights(u_radius, u_angle), mass)[0]
-        for u_radius, u_angle, mass in (simulator._field(cfg, P, k) for k in (1, 2))
+        for u_radius, u_angle, mass in (_field_nodes(cfg, P, k) for k in (1, 2))
     )
     assert res.p_outage == coarse
     assert res.ci_halfwidth_95 == abs(coarse - fine) < 1e-8
@@ -494,6 +494,14 @@ BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 def _bench_cfg(name: str) -> ScenarioConfig:
     raw = json.loads((BENCH_CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     return ScenarioConfig.from_dict(raw["scenario"])
+
+
+def _field_nodes(cfg, p, refine):
+    """simulator._field's nodes one per element: its (piece, node) u_radius
+    and mass raveled in C order, and each piece's angle repeated over the
+    piece's nodes."""
+    u_radius, u_angle, mass = simulator._field(cfg, p, refine)
+    return u_radius.ravel(), np.repeat(u_angle.ravel(), u_radius.shape[1]), mass.ravel()
 
 
 def _closure_cfg(scenario: Scenario) -> ScenarioConfig:
@@ -705,7 +713,7 @@ def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
     _, ambient_weights = simulator._run(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
     oracle, serving_w = _cartesian_map(cfg, P)
     drops = [simulator._drop_draws(cfg, i, P, 5)[1:] for i in range(200)]
-    nodes = [simulator._field(cfg, P, k)[:2] for k in (1, 2)]
+    nodes = [_field_nodes(cfg, P, k)[:2] for k in (1, 2)]
     u_radius, u_angle = (
         np.concatenate(x) for x in zip(*drops, *nodes, (np.zeros(1), np.zeros(1)))
     )
@@ -736,22 +744,29 @@ def test_weight_map_without_femtocells(scenario):
         weights(u_radius, u_angle), _cartesian_map(cfg, P)[0](u_radius, u_angle)[0], rtol=1e-12
     )
     assert weights(np.empty(0), np.empty(0)).shape == (0,)
-    assert [len(x) for x in simulator._field(cfg, P, 1)] == [0, 0, 0]
+    assert [x.size for x in simulator._field(cfg, P, 1)] == [0, 0, 0]
 
 
 def _fsum_coverage(link, theta, weights, mass):
-    """ExactLink.coverage with every sum over the field taken by math.fsum,
-    correctly rounded: the same terms, summed exactly."""
+    """ExactLink.coverage through logarithms, with every sum over the field
+    taken by math.fsum, correctly rounded: ln Λ's field term
+    Σ massⱼ·expm1(−u_k·log1p(s·wⱼ)) and the sums
+    Σ massⱼ·exp(−u_k·log1p(s·wⱼ))·xⱼⁿ, with x = 1/(1 + 1/(s·w)), which
+    reads 1 where s·w overflows."""
     m, cross_shape, mark_shape = link.shapes
     s = theta / link.desired
-    sw = s * weights
-    x = sw / (1.0 + sw)
+    with np.errstate(over="ignore"):
+        sw = s * weights
+    x = 1.0 / (1.0 + 1.0 / sw)
     ln_survive = -mark_shape * np.log1p(sw)
     y = s * link.cross / (1.0 + s * link.cross)
     ln_l = (
         -s * link.noise_w - cross_shape * math.log1p(s * link.cross)
         + math.fsum(mass * np.expm1(ln_survive))
     )
+    laplace = math.exp(ln_l)
+    if laplace == 0.0:
+        return 0.0, 0.0
     a, g = [1.0], []
     for n in range(1, m + 1):
         field = math.fsum(mass * np.exp(ln_survive) * x**n)
@@ -760,7 +775,6 @@ def _fsum_coverage(link, theta, weights, mass):
             + (s * link.noise_w if n == 1 else 0.0)
         )
         a.append(math.fsum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
-    laplace = math.exp(ln_l)
     return laplace * math.fsum(a[:m]), -(m / theta) * a[m] * laplace
 
 
@@ -778,17 +792,89 @@ def _fsum_coverage(link, theta, weights, mass):
          "hotspot-two-streams"],
 )
 def test_coverage_sums_match_exact_summation(cfg, p, refine):
-    """The coverage's sums over the field's nodes (10 240, and 40 960 for
-    the error estimate) match math.fsum of the same terms within rel 1e-13,
-    as do the coverage and its derivative, from a tenth to ten times Γ."""
+    """On the field's nodes (10 240, and 40 960 for the error estimate) the
+    coverage and its derivative match the log1p/expm1 formula with every
+    sum taken exactly by math.fsum within rel 1e-13, from a tenth to ten
+    times Γ."""
     link, weights = simulator._run(cfg, p)
-    u_radius, u_angle, mass = simulator._field(cfg, p, refine)
+    u_radius, u_angle, mass = _field_nodes(cfg, p, refine)
     w = weights(u_radius, u_angle)
     for theta in (0.1 * p.gamma_target, p.gamma_target, 10.0 * p.gamma_target):
         cov, d_cov = link.coverage(theta, w, mass)
         want, d_want = _fsum_coverage(link, theta, w, mass)
         assert cov == pytest.approx(want, rel=1e-13)
         assert d_cov == pytest.approx(d_want, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("mark_shape", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    ("cross", "cross_shape", "noise_w"),
+    [(0.0, 0, 0.0), (1e-150, 2, 0.0), (0.0, 0, 1e-152)],
+    ids=["field-only", "cross-tier", "noise"],
+)
+def test_coverage_kernel_matches_log_formula(m, mark_shape, cross, cross_shape, noise_w):
+    """The kernel prices each node by one reciprocal r = 1/(1+sw) and
+    products of it, with no log1p, expm1 or exp. Its coverage and
+    derivative equal the log1p/expm1 formula (_fsum_coverage) within
+    rel 1e-13, at u_k ∈ {1, 2, 3, 4} and m ∈ {1, 2, 4}, from θ = 10⁻³ to
+    the top of the rate bracket, 2^512 − 1. The weights reach 10³⁰⁰, so
+    near the top s·w overflows at some nodes: there the kernel must read
+    x = 1 and r = 0, as the formula does, not NaN. The cross-tier power
+    and the noise are small enough that |ln Λ| stays below 200: one ulp of
+    ln Λ is then under 3·10⁻¹⁴ of Λ."""
+    link = simulator.ExactLink(1.0, cross, noise_w, (m, cross_shape, mark_shape))
+    weights = np.geomspace(1e-150, 1e300, 91)
+    mass = np.linspace(0.05, 1.0, 91)
+    thetas = np.geomspace(1e-3, 2.0**512 - 1.0, 40)
+    with np.errstate(over="ignore"):
+        assert np.isinf(thetas[-1] * weights).any()
+    for theta in thetas:
+        cov, d_cov = link.coverage(float(theta), weights, mass)
+        want, d_want = _fsum_coverage(link, float(theta), weights, mass)
+        assert math.isfinite(cov) and math.isfinite(d_cov), theta
+        assert cov == pytest.approx(want, rel=1e-13, abs=0.0), theta
+        assert d_cov == pytest.approx(d_want, rel=1e-13, abs=0.0), theta
+
+
+@pytest.mark.parametrize(
+    ("cross", "noise_w", "n_nodes", "covered"),
+    [(0.0, 0.0, 0, 1.0), (0.0, 1e-12, 0, 0.0), (1e-3, 0.0, 0, 0.0), (0.0, 0.0, 3, 0.0)],
+    ids=["nothing", "noise", "cross-tier", "field"],
+)
+def test_coverage_at_infinite_s_is_certainty_of_infinite_sinr(cross, noise_w, n_nodes, covered):
+    """Where s = θ/desired overflows to inf, the coverage is P(SINR = ∞):
+    1 with no noise, no cross-tier power and no field, 0 with any of them,
+    and its derivative 0, never NaN (u_x·ln(1+sc) would read 0·NaN for a
+    cellular user)."""
+    link = simulator.ExactLink(1e-300, cross, noise_w, (2, 1 if cross else 0, 1))
+    assert 1e10 / link.desired == math.inf
+    assert link.coverage(1e10, np.full(n_nodes, 1e-9), np.full(n_nodes, 0.1)) == (covered, 0.0)
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
+def test_field_weights_price_each_ray_angle_once(monkeypatch, name, refine):
+    """_field hands the weight map one angle per piece of a ray, (piece, 1),
+    against (piece, node) radii: under carrier sensing the map takes one
+    cosine per piece, not one per node, and its weights, raveled in C
+    order, are bit for bit those of the nodes one per element."""
+    cfg = _bench_cfg(name)
+    _, weights = simulator._run(cfg, P)
+    u_radius, u_angle, _ = simulator._field(cfg, P, refine)
+    cosines = []
+    cos = np.cos
+
+    def counted(x, *args, **kwargs):
+        cosines.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    w = weights(u_radius, u_angle)
+    monkeypatch.undo()
+    assert cosines == [2 * 64 * refine]
+    assert w.shape == u_radius.shape
+    np.testing.assert_array_equal(w.ravel(), weights(*_field_nodes(cfg, P, refine)[:2]))
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
@@ -799,7 +885,7 @@ def test_field_nodes_weigh_disc_and_sensing_circle(scenario):
     λ·π·R_s², so the split falls on the circle where the policy's power
     jumps."""
     cfg = ScenarioConfig(scenario=scenario, d_norm=0.5, n_f_target=60.0)
-    u_radius, u_angle, mass = simulator._field(cfg, P, 1)
+    u_radius, u_angle, mass = _field_nodes(cfg, P, 1)
     offsets = _cartesian_positions(u_radius, u_angle, P)
     user = cfg.user_offset_m if scenario is Scenario.REFERENCE_HOTSPOT else 0.0
     inside = np.hypot(offsets[:, 0] - user, offsets[:, 1]) <= cfg.sensing_radius_m
@@ -873,7 +959,7 @@ def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refi
     folded, full = (
         (weights(u_radius, u_angle), mass)
         for u_radius, u_angle, mass in (
-            simulator._field(cfg, P, refine), _full_circle_field(cfg, P, refine)
+            _field_nodes(cfg, P, refine), _full_circle_field(cfg, P, refine)
         )
     )
     assert np.all(folded[1] > 0.0)
@@ -902,7 +988,10 @@ def test_field_cost_and_legendre_cache(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
     assert cfg.user_offset_m < cfg.sensing_radius_m
-    assert [len(simulator._field(cfg, P, k)[2]) for k in (1, 2)] == [2 * 64 * 80, 2 * 128 * 160]
+    assert [[x.shape for x in simulator._field(cfg, P, k)] for k in (1, 2)] == [
+        [(2 * 64, 80), (2 * 64, 1), (2 * 64, 80)],
+        [(2 * 128, 160), (2 * 128, 1), (2 * 128, 160)],
+    ]
     for d_norm in (0.4, 0.8):
         simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
     assert sorted(built) == [80, 160]
@@ -992,7 +1081,7 @@ def test_coverage_vanishes_at_high_rates_with_noise(name, d_norm, printed):
     percentiles of the bench row are those `simulate` prints (12 digits)."""
     cfg = dataclasses.replace(_bench_cfg(name), d_norm=d_norm)
     link, weights = simulator._run(cfg, P)
-    u_radius, u_angle, mass = simulator._field(cfg, P, 1)
+    u_radius, u_angle, mass = _field_nodes(cfg, P, 1)
     w = weights(u_radius, u_angle)
     for rate in (300.0, 400.0, 511.0):
         assert link.coverage(math.expm1(rate * math.log(2.0)), w, mass) == (0.0, 0.0)
