@@ -10,16 +10,20 @@ number of complex dimensions, which keeps every incomplete-gamma shape
 parameter an integer, and every closed form calls the incomplete beta with
 positive integer shapes.
 
-Algorithms: `math.lgamma` for ln Γ; power series / continued fraction for
-the regularized incomplete gamma (switch at x = a+1); the finite Poisson
-sum for the even-dof chi-squared CDF, vectorised over x; Lentz-style
-continued fraction with the standard symmetry switch at x > (a+1)/(a+b+2)
-for the incomplete beta. `newton` is the one root finder: Newton steps from
-a closed-form slope, kept inside a bracket by bisection. It inverts the
-incomplete beta here, the energy detector's threshold and SNR in
-`sensing`, and the exact rate CDF in `laplace`. The series and continued
-fractions may take a number of steps that grows with √a, and raise when
-they reach it.
+Algorithms: `math.lgamma` for ln Γ. The regularized incomplete gamma is
+Temme's uniform expansion (DLMF 8.12.3) inside the window a >= 50,
+|x − a| <= 0.3·a: a few microseconds at any a, and within 2·10⁻¹⁵ of
+mpmath for (x − a)/√a in [−3, 5]. Elsewhere, and for ln P where the lower
+tail underflows, it is the power series or continued fraction (switch at
+x = a+1). The finite Poisson sum gives the even-dof chi-squared CDF,
+vectorised over x; a Lentz-style continued fraction with the standard
+symmetry switch at x > (a+1)/(a+b+2) the incomplete beta. `newton` is the
+one root finder: Newton steps from a closed-form slope, kept inside a
+bracket by bisection. It inverts the incomplete beta here, the energy
+detector's threshold and SNR in `sensing`, and the exact rate CDF in
+`laplace`. The series and continued fractions may take a number of steps
+that grows with √a, and raise when they reach it; the expansion has no
+loop to cap, as its table is fixed.
 """
 
 from __future__ import annotations
@@ -44,6 +48,47 @@ _ABS_TOL = 1e-10
 _MAX_ITER = 200
 # just below ln of the smallest positive double, 4.9e-324
 _LN_TINY = -745.2
+
+
+# Temme's uniform expansion of the incomplete gamma (DLMF 8.12.3, 8.12.12):
+# row k of _TEMME_D holds d_{k,0..}, the power series in η of C_k(η), from
+# the reversion of η²/2 = λ − 1 − ln λ and d_{k,n} = (−1)^k·g_k·d_{0,n} +
+# (n+2)·d_{k−1,n+2}, g_k the Stirling coefficients. Each row stops where
+# its terms fall below 10⁻¹⁷ at the window's widest point, a = 50 and
+# |η| = 0.34 (x = 0.7·a); rows 0 and 1 are those of cephes igam.h.
+_TEMME_D = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+     -2.185448510679992e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+     -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+     -4.382036018453353e-09, 9.14769958223679e-10, -2.5514193994946248e-11),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+     8.907507532205309e-07),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+     -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+     7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+     -1.8329116582843375e-05),
+    (0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+     0.0002812695154763237, -0.00010976582244684731),
+)
 
 
 def _budget(a: float) -> int:
@@ -126,22 +171,62 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     raise RuntimeError(f"gamma fraction did not converge in {_budget(a)} steps at a={a}, x={x}")
 
 
+def _log1pmx(s: float) -> float:
+    # ln(1+s) − s for |s| <= 0.3 without cancellation: with r = s/(2+s),
+    # ln(1+s) = 2·Σ r^(2j+1)/(2j+1) and s − 2r = s·r
+    r = s / (2.0 + s)
+    r2 = r * r
+    odd = 0.0
+    for c in (1 / 21, 1 / 19, 1 / 17, 1 / 15, 1 / 13, 1 / 11, 1 / 9, 1 / 7, 1 / 5, 1 / 3):
+        odd = odd * r2 + c
+    return r * (2.0 * r2 * odd - s)
+
+
+def _temme_tail(a: float, x: float) -> float:
+    """The smaller tail in the window, Q(a,x) for x >= a and P(a,x) below:
+    ½·erfc(|η|·√(a/2)) ± e^(−aη²/2)·Σ_k C_k(η)·a^(−k)/√(2πa), the sign
+    that of x − a. Row k is of order 10⁻³·a^(−k) and η-power n of order
+    (|η|/2√π)ⁿ; the sum keeps those above about 3·10⁻¹⁷ (5 rows at
+    a = 10³, 9 powers at |η| = 0.045)."""
+    s = (x - a) / a
+    ln_ratio = _log1pmx(s)  # −η²/2
+    eta = math.copysign(math.sqrt(-2.0 * ln_ratio), s)
+    rows = _TEMME_D[: math.ceil(32.0 / math.log(a))]
+    powers = math.ceil(38.0 / math.log(3.55 / max(abs(eta), 1e-300)))
+    total = 0.0
+    for row in reversed(rows):
+        c_k = 0.0
+        for d in reversed(row[:powers]):
+            c_k = c_k * eta + d
+        total = total / a + c_k
+    correction = math.exp(a * ln_ratio) * total / math.sqrt(2.0 * math.pi * a)
+    half_erfc = 0.5 * math.erfc(math.sqrt(-a * ln_ratio))
+    return half_erfc + correction if s >= 0.0 else half_erfc - correction
+
+
+def _in_temme_window(a: float, x: float) -> bool:
+    return a >= 50.0 and abs(x - a) <= 0.3 * a
+
+
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Γ(a,x)/Γ(a).
 
     Monotone nonincreasing in x, with Q(a,0) = 1 and Q(a,inf) = 0.
 
     Raises:
-        ValueError: if a <= 0 or x < 0.
+        ValueError: if a is not positive and finite, or x < 0.
     """
-    if not a > 0:
-        raise ValueError(f"reg_upper_gamma requires a > 0, got a={a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"reg_upper_gamma requires finite a > 0, got a={a}")
     if not x >= 0:
         raise ValueError(f"reg_upper_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return 1.0
     if x == math.inf:
         return 0.0
+    if _in_temme_window(a, x):
+        tail = _temme_tail(a, x)
+        return tail if x >= a else 1.0 - tail
     if x < a + 1.0:
         return -math.expm1(_ln_lower_gamma_series(a, x))
     return _upper_gamma_cf(a, x)
@@ -154,14 +239,20 @@ def ln_reg_lower_gamma(a: float, x: float) -> float:
     energy-detector formulas whose product terms are only finite jointly.
     ln P(a,0) = -inf and ln P(a,inf) = 0.
     """
-    if not a > 0:
-        raise ValueError(f"ln_reg_lower_gamma requires a > 0, got a={a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"ln_reg_lower_gamma requires finite a > 0, got a={a}")
     if not x >= 0:
         raise ValueError(f"ln_reg_lower_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return -math.inf
     if x == math.inf:
         return 0.0
+    if _in_temme_window(a, x):
+        tail = _temme_tail(a, x)
+        if x >= a:
+            return math.log1p(-tail)
+        if tail > 1e-300:  # else the lower tail is near underflow: series
+            return math.log(tail)
     if x >= a + 1.0:
         return math.log1p(-_upper_gamma_cf(a, x))
     return _ln_lower_gamma_series(a, x)

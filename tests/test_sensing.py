@@ -150,10 +150,9 @@ def test_threshold_newton_cost_and_accuracy(monkeypatch, m):
     monkeypatch.setattr(sensing, "false_alarm_probability", counted)
     lam = solve_threshold.__wrapped__(m, 0.1)
     assert len(calls) <= 8
-    # at m = 10^4 the tail itself carries ~3e-11 relative rounding, from the
-    # prefactor e^(a·ln x − x − ln Γ(a)) of two ~2e5-sized terms
-    rel = 1e-12 if m <= 500 else 1e-10
-    assert abs(false_alarm_probability(m, lam) / 0.1 - 1.0) <= rel
+    # the uniform expansion carries ~1e-15 relative rounding at every m (the
+    # continued fraction's prefactor left ~3e-11 at m = 10^4)
+    assert abs(false_alarm_probability(m, lam) / 0.1 - 1.0) <= 1e-12
 
 
 def _oracle_detection_probability(snr_db, m, lam, t_f):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -48,8 +50,7 @@ LARGE_SHAPE_POINTS = [
 
 @pytest.mark.parametrize(("a", "x"), LARGE_SHAPE_POINTS)
 def test_large_shape_gamma_matches_scipy(a, x):
-    """Near x = a the series and the continued fraction need O(sqrt(a))
-    steps, more than the base cap of 200 once a reaches a few thousand."""
+    """Near x = a at large shape: inside the uniform expansion's window."""
     assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=1e-8)
     assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(sp.gammainc(a, x)), abs=1e-8)
 
@@ -58,17 +59,22 @@ def test_large_shape_gamma_matches_scipy(a, x):
 @pytest.mark.parametrize("dx", [-1.0, 0.0, 0.5])
 def test_gamma_series_remainder_near_x_equals_a(a, dx):
     """Near x = a the series' terms shrink slowly, so the sum stops on a
-    bound of its remainder rather than on its last term."""
+    bound of its remainder rather than on its last term. The public
+    functions take the uniform expansion here, so the series is called
+    directly."""
     x = a + dx
-    assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=2e-10)
+    q = -math.expm1(specfun._ln_lower_gamma_series(a, x))
+    assert q == pytest.approx(sp.gammaincc(a, x), rel=2e-10)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: reg_upper_gamma(100.0, 90.0),  # series
-        lambda: reg_upper_gamma(100.0, 120.0),  # continued fraction
-        lambda: ln_reg_lower_gamma(100.0, 90.0),  # log-space series
+        # shape 10 lies below the uniform expansion's window, so these reach
+        # the loops; the expansion itself has none
+        lambda: reg_upper_gamma(10.0, 5.0),  # series
+        lambda: reg_upper_gamma(10.0, 20.0),  # continued fraction
+        lambda: ln_reg_lower_gamma(10.0, 5.0),  # log-space series
         lambda: reg_inc_beta(0.4, 50.0, 60.0),  # beta continued fraction
     ],
     ids=["series", "cf", "log-series", "beta-cf"],
@@ -77,6 +83,158 @@ def test_iteration_cap_raises(monkeypatch, call):
     monkeypatch.setattr(specfun, "_budget", lambda a: 3)
     with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
         call()
+
+
+def _stirling_coefficients(k_max):
+    """g_0..g_k_max of Γ(a) ~ √(2π)·a^(a−1/2)·e^(−a)·Σ g_k·a^(−k), by
+    exponentiating ln Γ*(a) ~ Σ_j B_2j/(2j(2j−1)·a^(2j−1))."""
+    bern = [Fraction(1)]
+    for m in range(1, k_max + 2):
+        bern.append(-sum(math.comb(m + 1, i) * bern[i] for i in range(m)) / (m + 1))
+    ln_coef = [Fraction(0)] * (k_max + 1)
+    for j in range(1, k_max // 2 + 2):
+        if 2 * j - 1 <= k_max:
+            ln_coef[2 * j - 1] = bern[2 * j] / (2 * j * (2 * j - 1))
+    g = [Fraction(1)]
+    for n in range(1, k_max + 1):
+        g.append(sum(i * ln_coef[i] * g[n - i] for i in range(1, n + 1)) / n)
+    return g
+
+
+def _temme_coefficients(rows, powers):
+    """d_{k,n} of Temme's expansion in exact rationals, at least `powers`
+    of them per row. s = λ − 1 = Σ c_m·η^m solves s·ds/dη = η·(1+s) (the
+    derivative of η²/2 = s − ln(1+s)); d_{0,n} are the coefficients of
+    C_0 = 1/s − 1/η, and the rows after it follow DLMF 8.12.12."""
+    n0 = powers + 2 * rows
+    c = [Fraction(0), Fraction(1)]
+    for m in range(2, n0 + 2):
+        cross = sum((m + 1 - i) * c[i] * c[m + 1 - i] for i in range(2, m))
+        c.append((c[m - 1] - cross) / (m + 1))
+    # η/s = 1/(1 + Σ_{j>=1} c_{j+1}·η^j), so C_0 = Σ_n inv_{n+1}·η^n
+    inv = [Fraction(1)]
+    for n in range(1, n0 + 1):
+        inv.append(-sum(c[j + 1] * inv[n - j] for j in range(1, n + 1)))
+    d = [inv[1:]]
+    g = _stirling_coefficients(rows)
+    for k in range(1, rows):
+        prev = d[-1]
+        d.append([(-1) ** k * g[k] * d[0][n] + (n + 2) * prev[n + 2] for n in range(len(prev) - 2)])
+    return d
+
+
+# rows 0 and 1 of the d table in cephes igam.h, as printed there
+CEPHES_IGAM_D = [
+    [-3.3333333333333333e-1, 8.3333333333333333e-2, -1.4814814814814815e-2,
+     1.1574074074074074e-3, 3.527336860670194e-4, -1.7875514403292181e-4,
+     3.9192631785224378e-5, -2.1854485106799922e-6, -1.85406221071516e-6,
+     8.296711340953086e-7, -1.7665952736826079e-7, 6.7078535434014986e-9,
+     1.0261809784240308e-8, -4.3820360184533532e-9, 9.1476995822367902e-10,
+     -2.551419399494625e-11],
+    [-1.8518518518518519e-3, -3.4722222222222222e-3, 2.6455026455026455e-3,
+     -9.9022633744855967e-4, 2.0576131687242798e-4, -4.0187757201646091e-7,
+     -1.8098550334489978e-5, 7.6491609160811101e-6, -1.6120900894563446e-6,
+     4.6471278028074343e-9, 1.378633446915721e-7, -5.752545603517705e-8,
+     1.1951628599778147e-8, -1.7543241719747648e-11, -1.0091543710600413e-9],
+]
+
+
+def test_temme_table_matches_its_definition():
+    """Each embedded d_{k,n} is within 1 ulp of its exact rational; each
+    row stops where its terms fall below 10⁻¹⁷ at the window's widest
+    point (a = 50, |η| = 0.34); rows 0 and 1 are cephes'."""
+    table = specfun._TEMME_D
+    g = _stirling_coefficients(3)
+    assert g == [1, Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840)]
+    exact = _temme_coefficients(len(table), max(map(len, table)))
+    for k, row in enumerate(table):
+        for lit, ref in zip(row, exact[k]):
+            assert abs(lit - float(ref)) <= math.ulp(float(ref))
+        rest = sum(abs(v) * Fraction(34, 100) ** n for n, v in enumerate(exact[k]) if n >= len(row))
+        assert rest / 50**k < 1e-17
+    for row, cephes in zip(table, CEPHES_IGAM_D):
+        assert len(row) == len(cephes)
+        for lit, ref in zip(row, cephes):
+            assert abs(lit - ref) <= math.ulp(ref)
+
+
+MPMATH_POINTS = [
+    (a, a + z * math.sqrt(a))
+    for a in (50.0, 999.0, 1000.0, 2e4, 1e6)
+    for z in (-3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 1.36, 2.0, 3.0, 5.0)
+    if abs(z) <= 0.3 * math.sqrt(a)
+]
+
+
+@pytest.mark.parametrize(("a", "x"), MPMATH_POINTS)
+def test_uniform_expansion_matches_mpmath(a, x):
+    """Inside the window Q and ln P agree with a 40-digit oracle to 1e-13
+    relative, from a = 50 to 10⁶ (the series and fraction left ~1e-9 at
+    a = 10⁶)."""
+    assert specfun._in_temme_window(a, x)
+    with mpmath.workdps(40):
+        # the smaller tail directly; mpmath's other tail may not converge
+        if x >= a:
+            q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            ln_p = mpmath.log1p(-q)
+        else:
+            p = mpmath.gammainc(a, 0, x, regularized=True)
+            q, ln_p = 1 - p, mpmath.log(p)
+    assert reg_upper_gamma(a, x) == pytest.approx(float(q), rel=1e-13, abs=0.0)
+    assert ln_reg_lower_gamma(a, x) == pytest.approx(float(ln_p), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(("a", "x"), [(2e4, 1.5e4), (1e6, 7.5e5)])
+def test_ln_reg_lower_gamma_in_window_below_underflow(a, x):
+    """Where P itself underflows inside the window (a·η²/2 of 754 and
+    37 682), ln P comes from the log-space series and stays finite."""
+    assert specfun._in_temme_window(a, x)
+    with mpmath.workdps(40):
+        ln_p = mpmath.log(mpmath.gammainc(a, 0, x, regularized=True))
+    assert ln_reg_lower_gamma(a, x) == pytest.approx(float(ln_p), rel=1e-12)
+
+
+def _series_or_fraction(a, x):
+    # Q and ln P as evaluated outside the expansion's window
+    if x < a + 1.0:
+        ln_p = specfun._ln_lower_gamma_series(a, x)
+        return -math.expm1(ln_p), ln_p
+    q = specfun._upper_gamma_cf(a, x)
+    return q, math.log1p(-q)
+
+
+def _expansion(a, x):
+    # Q and ln P from the expansion's smaller tail
+    tail = specfun._temme_tail(a, x)
+    if x >= a:
+        return tail, math.log1p(-tail)
+    return 1.0 - tail, math.log(tail)
+
+
+_NEAR_WINDOW_EDGES = st.one_of(
+    # either side of |x − a| = 0.3·a
+    st.tuples(st.floats(35.0, 4000.0), st.sampled_from([0.7, 1.3]), st.floats(-0.02, 0.02)).map(
+        lambda t: (t[0], t[0] * (t[1] + t[2]))
+    ),
+    # either side of a = 50
+    st.tuples(st.floats(45.0, 55.0), st.floats(-0.3, 0.3)).map(lambda t: (t[0], t[0] * (1.0 + t[1]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_NEAR_WINDOW_EDGES)
+def test_branches_agree_across_the_window_edges(point):
+    """Either side of the window's edges the expansion and the series or
+    fraction agree to their stopping tolerance: the series stops at 10⁻¹⁰
+    of P, which near x = a (P ≈ 0.55) is up to 1.8·10⁻¹⁰ of Q and of ln P.
+    Each public function returns its branch's value bit for bit."""
+    a, x = point
+    old = _series_or_fraction(a, x)
+    new = _expansion(a, x)
+    assert new[0] == pytest.approx(old[0], rel=2e-10)
+    assert new[1] == pytest.approx(old[1], rel=2e-10)
+    expected = new if specfun._in_temme_window(a, x) else old
+    assert (reg_upper_gamma(a, x), ln_reg_lower_gamma(a, x)) == expected
 
 
 def test_ln_reg_lower_gamma_deep_tail_finite():
@@ -90,7 +248,8 @@ def test_ln_reg_lower_gamma_deep_tail_finite():
 
 
 @pytest.mark.parametrize(
-    ("a", "x"), [(-1.0, 1.0), (0.0, 1.0), (2.0, -0.5), (2.0, math.nan), (math.nan, 1.0)]
+    ("a", "x"),
+    [(-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (2.0, -0.5), (2.0, math.nan), (math.nan, 1.0)],
 )
 def test_gamma_domain_errors(a, x):
     with pytest.raises(ValueError):
