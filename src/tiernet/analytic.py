@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .linkmodel import SystemParams, location_coeffs
+from .linkmodel import LocationCoefficients, SystemParams, location_coeffs
 from .specfun import inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "shot_noise_k_f",
     "k_f_limit",
     "k_c",
+    "femto_density_cap",
     "max_contention_density_femto",
     "max_contention_density_cellular",
     "cellular_coverage_radius",
@@ -35,10 +36,9 @@ class Regime(Enum):
     INFEASIBLE = "Infeasible"
 
 
-def _falling_delta_sum(n: int, delta: float, start: float) -> float:
-    # start + sum_{l=1}^{n} (1/l!)·prod_{m<l}(m-delta), where 1 + the sum
-    # is Γ(n+1-delta)/(Γ(1-delta)·n!)
-    return start - 1.0 + math.exp(
+def _falling_delta_sum(n: int, delta: float) -> float:
+    # 1 + sum_{l=1}^{n} (1/l!)·prod_{m<l}(m-delta) = Γ(n+1-delta)/(Γ(1-delta)·n!)
+    return math.exp(
         math.lgamma(n + 1 - delta) - math.lgamma(1.0 - delta) - math.lgamma(n + 1)
     )
 
@@ -82,7 +82,7 @@ def shot_noise_c_f(p: SystemParams) -> float:
 def k_f_limit(p: SystemParams) -> float:
     """kappa -> 0 limit of the shot-noise correction (hotspot-limited
     regime): [1 + sum_{l=1}^{t_f-u_f} (1/l!)·prod_{m<l}(m-delta)]^(-1)."""
-    return 1.0 / _falling_delta_sum(p.t_f - p.u_f, 2.0 / p.alpha_fo, 1.0)
+    return 1.0 / _falling_delta_sum(p.t_f - p.u_f, 2.0 / p.alpha_fo)
 
 
 def shot_noise_k_f(kappa: float, p: SystemParams) -> float:
@@ -96,7 +96,7 @@ def shot_noise_k_f(kappa: float, p: SystemParams) -> float:
     ratio = kappa / (kappa + 1.0)
     correction = 0.0
     for j in range(p.t_f - p.u_f):
-        inner = _falling_delta_sum(p.t_f - p.u_f - j, delta, 0.0)
+        inner = _falling_delta_sum(p.t_f - p.u_f - j, delta) - 1.0
         weight = ratio**j * math.comb(p.u_c + j - 1, j) / (1.0 + kappa) ** p.u_c
         correction += weight * inner
     return 1.0 / (1.0 + correction)
@@ -115,28 +115,42 @@ def k_correction_bounds(t: int, u: int, p: SystemParams) -> tuple[float, float]:
 def k_c(p: SystemParams) -> float:
     """Cellular-side shot-noise constant K_c =
     [1 + sum_{j=1}^{t_c-u_c} (1/j!)·prod_{k<j}(k-delta)]^(-1)."""
-    return 1.0 / _falling_delta_sum(p.t_c - p.u_c, 2.0 / p.alpha_fo, 1.0)
+    return 1.0 / _falling_delta_sum(p.t_c - p.u_c, 2.0 / p.alpha_fo)
+
+
+def _macro_outage(kappa: float, p: SystemParams) -> float:
+    # I(kappa) = I_{kappa/(kappa+1)}(t_f−u_f+1, u_c): femto outage from the macrocell alone
+    return reg_inc_beta(kappa / (kappa + 1.0), p.t_f - p.u_f + 1, p.u_c)
+
+
+def femto_density_cap(
+    loc: LocationCoefficients, k: float, p: SystemParams, macro_term: float | None = None
+) -> float:
+    """Femtocell density (per m²) at which the first-order femto outage, the
+    macro term I(kappa) plus the field's load, meets eps at loc under shot-noise
+    correction k: (eps − I(kappa))/(1/k − I(kappa))/(C_f·(q_f·Γ)^δ), δ = 2/α_fo;
+    macro_term is I(kappa) where the caller has it already."""
+    if macro_term is None:
+        macro_term = _macro_outage(loc.kappa, p)
+    delta = 2.0 / p.alpha_fo
+    scale = 1.0 / (shot_noise_c_f(p) * (loc.q_f * p.gamma_target) ** delta)
+    return scale * (p.eps - macro_term) / (1.0 / k - macro_term)
 
 
 def max_contention_density_femto(d_norm: float, p: SystemParams) -> tuple[float, Regime]:
     """Maximum femtocell density (per m²) keeping femto-tier outage at eps
-    for a reference femtocell at D = d_norm·r_c, with the regime label.
+    for a reference femtocell at D = d_norm·r_c, with the regime label: the
+    cap under the location's own correction K_f(kappa).
 
     Returns density 0 with Regime.INFEASIBLE when the macro-tier
     interference alone already exceeds the outage budget (D below the
     no-coverage radius).
     """
-    delta = 2.0 / p.alpha_fo
     loc = location_coeffs(d_norm, p)
-    macro_term = reg_inc_beta(
-        loc.kappa / (loc.kappa + 1.0), p.t_f - p.u_f + 1, p.u_c
-    )
+    macro_term = _macro_outage(loc.kappa, p)
     if macro_term >= p.eps:
         return 0.0, Regime.INFEASIBLE
-    c_f = shot_noise_c_f(p)
-    k_f = shot_noise_k_f(loc.kappa, p)
-    scale = 1.0 / (c_f * (loc.q_f * p.gamma_target) ** delta)
-    lam = scale * (p.eps - macro_term) / (1.0 / k_f - macro_term)
+    lam = femto_density_cap(loc, shot_noise_k_f(loc.kappa, p), p, macro_term)
     regime = Regime.CELLULAR_LIMITED if macro_term >= p.eps / 2.0 else Regime.HOTSPOT_LIMITED
     return lam, regime
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import analytic, sensing, simulator
 from .linkmodel import SystemParams, location_coeffs
 from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
-from .specfun import chi2_cdf, reg_inc_beta
+from .specfun import chi2_cdf
 from .simulator import ChannelMode, PowerPolicy, Scenario, ScenarioConfig
 
 __all__ = [
@@ -95,17 +95,11 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(variable=var, start=start, stop=stop, steps=steps)
 
 
-def _fmt(value) -> str:
+def _fmt(value: float | int | Enum) -> str:
     if type(value) is float:  # most cells: tested first
         return f"{value:.12g}"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
@@ -349,29 +343,6 @@ def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
     return float(max(up, down))
 
 
-def _lemma_inversion_errors(p: SystemParams, lambda_f: float) -> tuple[float, float]:
-    """Relative round-trip error of the two power-window edges at the cell
-    edge: the floor must invert the cellular density cap, the ceiling the
-    femto cap with the worst-case correction substituted."""
-    lo_db, hi_db = sensing.power_ratio_bounds(1.0, lambda_f, p)
-    delta = 2.0 / p.alpha_fo
-    c_f = analytic.shot_noise_c_f(p)
-
-    p_lo = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + lo_db)
-    lam_back_lo = analytic.max_contention_density_cellular(1.0, p_lo)
-
-    p_hi = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + hi_db)
-    loc = location_coeffs(1.0, p_hi)
-    k_max = analytic.k_correction_bounds(p.t_f, p.u_f, p)[1]
-    macro_term = reg_inc_beta(loc.kappa / (loc.kappa + 1.0), p.t_f - p.u_f + 1, p.u_c)
-    lam_back_hi = (
-        (p.eps - macro_term)
-        / (1.0 / k_max - macro_term)
-        / (c_f * (loc.q_f * p.gamma_target) ** delta)
-    )
-    return abs(lam_back_lo / lambda_f - 1.0), abs(lam_back_hi / lambda_f - 1.0)
-
-
 @main.command("validate")
 @click.option("--config", "config_path", default=None)
 @click.option("--out", "out_path", default=None, help="JSON report path (default stdout).")
@@ -382,8 +353,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     checks: list[dict] = []
 
     def record(name: str, passed: bool, value: float, bound: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "value": value, "bound": bound})
+        checks.append({"name": name, "passed": bool(passed), "value": value, "bound": bound})
 
     n_ks = 100_000
     crit = KS_CRITICAL_1PCT / math.sqrt(n_ks)
@@ -398,33 +368,38 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         stat = _ks_statistic_chi2(sampler(rng, n_ks, t, u), k)
         record(name, stat < crit, stat, f"< {crit:.6f}")
 
-    lam_f, _ = analytic.max_contention_density_femto(0.5, p)
-    if lam_f > 0:
-        cfg_f = ScenarioConfig(
-            scenario=Scenario.REFERENCE_HOTSPOT, d_norm=0.5,
-            power_policy=PowerPolicy.FIXED,
-            n_f_target=lam_f * math.pi * p.r_c**2, include_noise=False,
-        )
-        p_out = simulator.simulate(cfg_f, 1, 1, p, seed).p_outage
-        record("femto_closure_outage",
-               abs(p_out - p.eps) <= 0.03, p_out, f"{p.eps} +- 0.03")
+    # each tier's closure: a Fixed-power field at its density cap holds the outage at eps
+    for name, scenario, d_norm, cap, tol in (
+        ("femto_closure_outage", Scenario.REFERENCE_HOTSPOT, 0.5,
+         analytic.max_contention_density_femto(0.5, p)[0], 0.03),
+        ("cellular_closure_outage", Scenario.REFERENCE_CELLULAR_USER, 0.8,
+         analytic.max_contention_density_cellular(0.8, p), 0.02),
+    ):
+        if cap > 0:
+            cfg_cap = ScenarioConfig(
+                scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
+                n_f_target=cap * math.pi * p.r_c**2, include_noise=False,
+            )
+            p_out = simulator.simulate(cfg_cap, 1, 1, p, seed).p_outage
+            record(name, abs(p_out - p.eps) <= tol, p_out, f"{p.eps} +- {tol}")
 
-    lam_c = analytic.max_contention_density_cellular(0.8, p)
-    cfg_c = ScenarioConfig(
-        scenario=Scenario.REFERENCE_CELLULAR_USER, d_norm=0.8,
-        power_policy=PowerPolicy.FIXED,
-        n_f_target=lam_c * math.pi * p.r_c**2, include_noise=False,
-    )
-    p_out = simulator.simulate(cfg_c, 1, 1, p, seed).p_outage
-    record("cellular_closure_outage",
-           abs(p_out - p.eps) <= 0.02, p_out, f"{p.eps} +- 0.02")
-
+    # the power window at the cell edge: its floor must invert the cellular
+    # density cap, its ceiling the femto cap under the worst-case correction
+    lam = cfg.density(p)
     try:
-        err_lo, err_hi = _lemma_inversion_errors(p, cfg.density(p))
-        record("power_window_inversion_floor", err_lo < 1e-9, err_lo, "< 1e-9")
-        record("power_window_inversion_ceiling", err_hi < 1e-9, err_hi, "< 1e-9")
+        lo_db, hi_db = sensing.power_ratio_bounds(1.0, lam, p)
     except sensing.InfeasiblePlanError as exc:
         record("power_window_inversion", False, math.nan, str(exc))
+    else:
+        p_lo = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + lo_db)
+        p_hi = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + hi_db)
+        k_max = analytic.k_correction_bounds(p.t_f, p.u_f, p)[1]
+        for name, lam_back in (
+            ("floor", analytic.max_contention_density_cellular(1.0, p_lo)),
+            ("ceiling", analytic.femto_density_cap(location_coeffs(1.0, p_hi), k_max, p_hi)),
+        ):
+            err = abs(lam_back / lam - 1.0)
+            record(f"power_window_inversion_{name}", err < 1e-9, err, "< 1e-9")
 
     threshold = sensing.solve_threshold(DETECTOR_M_TW, DETECTOR_P_FALSE)
     p_fa = sensing.false_alarm_probability(DETECTOR_M_TW, threshold)

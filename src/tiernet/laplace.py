@@ -17,7 +17,7 @@ import numpy as np
 
 from .specfun import newton
 
-__all__ = ["ExactLink", "MixtureRates"]
+__all__ = ["ExactLink", "rate_quantiles"]
 
 _LN2 = math.log(2.0)
 # the rate-quantile solve (specfun.newton): the step at which it stops, and
@@ -120,39 +120,34 @@ class ExactLink(NamedTuple):
         return laplace * sum(a[:m]), -(m / theta) * a[m] * laplace
 
 
-class MixtureRates(NamedTuple):
-    """The rate law of the population of drops, the mixture of their exact
-    laws: F(r) = 1 − P(SINR ≥ 2^r − 1) averaged over the field, which has
-    mass[j] at the node of weight weights[j]."""
+def rate_quantiles(
+    link: ExactLink, weights: np.ndarray, mass: np.ndarray, us: list[float]
+) -> list[float]:
+    """Quantiles of the rate law of the population of drops, the mixture of
+    their exact laws: F(r) = 1 − P(SINR ≥ 2^r − 1) averaged over the field,
+    which has mass[j] at the node of weight weights[j].
 
-    link: ExactLink
-    weights: np.ndarray
-    mass: np.ndarray
+    The smallest rates r with F(r) ≥ u, in the order of us: 0 for u = 0,
+    inf for u = 1 or beyond _MAX_RATE, else `newton` on [0, _MAX_RATE].
+    The distinct u are solved in increasing order, each starting at the
+    root below it, which is also the bracket's lower end (the first starts
+    at r = 1)."""
 
-    def quantiles(self, us: list[float]) -> list[float]:
-        """The smallest rates r with F(r) ≥ u, in the order of us: 0 for
-        u = 0, inf for u = 1 or beyond _MAX_RATE, else `newton` on
-        [0, _MAX_RATE]. The distinct u are solved in increasing order, each
-        starting at the root below it, which is also the bracket's lower
-        end (the first starts at r = 1)."""
-        roots: dict[float, float] = {}
-        r = 0.0
-        for u in sorted(set(us)):
-            r = roots[u] = self._solve(u, r)
-        return [roots[u] for u in us]
+    def fn(r: float) -> tuple[float, float]:
+        # F(r) − u at the loop's current u, and its slope
+        theta = math.expm1(r * _LN2)
+        cov, d_cov = link.coverage(theta, weights, mass)
+        return (1.0 - u) - cov, -d_cov * _LN2 * (theta + 1.0)
 
-    def _solve(self, u: float, lo: float) -> float:
-        # the root of F(r) − u above lo, with F(lo) ≤ u
-        if u <= 0.0:
-            return 0.0
-        if u >= 1.0 or lo == math.inf:
-            return math.inf
-
-        def fn(r: float) -> tuple[float, float]:
-            theta = math.expm1(r * _LN2)
-            cov, d_cov = self.link.coverage(theta, self.weights, self.mass)
-            return (1.0 - u) - cov, -d_cov * _LN2 * (theta + 1.0)
-
-        r = newton(fn, lo if lo > 0.0 else 1.0, lo, _MAX_RATE, _RATE_TOL)
-        # F < u on the whole bracket: newton closes in on its top
-        return r if r < _MAX_RATE - _RATE_TOL else math.inf
+    roots: dict[float, float] = {}
+    r = 0.0
+    for u in sorted(set(us)):
+        # the root of F(r) − u above the root below, r, where F(r) ≤ u
+        if u >= 1.0 or r == math.inf:
+            r = math.inf
+        elif u > 0.0:
+            r = newton(fn, r if r > 0.0 else 1.0, r, _MAX_RATE, _RATE_TOL)
+            # F < u on the whole bracket: newton closes in on its top
+            r = r if r < _MAX_RATE - _RATE_TOL else math.inf
+        roots[u] = r
+    return [roots[u] for u in us]

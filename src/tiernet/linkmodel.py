@@ -1,5 +1,5 @@
-"""System parameters, the fixed losses of the five link classes, and
-per-location interference coefficients of the two-tier network model.
+"""System parameters, the fixed losses of the five link classes, the noise
+floor, and per-location interference coefficients of the two-tier network.
 
 Conventions: every fixed loss is stored in dB as an attenuation; linear-scale
 quantities are gains (10^(-dB/10)). All internal arithmetic is linear — dB
@@ -13,6 +13,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, asdict, field, fields
+from enum import Enum
 from typing import NamedTuple
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "LocationCoefficients",
     "link_budget",
     "location_coeffs",
+    "noise_floor_dbm",
     "db_to_linear",
     "linear_to_db",
     "dbm_to_watts",
@@ -75,8 +77,29 @@ def _check_fields(params) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+class _JsonConfig:
+    """JSON round trip of a frozen config dataclass: keys are the field names,
+    missing keys take the defaults, and Enum fields travel as their values."""
+
+    def to_json(self) -> str:
+        raw = {k: v.value if isinstance(v, Enum) else v for k, v in asdict(self).items()}
+        return json.dumps(raw, indent=2, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, raw: dict):
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        coerced = dict(raw)
+        for f in fields(cls):
+            kind = type(f.default)
+            if issubclass(kind, Enum) and not isinstance(coerced.get(f.name, f.default), kind):
+                coerced[f.name] = kind(coerced[f.name])
+        return cls(**coerced)
+
+
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_JsonConfig):
     """Full parameter set of the two-tier network; defaults are the reference
     operating point used throughout (5 dB SIR target, 10% outage, 1 km
     macrocell, 30 m femtocell homes, 4/2 antenna macro/femto arrays,
@@ -125,7 +148,6 @@ class SystemParams:
         if not self.f_c_mhz > 0:
             raise ValueError(f"f_c_mhz must be positive, got {self.f_c_mhz}")
         a_c_db, a_fc_db, _, _, a_ff_db = _losses_db(self)
-        edge_loss_db = 10.0 * self.alpha_c * math.log10(self.r_c)
         # the linear powers, gains, path losses and the SIR target derived
         # from the fields, in dB: outside ±_MAX_DB one of them or its
         # reciprocal overflows or vanishes downstream
@@ -139,35 +161,17 @@ class SystemParams:
             ("f_c_mhz + wall_db", a_fc_db),
             ("wall_db", a_ff_db),  # beyond the bound before a_cf_db = wall_db + 37
             ("r_f", 10.0 * self.alpha_fi * math.log10(self.r_f)),
-            ("r_c", edge_loss_db),
+            ("r_c", 10.0 * self.alpha_c * math.log10(self.r_c)),
             ("gamma_target", 10.0 * math.log10(self.gamma_target)),
-            # sensing.noise_floor_dbm in dBW: each term above may lie inside
-            # the bound while their sum does not
-            ("noise floor", self.p_c_dbm - 30.0 - a_c_db - edge_loss_db - self.snr_edge_db),
+            # in dBW: each term above may lie inside the bound while their
+            # sum does not
+            ("noise floor", noise_floor_dbm(self) - 30.0),
         ):
             if not abs(level_db) < _MAX_DB:
                 raise ValueError(
                     f"{name} puts a derived power, gain, path loss or SIR target at "
                     f"{level_db:.6g} dB; it must lie within ±{_MAX_DB:g} dB"
                 )
-
-    # -- JSON round trip; keys are exactly the field names, missing keys take
-    #    the defaults above.
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SystemParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown SystemParams keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -212,17 +216,20 @@ def _losses_db(p: SystemParams) -> tuple[float, float, float, float, float]:
     return a_c, a_c + p.wall_db, 37.0, p.wall_db + 37.0, 2.0 * p.wall_db + 37.0
 
 
+def noise_floor_dbm(p: SystemParams) -> float:
+    """Receiver noise power N₀W in dBm: a cell-edge macro user sees snr_edge_db
+    of average SNR. SystemParams checks it, so it reads no link_budget memo."""
+    return p.p_c_dbm - _losses_db(p)[0] - 10.0 * p.alpha_c * math.log10(p.r_c) - p.snr_edge_db
+
+
 class LocationCoefficients(NamedTuple):
     """Dimensionless interference coefficients at normalized macro distance
-    d_norm = D/R_c: the macro-to-femto interference strength script_p_f, the
-    femto-tier normalization q_f, their combination kappa, and the
-    cellular-side q_c."""
+    d_norm = D/R_c: kappa (the macro-to-femto interference strength × q_f·Γ/u_c),
+    the femto-tier normalization q_f, and the cellular-side q_c."""
 
     kappa: float
     q_f: float
-    script_p_f: float
     q_c: float
-    d_norm: float
 
 
 def location_coeffs(d_norm: float, p: SystemParams) -> LocationCoefficients:
@@ -241,8 +248,8 @@ def location_coeffs(d_norm: float, p: SystemParams) -> LocationCoefficients:
     lb = link_budget(p)
     d = d_norm * p.r_c
     pc_over_pf = db_to_linear(p.p_c_dbm - p.p_f_dbm)
-    script_p_f = pc_over_pf * (lb.a_fc / lb.a_ff) * d ** (-p.alpha_c)
     q_f = (lb.a_ff / lb.a_fi) * p.r_f**p.alpha_fi * p.u_f
     q_c = p.u_c * (1.0 / pc_over_pf) * (lb.a_cf / lb.a_c) * d**p.alpha_c
-    kappa = script_p_f * q_f * p.gamma_target / p.u_c
-    return LocationCoefficients(kappa, q_f, script_p_f, q_c, d_norm)
+    # the macro-to-femto interference strength (P_c/P_f)·(a_fc/a_ff)·D^(−α_c), × q_f·Γ/u_c
+    kappa = pc_over_pf * (lb.a_fc / lb.a_ff) * d ** (-p.alpha_c) * q_f * p.gamma_target / p.u_c
+    return LocationCoefficients(kappa, q_f, q_c)

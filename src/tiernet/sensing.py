@@ -4,7 +4,8 @@ transmit-power ratios, uplink pilot-SNR calibration, and the performance of
 the energy detector with selection combining.
 
 Power ratios are handled in dB at the API surface; detector quantities
-(threshold, SNR) are linear.
+(threshold, SNR) are linear. The receiver noise floor that calibrates the
+pilot SNR is `tiernet.linkmodel.noise_floor_dbm`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .linkmodel import (
     linear_to_db,
     link_budget,
     location_coeffs,
+    noise_floor_dbm,
 )
 from .specfun import (
     _lower_gamma_sum,
@@ -33,7 +35,6 @@ __all__ = [
     "min_sensing_radius",
     "power_ratio_bounds",
     "blended_power_policy",
-    "noise_floor_dbm",
     "pilot_snr",
     "false_alarm_probability",
     "detection_probability_sc",
@@ -129,18 +130,6 @@ def blended_power_policy(
         raise ValueError(f"weight must lie in [0,1], got {weight}")
     lo_db, hi_db = power_ratio_bounds(d_norm, lambda_f, p)
     return weight * hi_db + (1.0 - weight) * lo_db
-
-
-def noise_floor_dbm(p: SystemParams) -> float:
-    """Receiver noise power N₀W in dBm, calibrated so a cell-edge macro user
-    sees snr_edge_db of average SNR."""
-    budget = link_budget(p)
-    return (
-        p.p_c_dbm
-        - budget.a_c_db
-        - 10.0 * p.alpha_c * math.log10(p.r_c)
-        - p.snr_edge_db
-    )
 
 
 def _pilot_budget_db(p: SystemParams) -> float:

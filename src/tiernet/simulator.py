@@ -23,17 +23,18 @@ bit-identical from run to run.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .laplace import ExactLink, MixtureRates
-from .linkmodel import SystemParams, _check_fields, dbm_to_watts, link_budget
-from .sensing import blended_power_policy, noise_floor_dbm
+from .laplace import ExactLink, rate_quantiles
+from .linkmodel import (
+    SystemParams, _check_fields, _JsonConfig, dbm_to_watts, link_budget, noise_floor_dbm,
+)
+from .sensing import blended_power_policy
 
 __all__ = [
     "ChannelMode",
@@ -89,7 +90,7 @@ class SimulationResult:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_JsonConfig):
     """One simulation scenario.
 
     A reference cellular user sits at D = d_norm·r_c; a reference hotspot is
@@ -145,32 +146,6 @@ class ScenarioConfig:
     def density(self, p: SystemParams) -> float:
         return self.n_f_target / (math.pi * p.r_c**2)
 
-    def to_json(self) -> str:
-        raw = asdict(self)
-        for key in ("scenario", "power_policy", "channel_mode"):
-            raw[key] = raw[key].value
-        return json.dumps(raw, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown ScenarioConfig keys: {sorted(unknown)}")
-        coerced = dict(raw)
-        for key, enum_cls in (
-            ("scenario", Scenario),
-            ("power_policy", PowerPolicy),
-            ("channel_mode", ChannelMode),
-        ):
-            if key in coerced and not isinstance(coerced[key], enum_cls):
-                coerced[key] = enum_cls(coerced[key])
-        return cls(**coerced)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
-
 
 # ---------------------------------------------------------------------------
 # random draws
@@ -220,6 +195,15 @@ def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
+def _zf_precoded(
+    rng: np.random.Generator, n: int, t: int, u: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # U > 1: n channels h (n, U, T) and their zero-forcing precoders W (n, T, U)
+    h = _cn_matrix(rng, (n, u, t))
+    rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
+    return h, _zf_precoder_batch(rows)
+
+
 def _zf_desired_batch(
     rng: np.random.Generator, n: int, t: int, u: int
 ) -> np.ndarray:
@@ -228,9 +212,7 @@ def _zf_desired_batch(
     if u == 1:
         h = _cn_parts(rng, n, t)
         return np.einsum("knt,knt->n", h, h) / 2.0
-    h = _cn_matrix(rng, (n, u, t))
-    rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
-    w = _zf_precoder_batch(rows)
+    h, w = _zf_precoded(rng, n, t, u)
     return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
 
 
@@ -249,9 +231,7 @@ def _zf_leakage_batch(
         re += np.einsum("nt,nt->n", g, h[1])
         im -= np.einsum("nt,nt->n", g, h[0])
         return (re * re + im * im) / (2.0 * np.einsum("knt,knt->n", h, h))
-    h = _cn_matrix(rng, (n, u, t))
-    rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
-    w = _zf_precoder_batch(rows)
+    _, w = _zf_precoded(rng, n, t, u)
     g = _cn_matrix(rng, (n, t))
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
@@ -460,7 +440,7 @@ def simulate(
         ]
         p_hat, p_fine = (1.0 - link.coverage(p.gamma_target, *f)[0] for f in fields)
         ci = abs(p_hat - p_fine)
-        rate_law = MixtureRates(link, *fields[0]).quantiles
+        rate_law = functools.partial(rate_quantiles, link, *fields[0])
     else:
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)

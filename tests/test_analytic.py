@@ -13,6 +13,7 @@ from tiernet.analytic import (
     Regime,
     area_spectral_efficiency,
     cellular_coverage_radius,
+    femto_density_cap,
     k_c,
     k_correction_bounds,
     k_f_limit,
@@ -346,3 +347,29 @@ def test_power_window_rescales_both_caps_at_any_design_point():
         assert db_to_linear(hi_db) == pytest.approx(ceiling, rel=1e-13)
         checked += 1
     assert checked >= 10
+
+
+def test_femto_density_cap_serves_both_femto_caps_at_any_design_point():
+    """Under the location's own correction K_f(kappa) the cap is the femto
+    density cap, bit for bit; under the worst-case correction k_max it
+    inverts the power window's ceiling back to the design density."""
+    rng = np.random.default_rng(8)
+    capped = inverted = 0
+    for p in GRID:
+        d_norm = float(rng.uniform(0.2, 1.0))
+        loc = location_coeffs(d_norm, p)
+        lam_f, regime = max_contention_density_femto(d_norm, p)
+        if regime is not Regime.INFEASIBLE:
+            assert femto_density_cap(loc, shot_noise_k_f(loc.kappa, p), p) == lam_f
+            capped += 1
+        lam = float(rng.uniform(5.0, 100.0)) / (math.pi * p.r_c**2)
+        try:
+            hi_db = power_ratio_bounds(d_norm, lam, p)[1]
+        except InfeasiblePlanError:
+            continue
+        p_hi = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + hi_db)
+        k_max = k_correction_bounds(p.t_f, p.u_f, p)[1]
+        lam_back = femto_density_cap(location_coeffs(d_norm, p_hi), k_max, p_hi)
+        assert abs(lam_back / lam - 1.0) < 1e-9
+        inverted += 1
+    assert capped >= 10 and inverted >= 10

@@ -213,6 +213,43 @@ def test_closed_forms_without_femtocells_write_rows(runner, tmp_path, command, e
     assert len(got) == 2 and got == want
 
 
+def test_mtw_sweep_moves_only_the_detector(runner):
+    """An Mtw sweep sets the detector's time-bandwidth product to the
+    rounded value: sensing's m_tw column reads round(value) and its
+    threshold is solved there, while the radius and window columns hold;
+    analytic has no detector, so its rows differ only in value."""
+    sweep = ["--sweep", "Mtw:100.2:300.6:3"]
+    res = runner.invoke(main, ["sensing", *sweep])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert [row["m_tw"] for row in rows] == ["100", "200", "301"]
+    for row in rows:
+        assert int(row["m_tw"]) == round(float(row["value"]))
+        want = sensing.solve_threshold(int(row["m_tw"]), 0.1)
+        assert row["threshold"] == f"{want:.12g}"
+    held = ["d_norm", "d_sense_m", "pc_over_pf_lb_db", "pc_over_pf_ub_db", "blend_db"]
+    assert len({tuple(row[k] for k in held) for row in rows}) == 1
+    assert len({row["threshold"] for row in rows}) == 3
+    res = runner.invoke(main, ["analytic", *sweep])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert len(rows) == 3
+    assert len({tuple(v for k, v in row.items() if k != "value") for row in rows}) == 1
+
+
+def test_analytic_multiple_macro_users_write_nan_ratios(runner, tmp_path):
+    """The SU/MU radius ratios are closed forms for one macro user: with
+    u_c = 2 analytic writes both as nan and the rest of each row."""
+    cfg = _write(tmp_path, "uc2.json", '{"system": {"u_c": 2}}')
+    res = runner.invoke(main, ["analytic", "--config", cfg, "--sweep", "D:0.5:1.0:2"])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["ratio_su_mu"], row["ratio_su_single"]) == ("nan", "nan")
+        assert row["lambda_star_femto"] != "nan"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -563,3 +600,16 @@ def test_validate_multiuser_marks_fail(runner, tmp_path):
     report = json.loads(res.output)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "ks_marks" in failed
+
+
+def test_validate_without_power_window_fails_inversion(runner, tmp_path):
+    """At a density whose cell-edge power window is infeasible the report
+    records the inversion check as failed, with the plan's reason, in
+    place of its floor and ceiling checks, and validate exits 1."""
+    cfg = _write(tmp_path, "dense.json", '{"scenario": {"n_f_target": 2000.0}}')
+    res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "42"])
+    assert res.exit_code == 1
+    checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
+    assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
+    assert "power_window_inversion_floor" not in checks
+    assert "outside (0,1)" in checks["power_window_inversion"]["bound"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -73,8 +74,10 @@ def test_location_coeffs_closed_form():
         q_c_ref = p.u_c / pc_pf * (lb.a_cf / lb.a_c) * d**p.alpha_c
         assert loc.kappa == pytest.approx(kappa_ref, rel=1e-12)
         assert loc.q_c == pytest.approx(q_c_ref, rel=1e-12)
+        # the macro-to-femto interference strength, times q_f·Γ/u_c
+        script_p_f = pc_pf * (lb.a_fc / lb.a_ff) * d ** (-p.alpha_c)
         assert loc.kappa == pytest.approx(
-            loc.script_p_f * loc.q_f * p.gamma_target / p.u_c, rel=1e-12
+            script_p_f * loc.q_f * p.gamma_target / p.u_c, rel=1e-12
         )
 
 
@@ -102,7 +105,7 @@ def test_location_coeffs_domain():
 
 def test_params_json_round_trip():
     p = SystemParams(t_f=4, u_f=2, p_c_dbm=40.0, alpha_fo=4.8)
-    assert SystemParams.from_json(p.to_json()) == p
+    assert SystemParams.from_dict(json.loads(p.to_json())) == p
 
 
 def test_params_rejects_unknown_keys():

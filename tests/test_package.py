@@ -1,7 +1,8 @@
 """Package hygiene: no module imports a name it never uses, reads the
 process environment or imports scipy, only the link model and the simulator
-read the link budget's linear gains, every name an `__all__` lists resolves
-and is defined in that module, and the package root imports nothing."""
+read the link budget's linear gains, the CLI computes no closed form, every
+name an `__all__` lists resolves and is defined in that module, and the
+package root imports nothing."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from tiernet import linkmodel, sensing, specfun
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 LINK_GAINS = {"a_c", "a_fc", "a_fi", "a_cf", "a_ff"}
+# the one special function the CLI calls itself: validate's KS statistic
+CLI_SPECFUN = {"chi2_cdf"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -156,6 +159,56 @@ def test_only_linkmodel_and_simulator_read_link_gains():
         for use in _gain_reads(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def _closed_form_uses(source: str) -> list[str]:
+    """What a module needs to compute a closed form itself: a special
+    function imported from `specfun` other than CLI_SPECFUN, the `specfun`
+    module itself, and any use of the shot-noise coefficient
+    `shot_noise_c_f`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            from_specfun = (node.module or "").split(".")[-1] == "specfun"
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if (from_specfun and alias.name not in CLI_SPECFUN)
+                or alias.name in ("specfun", "shot_noise_c_f")
+            ]
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[-1] == "specfun"
+            ]
+        elif (isinstance(node, ast.Attribute) and node.attr == "shot_noise_c_f") or (
+            isinstance(node, ast.Name) and node.id == "shot_noise_c_f"
+        ):
+            found.append(f"line {node.lineno}: shot_noise_c_f")
+    return found
+
+
+def test_closed_form_use_detector():
+    source = (
+        "from .specfun import chi2_cdf, reg_inc_beta\nfrom . import specfun\n"
+        "import tiernet.specfun\nfrom .analytic import shot_noise_c_f\n"
+        "c_f = analytic.shot_noise_c_f(p)\nx = chi2_cdf(2, 1.0)\n"
+    )
+    assert _closed_form_uses(source) == [
+        "line 1: import reg_inc_beta", "line 2: import specfun",
+        "line 3: import tiernet.specfun", "line 4: import shot_noise_c_f",
+        "line 5: shot_noise_c_f",
+    ]
+
+
+def test_cli_computes_no_closed_form():
+    """Every density cap, window edge and radius the CLI prints or checks
+    comes from `analytic` or `sensing`, each formula written once there:
+    the CLI imports no special function but the KS statistic's chi2_cdf
+    and never reads C_f itself."""
+    path = Path(tiernet.__path__[0]) / "cli.py"
+    assert _closed_form_uses(path.read_text(encoding="utf-8")) == []
 
 
 def _undefined_exports(source: str) -> list[str]:

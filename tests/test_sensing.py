@@ -10,7 +10,7 @@ import pytest
 import scipy.special as sp
 
 from tiernet.analytic import max_contention_density_cellular, shot_noise_c_f
-from tiernet.linkmodel import SystemParams, linear_to_db, location_coeffs
+from tiernet.linkmodel import SystemParams, linear_to_db, location_coeffs, noise_floor_dbm
 from tiernet.sensing import (
     InfeasiblePlanError,
     blended_power_policy,
@@ -18,7 +18,6 @@ from tiernet.sensing import (
     false_alarm_probability,
     max_sensing_range,
     min_sensing_radius,
-    noise_floor_dbm,
     pilot_snr,
     power_ratio_bounds,
     solve_threshold,

@@ -14,8 +14,8 @@ import scipy.stats
 
 from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
-from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget
-from tiernet.sensing import blended_power_policy, noise_floor_dbm
+from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget, noise_floor_dbm
+from tiernet.sensing import blended_power_policy
 from tiernet.simulator import (
     ChannelMode,
     PowerPolicy,
@@ -461,7 +461,7 @@ def test_scenario_config_validation_and_round_trip():
         blend_weight=0.6,
         n_f_target=45.0,
     )
-    back = ScenarioConfig.from_json(cfg.to_json())
+    back = ScenarioConfig.from_dict(json.loads(cfg.to_json()))
     assert back == cfg
     assert ScenarioConfig.from_dict({"scenario": "ReferenceHotspot"}).scenario is (
         Scenario.REFERENCE_HOTSPOT
