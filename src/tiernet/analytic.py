@@ -43,13 +43,19 @@ def _falling_delta_sum(n: int, delta: float) -> float:
     )
 
 
+def _outage_odds(eps: float, a: float, b: float) -> float:
+    # y/(1−y), y = I⁻¹_eps(a, b): the kappa at which I_{kappa/(kappa+1)}(a, b) = eps
+    y = inv_reg_inc_beta(eps, a, b)
+    return y / (1.0 - y)
+
+
 def no_coverage_radius(p: SystemParams) -> float:
     """Radius D_f around the macrocell inside which no femtocell user can
     meet the outage target, due to macro-tier interference alone: where
     kappa, which falls as D^(−α_c), meets kappa* = y/(1−y) with
     y = I⁻¹_ε(t_f−u_f+1, u_c), so D_f = r_c·(kappa(r_c)/kappa*)^(1/α_c)."""
-    y = inv_reg_inc_beta(p.eps, p.t_f - p.u_f + 1, p.u_c)
-    return p.r_c * (location_coeffs(1.0, p).kappa * (1.0 - y) / y) ** (1.0 / p.alpha_c)
+    kappa_star = _outage_odds(p.eps, p.t_f - p.u_f + 1, p.u_c)
+    return p.r_c * (location_coeffs(1.0, p).kappa / kappa_star) ** (1.0 / p.alpha_c)
 
 
 def su_mu_radius_ratios(p: SystemParams) -> tuple[float, float]:
@@ -60,13 +66,11 @@ def su_mu_radius_ratios(p: SystemParams) -> tuple[float, float]:
     """
     if p.u_c != 1:
         raise ValueError(f"su_mu_radius_ratios requires u_c = 1, got {p.u_c}")
-    eps, t_f = p.eps, p.t_f
-    y_su = eps ** (1.0 / t_f)
-    # SU vs MU (u_f = t_f): the MU side loses the array gain and splits power
-    ratio_mu = (((1.0 - y_su) / y_su) * (eps / (1.0 - eps)) / t_f) ** (1.0 / p.alpha_c)
-    # SU vs a single transmit antenna (u_f = 1 both sides, no power split)
-    ratio_one = (((1.0 - y_su) / y_su) * (eps / (1.0 - eps))) ** (1.0 / p.alpha_c)
-    return ratio_mu, ratio_one
+    # kappa* of a single-antenna link, Gamma(1), over SU's Gamma(t_f)
+    gain = _outage_odds(p.eps, 1, 1) / _outage_odds(p.eps, p.t_f, 1)
+    # SU vs MU (u_f = t_f), which loses the array gain and splits power; SU
+    # vs a single transmit antenna (u_f = 1 both sides, no power split)
+    return (gain / p.t_f) ** (1.0 / p.alpha_c), gain ** (1.0 / p.alpha_c)
 
 
 def shot_noise_c_f(p: SystemParams) -> float:
@@ -118,6 +122,11 @@ def k_c(p: SystemParams) -> float:
     return 1.0 / _falling_delta_sum(p.t_c - p.u_c, 2.0 / p.alpha_fo)
 
 
+def _unit_load(q: float, p: SystemParams) -> float:
+    # C_f·(q·Γ)^δ, δ = 2/α_fo: the femtocell field's outage per unit density
+    return shot_noise_c_f(p) * (q * p.gamma_target) ** (2.0 / p.alpha_fo)
+
+
 def _macro_outage(kappa: float, p: SystemParams) -> float:
     # I(kappa) = I_{kappa/(kappa+1)}(t_f−u_f+1, u_c): femto outage from the macrocell alone
     return reg_inc_beta(kappa / (kappa + 1.0), p.t_f - p.u_f + 1, p.u_c)
@@ -132,9 +141,7 @@ def femto_density_cap(
     macro_term is I(kappa) where the caller has it already."""
     if macro_term is None:
         macro_term = _macro_outage(loc.kappa, p)
-    delta = 2.0 / p.alpha_fo
-    scale = 1.0 / (shot_noise_c_f(p) * (loc.q_f * p.gamma_target) ** delta)
-    return scale * (p.eps - macro_term) / (1.0 / k - macro_term)
+    return 1.0 / _unit_load(loc.q_f, p) * (p.eps - macro_term) / (1.0 / k - macro_term)
 
 
 def max_contention_density_femto(d_norm: float, p: SystemParams) -> tuple[float, Regime]:
@@ -158,19 +165,18 @@ def max_contention_density_femto(d_norm: float, p: SystemParams) -> tuple[float,
 def max_contention_density_cellular(d_norm: float, p: SystemParams) -> float:
     """Maximum femtocell density (per m²) keeping the outage of a cellular
     user at D = d_norm·r_c within eps."""
-    delta = 2.0 / p.alpha_fo
-    loc = location_coeffs(d_norm, p)
-    c_f = shot_noise_c_f(p)
-    return p.eps * k_c(p) / (c_f * (loc.q_c * p.gamma_target) ** delta)
+    return p.eps * k_c(p) / _unit_load(location_coeffs(d_norm, p).q_c, p)
 
 
 def cellular_coverage_radius(lambda_f: float, p: SystemParams) -> float:
     """Largest macro distance D_c at which a cellular user still meets the
     outage target under femtocell density lambda_f; algebraic inverse of
     max_contention_density_cellular, which falls as D^(−δ·α_c) (δ = 2/α_fo):
-    D_c = r_c·(lambda*_c(r_c)/lambda_f)^(1/(δ·α_c))."""
-    if not lambda_f > 0:
-        raise ValueError(f"cellular_coverage_radius requires lambda_f > 0, got {lambda_f}")
+    D_c = r_c·(lambda*_c(r_c)/lambda_f)^(1/(δ·α_c)), and its limit inf at lambda_f = 0."""
+    if not lambda_f >= 0:
+        raise ValueError(f"cellular_coverage_radius requires lambda_f >= 0, got {lambda_f}")
+    if lambda_f == 0.0:
+        return math.inf
     delta = 2.0 / p.alpha_fo
     cap = max_contention_density_cellular(1.0, p)
     return p.r_c * (cap / lambda_f) ** (1.0 / (delta * p.alpha_c))

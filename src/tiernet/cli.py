@@ -130,18 +130,21 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
     return p, cfg
 
 
+def _emit(out_path: str | None, text: str) -> None:
+    if out_path is None:
+        click.echo(text, nl=False)
+    else:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def _write_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _emit(out_path, buf.getvalue())
 
 
 def _sweep_error(var: SweepVar, value: float, reason: str) -> click.BadParameter:
@@ -217,8 +220,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
             analytic.no_coverage_radius(p2),
             lam_f, regime, n_f, n_f * p2.u_f,
             analytic.max_contention_density_cellular(dn, p2),
-            # no femtocells: the radius's limit as the density falls to 0
-            analytic.cellular_coverage_radius(lam_scenario, p2) if lam_scenario > 0 else math.inf,
+            analytic.cellular_coverage_radius(lam_scenario, p2),
             analytic.area_spectral_efficiency(lam_f, p2),
             r_mu, r_one,
         ])
@@ -244,9 +246,8 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
         d_sense = sensing.min_sensing_radius(dn, p2)
         try:
-            # no femtocells, like an infeasible plan, leaves no window
-            lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2) if lam > 0 else (math.nan,) * 2
-            blend = cfg.blend_weight * hi_db + (1.0 - cfg.blend_weight) * lo_db
+            lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2)
+            blend = sensing.blended_power_policy(lo_db, hi_db, cfg.blend_weight)
         except sensing.InfeasiblePlanError:
             lo_db = hi_db = blend = math.nan
         threshold = sensing.solve_threshold(m_tw, DETECTOR_P_FALSE)
@@ -410,12 +411,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
            "== p_false")
 
     passed = all(c["passed"] for c in checks)
-    report = json.dumps({"passed": passed, "checks": checks}, indent=2)
-    if out_path is None:
-        click.echo(report)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
+    _emit(out_path, json.dumps({"passed": passed, "checks": checks}, indent=2) + "\n")
     if not passed:
         sys.exit(1)
 

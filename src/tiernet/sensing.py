@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .analytic import k_correction_bounds, max_contention_density_cellular, shot_noise_c_f
+from .analytic import (
+    _outage_odds, _unit_load, k_correction_bounds, max_contention_density_cellular,
+)
 from .linkmodel import (
     SystemParams,
     db_to_linear,
@@ -24,7 +26,6 @@ from .linkmodel import (
 )
 from .specfun import (
     _lower_gamma_sum,
-    inv_reg_inc_beta,
     ln_reg_lower_gamma,
     newton,
     reg_upper_gamma,
@@ -69,8 +70,8 @@ def min_sensing_radius(d_norm: float, p: SystemParams) -> float:
     femtocell at that distance keeps a cellular user at D = d_norm·r_c
     within the outage target."""
     loc = location_coeffs(d_norm, p)
-    y = inv_reg_inc_beta(p.eps, p.t_c - p.u_c + 1, p.u_f)
-    return (loc.q_c * p.gamma_target / p.u_f * (1.0 - y) / y) ** (1.0 / p.alpha_fo)
+    odds = _outage_odds(p.eps, p.t_c - p.u_c + 1, p.u_f)
+    return (loc.q_c * p.gamma_target / p.u_f / odds) ** (1.0 / p.alpha_fo)
 
 
 def power_ratio_bounds(
@@ -89,16 +90,15 @@ def power_ratio_bounds(
     R·kappa*/kappa, with kappa* = y/(1−y) at the effective budget.
 
     Raises:
-        InfeasiblePlanError: outage budget infeasible at this density, or
-            the window is empty (floor above ceiling).
+        InfeasiblePlanError: no femtocells (lambda_f <= 0), an outage budget
+            infeasible at this density, or an empty window (floor > ceiling).
     """
     if not lambda_f > 0:
-        raise ValueError(f"power_ratio_bounds requires lambda_f > 0, got {lambda_f}")
+        raise InfeasiblePlanError(f"no power window without femtocells: lambda_f = {lambda_f}")
     delta = 2.0 / p.alpha_fo
     loc = location_coeffs(d_norm, p)
-    c_f = shot_noise_c_f(p)
     k_max = k_correction_bounds(p.t_f, p.u_f, p)[1]
-    load = lambda_f * c_f * (loc.q_f * p.gamma_target) ** delta
+    load = lambda_f * _unit_load(loc.q_f, p)
     if load >= 1.0:
         raise InfeasiblePlanError(
             f"femtocell load {load:.4g} >= 1 at lambda_f={lambda_f:.4g}"
@@ -109,11 +109,11 @@ def power_ratio_bounds(
             f"effective outage budget {eps_eff:.4g} outside (0,1) at "
             f"lambda_f={lambda_f:.4g}, d_norm={d_norm:.4g}"
         )
-    y = inv_reg_inc_beta(eps_eff, p.t_f - p.u_f + 1, p.u_c)
+    kappa_star = _outage_odds(eps_eff, p.t_f - p.u_f + 1, p.u_c)
     cap = max_contention_density_cellular(d_norm, p)
     ratio_db = p.p_c_dbm - p.p_f_dbm
     lo_db = ratio_db + linear_to_db(lambda_f / cap) / delta
-    hi_db = ratio_db + linear_to_db(y / (1.0 - y) / loc.kappa)
+    hi_db = ratio_db + linear_to_db(kappa_star / loc.kappa)
     if lo_db > hi_db:
         raise InfeasiblePlanError(
             f"empty power window at d_norm={d_norm:.4g}, "
@@ -122,13 +122,11 @@ def power_ratio_bounds(
     return lo_db, hi_db
 
 
-def blended_power_policy(
-    d_norm: float, lambda_f: float, weight: float, p: SystemParams
-) -> float:
-    """Operating P_c/P_f in dB: weight·ceiling + (1−weight)·floor."""
+def blended_power_policy(lo_db: float, hi_db: float, weight: float) -> float:
+    """Operating P_c/P_f in dB inside the window [lo_db, hi_db] of
+    `power_ratio_bounds`: weight·ceiling + (1−weight)·floor."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0,1], got {weight}")
-    lo_db, hi_db = power_ratio_bounds(d_norm, lambda_f, p)
     return weight * hi_db + (1.0 - weight) * lo_db
 
 

@@ -34,7 +34,7 @@ from .laplace import ExactLink, rate_quantiles
 from .linkmodel import (
     SystemParams, _check_fields, _JsonConfig, dbm_to_watts, link_budget, noise_floor_dbm,
 )
-from .sensing import blended_power_policy
+from .sensing import blended_power_policy, power_ratio_bounds
 
 __all__ = [
     "ChannelMode",
@@ -302,11 +302,10 @@ def _run(
     pc_w = dbm_to_watts(p.p_c_dbm)
     noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
     ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
-    carrier_sensing = (
-        cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0
-    )
+    lam_f = cfg.density(p)
+    carrier_sensing = cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and lam_f > 0
     if carrier_sensing:
-        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+        blend_edge_db = blended_power_policy(*power_ratio_bounds(1.0, lam_f, p), cfg.blend_weight)
         blend_w, pf_w = dbm_to_watts(p.p_c_dbm - blend_edge_db), dbm_to_watts(p.p_f_dbm)
 
     def power_w(macro_sq, user_sq):

@@ -225,9 +225,10 @@ def test_density_cap_monotone_in_outage_budget():
     assert lams[0] < lams[1] < lams[2]
 
 
-def test_negative_or_zero_density_rejected_by_radius():
-    with pytest.raises(ValueError):
-        cellular_coverage_radius(0.0, P)
+def test_radius_without_femtocells_is_its_limit():
+    """lambda_f = 0 is the limit of D_c as the density falls, inf; a
+    negative density is still rejected."""
+    assert cellular_coverage_radius(0.0, P) == math.inf
     with pytest.raises(ValueError):
         cellular_coverage_radius(-1e-6, P)
 

@@ -613,3 +613,22 @@ def test_validate_without_power_window_fails_inversion(runner, tmp_path):
     assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
     assert "power_window_inversion_floor" not in checks
     assert "outside (0,1)" in checks["power_window_inversion"]["bound"]
+
+
+def test_validate_without_femtocells_reports_no_window(runner, tmp_path):
+    """n_f_target = 0 leaves no power window to invert: validate still writes
+    its whole report, records the inversion as failed with the reason, and
+    exits 1."""
+    cfg = _write(tmp_path, "empty.json", '{"scenario": {"n_f_target": 0}}')
+    res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "42"])
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output)
+    assert report["passed"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == {
+        "ks_desired_femto", "ks_desired_cellular", "ks_cross_tier", "ks_marks",
+        "femto_closure_outage", "cellular_closure_outage", "power_window_inversion",
+        "detector_cfar_threshold", "detector_zero_snr_floor",
+    }
+    assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
+    assert "without femtocells" in checks["power_window_inversion"]["bound"]

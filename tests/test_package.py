@@ -1,8 +1,9 @@
 """Package hygiene: no module imports a name it never uses, reads the
 process environment or imports scipy, only the link model and the simulator
-read the link budget's linear gains, the CLI computes no closed form, every
-name an `__all__` lists resolves and is defined in that module, and the
-package root imports nothing."""
+read the link budget's linear gains, the CLI computes no closed form, only
+`analytic` computes the first-order outage model, every name an `__all__`
+lists resolves and is defined in that module, and the package root imports
+nothing."""
 
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 LINK_GAINS = {"a_c", "a_fc", "a_fi", "a_cf", "a_ff"}
 # the one special function the CLI calls itself: validate's KS statistic
 CLI_SPECFUN = {"chi2_cdf"}
+# what the first-order outage model is computed from, which only `analytic`
+# (and `specfun`, which defines the special functions) reads
+OUTAGE_MODEL = {"inv_reg_inc_beta", "reg_inc_beta", "shot_noise_c_f"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -161,11 +165,11 @@ def test_only_linkmodel_and_simulator_read_link_gains():
     assert found == []
 
 
-def _closed_form_uses(source: str) -> list[str]:
-    """What a module needs to compute a closed form itself: a special
-    function imported from `specfun` other than CLI_SPECFUN, the `specfun`
-    module itself, and any use of the shot-noise coefficient
-    `shot_noise_c_f`."""
+def _closed_form_uses(source: str, cli: bool = True) -> list[str]:
+    """What a module needs to compute a first-order closed form itself: any
+    import or read of an OUTAGE_MODEL name and, with `cli`, also a special
+    function imported from `specfun` other than CLI_SPECFUN or the `specfun`
+    module itself."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -173,19 +177,20 @@ def _closed_form_uses(source: str) -> list[str]:
             found += [
                 f"line {node.lineno}: import {alias.name}"
                 for alias in node.names
-                if (from_specfun and alias.name not in CLI_SPECFUN)
-                or alias.name in ("specfun", "shot_noise_c_f")
+                if alias.name in OUTAGE_MODEL
+                or (cli and from_specfun and alias.name not in CLI_SPECFUN)
+                or (cli and alias.name == "specfun")
             ]
-        elif isinstance(node, ast.Import):
+        elif cli and isinstance(node, ast.Import):
             found += [
                 f"line {node.lineno}: import {alias.name}"
                 for alias in node.names
                 if alias.name.split(".")[-1] == "specfun"
             ]
-        elif (isinstance(node, ast.Attribute) and node.attr == "shot_noise_c_f") or (
-            isinstance(node, ast.Name) and node.id == "shot_noise_c_f"
-        ):
-            found.append(f"line {node.lineno}: shot_noise_c_f")
+        elif isinstance(node, ast.Attribute) and node.attr in OUTAGE_MODEL:
+            found.append(f"line {node.lineno}: {node.attr}")
+        elif isinstance(node, ast.Name) and node.id in OUTAGE_MODEL:
+            found.append(f"line {node.lineno}: {node.id}")
     return found
 
 
@@ -200,6 +205,10 @@ def test_closed_form_use_detector():
         "line 3: import tiernet.specfun", "line 4: import shot_noise_c_f",
         "line 5: shot_noise_c_f",
     ]
+    assert _closed_form_uses(source, cli=False) == [
+        "line 1: import reg_inc_beta", "line 4: import shot_noise_c_f",
+        "line 5: shot_noise_c_f",
+    ]
 
 
 def test_cli_computes_no_closed_form():
@@ -209,6 +218,20 @@ def test_cli_computes_no_closed_form():
     and never reads C_f itself."""
     path = Path(tiernet.__path__[0]) / "cli.py"
     assert _closed_form_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_analytic_computes_the_outage_model():
+    """The density caps, the power window's load and every outage-odds
+    threshold come from `analytic`'s helpers: no other module imports the
+    incomplete beta or its inverse, or reads C_f. `sensing`'s detector keeps
+    its incomplete-gamma imports."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        if path.stem not in ("analytic", "specfun")
+        for use in _closed_form_uses(path.read_text(encoding="utf-8"), cli=False)
+    ]
+    assert found == []
 
 
 def _undefined_exports(source: str) -> list[str]:

@@ -102,14 +102,13 @@ def test_power_ceiling_inverts_femto_cap_with_worst_case_correction():
 
 
 def test_blended_power_policy():
-    lo_db, hi_db = power_ratio_bounds(1.0, LAMBDA_60, P)
-    assert blended_power_policy(1.0, LAMBDA_60, 0.0, P) == pytest.approx(lo_db)
-    assert blended_power_policy(1.0, LAMBDA_60, 1.0, P) == pytest.approx(hi_db)
-    assert blended_power_policy(1.0, LAMBDA_60, 0.7, P) == pytest.approx(
-        51.4004163328, abs=1e-6
-    )
+    window = power_ratio_bounds(1.0, LAMBDA_60, P)
+    lo_db, hi_db = window
+    assert blended_power_policy(*window, 0.0) == pytest.approx(lo_db)
+    assert blended_power_policy(*window, 1.0) == pytest.approx(hi_db)
+    assert blended_power_policy(*window, 0.7) == pytest.approx(51.4004163328, abs=1e-6)
     with pytest.raises(ValueError):
-        blended_power_policy(1.0, LAMBDA_60, 1.2, P)
+        blended_power_policy(*window, 1.2)
 
 
 def test_power_window_infeasible_when_load_too_high():
@@ -117,6 +116,14 @@ def test_power_window_infeasible_when_load_too_high():
         power_ratio_bounds(1.0, 0.01, P)  # shot-noise load >= 1
     with pytest.raises(InfeasiblePlanError):
         power_ratio_bounds(1.0, 5e-4, P)  # load eats the whole outage budget
+
+
+@pytest.mark.parametrize("lambda_f", [0.0, -1e-6])
+def test_power_window_infeasible_without_femtocells(lambda_f):
+    """No femtocells leave the floor undefined: an infeasible plan, which
+    every caller already handles, not a bare ValueError."""
+    with pytest.raises(InfeasiblePlanError, match="without femtocells"):
+        power_ratio_bounds(1.0, lambda_f, P)
 
 
 def test_noise_floor_frozen():

@@ -15,7 +15,7 @@ import scipy.stats
 from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
 from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget, noise_floor_dbm
-from tiernet.sensing import blended_power_policy
+from tiernet.sensing import blended_power_policy, power_ratio_bounds
 from tiernet.simulator import (
     ChannelMode,
     PowerPolicy,
@@ -668,7 +668,8 @@ def _cartesian_map(cfg, p):
     user = np.array([cfg.user_offset_m if hotspot else 0.0, 0.0])
     blend_edge_db = None
     if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
-        blend_edge_db = blended_power_policy(1.0, cfg.density(p), cfg.blend_weight, p)
+        window_db = power_ratio_bounds(1.0, cfg.density(p), p)
+        blend_edge_db = blended_power_policy(*window_db, cfg.blend_weight)
 
     def powers_dbm(positions):
         powers = np.full(len(positions), p.p_c_dbm - cfg.fixed_pc_over_pf_db)
