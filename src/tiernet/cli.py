@@ -1,11 +1,11 @@
 """Command-line front end: parameter loading, analytic/sensing sweeps to CSV,
 scenario simulation, and a self-validation suite.
 
-Config document: one JSON object, either the system parameters directly or
-{"system": {...}, "scenario": {...}}. CSV output uses a header row and
-12-significant-digit formatting so identical (config, seed) runs are
-byte-identical. Exit codes: 0 success, 1 validation failure, 2 usage or
-config errors.
+Config document: one JSON object {"system": {...}, "scenario": {...}}, both
+sections optional; it is the only source of every system and scenario
+setting. CSV output uses a header row and 12-significant-digit formatting
+so identical (config, seed) runs are byte-identical. Exit codes: 0 success,
+1 validation failure, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import click
 import numpy as np
 
 from . import analytic, sensing, simulator
-from .linkmodel import SystemParams, location_coeffs
+from .linkmodel import SystemParams, _check_levels_db, location_coeffs
 from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
 from .specfun import chi2_cdf
-from .simulator import ChannelMode, PowerPolicy, Scenario, ScenarioConfig
+from .simulator import PowerPolicy, Scenario, ScenarioConfig
 
 __all__ = [
     "SweepVar",
@@ -116,15 +116,14 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
             f"config {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
     try:
-        if "system" in raw or "scenario" in raw:
-            extra = set(raw) - {"system", "scenario"}
-            if extra:
-                raise ValueError(f"unknown top-level config keys: {sorted(extra)}")
-            p = SystemParams.from_dict(raw.get("system", {}))
-            cfg = ScenarioConfig.from_dict(raw.get("scenario", {}))
-        else:
-            p = SystemParams.from_dict(raw)
-            cfg = ScenarioConfig()
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        extra = set(raw) - {"system", "scenario"}
+        if extra:
+            raise ValueError(f"unknown top-level config keys: {sorted(extra)}")
+        p = SystemParams.from_dict(raw.get("system", {}))
+        cfg = ScenarioConfig.from_dict(raw.get("scenario", {}))
+        _check_scenario_levels(p, cfg.d_norm, cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config {path}: {exc}")
     return p, cfg
@@ -151,9 +150,30 @@ def _sweep_error(var: SweepVar, value: float, reason: str) -> click.BadParameter
     return click.BadParameter(f"{var.value} = {value!r}: {reason}", param_hint="'--sweep'")
 
 
-def _sweep_d_norm(value: float) -> float:
+def _check_scenario_levels(
+    p: SystemParams, d_norm: float, cfg: ScenarioConfig | None = None
+) -> None:
+    """Raise ValueError naming the field whose level, derived with the
+    system, lies beyond ±3000 dB, as SystemParams checks its own: the
+    reference path loss 10·α_c·log10(d_norm·r_c) (two logs, as d_norm·r_c
+    may underflow) and, given the scenario, its ambient femto power
+    P_c − fixed_pc_over_pf_db in dBW and its sensing radius squared."""
+    levels = [("d_norm", 10.0 * p.alpha_c * (math.log10(d_norm) + math.log10(p.r_c)))]
+    if cfg is not None:
+        levels += [
+            ("fixed_pc_over_pf_db", p.p_c_dbm - 30.0 - cfg.fixed_pc_over_pf_db),
+            ("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)),
+        ]
+    _check_levels_db(levels)
+
+
+def _sweep_d_norm(value: float, p: SystemParams) -> float:
     if not 0.0 < value <= 1.0:
         raise _sweep_error(SweepVar.D, value, "must lie in (0, 1]")
+    try:
+        _check_scenario_levels(p, value)
+    except ValueError as exc:
+        raise _sweep_error(SweepVar.D, value, str(exc)) from None
     return value
 
 
@@ -163,7 +183,7 @@ def _apply_sweep(
     """The parameters at one sweep value; a value outside the model's range
     is a usage error."""
     if var is SweepVar.D:
-        return p, _sweep_d_norm(value), m_tw
+        return p, _sweep_d_norm(value, p), m_tw
     if var is SweepVar.M_TW:
         if round(value) < 1:
             raise _sweep_error(var, value, "must round to at least 1")
@@ -228,8 +248,8 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
 
 
 @main.command("sensing")
-@click.option("--config", "config_path", default=None)
-@click.option("--out", "out_path", default=None)
+@click.option("--config", "config_path", default=None, help="JSON config document.")
+@click.option("--out", "out_path", default=None, help="CSV output path (default stdout).")
 @click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
@@ -267,40 +287,34 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 
 
 @main.command("simulate")
-@click.option("--config", "config_path", default=None)
-@click.option("--out", "out_path", default=None)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--mode", type=click.Choice(["full-zf", "fast"]), default=None,
-              help="Channel mode override (default: scenario config).")
+@click.option("--config", "config_path", default=None,
+              help="JSON config document; scenario.channel_mode picks the channel mode.")
+@click.option("--out", "out_path", default=None, help="CSV output path (default stdout).")
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
+              help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
 @click.option("--sweep", "sweep_text", default=None,
               help="Optional D:start:stop:steps sweep of the reference location.")
 @click.option("--drops", type=click.IntRange(min=1), default=1000, show_default=True,
-              help="Drops sampled in FullZF mode. FastChi2 integrates the femtocell "
-                   "field out exactly and draws none; the CSV echoes the value.")
+              help="Drops sampled when scenario.channel_mode is FullZF. FastChi2 (the "
+                   "default) integrates the field out and draws none; the CSV echoes it.")
 @click.option("--fades", type=click.IntRange(min=1), default=1000, show_default=True,
-              help="Fades sampled per drop in FullZF mode. FastChi2 integrates the "
-                   "fades out exactly and draws none; the CSV echoes the value.")
+              help="Fades sampled per drop when scenario.channel_mode is FullZF. FastChi2 "
+                   "(the default) integrates them out and draws none; the CSV echoes it.")
 def cmd_simulate(
     config_path: str | None,
     out_path: str | None,
     seed: int,
-    mode: str | None,
     sweep_text: str | None,
     drops: int,
     fades: int,
 ) -> None:
     """Monte Carlo outage and rate percentiles for the configured scenario."""
     p, cfg = _load_config(config_path)
-    if mode is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            channel_mode=ChannelMode.FULL_ZF if mode == "full-zf" else ChannelMode.FAST_CHI2,
-        )
     if sweep_text is not None:
         spec = parse_sweep(sweep_text)
         if spec.variable is not SweepVar.D:
             raise click.BadParameter("simulate sweeps support only the D variable")
-        d_values = [_sweep_d_norm(v) for v in spec.values()]
+        d_values = [_sweep_d_norm(v, p) for v in spec.values()]
     else:
         d_values = [cfg.d_norm]
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
@@ -345,9 +359,10 @@ def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
 
 
 @main.command("validate")
-@click.option("--config", "config_path", default=None)
+@click.option("--config", "config_path", default=None, help="JSON config document.")
 @click.option("--out", "out_path", default=None, help="JSON report path (default stdout).")
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
+              help="Non-negative seed of the sampled checks.")
 def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> None:
     """Distribution, closure, and inversion checks; exit 1 on any failure."""
     p, cfg = _load_config(config_path)
@@ -379,6 +394,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         if cap > 0:
             cfg_cap = ScenarioConfig(
                 scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
+                fixed_pc_over_pf_db=p.p_c_dbm - p.p_f_dbm,
                 n_f_target=cap * math.pi * p.r_c**2, include_noise=False,
             )
             p_out = simulator.simulate(cfg_cap, 1, 1, p, seed).p_outage

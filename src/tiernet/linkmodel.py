@@ -49,6 +49,18 @@ def dbm_to_watts(value_dbm: float) -> float:
 _MAX_DB = 3000.0
 
 
+def _check_levels_db(levels) -> None:
+    """Raise ValueError naming the first (name, level in dB) pair whose
+    derived linear quantity lies beyond ±_MAX_DB, where it or its
+    reciprocal overflows or vanishes downstream."""
+    for name, level_db in levels:
+        if not abs(level_db) < _MAX_DB:
+            raise ValueError(
+                f"{name} puts a derived level at {level_db:.6g} dB; "
+                f"it must lie within ±{_MAX_DB:g} dB"
+            )
+
+
 # the values a field annotated with each of these types takes from JSON: a
 # bool is not a number, and an int field takes no float
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
@@ -149,9 +161,8 @@ class SystemParams(_JsonConfig):
             raise ValueError(f"f_c_mhz must be positive, got {self.f_c_mhz}")
         a_c_db, a_fc_db, _, _, a_ff_db = _losses_db(self)
         # the linear powers, gains, path losses and the SIR target derived
-        # from the fields, in dB: outside ±_MAX_DB one of them or its
-        # reciprocal overflows or vanishes downstream
-        for name, level_db in (
+        # from the fields, in dB
+        _check_levels_db((
             ("p_c_dbm", self.p_c_dbm - 30.0),
             ("p_f_dbm", self.p_f_dbm - 30.0),
             ("p_ut_dbm", self.p_ut_dbm - 30.0),
@@ -166,12 +177,7 @@ class SystemParams(_JsonConfig):
             # in dBW: each term above may lie inside the bound while their
             # sum does not
             ("noise floor", noise_floor_dbm(self) - 30.0),
-        ):
-            if not abs(level_db) < _MAX_DB:
-                raise ValueError(
-                    f"{name} puts a derived power, gain, path loss or SIR target at "
-                    f"{level_db:.6g} dB; it must lie within ±{_MAX_DB:g} dB"
-                )
+        ))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,9 @@ def test_k_corrections_within_bounds_full_grid():
             kc = k_c(dataclasses.replace(P, t_c=t, u_c=u))
             assert lo - 1e-12 <= kf <= hi + 1e-12, (t, u, kf, lo, hi)
             assert kc == pytest.approx(kf, rel=1e-12)  # same (t-u) dependence
+    for t, u in ((2, 0), (2, 3)):
+        with pytest.raises(ValueError, match="1 <= u <= t"):
+            k_correction_bounds(t, u, P)
 
 
 def test_k_f_interpolates_between_limit_and_one():
@@ -88,6 +91,8 @@ def test_k_f_interpolates_between_limit_and_one():
     assert vals[-1] == pytest.approx(1.0, abs=1e-3)
     assert all(a >= b for a, b in zip(vals, vals[1:]))  # decreasing toward 1
     assert all(1.0 <= v <= k_f_limit(P) + 1e-12 for v in vals)
+    with pytest.raises(ValueError, match="kappa"):
+        shot_noise_k_f(-1e-9, P)
 
 
 def test_k_f_equals_one_when_fully_loaded():

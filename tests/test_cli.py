@@ -8,10 +8,11 @@ import io
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from tiernet import sensing, specfun
+from tiernet import cli, sensing, simulator, specfun
 from tiernet.cli import SweepSpec, SweepVar, main, parse_sweep
 from tiernet.linkmodel import SystemParams
 from tiernet.sensing import max_sensing_range
@@ -213,6 +214,18 @@ def test_closed_forms_without_femtocells_write_rows(runner, tmp_path, command, e
     assert len(got) == 2 and got == want
 
 
+def test_sensing_unreachable_detect_target_writes_nan_range(runner, monkeypatch):
+    """A detect target not above the false-alarm floor admits no sensing
+    range: sensing writes max_range_m as nan and the rest of each row."""
+    sweep = ["sensing", "--sweep", "D:0.5:1.0:2"]
+    default = list(csv.DictReader(io.StringIO(runner.invoke(main, sweep).output)))
+    monkeypatch.setattr(cli, "DETECTOR_P_DETECT", cli.DETECTOR_P_FALSE)
+    res = runner.invoke(main, sweep)
+    assert res.exit_code == 0, res.output
+    got = list(csv.DictReader(io.StringIO(res.output)))
+    assert got == [{**row, "max_range_m": "nan"} for row in default]
+
+
 def test_mtw_sweep_moves_only_the_detector(runner):
     """An Mtw sweep sets the detector's time-bandwidth product to the
     rounded value: sensing's m_tw column reads round(value) and its
@@ -333,12 +346,20 @@ def test_simulate_huge_sir_target_reads_certain_outage(runner, tmp_path, gamma_t
     assert (row["p_outage"], row["ci_halfwidth_95"]) == ("1", "0")
 
 
-def test_simulate_mode_override(runner):
-    res = runner.invoke(
-        main,
-        ["simulate", "--seed", "3", "--drops", "5", "--fades", "10", "--mode", "full-zf"],
-    )
-    assert res.exit_code == 0
+def test_simulate_channel_mode_from_config_only(runner, tmp_path):
+    """FullZF is chosen by scenario.channel_mode, the one place the channel
+    mode is written; simulate has no option that overrides it."""
+    cfg = _write(tmp_path, "zf.json", '{"scenario": {"channel_mode": "FullZF"}}')
+    args = ["simulate", "--seed", "3", "--drops", "5", "--fades", "10"]
+    res = runner.invoke(main, [*args, "--config", cfg])
+    assert res.exit_code == 0, res.output
+    (row,) = csv.DictReader(io.StringIO(res.stdout))
+    full_zf = simulator.ScenarioConfig(channel_mode=simulator.ChannelMode.FULL_ZF)
+    want = simulator.simulate(full_zf, 5, 10, SystemParams(), 3).p_outage
+    assert row["p_outage"] == f"{want:.12g}"
+    res = runner.invoke(main, [*args, "--mode", "full-zf"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
 
 
 def test_simulate_sweep_restricted_to_distance(runner):
@@ -399,6 +420,11 @@ def test_missing_config_exits_2(runner, tmp_path):
         [*SIM, "--config", '{"scenario": {"sensing_radius_m": NaN}}'],
         [*SIM, "--config", '{"system": {"p_c_dbm": NaN}}'],
         [*SIM, "--config", '{"system": {"r_c": 1e999}}'],
+        ["simulate", "--seed", "-1"],
+        ["validate", "--seed", "-1"],
+        ["analytic", "--sweep", "D:1e-300:1:2"],
+        ["sensing", "--sweep", "D:1e-300:1:2"],
+        ["simulate", "--sweep", "D:1e-300:1:2"],
     ],
 )
 def test_out_of_range_input_exits_2(runner, tmp_path, args):
@@ -458,6 +484,30 @@ def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, 
     vanishes as a float is a config error that names the field, not an
     OverflowError or ZeroDivisionError traceback."""
     cfg = _write(tmp_path, "scale.json", f'{{"system": {{"{field}": {value}}}}}')
+    res = runner.invoke(main, [*args, "--config", cfg])
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and f"{field} puts a derived" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    ("scenario", "field"),
+    [
+        ('{"power_policy": "Fixed", "fixed_pc_over_pf_db": -1e6}', "fixed_pc_over_pf_db"),
+        ('{"sensing_radius_m": 1e200}', "sensing_radius_m"),
+        ('{"d_norm": 1e-300}', "d_norm"),
+    ],
+    ids=["ambient_power", "sensing_radius", "path_loss"],
+)
+@pytest.mark.parametrize(
+    "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
+    ids=["analytic", "sensing", "simulate"],
+)
+def test_scenario_level_beyond_range_exits_2(runner, tmp_path, args, scenario, field):
+    """A scenario value whose derived ambient femto power, sensing radius
+    squared or reference path loss lies beyond ±3000 dB is a config error
+    that names the field, not an OverflowError traceback."""
+    cfg = _write(tmp_path, "level.json", f'{{"scenario": {scenario}}}')
     res = runner.invoke(main, [*args, "--config", cfg])
     assert res.exit_code == 2, res.output
     assert "Error: config" in res.output and f"{field} puts a derived" in res.output
@@ -548,11 +598,20 @@ def test_bad_sweep_usage_exits_2(runner):
     assert runner.invoke(main, ["analytic"]).exit_code == 2  # sweep required
 
 
-def test_flat_system_config_accepted(runner, tmp_path):
-    cfg = _write(tmp_path, "flat.json", '{"t_f": 4, "u_f": 2}')
+@pytest.mark.parametrize(
+    ("document", "named"),
+    [('{"t_f": 4, "u_f": 2}', "['t_f', 'u_f']"), ("[]", "expected a JSON object")],
+    ids=["flat", "array"],
+)
+def test_flat_system_config_rejected(runner, tmp_path, document, named):
+    """The document has one shape, {"system": ..., "scenario": ...}: a flat
+    object of system fields is a config error naming its keys, and so is a
+    document that is not an object."""
+    cfg = _write(tmp_path, "flat.json", document)
     res = runner.invoke(main, ["analytic", "--config", cfg, "--sweep", "D:0.5:1:2"])
-    assert res.exit_code == 0
-    assert res.output.split("\n")[1].split(",")[3:5] == ["4", "2"]
+    assert res.exit_code == 2, res.output
+    assert "Error: config" in res.output and named in res.output
+    assert "Traceback" not in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +648,20 @@ def test_validate_default_config_passes(runner, tmp_path):
             for name, pinned in VALIDATE_KS_SEED_42.items():
                 assert values[name] == pytest.approx(pinned, rel=0, abs=1e-12), name
     assert closures[0] == closures[1]
+
+
+@pytest.mark.parametrize("system", ['{"p_f_dbm": 13}', '{"p_f_dbm": 33}', '{"p_c_dbm": 40}'])
+def test_validate_closure_at_configured_power_ratio(runner, tmp_path, system):
+    """Each closure check runs its Fixed-policy field at the system's own
+    P_c/P_f, the ratio its density cap assumes, so the outage meets eps at
+    any power ratio, not only at the default 20 dB."""
+    cfg = _write(tmp_path, "powers.json", f'{{"system": {system}}}')
+    res = runner.invoke(main, ["validate", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
+    for name in ("femto_closure_outage", "cellular_closure_outage"):
+        assert checks[name]["passed"], checks[name]
+        assert checks[name]["value"] == pytest.approx(0.1, abs=1e-3)
 
 
 def test_validate_multiuser_marks_fail(runner, tmp_path):
@@ -632,3 +705,15 @@ def test_validate_without_femtocells_reports_no_window(runner, tmp_path):
     }
     assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
     assert "without femtocells" in checks["power_window_inversion"]["bound"]
+
+
+# ---------------------------------------------------------------------------
+# help
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_option_has_help(command):
+    """Each option of each subcommand says what it does in --help."""
+    options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
+    assert options
+    assert [o.name for o in options if not (o.help or "").strip()] == []

@@ -150,6 +150,12 @@ def test_db_linear_round_trip(db):
     assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_linear_to_db_rejects_nonpositive(value):
+    with pytest.raises(ValueError, match="positive value"):
+        linear_to_db(value)
+
+
 def test_dbm_to_watts_reference_points():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)

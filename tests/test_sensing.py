@@ -203,6 +203,23 @@ def test_detection_snr_newton_cost_and_accuracy(monkeypatch, m, t_f):
     assert _oracle_detection_probability(snr_db, m, lam, t_f) == pytest.approx(0.9, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: false_alarm_probability(0, 1.0), "m_tw must be >= 1"),
+        (lambda: false_alarm_probability(10, -1.0), "threshold must be nonnegative"),
+        (lambda: detection_probability_sc(1.0, 10, 20.0, 0), "t_f must be >= 1"),
+        (lambda: detection_probability_sc(-1.0, 10, 20.0, 1), "gamma_bar must be nonnegative"),
+        (lambda: solve_threshold(10, 1.0), "p_false_target must lie in"),
+        (lambda: max_sensing_range(10, 0.0, 0.1, P), "p_detect_target must lie in"),
+    ],
+    ids=["m_tw", "threshold", "t_f", "gamma_bar", "p_false", "p_detect"],
+)
+def test_detector_domain_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("t_f", [1, 2, 4])
 @pytest.mark.parametrize("m", [1, 100, 500])
 def test_detection_floor_meets_false_alarm(m, t_f):

@@ -474,6 +474,8 @@ def test_scenario_config_validation_and_round_trip():
         ScenarioConfig(blend_weight=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(n_f_target=-3.0)
+    with pytest.raises(ValueError, match="sensing_radius_m"):
+        ScenarioConfig(sensing_radius_m=0.0)
     with pytest.raises(ValueError, match="co_located_user_offset"):
         ScenarioConfig(co_located_user_offset=-500.0)
 

@@ -340,6 +340,9 @@ def test_inv_reg_inc_beta_edges_and_errors():
         inv_reg_inc_beta(1.1, 3, 2)
     with pytest.raises(ValueError, match="y=nan"):
         inv_reg_inc_beta(math.nan, 3, 2)
+    for a, b in ((0.0, 2), (3, -1.0)):
+        with pytest.raises(ValueError, match="a, b > 0"):
+            inv_reg_inc_beta(0.5, a, b)
     with pytest.raises(ValueError):
         reg_inc_beta(math.nan, 3, 2)
 
@@ -380,9 +383,11 @@ def test_chi2_cdf_rejects_odd_dof():
 @pytest.mark.parametrize("a", [0.5, 2.0, 4.0, 100.0])
 def test_infinite_x_gives_limits(a):
     """x = +inf returns the limit, as scipy does, with no floating-point
-    warning; an infinite shape of the incomplete beta is a domain error."""
+    warning, and so does x = 0 for ln P (−inf); an infinite shape of the
+    incomplete beta is a domain error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert ln_reg_lower_gamma(a, 0.0) == -math.inf
         assert reg_upper_gamma(a, math.inf) == sp.gammaincc(a, math.inf) == 0.0
         assert ln_reg_lower_gamma(a, math.inf) == math.log(sp.gammainc(a, math.inf)) == 0.0
         k_dof = 2 * math.ceil(a)
