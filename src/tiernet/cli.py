@@ -121,6 +121,11 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
         extra = set(raw) - {"system", "scenario"}
         if extra:
             raise ValueError(f"unknown top-level config keys: {sorted(extra)}")
+        for name in ("system", "scenario"):
+            if not isinstance(raw.get(name, {}), dict):
+                raise ValueError(
+                    f"the {name} section must be a JSON object, got {type(raw[name]).__name__}"
+                )
         p = SystemParams.from_dict(raw.get("system", {}))
         cfg = ScenarioConfig.from_dict(raw.get("scenario", {}))
         _check_scenario_levels(p, cfg.d_norm, cfg)
@@ -157,13 +162,18 @@ def _check_scenario_levels(
     system, lies beyond ±3000 dB, as SystemParams checks its own: the
     reference path loss 10·α_c·log10(d_norm·r_c) (two logs, as d_norm·r_c
     may underflow) and, given the scenario, its ambient femto power
-    P_c − fixed_pc_over_pf_db in dBW and its sensing radius squared."""
+    P_c − fixed_pc_over_pf_db in dBW, its sensing radius squared and its
+    hotspot user offset squared (an offset of 0 is valid)."""
     levels = [("d_norm", 10.0 * p.alpha_c * (math.log10(d_norm) + math.log10(p.r_c)))]
     if cfg is not None:
         levels += [
             ("fixed_pc_over_pf_db", p.p_c_dbm - 30.0 - cfg.fixed_pc_over_pf_db),
             ("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)),
         ]
+        if cfg.co_located_user_offset:
+            levels.append(
+                ("co_located_user_offset", 20.0 * math.log10(cfg.co_located_user_offset))
+            )
     _check_levels_db(levels)
 
 

@@ -10,9 +10,8 @@ surface and watts internally.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -90,12 +89,9 @@ def _check_fields(params) -> None:
 
 
 class _JsonConfig:
-    """JSON round trip of a frozen config dataclass: keys are the field names,
-    missing keys take the defaults, and Enum fields travel as their values."""
-
-    def to_json(self) -> str:
-        raw = {k: v.value if isinstance(v, Enum) else v for k, v in asdict(self).items()}
-        return json.dumps(raw, indent=2, sort_keys=True)
+    """A frozen config dataclass read from a JSON object: keys are the field
+    names, missing keys take the defaults, and Enum fields travel as their
+    values."""
 
     @classmethod
     def from_dict(cls, raw: dict):
@@ -182,26 +178,16 @@ class SystemParams(_JsonConfig):
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Fixed decibel losses of the five link classes: macro to outdoor
-    cellular user (a_c), macro to indoor femtocell user (a_fc), femtocell to
-    its own user (a_fi), femtocell to outdoor cellular user (a_cf), and
-    femtocell to a user in another home (a_ff)."""
+    """Linear gains of the fixed losses of the five link classes: macro to
+    outdoor cellular user (a_c), macro to indoor femtocell user (a_fc),
+    femtocell to its own user (a_fi), femtocell to outdoor cellular user
+    (a_cf), and femtocell to a user in another home (a_ff)."""
 
-    a_c_db: float
-    a_fc_db: float
-    a_fi_db: float
-    a_cf_db: float
-    a_ff_db: float
-    # linear gains, used by everything downstream: set once from the losses
-    a_c: float = field(init=False)
-    a_fc: float = field(init=False)
-    a_fi: float = field(init=False)
-    a_cf: float = field(init=False)
-    a_ff: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        for name in ("a_c", "a_fc", "a_fi", "a_cf", "a_ff"):
-            object.__setattr__(self, name, db_to_linear(-getattr(self, f"{name}_db")))
+    a_c: float
+    a_fc: float
+    a_fi: float
+    a_cf: float
+    a_ff: float
 
 
 @functools.cache
@@ -213,11 +199,11 @@ def link_budget(p: SystemParams) -> LinkBudget:
     indoor-to-other-home links use the 37 dB indoor intercept plus one or
     two wall losses. Memoised per parameter set; the result is frozen.
     """
-    return LinkBudget(*_losses_db(p))
+    return LinkBudget(*(db_to_linear(-loss_db) for loss_db in _losses_db(p)))
 
 
 def _losses_db(p: SystemParams) -> tuple[float, float, float, float, float]:
-    # the five fixed losses in LinkBudget's field order
+    # the five fixed losses in dB, in LinkBudget's field order
     a_c = 30.0 * math.log10(p.f_c_mhz) - 71.0
     return a_c, a_c + p.wall_db, 37.0, p.wall_db + 37.0, 2.0 * p.wall_db + 37.0
 

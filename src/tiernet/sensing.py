@@ -17,19 +17,9 @@ from .analytic import (
     _outage_odds, _unit_load, k_correction_bounds, max_contention_density_cellular,
 )
 from .linkmodel import (
-    SystemParams,
-    db_to_linear,
-    linear_to_db,
-    link_budget,
-    location_coeffs,
-    noise_floor_dbm,
+    SystemParams, _losses_db, db_to_linear, linear_to_db, location_coeffs, noise_floor_dbm,
 )
-from .specfun import (
-    _lower_gamma_sum,
-    ln_reg_lower_gamma,
-    newton,
-    reg_upper_gamma,
-)
+from .specfun import _lower_gamma_sum, newton, reg_gamma
 
 __all__ = [
     "InfeasiblePlanError",
@@ -133,7 +123,7 @@ def blended_power_policy(lo_db: float, hi_db: float, weight: float) -> float:
 def _pilot_budget_db(p: SystemParams) -> float:
     # pilot SNR in dB at 1 m: sent PILOT_BACKOFF_DB below the maximum
     # terminal power, through the outdoor-to-indoor fixed loss
-    return (p.p_ut_dbm - PILOT_BACKOFF_DB) - link_budget(p).a_fc_db - noise_floor_dbm(p)
+    return (p.p_ut_dbm - PILOT_BACKOFF_DB) - _losses_db(p)[1] - noise_floor_dbm(p)
 
 
 def pilot_snr(d_femto_to_user: float, p: SystemParams) -> float:
@@ -157,7 +147,7 @@ def false_alarm_probability(m_tw: int, threshold: float) -> float:
         raise ValueError(f"m_tw must be >= 1, got {m_tw}")
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    return reg_upper_gamma(2 * m_tw, threshold)
+    return reg_gamma(2 * m_tw, threshold)[1]
 
 
 def _ln_gamma_pdf(a: float, x: float) -> float:
@@ -201,7 +191,7 @@ def _excess(gamma_bar: float, m_tw: int, threshold: float, t_f: int) -> tuple[fl
             d_tail = floor_pdf * (z * s_sum + a * (1.0 - s_sum))
         else:
             ln_mid = -lam / (1.0 + u) + a * math.log1p(1.0 / u)
-            tail = math.exp(min(ln_mid + ln_reg_lower_gamma(a, z), 0.0))
+            tail = math.exp(min(ln_mid + reg_gamma(a, z)[0], 0.0))
             d_tail = tail * (z - a) + math.exp(ln_mid + _ln_gamma_pdf(a, z)) * z
         total += weight * tail
         slope += weight * d_tail / (1.0 + u)

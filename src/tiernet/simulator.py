@@ -70,15 +70,12 @@ class SimulationResult:
     FastChi2: the exact outage averaged over the fades and the Poisson
     field, and as ci_halfwidth_95 its quadrature error, |value on the
     field's nodes − value on nodes refined 2× on both axes|; n_drops,
-    n_fades and seed are only echoed. FullZF: the share of sampled
+    n_fades and seed are not used. FullZF: the share of sampled
     (drop, fade) pairs in outage, and as ci_halfwidth_95 its 95% half-width
     clustered on drops (NaN for one drop)."""
 
     p_outage: float
     ci_halfwidth_95: float
-    n_drops: int
-    n_fades: int
-    seed: int
     rate_law: Callable[[list[float]], list[float]]
 
     def percentiles(self, qs: Sequence[float]) -> list[float]:
@@ -419,7 +416,7 @@ def simulate(
     """Outage, its precision and the rate law of the configured scenario.
     FastChi2 mode computes them exactly, averaged over the fades and over
     the Poisson field of the drops, and draws neither drops nor fades:
-    n_drops, n_fades and seed are only echoed. The field's nodes (_field)
+    n_drops, n_fades and seed are not used. The field's nodes (_field)
     cover the half-plane on one side of the macrocell–receiver axis, whose
     mirror image the scenario repeats; pieces of a ray that hold no field
     are dropped, so with the sensed user inside the sensing circle about
@@ -461,12 +458,5 @@ def simulate(
 
         def rate_law(us: list[float]) -> list[float]:
             return np.quantile(rates, us).tolist()
-    return SimulationResult(
-        p_outage=p_hat,
-        ci_halfwidth_95=ci,
-        n_drops=n_drops,
-        n_fades=n_fades,
-        seed=seed,
-        rate_law=rate_law,
-    )
+    return SimulationResult(p_outage=p_hat, ci_halfwidth_95=ci, rate_law=rate_law)
 

@@ -2,15 +2,16 @@
 chi-squared distribution built on them.
 
 Every closed-form coverage expression in this package reduces to the
-regularized incomplete beta function, its inverse, or the regularized upper
-incomplete gamma function, so these are implemented here once, self-contained,
-and kept pure. Degrees of freedom are restricted to even integers: the
-network model only ever produces chi-squared variables with an integer
-number of complex dimensions, which keeps every incomplete-gamma shape
-parameter an integer, and every closed form calls the incomplete beta with
-positive integer shapes.
+regularized incomplete beta function, its inverse, or a tail of the
+regularized incomplete gamma function, so these are implemented here once,
+self-contained, and kept pure. Degrees of freedom are restricted to even
+integers: the network model only ever produces chi-squared variables with
+an integer number of complex dimensions, which keeps every incomplete-gamma
+shape parameter an integer, and every closed form calls the incomplete beta
+with positive integer shapes.
 
-Algorithms: `math.lgamma` for ln Γ. The regularized incomplete gamma is
+Algorithms: `math.lgamma` for ln Γ. `reg_gamma` returns both tails of the
+regularized incomplete gamma, ln P and Q, from one choice of algorithm:
 Temme's uniform expansion (DLMF 8.12.3) inside the window a >= 50,
 |x − a| <= 0.3·a: a few microseconds at any a, and within 2·10⁻¹⁵ of
 mpmath for (x − a)/√a in [−3, 5]. Elsewhere, and for ln P where the lower
@@ -34,8 +35,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "reg_upper_gamma",
-    "ln_reg_lower_gamma",
+    "reg_gamma",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "chi2_cdf",
@@ -208,54 +208,38 @@ def _in_temme_window(a: float, x: float) -> bool:
     return a >= 50.0 and abs(x - a) <= 0.3 * a
 
 
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Γ(a,x)/Γ(a).
-
-    Monotone nonincreasing in x, with Q(a,0) = 1 and Q(a,inf) = 0.
+def reg_gamma(a: float, x: float) -> tuple[float, float]:
+    """Both tails of the regularized incomplete gamma, (ln P(a, x), Q(a, x)):
+    P = γ(a,x)/Γ(a) and Q = 1 − P = Γ(a,x)/Γ(a), the other tail derived
+    from the one evaluated. ln P stays finite deep in the left tail, where
+    P underflows (the energy detector's product terms are only finite
+    jointly); there Q reads 1. reg_gamma(a, 0) = (−inf, 1) and
+    reg_gamma(a, inf) = (0, 0).
 
     Raises:
         ValueError: if a is not positive and finite, or x < 0.
     """
     if not 0 < a < math.inf:
-        raise ValueError(f"reg_upper_gamma requires finite a > 0, got a={a}")
+        raise ValueError(f"reg_gamma requires finite a > 0, got a={a}")
     if not x >= 0:
-        raise ValueError(f"reg_upper_gamma requires x >= 0, got x={x}")
+        raise ValueError(f"reg_gamma requires x >= 0, got x={x}")
     if x == 0.0:
-        return 1.0
+        return -math.inf, 1.0
     if x == math.inf:
-        return 0.0
-    if _in_temme_window(a, x):
-        tail = _temme_tail(a, x)
-        return tail if x >= a else 1.0 - tail
-    if x < a + 1.0:
-        return -math.expm1(_ln_lower_gamma_series(a, x))
-    return _upper_gamma_cf(a, x)
-
-
-def ln_reg_lower_gamma(a: float, x: float) -> float:
-    """log of the regularized lower incomplete gamma P(a, x).
-
-    Stable deep in the left tail (x << a) where P underflows; used by the
-    energy-detector formulas whose product terms are only finite jointly.
-    ln P(a,0) = -inf and ln P(a,inf) = 0.
-    """
-    if not 0 < a < math.inf:
-        raise ValueError(f"ln_reg_lower_gamma requires finite a > 0, got a={a}")
-    if not x >= 0:
-        raise ValueError(f"ln_reg_lower_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return -math.inf
-    if x == math.inf:
-        return 0.0
+        return 0.0, 0.0
     if _in_temme_window(a, x):
         tail = _temme_tail(a, x)
         if x >= a:
-            return math.log1p(-tail)
-        if tail > 1e-300:  # else the lower tail is near underflow: series
-            return math.log(tail)
-    if x >= a + 1.0:
-        return math.log1p(-_upper_gamma_cf(a, x))
-    return _ln_lower_gamma_series(a, x)
+            return math.log1p(-tail), tail
+        if tail > 1e-300:
+            return math.log(tail), 1.0 - tail
+        # the lower tail near underflow: ln P by the series
+        return _ln_lower_gamma_series(a, x), 1.0
+    if x < a + 1.0:
+        ln_p = _ln_lower_gamma_series(a, x)
+        return ln_p, -math.expm1(ln_p)
+    q = _upper_gamma_cf(a, x)
+    return math.log1p(-q), q
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -373,7 +357,7 @@ def chi2_cdf(k_dof: int, x):
     With v = x/2 and k = k_dof/2 it is the finite Poisson sum
     1 − Σ_{n<k} e^{−v} vⁿ/n!, whose terms are formed in log space so that
     neither e^{−v} nor vⁿ over- or underflows on its own. Equals
-    1 − reg_upper_gamma(k_dof/2, x/2); 1 at x = inf.
+    1 − Q(k_dof/2, x/2) of reg_gamma; 1 at x = inf.
 
     Raises:
         ValueError: if k_dof is not an even integer >= 2, or any x is negative

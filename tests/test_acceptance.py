@@ -144,7 +144,7 @@ def test_criterion_07_femto_outage_closure():
         checks.append((
             f"outage at D={d_norm}",
             0.07 <= est.p_outage <= 0.13,
-            f"{est.p_outage:.4f} in [0.07, 0.13] at max density {est.n_drops}x{est.n_fades}",
+            f"{est.p_outage:.4f} in [0.07, 0.13] at max density",
         ))
     _report(7, "femto outage closure at max density", checks)
 

@@ -151,21 +151,22 @@ def test_closed_form_sweeps_solve_design_point_once(runner, monkeypatch, clear_m
     sensing radius, the power window's ε_eff) and the detector's P_fa take
     arguments fixed by the design point: each is evaluated once, so the
     evaluations do not grow with the rows. They are counted at their one
-    callee, the incomplete beta inside specfun and Q(2m, t) inside
-    sensing, with the memos in front of them."""
+    callee, the incomplete beta inside specfun and the incomplete gamma at
+    shape 2m inside sensing, with the memos in front of them."""
     counts = {}
 
-    def counting(module, name):
+    def counting(module, name, counted_if=lambda *args: True):
         fn = getattr(module, name)
 
         def counted(*args):
-            counts[name] = counts.get(name, 0) + 1
+            if counted_if(*args):
+                counts[name] = counts.get(name, 0) + 1
             return fn(*args)
 
         monkeypatch.setattr(module, name, counted)
 
     counting(specfun, "reg_inc_beta")
-    counting(sensing, "reg_upper_gamma")
+    counting(sensing, "reg_gamma", lambda a, x: a == 2 * sensing.DETECTOR_M_TW)
 
     def evaluations(rows):
         clear_memos()
@@ -177,7 +178,7 @@ def test_closed_form_sweeps_solve_design_point_once(runner, monkeypatch, clear_m
         return dict(counts)
 
     few = evaluations(20)
-    assert few["reg_inc_beta"] > 0 and few["reg_upper_gamma"] > 0
+    assert few["reg_inc_beta"] > 0 and few["reg_gamma"] > 0
     assert evaluations(200) == few
 
 
@@ -443,7 +444,8 @@ def test_out_of_range_input_exits_2(runner, tmp_path, args):
 
 def test_negative_user_offset_exits_2(runner, tmp_path):
     """The co-located user's offset is a distance outward from the hotspot;
-    a negative one would put the user inward and must not run."""
+    a negative one would put the user inward and must not run. An offset of
+    0, the user at the hotspot, runs."""
     cfg = _write(
         tmp_path, "offset.json",
         '{"scenario": {"scenario": "ReferenceHotspot", "co_located_user_offset": -500}}',
@@ -452,6 +454,12 @@ def test_negative_user_offset_exits_2(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "Error: config" in res.output and "co_located_user_offset" in res.output
     assert "Traceback" not in res.output
+    zero = _write(
+        tmp_path, "zero.json",
+        '{"scenario": {"scenario": "ReferenceHotspot", "co_located_user_offset": 0}}',
+    )
+    res = runner.invoke(main, [*SIM, "--config", zero])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("f_c_mhz", ["0", "0.0", "-5"])
@@ -496,8 +504,10 @@ def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, 
         ('{"power_policy": "Fixed", "fixed_pc_over_pf_db": -1e6}', "fixed_pc_over_pf_db"),
         ('{"sensing_radius_m": 1e200}', "sensing_radius_m"),
         ('{"d_norm": 1e-300}', "d_norm"),
+        ('{"scenario": "ReferenceHotspot", "co_located_user_offset": 1e200}',
+         "co_located_user_offset"),
     ],
-    ids=["ambient_power", "sensing_radius", "path_loss"],
+    ids=["ambient_power", "sensing_radius", "path_loss", "user_offset"],
 )
 @pytest.mark.parametrize(
     "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
@@ -505,8 +515,9 @@ def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, 
 )
 def test_scenario_level_beyond_range_exits_2(runner, tmp_path, args, scenario, field):
     """A scenario value whose derived ambient femto power, sensing radius
-    squared or reference path loss lies beyond ±3000 dB is a config error
-    that names the field, not an OverflowError traceback."""
+    squared, hotspot user offset squared or reference path loss lies beyond
+    ±3000 dB is a config error that names the field, not an OverflowError
+    traceback or an overflow warning."""
     cfg = _write(tmp_path, "level.json", f'{{"scenario": {scenario}}}')
     res = runner.invoke(main, [*args, "--config", cfg])
     assert res.exit_code == 2, res.output
@@ -600,13 +611,19 @@ def test_bad_sweep_usage_exits_2(runner):
 
 @pytest.mark.parametrize(
     ("document", "named"),
-    [('{"t_f": 4, "u_f": 2}', "['t_f', 'u_f']"), ("[]", "expected a JSON object")],
-    ids=["flat", "array"],
+    [
+        ('{"t_f": 4, "u_f": 2}', "['t_f', 'u_f']"),
+        ("[]", "expected a JSON object"),
+        ('{"system": []}', "the system section must be a JSON object, got list"),
+        ('{"system": "ab"}', "the system section must be a JSON object, got str"),
+        ('{"scenario": null}', "the scenario section must be a JSON object, got NoneType"),
+    ],
+    ids=["flat", "array", "system_array", "system_string", "scenario_null"],
 )
 def test_flat_system_config_rejected(runner, tmp_path, document, named):
     """The document has one shape, {"system": ..., "scenario": ...}: a flat
     object of system fields is a config error naming its keys, and so is a
-    document that is not an object."""
+    document that is not an object or a section that is not an object."""
     cfg = _write(tmp_path, "flat.json", document)
     res = runner.invoke(main, ["analytic", "--config", cfg, "--sweep", "D:0.5:1:2"])
     assert res.exit_code == 2, res.output

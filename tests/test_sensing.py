@@ -24,7 +24,7 @@ from tiernet.sensing import (
 )
 from tiernet import sensing, simulator
 from tiernet.simulator import PowerPolicy, ScenarioConfig
-from tiernet.specfun import ln_reg_lower_gamma, reg_inc_beta
+from tiernet.specfun import reg_gamma, reg_inc_beta
 
 P = SystemParams()
 LAMBDA_60 = 60.0 / (math.pi * P.r_c**2)
@@ -185,16 +185,19 @@ def test_detection_snr_newton_cost_and_accuracy(monkeypatch, m, t_f):
     lam = solve_threshold(m, 0.1)
     calls, evaluations = [], []
 
-    def counting(fn, log):
+    def counting(fn, log, counted_if=lambda *args: True):
         def counted(*args):
-            log.append(args)
+            if counted_if(*args):
+                log.append(args)
             return fn(*args)
 
         return counted
 
-    # one lower incomplete gamma per branch and evaluation, or below u = 1
-    # its series sum alone
-    monkeypatch.setattr(sensing, "ln_reg_lower_gamma", counting(ln_reg_lower_gamma, calls))
+    # one lower incomplete gamma (shape 2m − 1) per branch and evaluation,
+    # or below u = 1 its series sum alone
+    monkeypatch.setattr(
+        sensing, "reg_gamma", counting(reg_gamma, calls, lambda a, x: a == 2 * m - 1)
+    )
     monkeypatch.setattr(sensing, "_lower_gamma_sum", counting(sensing._lower_gamma_sum, calls))
     monkeypatch.setattr(sensing, "_excess", counting(sensing._excess, evaluations))
     snr_db = sensing._detection_snr_db.__wrapped__(m, lam, 0.9, t_f)

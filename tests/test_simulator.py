@@ -27,7 +27,7 @@ from tiernet.simulator import (
     _zf_precoder_batch,
     simulate,
 )
-from tiernet.specfun import reg_inc_beta, reg_upper_gamma
+from tiernet.specfun import reg_gamma, reg_inc_beta
 
 P = SystemParams()
 # the rate percentiles tiernet simulate writes
@@ -307,8 +307,7 @@ def _hotspot_cfg(**kw):
 
 def _summary(res):
     # what tiernet simulate writes of a result
-    return (res.p_outage, res.ci_halfwidth_95, res.n_drops, res.n_fades, res.seed,
-            res.percentiles(PCT_GRID))
+    return (res.p_outage, res.ci_halfwidth_95, res.percentiles(PCT_GRID))
 
 
 def test_outage_estimate_reproducible_and_bounded():
@@ -318,7 +317,6 @@ def test_outage_estimate_reproducible_and_bounded():
     assert _summary(a) == _summary(b)
     assert 0.0 <= a.p_outage <= 1.0
     assert a.ci_halfwidth_95 > 0.0
-    assert (a.n_drops, a.n_fades, a.seed) == (50, 200, 99)
 
 
 def test_exponential_draws_match_unit_shape_gamma():
@@ -453,7 +451,7 @@ def test_sensed_policy_rejects_infeasible_density():
         simulate(cfg, 5, 10, P, seed=1)
 
 
-def test_scenario_config_validation_and_round_trip():
+def test_scenario_config_validation_and_from_json():
     cfg = ScenarioConfig(
         scenario=Scenario.REFERENCE_HOTSPOT,
         d_norm=0.4,
@@ -461,8 +459,11 @@ def test_scenario_config_validation_and_round_trip():
         blend_weight=0.6,
         n_f_target=45.0,
     )
-    back = ScenarioConfig.from_dict(json.loads(cfg.to_json()))
-    assert back == cfg
+    text = (
+        '{"scenario": "ReferenceHotspot", "d_norm": 0.4, '
+        '"power_policy": "CarrierSensedBlend", "blend_weight": 0.6, "n_f_target": 45.0}'
+    )
+    assert ScenarioConfig.from_dict(json.loads(text)) == cfg
     assert ScenarioConfig.from_dict({"scenario": "ReferenceHotspot"}).scenario is (
         Scenario.REFERENCE_HOTSPOT
     )
@@ -636,7 +637,7 @@ def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
     pc_w = dbm_to_watts(P.p_c_dbm)
     a = (pc_w / P.u_c) * link_budget(P).a_c * (d_norm * P.r_c) ** -P.alpha_c
     s_n = P.gamma_target / a * dbm_to_watts(noise_floor_dbm(P))
-    expected = 1.0 - reg_upper_gamma(P.t_c - P.u_c + 1, s_n)
+    expected = 1.0 - reg_gamma(P.t_c - P.u_c + 1, s_n)[1]
     assert res.p_outage == pytest.approx(expected, rel=1e-9, abs=1e-14)
     assert res.ci_halfwidth_95 == 0.0
 
@@ -1095,13 +1096,12 @@ def test_coverage_vanishes_at_high_rates_with_noise(name, d_norm, printed):
 def test_fast_chi2_simulate_draws_no_fades():
     """FastChi2 draws neither drops nor fades: a billion fades per drop
     (5·10¹⁰ in all, which no sampler would finish), other drop counts and
-    other seeds give the same result as one drop of one fade, with n_drops,
-    n_fades and seed only echoed."""
+    other seeds give the same result as one drop of one fade: n_drops,
+    n_fades and seed are not used."""
     cfg = _bench_cfg("cellular_sensed")
     one = simulate(cfg, 1, 1, P, seed=3)
     for n_drops, n_fades, seed in ((50, 10**9, 3), (4000, 1, 3), (1, 1, 42)):
         res = simulate(cfg, n_drops, n_fades, P, seed)
-        assert (res.n_drops, res.n_fades, res.seed) == (n_drops, n_fades, seed)
         assert (res.p_outage, res.ci_halfwidth_95) == (one.p_outage, one.ci_halfwidth_95)
         assert res.percentiles(PCT_GRID) == one.percentiles(PCT_GRID)
 

@@ -15,13 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiernet import specfun
-from tiernet.specfun import (
-    chi2_cdf,
-    inv_reg_inc_beta,
-    ln_reg_lower_gamma,
-    reg_inc_beta,
-    reg_upper_gamma,
-)
+from tiernet.specfun import chi2_cdf, inv_reg_inc_beta, reg_gamma, reg_inc_beta
 
 GAMMA_GRID_A = [0.5, 1.0, 1.5, 2.0, 3.5, 5.0, 10.0, 100.0, 500.0, 999.5, 1000.0]
 GAMMA_GRID_X = [0.0, 0.05, 0.7, 1.0, 4.0, 30.0, 450.0, 950.0, 1200.0]
@@ -29,16 +23,16 @@ GAMMA_GRID_X = [0.0, 0.05, 0.7, 1.0, 4.0, 30.0, 450.0, 950.0, 1200.0]
 
 @pytest.mark.parametrize("a", GAMMA_GRID_A)
 @pytest.mark.parametrize("x", GAMMA_GRID_X)
-def test_reg_upper_gamma_matches_scipy(a, x):
-    assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=2e-9, abs=1e-290)
+def test_reg_gamma_upper_tail_matches_scipy(a, x):
+    assert reg_gamma(a, x)[1] == pytest.approx(sp.gammaincc(a, x), rel=2e-9, abs=1e-290)
 
 
 @pytest.mark.parametrize("a", GAMMA_GRID_A)
 @pytest.mark.parametrize("x", [0.05, 0.7, 1.0, 4.0, 30.0, 450.0, 950.0])
-def test_ln_reg_lower_gamma_matches_scipy(a, x):
+def test_reg_gamma_ln_lower_tail_matches_scipy(a, x):
     ref = sp.gammainc(a, x)
     if ref > 1e-290:  # scipy underflows below this; the log form does not
-        assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(ref), rel=1e-9, abs=1e-9)
+        assert reg_gamma(a, x)[0] == pytest.approx(math.log(ref), rel=1e-9, abs=1e-9)
 
 
 LARGE_SHAPE_POINTS = [
@@ -51,17 +45,17 @@ LARGE_SHAPE_POINTS = [
 @pytest.mark.parametrize(("a", "x"), LARGE_SHAPE_POINTS)
 def test_large_shape_gamma_matches_scipy(a, x):
     """Near x = a at large shape: inside the uniform expansion's window."""
-    assert reg_upper_gamma(a, x) == pytest.approx(sp.gammaincc(a, x), rel=1e-8)
-    assert ln_reg_lower_gamma(a, x) == pytest.approx(math.log(sp.gammainc(a, x)), abs=1e-8)
+    ln_p, q = reg_gamma(a, x)
+    assert q == pytest.approx(sp.gammaincc(a, x), rel=1e-8)
+    assert ln_p == pytest.approx(math.log(sp.gammainc(a, x)), abs=1e-8)
 
 
 @pytest.mark.parametrize("a", [4000.0, 4e4])
 @pytest.mark.parametrize("dx", [-1.0, 0.0, 0.5])
 def test_gamma_series_remainder_near_x_equals_a(a, dx):
     """Near x = a the series' terms shrink slowly, so the sum stops on a
-    bound of its remainder rather than on its last term. The public
-    functions take the uniform expansion here, so the series is called
-    directly."""
+    bound of its remainder rather than on its last term. reg_gamma takes
+    the uniform expansion here, so the series is called directly."""
     x = a + dx
     q = -math.expm1(specfun._ln_lower_gamma_series(a, x))
     assert q == pytest.approx(sp.gammaincc(a, x), rel=2e-10)
@@ -71,13 +65,14 @@ def test_gamma_series_remainder_near_x_equals_a(a, dx):
     "call",
     [
         # shape 10 lies below the uniform expansion's window, so these reach
-        # the loops; the expansion itself has none
-        lambda: reg_upper_gamma(10.0, 5.0),  # series
-        lambda: reg_upper_gamma(10.0, 20.0),  # continued fraction
-        lambda: ln_reg_lower_gamma(10.0, 5.0),  # log-space series
+        # the loops; the expansion itself has none, but its lower tail near
+        # underflow falls back to the series
+        lambda: reg_gamma(10.0, 5.0),  # series
+        lambda: reg_gamma(10.0, 20.0),  # continued fraction
+        lambda: reg_gamma(2e4, 1.5e4),  # the window's deep-tail fallback
         lambda: reg_inc_beta(0.4, 50.0, 60.0),  # beta continued fraction
     ],
-    ids=["series", "cf", "log-series", "beta-cf"],
+    ids=["series", "cf", "deep-tail-series", "beta-cf"],
 )
 def test_iteration_cap_raises(monkeypatch, call):
     monkeypatch.setattr(specfun, "_budget", lambda a: 3)
@@ -180,35 +175,57 @@ def test_uniform_expansion_matches_mpmath(a, x):
         else:
             p = mpmath.gammainc(a, 0, x, regularized=True)
             q, ln_p = 1 - p, mpmath.log(p)
-    assert reg_upper_gamma(a, x) == pytest.approx(float(q), rel=1e-13, abs=0.0)
-    assert ln_reg_lower_gamma(a, x) == pytest.approx(float(ln_p), rel=1e-13, abs=0.0)
+    got_ln_p, got_q = reg_gamma(a, x)
+    assert got_q == pytest.approx(float(q), rel=1e-13, abs=0.0)
+    assert got_ln_p == pytest.approx(float(ln_p), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(("a", "x"), [(2e4, 1.5e4), (1e6, 7.5e5)])
-def test_ln_reg_lower_gamma_in_window_below_underflow(a, x):
+def test_reg_gamma_in_window_below_underflow(a, x):
     """Where P itself underflows inside the window (a·η²/2 of 754 and
-    37 682), ln P comes from the log-space series and stays finite."""
+    37 682), ln P comes from the log-space series and stays finite, and Q
+    reads 1."""
     assert specfun._in_temme_window(a, x)
     with mpmath.workdps(40):
-        ln_p = mpmath.log(mpmath.gammainc(a, 0, x, regularized=True))
-    assert ln_reg_lower_gamma(a, x) == pytest.approx(float(ln_p), rel=1e-12)
+        p = mpmath.gammainc(a, 0, x, regularized=True)
+        ln_p, q = mpmath.log(p), 1 - p
+    assert reg_gamma(a, x) == (pytest.approx(float(ln_p), rel=1e-12), float(q))
+    assert float(q) == 1.0
+
+
+@pytest.mark.parametrize(
+    ("a", "x"),
+    [(10.0, 5.0), (1000.0, 100.0), (10.0, 20.0), (1000.0, 1400.0)],
+    ids=["series", "series-deep-tail", "fraction", "fraction-large-shape"],
+)
+def test_reg_gamma_series_and_fraction_match_mpmath(a, x):
+    """Outside the window both tails agree with a 40-digit oracle to the
+    loops' stopping tolerance, on either side of the switch at x = a + 1."""
+    assert not specfun._in_temme_window(a, x)
+    with mpmath.workdps(40):
+        p = mpmath.gammainc(a, 0, x, regularized=True)
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        ln_p = mpmath.log(p)
+    got_ln_p, got_q = reg_gamma(a, x)
+    assert got_ln_p == pytest.approx(float(ln_p), rel=1e-9)
+    assert got_q == pytest.approx(float(q), rel=1e-9)
 
 
 def _series_or_fraction(a, x):
-    # Q and ln P as evaluated outside the expansion's window
+    # ln P and Q as evaluated outside the expansion's window
     if x < a + 1.0:
         ln_p = specfun._ln_lower_gamma_series(a, x)
-        return -math.expm1(ln_p), ln_p
+        return ln_p, -math.expm1(ln_p)
     q = specfun._upper_gamma_cf(a, x)
-    return q, math.log1p(-q)
+    return math.log1p(-q), q
 
 
 def _expansion(a, x):
-    # Q and ln P from the expansion's smaller tail
+    # ln P and Q from the expansion's smaller tail
     tail = specfun._temme_tail(a, x)
     if x >= a:
-        return tail, math.log1p(-tail)
-    return 1.0 - tail, math.log(tail)
+        return math.log1p(-tail), tail
+    return math.log(tail), 1.0 - tail
 
 
 _NEAR_WINDOW_EDGES = st.one_of(
@@ -227,19 +244,19 @@ def test_branches_agree_across_the_window_edges(point):
     """Either side of the window's edges the expansion and the series or
     fraction agree to their stopping tolerance: the series stops at 10⁻¹⁰
     of P, which near x = a (P ≈ 0.55) is up to 1.8·10⁻¹⁰ of Q and of ln P.
-    Each public function returns its branch's value bit for bit."""
+    reg_gamma returns its branch's pair bit for bit."""
     a, x = point
     old = _series_or_fraction(a, x)
     new = _expansion(a, x)
     assert new[0] == pytest.approx(old[0], rel=2e-10)
     assert new[1] == pytest.approx(old[1], rel=2e-10)
     expected = new if specfun._in_temme_window(a, x) else old
-    assert (reg_upper_gamma(a, x), ln_reg_lower_gamma(a, x)) == expected
+    assert reg_gamma(a, x) == expected
 
 
-def test_ln_reg_lower_gamma_deep_tail_finite():
+def test_reg_gamma_deep_tail_finite():
     # far left tail: P(1000, 100) ~ 1e-600, well past double underflow
-    val = ln_reg_lower_gamma(1000.0, 100.0)
+    val = reg_gamma(1000.0, 100.0)[0]
     assert math.isfinite(val)
     assert val < -700.0
     # cross-check against the log-space series written out longhand
@@ -252,10 +269,8 @@ def test_ln_reg_lower_gamma_deep_tail_finite():
     [(-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (2.0, -0.5), (2.0, math.nan), (math.nan, 1.0)],
 )
 def test_gamma_domain_errors(a, x):
-    with pytest.raises(ValueError):
-        reg_upper_gamma(a, x)
-    with pytest.raises(ValueError):
-        ln_reg_lower_gamma(a, x)
+    with pytest.raises(ValueError, match="reg_gamma requires"):
+        reg_gamma(a, x)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0, 7.5, 20.0])
@@ -387,9 +402,15 @@ def test_infinite_x_gives_limits(a):
     incomplete beta is a domain error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ln_reg_lower_gamma(a, 0.0) == -math.inf
-        assert reg_upper_gamma(a, math.inf) == sp.gammaincc(a, math.inf) == 0.0
-        assert ln_reg_lower_gamma(a, math.inf) == math.log(sp.gammainc(a, math.inf)) == 0.0
+        with mpmath.workdps(40):
+            for x in (0.0, math.inf):
+                p = mpmath.gammainc(a, 0, x, regularized=True)
+                q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                assert reg_gamma(a, x) == (float(mpmath.log(p)), float(q))
+        assert reg_gamma(a, 0.0) == (-math.inf, sp.gammaincc(a, 0.0)) == (-math.inf, 1.0)
+        assert reg_gamma(a, math.inf) == (
+            math.log(sp.gammainc(a, math.inf)), sp.gammaincc(a, math.inf)
+        ) == (0.0, 0.0)
         k_dof = 2 * math.ceil(a)
         assert chi2_cdf(k_dof, math.inf) == scipy.stats.chi2.cdf(math.inf, k_dof) == 1.0
         np.testing.assert_array_equal(
