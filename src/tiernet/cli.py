@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import click
-import numpy as np
 
-from . import analytic, sensing, simulator
-from .linkmodel import SystemParams, _check_levels_db, location_coeffs
+from . import analytic, sensing
+from .linkmodel import (
+    PowerPolicy, Scenario, ScenarioConfig, SystemParams, _check_levels_db, location_coeffs,
+)
 from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
-from .specfun import chi2_cdf
-from .simulator import PowerPolicy, Scenario, ScenarioConfig
 
 __all__ = [
     "SweepVar",
@@ -319,6 +318,7 @@ def cmd_simulate(
     fades: int,
 ) -> None:
     """Monte Carlo outage and rate percentiles for the configured scenario."""
+    from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
     if sweep_text is not None:
         spec = parse_sweep(sweep_text)
@@ -358,16 +358,6 @@ def cmd_simulate(
 # validation suite
 
 
-def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
-    # empirical KS distance against a dof-2k chi-squared on half scale
-    x = np.sort(samples)
-    n = len(x)
-    cdf = chi2_cdf(2 * k, 2.0 * x)
-    up = np.max(np.arange(1, n + 1) / n - cdf)
-    down = np.max(cdf - np.arange(0, n) / n)
-    return float(max(up, down))
-
-
 @main.command("validate")
 @click.option("--config", "config_path", default=None, help="JSON config document.")
 @click.option("--out", "out_path", default=None, help="JSON report path (default stdout).")
@@ -375,6 +365,7 @@ def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
               help="Non-negative seed of the sampled checks.")
 def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> None:
     """Distribution, closure, and inversion checks; exit 1 on any failure."""
+    from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
     checks: list[dict] = []
 
@@ -391,7 +382,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         ("ks_marks", simulator._zf_leakage_batch, femto, p.u_f),
     )):
         rng = simulator._drop_rng(seed, idx)
-        stat = _ks_statistic_chi2(sampler(rng, n_ks, t, u), k)
+        stat = simulator._ks_statistic_chi2(sampler(rng, n_ks, t, u), k)
         record(name, stat < crit, stat, f"< {crit:.6f}")
 
     # each tier's closure: a Fixed-power field at its density cap holds the outage at eps

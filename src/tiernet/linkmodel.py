@@ -1,5 +1,6 @@
-"""System parameters, the fixed losses of the five link classes, the noise
-floor, and per-location interference coefficients of the two-tier network.
+"""Every setting of the two-tier network, system parameters and simulation
+scenario, read from JSON by one loader; the fixed losses of the five link
+classes, the noise floor, and per-location interference coefficients.
 
 Conventions: every fixed loss is stored in dB as an attenuation; linear-scale
 quantities are gains (10^(-dB/10)). All internal arithmetic is linear — dB
@@ -17,6 +18,10 @@ from typing import NamedTuple
 
 __all__ = [
     "SystemParams",
+    "ScenarioConfig",
+    "Scenario",
+    "PowerPolicy",
+    "ChannelMode",
     "LinkBudget",
     "LocationCoefficients",
     "link_budget",
@@ -174,6 +179,79 @@ class SystemParams(_JsonConfig):
             # sum does not
             ("noise floor", noise_floor_dbm(self) - 30.0),
         ))
+
+
+class ChannelMode(Enum):
+    FULL_ZF = "FullZF"
+    FAST_CHI2 = "FastChi2"
+
+
+class Scenario(Enum):
+    REFERENCE_CELLULAR_USER = "ReferenceCellularUser"
+    REFERENCE_HOTSPOT = "ReferenceHotspot"
+
+
+class PowerPolicy(Enum):
+    FIXED = "Fixed"
+    CARRIER_SENSED_BLEND = "CarrierSensedBlend"
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(_JsonConfig):
+    """One simulation scenario.
+
+    A reference cellular user sits at D = d_norm·r_c; a reference hotspot is
+    a femtocell at that distance whose uplink-active cellular user is placed
+    co-linearly outward at co_located_user_offset meters (default: half the
+    sensing radius). Under the CarrierSensedBlend policy every femtocell
+    whose distance to the active cellular user is within sensing_radius_m
+    transmits at P_c(dBm) − blended bound evaluated at its own macro
+    distance (never above the nominal femto power); femtocells that do not
+    sense the user fall back to the fixed ambient ratio.
+
+    Each drop scatters femtocells at density n_f_target/(π·r_c²) on the
+    disc of radius r_c centred on the reference receiver at (D, 0), not on
+    the macrocell: the closed forms assume a field that looks the same from
+    every receiver, which a macro-centred disc denies a cell-edge receiver.
+    """
+
+    scenario: Scenario = Scenario.REFERENCE_CELLULAR_USER
+    d_norm: float = 0.8
+    power_policy: PowerPolicy = PowerPolicy.CARRIER_SENSED_BLEND
+    fixed_pc_over_pf_db: float = 20.0
+    blend_weight: float = 0.7
+    n_f_target: float = 60.0
+    co_located_user_offset: float | None = None
+    sensing_radius_m: float = 230.0
+    include_noise: bool = True
+    channel_mode: ChannelMode = ChannelMode.FAST_CHI2
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        if not 0.0 < self.d_norm <= 1.0:
+            raise ValueError(f"d_norm must lie in (0,1], got {self.d_norm}")
+        if not 0.0 <= self.blend_weight <= 1.0:
+            raise ValueError(f"blend_weight must lie in [0,1], got {self.blend_weight}")
+        if self.n_f_target < 0:
+            raise ValueError(f"n_f_target must be nonnegative, got {self.n_f_target}")
+        if self.sensing_radius_m <= 0:
+            raise ValueError(
+                f"sensing_radius_m must be positive, got {self.sensing_radius_m}"
+            )
+        if self.co_located_user_offset is not None and self.co_located_user_offset < 0:
+            raise ValueError(
+                "co_located_user_offset is a distance outward from the hotspot and "
+                f"must be nonnegative, got {self.co_located_user_offset}"
+            )
+
+    @property
+    def user_offset_m(self) -> float:
+        if self.co_located_user_offset is not None:
+            return self.co_located_user_offset
+        return self.sensing_radius_m / 2.0
+
+    def density(self, p: SystemParams) -> float:
+        return self.n_f_target / (math.pi * p.r_c**2)
 
 
 @dataclass(frozen=True)

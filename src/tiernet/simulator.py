@@ -26,39 +26,21 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .laplace import ExactLink, rate_quantiles
 from .linkmodel import (
-    SystemParams, _check_fields, _JsonConfig, dbm_to_watts, link_budget, noise_floor_dbm,
+    ChannelMode, PowerPolicy, Scenario, ScenarioConfig, SystemParams, dbm_to_watts,
+    link_budget, noise_floor_dbm,
 )
 from .sensing import blended_power_policy, power_ratio_bounds
+from .specfun import chi2_cdf
 
 __all__ = [
-    "ChannelMode",
-    "Scenario",
-    "PowerPolicy",
     "SimulationResult",
-    "ScenarioConfig",
     "simulate",
 ]
-
-
-class ChannelMode(Enum):
-    FULL_ZF = "FullZF"
-    FAST_CHI2 = "FastChi2"
-
-
-class Scenario(Enum):
-    REFERENCE_CELLULAR_USER = "ReferenceCellularUser"
-    REFERENCE_HOTSPOT = "ReferenceHotspot"
-
-
-class PowerPolicy(Enum):
-    FIXED = "Fixed"
-    CARRIER_SENSED_BLEND = "CarrierSensedBlend"
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +51,9 @@ class SimulationResult:
 
     FastChi2: the exact outage averaged over the fades and the Poisson
     field, and as ci_halfwidth_95 its quadrature error, |value on the
-    field's nodes − value on nodes refined 2× on both axes|; n_drops,
-    n_fades and seed are not used. FullZF: the share of sampled
-    (drop, fade) pairs in outage, and as ci_halfwidth_95 its 95% half-width
-    clustered on drops (NaN for one drop)."""
+    field's nodes − value on nodes refined 2× on both axes|. FullZF: the
+    share of sampled (drop, fade) pairs in outage, and as ci_halfwidth_95
+    its 95% half-width clustered on drops (NaN for one drop)."""
 
     p_outage: float
     ci_halfwidth_95: float
@@ -84,64 +65,6 @@ class SimulationResult:
             if not 0.0 <= q <= 100.0:
                 raise ValueError(f"percentile q must lie in [0,100], got {q}")
         return self.rate_law([float(q) / 100.0 for q in qs])
-
-
-@dataclass(frozen=True)
-class ScenarioConfig(_JsonConfig):
-    """One simulation scenario.
-
-    A reference cellular user sits at D = d_norm·r_c; a reference hotspot is
-    a femtocell at that distance whose uplink-active cellular user is placed
-    co-linearly outward at co_located_user_offset meters (default: half the
-    sensing radius). Under the CarrierSensedBlend policy every femtocell
-    whose distance to the active cellular user is within sensing_radius_m
-    transmits at P_c(dBm) − blended bound evaluated at its own macro
-    distance (never above the nominal femto power); femtocells that do not
-    sense the user fall back to the fixed ambient ratio.
-
-    Each drop scatters femtocells at density n_f_target/(π·r_c²) on the
-    disc of radius r_c centred on the reference receiver at (D, 0), not on
-    the macrocell: the closed forms assume a field that looks the same from
-    every receiver, which a macro-centred disc denies a cell-edge receiver.
-    """
-
-    scenario: Scenario = Scenario.REFERENCE_CELLULAR_USER
-    d_norm: float = 0.8
-    power_policy: PowerPolicy = PowerPolicy.CARRIER_SENSED_BLEND
-    fixed_pc_over_pf_db: float = 20.0
-    blend_weight: float = 0.7
-    n_f_target: float = 60.0
-    co_located_user_offset: float | None = None
-    sensing_radius_m: float = 230.0
-    include_noise: bool = True
-    channel_mode: ChannelMode = ChannelMode.FAST_CHI2
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
-        if not 0.0 < self.d_norm <= 1.0:
-            raise ValueError(f"d_norm must lie in (0,1], got {self.d_norm}")
-        if not 0.0 <= self.blend_weight <= 1.0:
-            raise ValueError(f"blend_weight must lie in [0,1], got {self.blend_weight}")
-        if self.n_f_target < 0:
-            raise ValueError(f"n_f_target must be nonnegative, got {self.n_f_target}")
-        if self.sensing_radius_m <= 0:
-            raise ValueError(
-                f"sensing_radius_m must be positive, got {self.sensing_radius_m}"
-            )
-        if self.co_located_user_offset is not None and self.co_located_user_offset < 0:
-            raise ValueError(
-                "co_located_user_offset is a distance outward from the hotspot and "
-                f"must be nonnegative, got {self.co_located_user_offset}"
-            )
-
-    @property
-    def user_offset_m(self) -> float:
-        if self.co_located_user_offset is not None:
-            return self.co_located_user_offset
-        return self.sensing_radius_m / 2.0
-
-    def density(self, p: SystemParams) -> float:
-        return self.n_f_target / (math.pi * p.r_c**2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +154,16 @@ def _zf_leakage_batch(
     _, w = _zf_precoded(rng, n, t, u)
     g = _cn_matrix(rng, (n, t))
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
+
+
+def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
+    # empirical KS distance against a dof-2k chi-squared on half scale
+    x = np.sort(samples)
+    n = len(x)
+    cdf = chi2_cdf(2 * k, 2.0 * x)
+    up = np.max(np.arange(1, n + 1) / n - cdf)
+    down = np.max(cdf - np.arange(0, n) / n)
+    return float(max(up, down))
 
 
 def _sample_draws(

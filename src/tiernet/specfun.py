@@ -17,8 +17,9 @@ Temme's uniform expansion (DLMF 8.12.3) inside the window a >= 50,
 mpmath for (x − a)/√a in [−3, 5]. Elsewhere, and for ln P where the lower
 tail underflows, it is the power series or continued fraction (switch at
 x = a+1). The finite Poisson sum gives the even-dof chi-squared CDF,
-vectorised over x; a Lentz-style continued fraction with the standard
-symmetry switch at x > (a+1)/(a+b+2) the incomplete beta. `newton` is the
+vectorised over x with numpy, which it alone imports, and only when
+called; a Lentz-style continued fraction with the standard symmetry
+switch at x > (a+1)/(a+b+2) the incomplete beta. `newton` is the
 one root finder: Newton steps from a closed-form slope, kept inside a
 bracket by bisection. It inverts the incomplete beta here, the energy
 detector's threshold and SNR in `sensing`, and the exact rate CDF in
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 __all__ = [
     "reg_gamma",
@@ -363,6 +362,7 @@ def chi2_cdf(k_dof: int, x):
         ValueError: if k_dof is not an even integer >= 2, or any x is negative
             or NaN.
     """
+    import numpy as np  # here, not at the top: the scalar special functions need only math
     if k_dof < 2 or k_dof % 2 != 0:
         raise ValueError(f"chi2_cdf requires even k_dof >= 2, got {k_dof}")
     v = np.asarray(x, dtype=float) / 2.0

@@ -23,19 +23,20 @@ from tiernet.analytic import (
     max_contention_density_femto,
     shot_noise_k_f,
 )
-from tiernet.linkmodel import SystemParams, location_coeffs
+from tiernet.linkmodel import (
+    ChannelMode,
+    PowerPolicy,
+    Scenario,
+    ScenarioConfig,
+    SystemParams,
+    location_coeffs,
+)
 from tiernet.sensing import (
     max_sensing_range,
     min_sensing_radius,
     power_ratio_bounds,
 )
-from tiernet.simulator import (
-    ChannelMode,
-    PowerPolicy,
-    Scenario,
-    ScenarioConfig,
-    simulate,
-)
+from tiernet.simulator import simulate
 from tiernet.specfun import chi2_cdf, inv_reg_inc_beta, reg_inc_beta
 
 P = SystemParams()

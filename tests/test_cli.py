@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from tiernet import cli, sensing, simulator, specfun
 from tiernet.cli import SweepSpec, SweepVar, main, parse_sweep
-from tiernet.linkmodel import SystemParams
+from tiernet.linkmodel import ChannelMode, ScenarioConfig, SystemParams
 from tiernet.sensing import max_sensing_range
 
 
@@ -355,7 +355,7 @@ def test_simulate_channel_mode_from_config_only(runner, tmp_path):
     res = runner.invoke(main, [*args, "--config", cfg])
     assert res.exit_code == 0, res.output
     (row,) = csv.DictReader(io.StringIO(res.stdout))
-    full_zf = simulator.ScenarioConfig(channel_mode=simulator.ChannelMode.FULL_ZF)
+    full_zf = ScenarioConfig(channel_mode=ChannelMode.FULL_ZF)
     want = simulator.simulate(full_zf, 5, 10, SystemParams(), 3).p_outage
     assert row["p_outage"] == f"{want:.12g}"
     res = runner.invoke(main, [*args, "--mode", "full-zf"])

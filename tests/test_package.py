@@ -1,6 +1,8 @@
 """Package hygiene: no module imports a name it never uses, reads the
-process environment or imports scipy, only the link model and the simulator
-read the link budget's linear gains, the CLI computes no closed form, only
+process environment or imports scipy, only `laplace` and `simulator` import
+numpy when they load, and the closed-form commands run without it, only the
+link model and the simulator read the link budget's linear gains, only the
+link model names its config loader, the CLI computes no closed form, only
 `analytic` computes the first-order outage model, every name an `__all__`
 lists resolves and is defined in that module, and the package root imports
 nothing."""
@@ -10,7 +12,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +27,8 @@ from tiernet import linkmodel, sensing, specfun
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tiernet.__path__))
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 LINK_GAINS = {"a_c", "a_fc", "a_fi", "a_cf", "a_ff"}
-# the one special function the CLI calls itself: validate's KS statistic
-CLI_SPECFUN = {"chi2_cdf"}
+# linkmodel's JSON config loader, which every config dataclass there shares
+CONFIG_LOADER = {"_JsonConfig", "_check_fields"}
 # what the first-order outage model is computed from, which only `analytic`
 # (and `specfun`, which defines the special functions) reads
 OUTAGE_MODEL = {"inv_reg_inc_beta", "reg_inc_beta", "shot_noise_c_f"}
@@ -104,18 +109,32 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
-def _scipy_imports(source: str) -> list[str]:
-    """Import statements that bind scipy or any of its submodules."""
+def _import_time_nodes(tree: ast.Module):
+    """The nodes that run when the module is imported: every node but those
+    inside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(source: str, package: str, import_time: bool = False) -> list[str]:
+    """Import statements that bind `package` or any of its submodules, in
+    line order; with `import_time`, only those that run when the module is
+    imported."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in _import_time_nodes(tree) if import_time else ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules = [node.module]
         else:
             continue
-        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
-    return found
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] == package]
+    return [f"line {line}: {m}" for line, m in sorted(found)]
 
 
 def test_scipy_import_detector():
@@ -123,7 +142,18 @@ def test_scipy_import_detector():
         "import numpy\nimport scipy.special as sp\nfrom scipy import stats\n"
         "from . import scipyish\n"
     )
-    assert _scipy_imports(source) == ["line 2: scipy.special", "line 3: scipy"]
+    assert _package_imports(source, "scipy") == ["line 2: scipy.special", "line 3: scipy"]
+
+
+def test_import_time_detector():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import inv\ndef f():\n    import numpy\n"
+        "class C:\n    import numpy.random\nif True:\n    from numpy import pi\n"
+    )
+    assert _package_imports(source, "numpy", import_time=True) == [
+        "line 1: numpy", "line 2: numpy.linalg", "line 6: numpy.random", "line 8: numpy",
+    ]
+    assert _package_imports(source, "numpy")[2] == "line 4: numpy"
 
 
 def test_no_module_imports_scipy():
@@ -132,7 +162,80 @@ def test_no_module_imports_scipy():
     found = [
         f"{path.name} {use}"
         for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
-        for use in _scipy_imports(path.read_text(encoding="utf-8"))
+        for use in _package_imports(path.read_text(encoding="utf-8"), "scipy")
+    ]
+    assert found == []
+
+
+def test_only_laplace_and_simulator_import_numpy():
+    """The closed forms compute with `math` alone: numpy loads with the
+    Monte Carlo modules, and `specfun.chi2_cdf` imports it for its arrays
+    only when called."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        if path.stem not in ("laplace", "simulator")
+        for use in _package_imports(path.read_text(encoding="utf-8"), "numpy", import_time=True)
+    ]
+    assert found == []
+
+
+# code run in a fresh interpreter, after which numpy must not be loaded
+NUMPY_FREE_RUNS = {
+    "analytic": "from tiernet import cli\n"
+                "cli.main(['analytic', '--sweep', 'D:0.2:1:3'], standalone_mode=False)",
+    "sensing": "from tiernet import cli\n"
+               "cli.main(['sensing', '--sweep', 'D:0.2:1:3'], standalone_mode=False)",
+    "imports": "import tiernet.linkmodel, tiernet.analytic, tiernet.sensing, tiernet.specfun",
+}
+
+
+@pytest.mark.parametrize("run", sorted(NUMPY_FREE_RUNS))
+def test_closed_forms_load_no_numpy(run):
+    """`tiernet analytic` and `tiernet sensing` start and run without
+    importing numpy, which costs about as much as the rest of their start-up."""
+    src = str(Path(tiernet.__path__[0]).parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    code = NUMPY_FREE_RUNS[run] + "\nimport sys\nprint('numpy' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert res.stdout.splitlines()[-1] == "False"
+
+
+def _loader_uses(source: str) -> list[str]:
+    """Imports and attribute reads of a CONFIG_LOADER name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name in CONFIG_LOADER
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in CONFIG_LOADER:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+def test_loader_use_detector():
+    source = (
+        "from .linkmodel import SystemParams, _JsonConfig\n"
+        "linkmodel._check_fields(cfg)\nx = _check_levels_db\n"
+    )
+    assert _loader_uses(source) == ["line 1: import _JsonConfig", "line 2: ._check_fields"]
+
+
+def test_only_linkmodel_names_its_config_loader():
+    """Every config dataclass is defined in `linkmodel`, next to the JSON
+    loader and field check they share, which stay private to it."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        if path.stem != "linkmodel"
+        for use in _loader_uses(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 
@@ -167,9 +270,8 @@ def test_only_linkmodel_and_simulator_read_link_gains():
 
 def _closed_form_uses(source: str, cli: bool = True) -> list[str]:
     """What a module needs to compute a first-order closed form itself: any
-    import or read of an OUTAGE_MODEL name and, with `cli`, also a special
-    function imported from `specfun` other than CLI_SPECFUN or the `specfun`
-    module itself."""
+    import or read of an OUTAGE_MODEL name and, with `cli`, also any name
+    imported from `specfun` or the `specfun` module itself."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -178,7 +280,7 @@ def _closed_form_uses(source: str, cli: bool = True) -> list[str]:
                 f"line {node.lineno}: import {alias.name}"
                 for alias in node.names
                 if alias.name in OUTAGE_MODEL
-                or (cli and from_specfun and alias.name not in CLI_SPECFUN)
+                or (cli and from_specfun)
                 or (cli and alias.name == "specfun")
             ]
         elif cli and isinstance(node, ast.Import):
@@ -201,7 +303,7 @@ def test_closed_form_use_detector():
         "c_f = analytic.shot_noise_c_f(p)\nx = chi2_cdf(2, 1.0)\n"
     )
     assert _closed_form_uses(source) == [
-        "line 1: import reg_inc_beta", "line 2: import specfun",
+        "line 1: import chi2_cdf", "line 1: import reg_inc_beta", "line 2: import specfun",
         "line 3: import tiernet.specfun", "line 4: import shot_noise_c_f",
         "line 5: shot_noise_c_f",
     ]
@@ -214,8 +316,7 @@ def test_closed_form_use_detector():
 def test_cli_computes_no_closed_form():
     """Every density cap, window edge and radius the CLI prints or checks
     comes from `analytic` or `sensing`, each formula written once there:
-    the CLI imports no special function but the KS statistic's chi2_cdf
-    and never reads C_f itself."""
+    the CLI imports nothing from `specfun` and never reads C_f itself."""
     path = Path(tiernet.__path__[0]) / "cli.py"
     assert _closed_form_uses(path.read_text(encoding="utf-8")) == []
 

@@ -10,7 +10,14 @@ import pytest
 import scipy.special as sp
 
 from tiernet.analytic import max_contention_density_cellular, shot_noise_c_f
-from tiernet.linkmodel import SystemParams, linear_to_db, location_coeffs, noise_floor_dbm
+from tiernet.linkmodel import (
+    PowerPolicy,
+    ScenarioConfig,
+    SystemParams,
+    linear_to_db,
+    location_coeffs,
+    noise_floor_dbm,
+)
 from tiernet.sensing import (
     InfeasiblePlanError,
     blended_power_policy,
@@ -23,7 +30,6 @@ from tiernet.sensing import (
     solve_threshold,
 )
 from tiernet import sensing, simulator
-from tiernet.simulator import PowerPolicy, ScenarioConfig
 from tiernet.specfun import reg_gamma, reg_inc_beta
 
 P = SystemParams()

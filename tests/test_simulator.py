@@ -14,13 +14,18 @@ import scipy.stats
 
 from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
-from tiernet.linkmodel import SystemParams, dbm_to_watts, link_budget, noise_floor_dbm
-from tiernet.sensing import blended_power_policy, power_ratio_bounds
-from tiernet.simulator import (
+from tiernet.linkmodel import (
     ChannelMode,
     PowerPolicy,
     Scenario,
     ScenarioConfig,
+    SystemParams,
+    dbm_to_watts,
+    link_budget,
+    noise_floor_dbm,
+)
+from tiernet.sensing import blended_power_policy, power_ratio_bounds
+from tiernet.simulator import (
     _drop_rng,
     _zf_desired_batch,
     _zf_leakage_batch,
