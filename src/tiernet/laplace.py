@@ -20,8 +20,8 @@ from .specfun import newton
 __all__ = ["ExactLink", "rate_quantiles"]
 
 _LN2 = math.log(2.0)
-# the rate-quantile solve (specfun.newton): the step at which it stops, and
-# the top of its bracket, beyond which a rate reads as infinite (theta =
+# the rate-quantile solve (specfun.newton): the step in r at which it stops,
+# and the top of its bracket, beyond which a rate reads as infinite (theta =
 # 2^r − 1 over a link gain far below 1 must not overflow)
 _RATE_TOL = 1e-12
 _MAX_RATE = 512.0
@@ -128,26 +128,37 @@ def rate_quantiles(
     which has mass[j] at the node of weight weights[j].
 
     The smallest rates r with F(r) ≥ u, in the order of us: 0 for u = 0,
-    inf for u = 1 or beyond _MAX_RATE, else `newton` on [0, _MAX_RATE].
-    The distinct u are solved in increasing order, each starting at the
-    root below it, which is also the bracket's lower end (the first starts
-    at r = 1)."""
+    inf for u = 1 or beyond _MAX_RATE, else log2(1 + e^t) at the root t of
+    G(t) = ln(−ln C(e^t)) − ln(−ln(1−u)), C the coverage, which is nearly a
+    line in t = ln θ (the field's share of −ln C grows like θ^δ). `newton`
+    solves the distinct u in increasing order, above the root below, each
+    from the last point the solve below evaluated, whose coverage it reuses
+    (the first from r = 1, above θ = 2^−512). It stops on a step in t of
+    _RATE_TOL·ln 2, which moves r by at most _RATE_TOL, absolute and relative."""
+    last = [math.nan, math.nan, math.nan]  # t, ln(−ln C(e^t)), its slope
 
-    def fn(r: float) -> tuple[float, float]:
-        # F(r) − u at the loop's current u, and its slope
-        theta = math.expm1(r * _LN2)
-        cov, d_cov = link.coverage(theta, weights, mass)
-        return (1.0 - u) - cov, -d_cov * _LN2 * (theta + 1.0)
+    def fn(t: float) -> tuple[float, float]:
+        # G at the loop's u; C = 1 (0) reads −inf (inf), no slope: newton bisects
+        if t != last[0]:
+            cov, d_cov = link.coverage(math.exp(t), weights, mass)
+            if 0.0 < cov < 1.0:
+                ln_cov = math.log(cov)
+                last[:] = t, math.log(-ln_cov), d_cov * math.exp(t) / (cov * ln_cov)
+            else:
+                last[:] = t, -math.inf if cov else math.inf, math.nan
+        return last[1] - level, last[2]
 
     roots: dict[float, float] = {}
-    r = 0.0
+    r, t, lo, hi = 0.0, 0.0, -_MAX_RATE * _LN2, _MAX_RATE * _LN2
     for u in sorted(set(us)):
-        # the root of F(r) − u above the root below, r, where F(r) ≤ u
+        # the root of G above the root below, lo, where F ≤ u
         if u >= 1.0 or r == math.inf:
             r = math.inf
         elif u > 0.0:
-            r = newton(fn, r if r > 0.0 else 1.0, r, _MAX_RATE, _RATE_TOL)
+            level = math.log(-math.log1p(-u))
+            lo = newton(fn, t, lo, hi, _RATE_TOL * _LN2)
+            t = last[0]
             # F < u on the whole bracket: newton closes in on its top
-            r = r if r < _MAX_RATE - _RATE_TOL else math.inf
+            r = math.log1p(math.exp(lo)) / _LN2 if lo < hi - _RATE_TOL * _LN2 else math.inf
         roots[u] = r
     return [roots[u] for u in us]

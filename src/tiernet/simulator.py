@@ -322,25 +322,33 @@ def _field(
     the sensed user all lie on the axis φ = 0, so the layout, the policy
     and the weights are the same at φ and −φ: each node also stands for its
     mirror image and carries twice its own area, which makes this exactly
-    the upper half of the 2·_RAYS-ray rule on the full circle.
+    the upper half of the 2·_RAYS-ray rule on the full circle. Built once
+    per (o, R_s, r_c, density, refine), not per D or policy, and read-only.
     """
+    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    return _polar_field(o, cfg.sensing_radius_m, p.r_c, cfg.density(p), refine)
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_field(o: float, r_s: float, r_c: float, density: float, refine: int) -> tuple:
     n_rays = _RAYS * refine
     phi = (np.arange(n_rays) + 0.5) * (math.pi / n_rays)
-    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
-    half = np.sqrt(np.maximum(cfg.sensing_radius_m**2 - (o * np.sin(phi)) ** 2, 0.0))
+    half = np.sqrt(np.maximum(r_s**2 - (o * np.sin(phi)) ** 2, 0.0))
     edges = np.stack([np.zeros(n_rays), o * np.cos(phi) - half, o * np.cos(phi) + half,
-                      np.full(n_rays, p.r_c)])
-    log_edges = np.log(np.clip(edges, _INNER_M, p.r_c))
+                      np.full(n_rays, r_c)])
+    log_edges = np.log(np.clip(edges, _INNER_M, r_c))
     mid, half_width = (log_edges[1:] + log_edges[:-1]) / 2, (log_edges[1:] - log_edges[:-1]) / 2
     # the (piece, ray) pairs of positive mass, in piece-major order
-    kept = half_width * cfg.density(p) > 0.0
+    kept = half_width * density > 0.0
     mid, half_width = mid[kept][:, None], half_width[kept][:, None]
     u_angle = np.broadcast_to(phi / (2.0 * math.pi), kept.shape)[kept][:, None]
     t, t_weight = _legendre(_RADIAL_NODES * refine)
     rho = np.exp(mid + half_width * t)  # (kept piece, node)
     # dφ = π/n_rays on the half-plane, doubled for the mirror image
-    mass = cfg.density(p) * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
-    return (rho / p.r_c) ** 2, u_angle, mass
+    mass = density * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
+    u_radius = (rho / r_c) ** 2
+    u_radius.flags.writeable = u_angle.flags.writeable = mass.flags.writeable = False
+    return u_radius, u_angle, mass
 
 
 def simulate(
@@ -349,13 +357,9 @@ def simulate(
     """Outage, its precision and the rate law of the configured scenario.
     FastChi2 mode computes them exactly, averaged over the fades and over
     the Poisson field of the drops, and draws neither drops nor fades:
-    n_drops, n_fades and seed are not used. The field's nodes (_field)
-    cover the half-plane on one side of the macrocell–receiver axis, whose
-    mirror image the scenario repeats; pieces of a ray that hold no field
-    are dropped, so with the sensed user inside the sensing circle about
-    the receiver (a cellular user, or a hotspot at its default offset)
-    p_outage and each percentile's coverage sums run over 10 240 nodes, and
-    the CI over 40 960 more.
+    n_drops, n_fades and seed are not used. p_outage and each percentile's
+    coverage sums run over the field's nodes (_field), and the CI over the
+    same refined 2×; a D or power-policy sweep builds both sets only once.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
     whose percentiles are np.quantile over its n_drops×n_fades buffer of
     log2(1+SINR), unsorted until a percentiles call partitions a copy."""

@@ -102,7 +102,7 @@ def newton(fn, x: float, lo: float, hi: float, tol: float) -> float:
     fn(x) returns (f, slope) with f increasing in x and changing sign in
     [lo, hi]. Each evaluation narrows the bracket; a step that would leave
     it, or an unusable slope, falls back to bisection. Stops once a step
-    moves x by at most tol, and returns the stepped x.
+    moves x by at most tol, and returns the stepped x clamped into [lo, hi].
 
     Raises:
         RuntimeError: if that takes more than _MAX_ITER evaluations
@@ -118,7 +118,7 @@ def newton(fn, x: float, lo: float, hi: float, tol: float) -> float:
         if not abs(x_new - x) <= tol and not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= tol:
-            return x_new
+            return min(max(x_new, lo), hi)
         x = x_new
     raise RuntimeError(f"newton did not converge in {_MAX_ITER} steps; last bracket [{lo}, {hi}]")
 

@@ -346,6 +346,15 @@ def test_newton_bisects_without_a_slope(monkeypatch):
         specfun.newton(lambda x: (x - 0.3, 0.0), 0.9, 0.0, 1.0, 1e-12)
 
 
+def test_newton_returns_a_point_inside_its_bracket():
+    """A root at the bracket's lower end, and a start within tol above it,
+    as where a rate-quantile solve starts next to the root below: on a
+    concave f the Newton step lands x²/2 below lo, within tol of x, which
+    ends the solve. The result is clamped into [lo, hi], so it reads lo."""
+    root = specfun.newton(lambda x: (x - 0.5 * x * x, 1.0 - x), 5e-13, 0.0, 1.0, 1e-12)
+    assert root == 0.0
+
+
 def test_inv_reg_inc_beta_edges_and_errors():
     assert inv_reg_inc_beta(0.0, 3, 2) == 0.0
     assert inv_reg_inc_beta(1.0, 3, 2) == 1.0
