@@ -20,9 +20,9 @@ from .specfun import newton
 __all__ = ["ExactLink", "rate_quantiles"]
 
 _LN2 = math.log(2.0)
-# the rate-quantile solve (specfun.newton): the step in r at which it stops,
-# and the top of its bracket, beyond which a rate reads as infinite (theta =
-# 2^r − 1 over a link gain far below 1 must not overflow)
+# the rate-quantile solve (specfun.newton): r's error bound, absolute and
+# relative, that sets its stopping step in ln θ, and the top of its bracket,
+# past which a rate reads as infinite (θ = 2^r − 1 over a gain ≪ 1 overflows)
 _RATE_TOL = 1e-12
 _MAX_RATE = 512.0
 

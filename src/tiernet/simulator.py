@@ -359,7 +359,7 @@ def simulate(
     the Poisson field of the drops, and draws neither drops nor fades:
     n_drops, n_fades and seed are not used. p_outage and each percentile's
     coverage sums run over the field's nodes (_field), and the CI over the
-    same refined 2×; a D or power-policy sweep builds both sets only once.
+    same refined 2×; in one process both are built once for any D or policy.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
     whose percentiles are np.quantile over its n_drops×n_fades buffer of
     log2(1+SINR), unsorted until a percentiles call partitions a copy."""

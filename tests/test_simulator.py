@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from click.testing import CliRunner
 
 from tiernet import simulator
 from tiernet.analytic import max_contention_density_cellular, max_contention_density_femto
-from tiernet.cli import main
 from tiernet.linkmodel import (
     ChannelMode,
     PowerPolicy,
@@ -1012,17 +1010,16 @@ def test_field_cost_and_legendre_cache(monkeypatch):
             cached[0] = 0.0
 
 
-def test_field_nodes_built_once_per_geometry(tmp_path):
+def test_field_nodes_built_once_per_geometry():
     """The field's nodes depend on the sensed user's offset, R_s, r_c and
     the density, not on D or the power policy: a `simulate` D sweep builds
     one node set per refine factor, configs that differ only in D or policy
     share the very arrays, another density or user offset gets new ones,
     and the shared arrays are read-only."""
     simulator._polar_field.cache_clear()
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"scenario": {"power_policy": "CarrierSensedBlend"}}))
-    res = CliRunner().invoke(main, ["simulate", "--config", str(config), "--sweep", "D:0.2:1.0:5"])
-    assert res.exit_code == 0, res.output
+    cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND)
+    for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0):
+        simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
     assert simulator._polar_field.cache_info().misses == 2
     cfg = _bench_cfg("hotspot_sensed")
     nodes = simulator._field(cfg, P, 1)
@@ -1053,7 +1050,7 @@ def test_exact_percentiles_inside_dkw_band_of_sampled_drops(name):
         assert abs(ecdf - q / 100.0) <= eps, (q, ecdf, eps)
 
 
-@pytest.mark.parametrize("d_norm", [0.4, 0.8, 1.0])
+@pytest.mark.parametrize("d_norm", [0.4, 0.6, 0.8, 1.0])
 @pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed", "baseline_fixed"])
 def test_percentiles_warm_start_saves_coverage_evaluations(monkeypatch, name, d_norm):
     """The CLI's nine percentiles at the bench rows take at most 45 coverage
