@@ -23,7 +23,7 @@ import click
 
 from . import analytic, sensing
 from .linkmodel import (
-    PowerPolicy, Scenario, ScenarioConfig, SystemParams, _check_levels_db, location_coeffs,
+    PowerPolicy, Scenario, ScenarioConfig, SystemParams, check_scenario_levels, location_coeffs,
 )
 from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
 
@@ -127,7 +127,7 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
                 )
         p = SystemParams.from_dict(raw.get("system", {}))
         cfg = ScenarioConfig.from_dict(raw.get("scenario", {}))
-        _check_scenario_levels(p, cfg.d_norm, cfg)
+        check_scenario_levels(p, cfg.d_norm, cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config {path}: {exc}")
     return p, cfg
@@ -154,33 +154,11 @@ def _sweep_error(var: SweepVar, value: float, reason: str) -> click.BadParameter
     return click.BadParameter(f"{var.value} = {value!r}: {reason}", param_hint="'--sweep'")
 
 
-def _check_scenario_levels(
-    p: SystemParams, d_norm: float, cfg: ScenarioConfig | None = None
-) -> None:
-    """Raise ValueError naming the field whose level, derived with the
-    system, lies beyond ±3000 dB, as SystemParams checks its own: the
-    reference path loss 10·α_c·log10(d_norm·r_c) (two logs, as d_norm·r_c
-    may underflow) and, given the scenario, its ambient femto power
-    P_c − fixed_pc_over_pf_db in dBW, its sensing radius squared and its
-    hotspot user offset squared (an offset of 0 is valid)."""
-    levels = [("d_norm", 10.0 * p.alpha_c * (math.log10(d_norm) + math.log10(p.r_c)))]
-    if cfg is not None:
-        levels += [
-            ("fixed_pc_over_pf_db", p.p_c_dbm - 30.0 - cfg.fixed_pc_over_pf_db),
-            ("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)),
-        ]
-        if cfg.co_located_user_offset:
-            levels.append(
-                ("co_located_user_offset", 20.0 * math.log10(cfg.co_located_user_offset))
-            )
-    _check_levels_db(levels)
-
-
 def _sweep_d_norm(value: float, p: SystemParams) -> float:
     if not 0.0 < value <= 1.0:
         raise _sweep_error(SweepVar.D, value, "must lie in (0, 1]")
     try:
-        _check_scenario_levels(p, value)
+        check_scenario_levels(p, value)
     except ValueError as exc:
         raise _sweep_error(SweepVar.D, value, str(exc)) from None
     return value
@@ -214,14 +192,19 @@ def _apply_sweep(
 # subcommands
 
 
+# the options that several subcommands share, declared once
+_config_option = click.option("--config", "config_path", help="JSON config document.")
+_csv_out_option = click.option("--out", "out_path", help="CSV output path (default stdout).")
+
+
 @click.group()
 def main() -> None:
     """Two-tier network coverage: closed forms, sensing design, simulation."""
 
 
 @main.command("analytic")
-@click.option("--config", "config_path", default=None, help="JSON config document.")
-@click.option("--out", "out_path", default=None, help="CSV output path (default stdout).")
+@_config_option
+@_csv_out_option
 @click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
 def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Closed-form coverage quantities along a parameter sweep."""
@@ -257,8 +240,8 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
 
 
 @main.command("sensing")
-@click.option("--config", "config_path", default=None, help="JSON config document.")
-@click.option("--out", "out_path", default=None, help="CSV output path (default stdout).")
+@_config_option
+@_csv_out_option
 @click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
@@ -281,16 +264,18 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
             lo_db = hi_db = blend = math.nan
         threshold = sensing.solve_threshold(m_tw, DETECTOR_P_FALSE)
         try:
+            p_detect = sensing.detection_probability_sc(
+                sensing.pilot_snr(d_sense, p2), m_tw, threshold, p2.t_f
+            )
+        except sensing.InfeasiblePlanError:  # t_f beyond the detector's reach
+            p_detect = math.nan
+        try:
             max_range = sensing.max_sensing_range(m_tw, DETECTOR_P_DETECT, DETECTOR_P_FALSE, p2)
         except sensing.InfeasiblePlanError:
             max_range = math.nan
         rows.append([
             spec.variable, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
-            threshold, sensing.false_alarm_probability(m_tw, threshold),
-            sensing.detection_probability_sc(
-                sensing.pilot_snr(d_sense, p2), m_tw, threshold, p2.t_f
-            ),
-            max_range,
+            threshold, sensing.false_alarm_probability(m_tw, threshold), p_detect, max_range,
         ])
     _write_csv(out_path, header, rows)
 
@@ -298,7 +283,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 @main.command("simulate")
 @click.option("--config", "config_path", default=None,
               help="JSON config document; scenario.channel_mode picks the channel mode.")
-@click.option("--out", "out_path", default=None, help="CSV output path (default stdout).")
+@_csv_out_option
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
 @click.option("--sweep", "sweep_text", default=None,
@@ -359,7 +344,7 @@ def cmd_simulate(
 
 
 @main.command("validate")
-@click.option("--config", "config_path", default=None, help="JSON config document.")
+@_config_option
 @click.option("--out", "out_path", default=None, help="JSON report path (default stdout).")
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the sampled checks.")
@@ -374,15 +359,7 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
 
     n_ks = 100_000
     crit = KS_CRITICAL_1PCT / math.sqrt(n_ks)
-    femto, cellular = (p.t_f, p.u_f), (p.t_c, p.u_c)
-    for idx, (name, sampler, (t, u), k) in enumerate((
-        ("ks_desired_femto", simulator._zf_desired_batch, femto, p.t_f - p.u_f + 1),
-        ("ks_desired_cellular", simulator._zf_desired_batch, cellular, p.t_c - p.u_c + 1),
-        ("ks_cross_tier", simulator._zf_leakage_batch, cellular, p.u_c),
-        ("ks_marks", simulator._zf_leakage_batch, femto, p.u_f),
-    )):
-        rng = simulator._drop_rng(seed, idx)
-        stat = simulator._ks_statistic_chi2(sampler(rng, n_ks, t, u), k)
+    for name, stat in simulator.fade_ks_distances(p, seed, n_ks).items():
         record(name, stat < crit, stat, f"< {crit:.6f}")
 
     # each tier's closure: a Fixed-power field at its density cap holds the outage at eps

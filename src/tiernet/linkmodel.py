@@ -26,6 +26,7 @@ __all__ = [
     "LocationCoefficients",
     "link_budget",
     "location_coeffs",
+    "check_scenario_levels",
     "noise_floor_dbm",
     "db_to_linear",
     "linear_to_db",
@@ -63,6 +64,27 @@ def _check_levels_db(levels) -> None:
                 f"{name} puts a derived level at {level_db:.6g} dB; "
                 f"it must lie within ±{_MAX_DB:g} dB"
             )
+
+
+def check_scenario_levels(
+    p: SystemParams, d_norm: float, cfg: ScenarioConfig | None = None
+) -> None:
+    """Raise ValueError naming the field whose level, derived with the
+    system, lies beyond ±_MAX_DB, as SystemParams checks its own: the
+    reference path loss 10·α_c·log10(d_norm·r_c) (two logs, as d_norm·r_c
+    may underflow) and, given the scenario, its ambient femto power
+    P_c − fixed_pc_over_pf_db in dBW, its sensing radius squared and its
+    hotspot user offset squared (an offset of 0 is valid)."""
+    levels = [("d_norm", 10.0 * p.alpha_c * (math.log10(d_norm) + math.log10(p.r_c)))]
+    if cfg is not None:
+        levels += [
+            ("fixed_pc_over_pf_db", p.p_c_dbm - 30.0 - cfg.fixed_pc_over_pf_db),
+            ("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)),
+        ]
+        if cfg.co_located_user_offset:
+            offset_db = 20.0 * math.log10(cfg.co_located_user_offset)
+            levels.append(("co_located_user_offset", offset_db))
+    _check_levels_db(levels)
 
 
 # the values a field annotated with each of these types takes from JSON: a

@@ -49,6 +49,11 @@ DETECTOR_P_DETECT = 0.9
 _THRESHOLD_RTOL = 1e-10
 _SNR_TOL_DB = 1e-9
 
+# the most selection-combining branches the detector sums: the weights'
+# magnitudes add up to 2^t_f − 1, so the alternating sum's rounding error,
+# about 2^t_f·2⁻⁵³, exceeds 10⁻¹⁰ from t_f = 20 on
+_MAX_SC_BRANCHES = 19
+
 
 class InfeasiblePlanError(ValueError):
     """No feasible sensing/power plan exists for the requested operating
@@ -176,7 +181,16 @@ def _excess(gamma_bar: float, m_tw: int, threshold: float, t_f: int) -> tuple[fl
     p_{2m}(λ)·[z·S + a·(1 − S)]/(1+u). Nothing there grows with −ln u, so
     as γ̄ → 0 (even subnormal, where 1/u overflows) S → 1 and P_d meets P_fa
     to rounding.
+
+    Raises:
+        InfeasiblePlanError: t_f > _MAX_SC_BRANCHES, where the sum is not
+            accurate to 10⁻¹⁰.
     """
+    if t_f > _MAX_SC_BRANCHES:
+        raise InfeasiblePlanError(
+            f"t_f = {t_f} selection-combining branches, beyond the detector's "
+            f"{_MAX_SC_BRANCHES}: its sum would lose {t_f * math.log10(2.0):.1f} digits"
+        )
     a = 2 * m_tw - 1
     lam = threshold
     floor_pdf = math.exp(_ln_gamma_pdf(a + 1, lam))
@@ -204,7 +218,11 @@ def detection_probability_sc(
     """Detection probability with selection combining over t_f antenna
     branches: the detector sees the strongest of t_f i.i.d. Rayleigh fades,
     giving the alternating-sign sum over single-branch detectors at
-    gamma_bar/(i+1) (`_excess`)."""
+    gamma_bar/(i+1) (`_excess`).
+
+    Raises:
+        InfeasiblePlanError: gamma_bar > 0 and t_f > _MAX_SC_BRANCHES.
+    """
     if t_f < 1:
         raise ValueError(f"t_f must be >= 1, got {t_f}")
     if gamma_bar < 0:
@@ -274,7 +292,8 @@ def max_sensing_range(
 
     Raises:
         InfeasiblePlanError: the detect target is not above the false-alarm
-            floor, so no distance meets it.
+            floor, so no distance meets it, or p.t_f is beyond the
+            detector's _MAX_SC_BRANCHES.
     """
     if not 0.0 < p_detect_target < 1.0:
         raise ValueError(f"p_detect_target must lie in (0,1), got {p_detect_target}")

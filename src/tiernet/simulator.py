@@ -40,6 +40,7 @@ from .specfun import chi2_cdf
 __all__ = [
     "SimulationResult",
     "simulate",
+    "fade_ks_distances",
 ]
 
 
@@ -86,24 +87,20 @@ def _drop_draws(
     return rng, rng.random(count), rng.random(count)
 
 
-def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # unit-power complex Gaussian entries (variance 1/2 per real dimension):
-    # the real block, then the imaginary block, filled into one array and
-    # scaled in place, bit for bit (re + 1j·im)/√2
-    z = np.empty(shape, complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z /= math.sqrt(2.0)
-    return z
-
-
-def _cn_parts(rng: np.random.Generator, n: int, t: int) -> np.ndarray:
-    # the (2, n, t) real and imaginary blocks of _cn_matrix(rng, (n, 1, t)),
-    # drawn in its order but left unscaled (variance 1 per real dimension)
-    parts = np.empty((2, n, t))
+def _cn_parts(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    # shape's complex normals, unscaled: its real block, then its imaginary block
+    parts = np.empty((2, *shape))
     rng.standard_normal(out=parts[0])
     rng.standard_normal(out=parts[1])
     return parts
+
+
+def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    # unit-power complex normals, scaled in place: bit for bit (re + 1j·im)/√2
+    z = np.empty(shape, complex)
+    z.real, z.imag = _cn_parts(rng, shape)
+    z /= math.sqrt(2.0)
+    return z
 
 
 def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
@@ -130,7 +127,7 @@ def _zf_desired_batch(
     # |h0^dag w0|^2 for the served user: raw channels, adjoint row directions;
     # one stream's column is h0/||h0|| (maximum ratio), so that is ||h0||^2
     if u == 1:
-        h = _cn_parts(rng, n, t)
+        h = _cn_parts(rng, (n, t))
         return np.einsum("knt,knt->n", h, h) / 2.0
     h, w = _zf_precoded(rng, n, t, u)
     return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
@@ -143,7 +140,7 @@ def _zf_leakage_batch(
     # one stream's W is h/||h||, so that is |g^dag h|^2/||h||^2, here from the
     # unscaled parts x + iy of h and g as |g^dag h|^2/(2·||h||^2)
     if u == 1:
-        h = _cn_parts(rng, n, t)
+        h = _cn_parts(rng, (n, t))
         g = rng.standard_normal((n, t))
         re = np.einsum("nt,nt->n", g, h[0])
         im = np.einsum("nt,nt->n", g, h[1])
@@ -156,14 +153,24 @@ def _zf_leakage_batch(
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
 
-def _ks_statistic_chi2(samples: np.ndarray, k: int) -> float:
-    # empirical KS distance against a dof-2k chi-squared on half scale
-    x = np.sort(samples)
-    n = len(x)
-    cdf = chi2_cdf(2 * k, 2.0 * x)
-    up = np.max(np.arange(1, n + 1) / n - cdf)
-    down = np.max(cdf - np.arange(0, n) / n)
-    return float(max(up, down))
+def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
+    """Kolmogorov–Smirnov distance of n FullZF samples of each fade, check i
+    on drop stream i of seed, to the Gamma law FastChi2 integrates (_run's
+    shapes), keyed as `validate` reports them: each tier's desired power,
+    Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f)."""
+    checks = (
+        ("ks_desired_femto", _zf_desired_batch, p.t_f, p.u_f, p.t_f - p.u_f + 1),
+        ("ks_desired_cellular", _zf_desired_batch, p.t_c, p.u_c, p.t_c - p.u_c + 1),
+        ("ks_cross_tier", _zf_leakage_batch, p.t_c, p.u_c, p.u_c),
+        ("ks_marks", _zf_leakage_batch, p.t_f, p.u_f, p.u_f),
+    )
+    ecdf = np.arange(n + 1) / n
+    distances = {}
+    for i, (name, sampler, t, u, k) in enumerate(checks):
+        # the sample's CDF steps against a dof-2k chi-squared on half scale
+        cdf = chi2_cdf(2 * k, 2.0 * np.sort(sampler(_drop_rng(seed, i), n, t, u)))
+        distances[name] = float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+    return distances
 
 
 def _sample_draws(

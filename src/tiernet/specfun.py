@@ -16,14 +16,14 @@ Temme's uniform expansion (DLMF 8.12.3) inside the window a >= 50,
 |x − a| <= 0.3·a: a few microseconds at any a, and within 2·10⁻¹⁵ of
 mpmath for (x − a)/√a in [−3, 5]. Elsewhere, and for ln P where the lower
 tail underflows, it is the power series or continued fraction (switch at
-x = a+1). The finite Poisson sum gives the even-dof chi-squared CDF,
+x = a+1). The incomplete beta is a continued fraction with the standard
+symmetry switch at x > (a+1)/(a+b+2); both fractions run on one Lentz
+kernel. The finite Poisson sum gives the even-dof chi-squared CDF,
 vectorised over x with numpy, which it alone imports, and only when
-called; a Lentz-style continued fraction with the standard symmetry
-switch at x > (a+1)/(a+b+2) the incomplete beta. `newton` is the
-one root finder: Newton steps from a closed-form slope, kept inside a
-bracket by bisection. It inverts the incomplete beta here, the energy
-detector's threshold and SNR in `sensing`, and the exact rate CDF in
-`laplace`. The series and continued fractions may take a number of steps
+called. `newton` is the one root finder: Newton steps from a closed-form
+slope, kept inside a bracket by bisection. It inverts the incomplete beta
+here, the energy detector's threshold and SNR in `sensing`, and the exact
+rate CDF in `laplace`. The series and continued fractions may take a number of steps
 that grows with √a, and raise when they reach it; the expansion has no
 loop to cap, as its table is fixed.
 """
@@ -45,6 +45,8 @@ __all__ = [
 # series, continued fraction or Newton iteration stops, and its step cap
 _ABS_TOL = 1e-10
 _MAX_ITER = 200
+# what a continued fraction's Lentz ratios are held off zero at
+_TINY = 1e-300
 # just below ln of the smallest positive double, 4.9e-324
 _LN_TINY = -745.2
 
@@ -123,6 +125,30 @@ def newton(fn, x: float, lo: float, hi: float, tol: float) -> float:
     raise RuntimeError(f"newton did not converge in {_MAX_ITER} steps; last bracket [{lo}, {hi}]")
 
 
+def _continued_fraction(d: float, c: float, step, budget: int) -> float:
+    """Modified Lentz evaluation of a continued fraction (Thompson & Barnett,
+    J. Comput. Phys. 64, 1986) from h = d and c. step(i) gives step i's
+    (a, b) terms; each sets d ← 1/(a·d + b) and c ← b + a/c, both held off
+    zero at _TINY, and h ← h·d·c. Returns h once a step's last term moves it
+    by a factor within _ABS_TOL of 1; raises RuntimeError, naming the count,
+    after budget steps."""
+    h = d
+    for i in range(1, budget + 1):
+        for an, bn in step(i):
+            d = an * d + bn
+            if abs(d) < _TINY:
+                d = _TINY
+            c = bn + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _ABS_TOL:
+            return h
+    raise RuntimeError(f"continued fraction did not converge in {budget} steps")
+
+
 def _lower_gamma_sum(a: float, x: float) -> float:
     """The sum S in the power series of the regularized lower incomplete
     gamma, P(a,x) = x^a e^-x / Γ(a+1) · S, S = Σ_n Π_{k<=n} x/(a+k);
@@ -148,26 +174,18 @@ def _ln_lower_gamma_series(a: float, x: float) -> float:
 
 def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a,x) by continued fraction; x >= a+1."""
-    tiny = 1e-300
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _budget(a) + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _ABS_TOL:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise RuntimeError(f"gamma fraction did not converge in {_budget(a)} steps at a={a}, x={x}")
+
+    def step(i: int) -> tuple:
+        nonlocal b
+        b += 2.0  # kept running: x + 1 − a + 2i can differ in the last bit
+        return ((-i * (i - a), b),)
+
+    try:
+        h = _continued_fraction(1.0 / b, 1.0 / _TINY, step, _budget(a))
+    except RuntimeError as exc:
+        raise RuntimeError(f"gamma {exc} at a={a}, x={x}") from None
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _log1pmx(s: float) -> float:
@@ -242,45 +260,21 @@ def reg_gamma(a: float, x: float) -> tuple[float, float]:
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
+    """Continued fraction for the incomplete beta, two terms a step."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _budget(max(a, b)) + 1):
+    if abs(d) < _TINY:
+        d = _TINY
+
+    def step(m: int) -> tuple:
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _ABS_TOL:
-            return h
-    raise RuntimeError(
-        f"beta fraction did not converge in {_budget(max(a, b))} steps at x={x}, a={a}, b={b}"
-    )
+        return ((m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0),
+                (-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0))
+
+    try:
+        return _continued_fraction(1.0 / d, 1.0, step, _budget(max(a, b)))
+    except RuntimeError as exc:
+        raise RuntimeError(f"beta {exc} at x={x}, a={a}, b={b}") from None
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

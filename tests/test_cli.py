@@ -9,6 +9,7 @@ import json
 from pathlib import Path
 
 import click
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -225,6 +226,48 @@ def test_sensing_unreachable_detect_target_writes_nan_range(runner, monkeypatch)
     assert res.exit_code == 0, res.output
     got = list(csv.DictReader(io.StringIO(res.output)))
     assert got == [{**row, "max_range_m": "nan"} for row in default]
+
+
+def _mp_detection_probability(gamma_bar, m, lam, t_f):
+    """The selection-combining detection probability as `sensing._excess`
+    sums it, Q(2m−1, λ) + Σ_i t_f·(−1)ⁱC(t_f−1, i)/(i+1)·e^L(u_i), at 50
+    digits."""
+    with mpmath.workdps(50):
+        a, lam = 2 * m - 1, mpmath.mpf(lam)
+        total = mpmath.gammainc(a, lam, mpmath.inf, regularized=True)
+        for i in range(t_f):
+            u = m * mpmath.mpf(gamma_bar) / (i + 1)
+            weight = mpmath.mpf(t_f) * (-1) ** i * mpmath.binomial(t_f - 1, i) / (i + 1)
+            total += weight * mpmath.exp(-lam / (1 + u) + a * mpmath.log1p(1 / u)) * (
+                mpmath.gammainc(a, 0, lam * u / (1 + u), regularized=True)
+            )
+        return float(total)
+
+
+def test_sensing_detector_right_at_sixteen_branches(runner):
+    """At t_f = 16 the alternating sum still keeps its digits: the printed
+    p_detect_at_d_sense is within 10⁻⁹ of the same sum at 50 digits."""
+    res = runner.invoke(main, ["sensing", "--sweep", "TfUf:16:17:2"])
+    assert res.exit_code == 0, res.output
+    row = next(csv.DictReader(io.StringIO(res.output)))
+    p = dataclasses.replace(SystemParams(), t_f=16)
+    gamma_bar = sensing.pilot_snr(sensing.min_sensing_radius(ScenarioConfig().d_norm, p), p)
+    want = _mp_detection_probability(gamma_bar, 500, sensing.solve_threshold(500, 0.1), 16)
+    assert float(row["p_detect_at_d_sense"]) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_f", [24, 48, 5000])
+def test_sensing_detector_beyond_its_branch_count_writes_nan(runner, t_f):
+    """From t_f = 20 on the detector's alternating sum loses more than
+    10⁻¹⁰ to rounding, so it raises and sensing writes p_detect_at_d_sense
+    and max_range_m as nan; the t_f = 1 row is untouched."""
+    res = runner.invoke(main, ["sensing", "--sweep", f"TfUf:1:{t_f}:2"])
+    assert res.exit_code == 0, res.output
+    first, last = csv.DictReader(io.StringIO(res.output))
+    assert last["value"] == str(t_f)
+    assert last["p_detect_at_d_sense"] == last["max_range_m"] == "nan"
+    default = runner.invoke(main, ["sensing", "--sweep", "TfUf:1:2:2"]).output
+    assert first == next(csv.DictReader(io.StringIO(default)))
 
 
 def test_mtw_sweep_moves_only_the_detector(runner):

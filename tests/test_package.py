@@ -3,9 +3,9 @@ process environment or imports scipy, only `laplace` and `simulator` import
 numpy when they load, and the closed-form commands run without it, only the
 link model and the simulator read the link budget's linear gains, only the
 link model names its config loader, the CLI computes no closed form, only
-`analytic` computes the first-order outage model, every name an `__all__`
-lists resolves and is defined in that module, and the package root imports
-nothing."""
+`analytic` computes the first-order outage model, the CLI reads no other
+module's private name, every name an `__all__` lists resolves and is
+defined in that module, and the package root imports nothing."""
 
 from __future__ import annotations
 
@@ -333,6 +333,49 @@ def test_only_analytic_computes_the_outage_model():
         for use in _closed_form_uses(path.read_text(encoding="utf-8"), cli=False)
     ]
     assert found == []
+
+
+def _private_reads(source: str) -> list[str]:
+    """`_`-prefixed names (dunders aside) that the module imports from
+    another tiernet module, or reads off one as `<module>._name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "tiernet"
+        ):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_read_detector():
+    source = (
+        "from .linkmodel import SystemParams, _check_levels_db\n"
+        "from tiernet.specfun import _budget\nfrom os import _exit\n"
+        "rng = simulator._drop_rng(1, 2)\nname = simulator.__name__\nx = obj._cache\n"
+    )
+    assert _private_reads(source) == [
+        "line 1: import _check_levels_db", "line 2: import _budget", "line 4: simulator._drop_rng",
+    ]
+
+
+def test_cli_reads_no_private_name():
+    """The CLI is a front end over each module's public names: what it
+    needs of another module is public there, so a module's private helpers
+    can change without the CLI."""
+    path = Path(tiernet.__path__[0]) / "cli.py"
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
 
 
 def _undefined_exports(source: str) -> list[str]:

@@ -80,6 +80,53 @@ def test_iteration_cap_raises(monkeypatch, call):
         call()
 
 
+def _lambert_tan_steps(x, terms_per_step):
+    # tan x = x/(1 − x²/(3 − x²/(5 − ...))): the kernel, started at d = 1/1
+    # and c = 1/tiny, evaluates tan(x)/x from these (a, b) = (−x², 2j + 1)
+    def step(i):
+        first = terms_per_step * (i - 1) + 1
+        return tuple((-x * x, 2.0 * j + 1.0) for j in range(first, first + terms_per_step))
+
+    return step
+
+
+@pytest.mark.parametrize("terms_per_step", [1, 2])
+def test_continued_fraction_kernel_matches_closed_form(terms_per_step):
+    """Lambert's fraction converges faster than geometrically, so the
+    kernel's 10⁻¹⁰ stopping step leaves less than 10⁻¹⁴ of tan(1/2), with
+    one or two terms a step."""
+    x = 0.5
+    h = specfun._continued_fraction(
+        1.0, 1.0 / specfun._TINY, _lambert_tan_steps(x, terms_per_step), 200
+    )
+    assert x * h == pytest.approx(math.tan(x), abs=1e-14)
+
+
+def test_continued_fraction_kernel_tests_convergence_after_a_step():
+    """From c·d = 1 + 5·10⁻¹¹, the term (1, −2) moves h by 1 + 5·10⁻¹¹,
+    inside the tolerance, and the term (1, 1.001) then by about 1 + 5·10⁻⁸.
+    Alone, the first term ends the fraction; as the first of a two-term
+    step it does not, and the step's second term leaves it unconverged."""
+    c0 = 1.0 + 5e-11
+    assert specfun._continued_fraction(1.0, c0, lambda i: ((1.0, -2.0),), 1) == c0
+    with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+        specfun._continued_fraction(1.0, c0, lambda i: ((1.0, -2.0), (1.0, 1.001)), 1)
+
+
+def test_continued_fraction_kernel_stops_at_its_cap():
+    """The golden-ratio fraction needs about 25 steps to converge: with a
+    budget of 3 the kernel makes 3 steps and raises, naming that count."""
+    steps = []
+
+    def step(i):
+        steps.append(i)
+        return ((1.0, 1.0),)
+
+    with pytest.raises(RuntimeError, match="continued fraction did not converge in 3 steps"):
+        specfun._continued_fraction(1.0, 1.0 / specfun._TINY, step, 3)
+    assert steps == [1, 2, 3]
+
+
 def _stirling_coefficients(k_max):
     """g_0..g_k_max of Γ(a) ~ √(2π)·a^(a−1/2)·e^(−a)·Σ g_k·a^(−k), by
     exponentiating ln Γ*(a) ~ Σ_j B_2j/(2j(2j−1)·a^(2j−1))."""
