@@ -94,8 +94,6 @@ def shot_noise_k_f(kappa: float, p: SystemParams) -> float:
     u_f = t_f, and k_f_limit(p) at kappa = 0."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if p.u_f == p.t_f:
-        return 1.0
     delta = 2.0 / p.alpha_fo
     ratio = kappa / (kappa + 1.0)
     correction = 0.0
@@ -149,6 +147,9 @@ def max_contention_density_femto(d_norm: float, p: SystemParams) -> tuple[float,
     for a reference femtocell at D = d_norm·r_c, with the regime label: the
     cap under the location's own correction K_f(kappa).
 
+    The label is CellularLimited where the macrocell alone takes at least
+    half the outage budget, I(kappa) >= eps/2, and HotspotLimited where it
+    takes less.
     Returns density 0 with Regime.INFEASIBLE when the macro-tier
     interference alone already exceeds the outage budget (D below the
     no-coverage radius).

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import click
@@ -27,16 +26,7 @@ from .linkmodel import (
 )
 from .sensing import DETECTOR_M_TW, DETECTOR_P_DETECT, DETECTOR_P_FALSE
 
-__all__ = [
-    "SweepVar",
-    "SweepSpec",
-    "parse_sweep",
-    "cmd_analytic",
-    "cmd_sensing",
-    "cmd_simulate",
-    "cmd_validate",
-    "main",
-]
+__all__ = ["main"]
 
 KS_CRITICAL_1PCT = 1.6276  # asymptotic Kolmogorov critical coefficient
 
@@ -47,38 +37,24 @@ class ConfigError(click.ClickException):
     exit_code = 2
 
 
-class SweepVar(Enum):
-    D = "D"
-    PC_OVER_PF_DB = "PcOverPfDb"
-    ALPHA_FO = "AlphaFo"
-    TF_UF = "TfUf"
-    M_TW = "Mtw"
+# the --sweep variables, in the order the usage error lists them
+_SWEEP_VARS = ("D", "PcOverPfDb", "AlphaFo", "TfUf", "Mtw")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: SweepVar
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> list[float]:
-        # the last point is stop itself: start + (steps-1)·h can overshoot it
-        h = (self.stop - self.start) / (self.steps - 1)
-        return [self.start + i * h for i in range(self.steps - 1)] + [self.stop]
-
-
-def parse_sweep(text: str) -> SweepSpec:
-    """Parse "<var>:<start>:<stop>:<steps>"; finite bounds, steps >= 2 and
-    start < stop."""
+def _sweep(
+    text: str, p: SystemParams, d_norm: float, d_only: bool = False
+) -> tuple[str, list[tuple[float, SystemParams, float, int]]]:
+    """Parse "<var>:<start>:<stop>:<steps>" (finite bounds, steps >= 2,
+    start < stop) into the variable and its points, each (value, params,
+    d_norm, m_tw) at that value. A point outside the model's range is a
+    usage error, raised before any point is computed."""
     parts = text.split(":")
     if len(parts) != 4:
         raise click.BadParameter(f"expected var:start:stop:steps, got {text!r}")
-    try:
-        var = SweepVar(parts[0])
-    except ValueError:
-        choices = ", ".join(v.value for v in SweepVar)
-        raise click.BadParameter(f"unknown sweep variable {parts[0]!r} (one of {choices})")
+    var = parts[0]
+    if var not in _SWEEP_VARS:
+        choices = ", ".join(_SWEEP_VARS)
+        raise click.BadParameter(f"unknown sweep variable {var!r} (one of {choices})")
     try:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
@@ -91,10 +67,37 @@ def parse_sweep(text: str) -> SweepSpec:
         raise click.BadParameter(f"steps must be >= 2, got {steps}")
     if not start < stop:
         raise click.BadParameter(f"need start < stop, got {start} >= {stop}")
-    return SweepSpec(variable=var, start=start, stop=stop, steps=steps)
+    if d_only and var != "D":
+        raise click.BadParameter("simulate sweeps support only the D variable")
+    # the last point is stop itself: start + (steps-1)·h can overshoot it
+    h = (stop - start) / (steps - 1)
+    points = []
+    for value in [start + i * h for i in range(steps - 1)] + [stop]:
+        p2, dn, m_tw = p, d_norm, DETECTOR_M_TW
+        try:
+            if var == "D":
+                if not 0.0 < value <= 1.0:
+                    raise ValueError("must lie in (0, 1]")
+                check_scenario_levels(p, value)
+                dn = value
+            elif var == "Mtw":
+                m_tw = round(value)
+                if m_tw < 1:
+                    raise ValueError("must round to at least 1")
+            elif var == "PcOverPfDb":
+                p2 = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + value)
+            elif var == "AlphaFo":
+                p2 = dataclasses.replace(p, alpha_fo=value)
+            else:
+                t_f = round(value)
+                p2 = dataclasses.replace(p, t_f=t_f, u_f=1 if p.u_f == 1 else t_f)
+        except ValueError as exc:  # SystemParams or the level check rejects the value
+            raise click.BadParameter(f"{var} = {value!r}: {exc}", param_hint="'--sweep'") from None
+        points.append((value, p2, dn, m_tw))
+    return var, points
 
 
-def _fmt(value: float | int | Enum) -> str:
+def _fmt(value: float | int | str | Enum) -> str:
     if type(value) is float:  # most cells: tested first
         return f"{value:.12g}"
     if isinstance(value, Enum):
@@ -150,44 +153,6 @@ def _write_csv(out_path: str | None, header: list[str], rows: list[list]) -> Non
     _emit(out_path, buf.getvalue())
 
 
-def _sweep_error(var: SweepVar, value: float, reason: str) -> click.BadParameter:
-    return click.BadParameter(f"{var.value} = {value!r}: {reason}", param_hint="'--sweep'")
-
-
-def _sweep_d_norm(value: float, p: SystemParams) -> float:
-    if not 0.0 < value <= 1.0:
-        raise _sweep_error(SweepVar.D, value, "must lie in (0, 1]")
-    try:
-        check_scenario_levels(p, value)
-    except ValueError as exc:
-        raise _sweep_error(SweepVar.D, value, str(exc)) from None
-    return value
-
-
-def _apply_sweep(
-    var: SweepVar, value: float, p: SystemParams, d_norm: float, m_tw: int
-) -> tuple[SystemParams, float, int]:
-    """The parameters at one sweep value; a value outside the model's range
-    is a usage error."""
-    if var is SweepVar.D:
-        return p, _sweep_d_norm(value, p), m_tw
-    if var is SweepVar.M_TW:
-        if round(value) < 1:
-            raise _sweep_error(var, value, "must round to at least 1")
-        return p, d_norm, round(value)
-    if var is SweepVar.PC_OVER_PF_DB:
-        changes = {"p_c_dbm": p.p_f_dbm + value}
-    elif var is SweepVar.ALPHA_FO:
-        changes = {"alpha_fo": value}
-    else:
-        t_f = round(value)
-        changes = {"t_f": t_f, "u_f": 1 if p.u_f == 1 else t_f}
-    try:
-        return dataclasses.replace(p, **changes), d_norm, m_tw
-    except ValueError as exc:  # SystemParams rejects the swept value
-        raise _sweep_error(var, value, str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -209,7 +174,7 @@ def main() -> None:
 def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Closed-form coverage quantities along a parameter sweep."""
     p, cfg = _load_config(config_path)
-    spec = parse_sweep(sweep_text)
+    var, points = _sweep(sweep_text, p, cfg.d_norm)
     lam_scenario = cfg.density(p)
     header = [
         "variable", "value", "d_norm", "t_f", "u_f", "alpha_fo", "pc_over_pf_db",
@@ -218,8 +183,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
         "ratio_su_mu", "ratio_su_single",
     ]
     rows = []
-    for value in spec.values():
-        p2, dn, _ = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
+    for value, p2, dn, _ in points:
         lam_f, regime = analytic.max_contention_density_femto(dn, p2)
         n_f = lam_f * math.pi * p2.r_c**2
         try:
@@ -227,7 +191,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
         except ValueError:
             r_mu = r_one = math.nan
         rows.append([
-            spec.variable, value, dn, p2.t_f, p2.u_f, p2.alpha_fo,
+            var, value, dn, p2.t_f, p2.u_f, p2.alpha_fo,
             p2.p_c_dbm - p2.p_f_dbm,
             analytic.no_coverage_radius(p2),
             lam_f, regime, n_f, n_f * p2.u_f,
@@ -246,7 +210,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
     p, cfg = _load_config(config_path)
-    spec = parse_sweep(sweep_text)
+    var, points = _sweep(sweep_text, p, cfg.d_norm)
     lam = cfg.density(p)
     header = [
         "variable", "value", "d_norm", "m_tw", "d_sense_m",
@@ -254,8 +218,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         "threshold", "p_false", "p_detect_at_d_sense", "max_range_m",
     ]
     rows = []
-    for value in spec.values():
-        p2, dn, m_tw = _apply_sweep(spec.variable, value, p, cfg.d_norm, DETECTOR_M_TW)
+    for value, p2, dn, m_tw in points:
         d_sense = sensing.min_sensing_radius(dn, p2)
         try:
             lo_db, hi_db = sensing.power_ratio_bounds(dn, lam, p2)
@@ -274,7 +237,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         except sensing.InfeasiblePlanError:
             max_range = math.nan
         rows.append([
-            spec.variable, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
+            var, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
             threshold, sensing.false_alarm_probability(m_tw, threshold), p_detect, max_range,
         ])
     _write_csv(out_path, header, rows)
@@ -305,13 +268,10 @@ def cmd_simulate(
     """Monte Carlo outage and rate percentiles for the configured scenario."""
     from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
-    if sweep_text is not None:
-        spec = parse_sweep(sweep_text)
-        if spec.variable is not SweepVar.D:
-            raise click.BadParameter("simulate sweeps support only the D variable")
-        d_values = [_sweep_d_norm(v, p) for v in spec.values()]
-    else:
+    if sweep_text is None:
         d_values = [cfg.d_norm]
+    else:
+        d_values = [dn for _, _, dn, _ in _sweep(sweep_text, p, cfg.d_norm, d_only=True)[1]]
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
     header = (
         ["scenario", "d_norm", "lambda_f", "n_drops", "n_fades", "seed",

@@ -141,6 +141,31 @@ def test_femto_density_regime_walk():
         assert (lam == 0.0) == (want is Regime.INFEASIBLE)
 
 
+def test_regime_boundary_is_half_the_outage_budget():
+    """CellularLimited is where the macrocell alone takes at least half the
+    outage budget, I(kappa) >= eps/2. kappa falls as D^(-alpha_c), so the
+    boundary is the no-coverage radius's formula at eps/2: at the defaults
+    the CellularLimited ring runs from D_f = 103.903 m to 117.694 m."""
+    assert no_coverage_radius(P) == pytest.approx(103.903, abs=1e-3)
+    y = inv_reg_inc_beta(P.eps / 2.0, P.t_f - P.u_f + 1, P.u_c)
+    kappa_edge = location_coeffs(1.0, P).kappa
+    d_b = P.r_c * (kappa_edge * (1.0 - y) / y) ** (1.0 / P.alpha_c)
+    assert d_b == pytest.approx(117.694, abs=1e-3)
+    assert max_contention_density_femto(d_b / P.r_c * (1.0 - 1e-9), P)[1] is (
+        Regime.CELLULAR_LIMITED
+    )
+    assert max_contention_density_femto(d_b / P.r_c * (1.0 + 1e-9), P)[1] is (
+        Regime.HOTSPOT_LIMITED
+    )
+    for d_norm, want in (
+        (0.1039, Regime.INFEASIBLE),
+        (0.1040, Regime.CELLULAR_LIMITED),
+        (0.1176, Regime.CELLULAR_LIMITED),
+        (0.1178, Regime.HOTSPOT_LIMITED),
+    ):
+        assert max_contention_density_femto(d_norm, P)[1] is want
+
+
 def test_femto_density_plateau_near_cell_edge():
     """Far from the macrocell the cap converges to the hotspot-limited
     plateau eps*K_limit / (C_f (q_f Gamma)^delta)."""

@@ -13,10 +13,10 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
-from tiernet import cli, sensing, simulator, specfun
-from tiernet.cli import SweepSpec, SweepVar, main, parse_sweep
+from tiernet import analytic, cli, sensing, simulator, specfun
+from tiernet.cli import main
 from tiernet.linkmodel import ChannelMode, ScenarioConfig, SystemParams
-from tiernet.sensing import max_sensing_range
+from tiernet.sensing import DETECTOR_M_TW, max_sensing_range
 
 
 @pytest.fixture()
@@ -38,21 +38,43 @@ def _write(tmp_path, name, payload):
 
 
 def test_parse_sweep_round_trip():
-    spec = parse_sweep("D:0.2:1.0:5")
-    assert spec == SweepSpec(variable=SweepVar.D, start=0.2, stop=1.0, steps=5)
-    vals = spec.values()
-    assert len(vals) == 5
-    assert vals[0] == pytest.approx(0.2)
-    assert vals[-1] == pytest.approx(1.0)
+    p = SystemParams()
+    var, points = cli._sweep("D:0.2:1.0:5", p, 0.5)
+    assert var == "D"
+    assert len(points) == 5
+    assert points[0] == (pytest.approx(0.2), p, pytest.approx(0.2), DETECTOR_M_TW)
+    assert points[-1] == (1.0, p, 1.0, DETECTOR_M_TW)
+
+
+@pytest.mark.parametrize(
+    ("sweep", "changed"),
+    [
+        ("PcOverPfDb:10:30:3", {"p_c_dbm": SystemParams().p_f_dbm + 30.0}),
+        ("AlphaFo:3:4:3", {"alpha_fo": 4.0}),
+        ("TfUf:1:4:4", {"t_f": 4}),
+        ("Mtw:100:300.6:3", {}),
+    ],
+)
+def test_sweep_points_carry_the_swept_parameter(sweep, changed):
+    """Each point holds the parameters at its value: only D moves the
+    location, only Mtw the detector, and the others a system field."""
+    p = SystemParams()
+    var, points = cli._sweep(sweep, p, 0.5)
+    assert var == sweep.split(":")[0]
+    value, p2, d_norm, m_tw = points[-1]
+    assert p2 == dataclasses.replace(p, **changed)
+    assert d_norm == 0.5
+    assert m_tw == (round(value) if var == "Mtw" else DETECTOR_M_TW)
 
 
 @pytest.mark.parametrize(
     "text",
-    ["D:0.2:1.0", "D:1.0:0.2:5", "D:0.2:1.0:1", "Bogus:0:1:4", "D:a:b:4", "D:0:1:x"],
+    ["D:0.2:1.0", "D:1.0:0.2:5", "D:0.2:1.0:1", "Bogus:0:1:4", "D:a:b:4", "D:0:1:x",
+     "D:0:1:3", "Mtw:0:10:3"],
 )
 def test_parse_sweep_rejects(text):
-    with pytest.raises(Exception):
-        parse_sweep(text)
+    with pytest.raises(click.BadParameter):
+        cli._sweep(text, SystemParams(), 0.5)
 
 
 @pytest.mark.parametrize(
@@ -65,16 +87,17 @@ def test_parse_sweep_rejects(text):
 def test_sweep_ends_exactly_at_stop(runner, args):
     """start + 7·h and start + 11·h overshoot 1.0 by one ulp on these two
     sweeps; the last point is stop itself, and D = 1 is in range."""
-    spec = parse_sweep(args[2])
-    h = (spec.stop - spec.start) / (spec.steps - 1)
-    assert spec.start + (spec.steps - 1) * h > 1.0
-    vals = spec.values()
+    _, start, stop, steps = args[2].split(":")
+    start, stop, steps = float(start), float(stop), int(steps)
+    h = (stop - start) / (steps - 1)
+    assert start + (steps - 1) * h > 1.0
+    vals = [value for value, *_ in cli._sweep(args[2], SystemParams(), 0.5)[1]]
     assert vals[-1] == 1.0
-    assert vals[:-1] == [spec.start + i * h for i in range(spec.steps - 1)]
+    assert vals[:-1] == [start + i * h for i in range(steps - 1)]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(io.StringIO(res.stdout)))
-    assert len(rows) == spec.steps
+    assert len(rows) == steps
     assert float(rows[-1]["d_norm"]) == 1.0
 
 
@@ -650,6 +673,54 @@ def test_bad_sweep_usage_exits_2(runner):
     assert runner.invoke(main, ["analytic", "--sweep", "D:1.0:0.2:5"]).exit_code == 2
     assert runner.invoke(main, ["analytic", "--sweep", "D:0.2:1.0:1"]).exit_code == 2
     assert runner.invoke(main, ["analytic"]).exit_code == 2  # sweep required
+
+
+@pytest.mark.parametrize(
+    ("args", "error"),
+    [
+        (["analytic", "--sweep", "D:0.2:1.0"],
+         "Invalid value: expected var:start:stop:steps, got 'D:0.2:1.0'"),
+        (["sensing", "--sweep", "Bogus:0:1:4"],
+         "Invalid value: unknown sweep variable 'Bogus' (one of D, PcOverPfDb, AlphaFo, "
+         "TfUf, Mtw)"),
+        (["analytic", "--sweep", "D:a:b:4"],
+         "Invalid value: bad sweep range in 'D:a:b:4': could not convert string to float: 'a'"),
+        (["analytic", "--sweep", "D:nan:1:3"],
+         "Invalid value for '--sweep': bounds must be finite, got nan and 1.0"),
+        (["analytic", "--sweep", "D:0.2:1.0:1"], "Invalid value: steps must be >= 2, got 1"),
+        (["simulate", "--sweep", "D:1:0:3"], "Invalid value: need start < stop, got 1.0 >= 0.0"),
+        (["analytic", "--sweep", "D:0.5:1.2:3"],
+         "Invalid value for '--sweep': D = 1.2: must lie in (0, 1]"),
+        (["sensing", "--sweep", "Mtw:0.2:0.4:3"],
+         "Invalid value for '--sweep': Mtw = 0.2: must round to at least 1"),
+        (["analytic", "--sweep", "TfUf:0:2:3"],
+         "Invalid value for '--sweep': TfUf = 0.0: need 1 <= u_f <= t_f, got u_f=1, t_f=0"),
+        (["simulate", "--sweep", "D:1e-300:1:2"],
+         "Invalid value for '--sweep': D = 1e-300: d_norm puts a derived level at -11286 dB; "
+         "it must lie within ±3000 dB"),
+        (["simulate", "--sweep", "Mtw:0:10:3"],
+         "Invalid value: simulate sweeps support only the D variable"),
+    ],
+)
+def test_sweep_usage_error_text(runner, args, error):
+    """Each --sweep usage error exits 2 with its one-line message; simulate
+    rejects a variable other than D before it checks any of its values."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output.endswith(f"Error: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["analytic", "sensing"])
+def test_sweep_point_out_of_range_fails_before_any_row(runner, monkeypatch, command):
+    """A sweep whose last point lies out of range computes no row."""
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(analytic, "max_contention_density_femto", no_row)
+    monkeypatch.setattr(sensing, "min_sensing_radius", no_row)
+    res = runner.invoke(main, [command, "--sweep", "D:0.5:1.2:3"])
+    assert res.exit_code == 2, res.output
+    assert res.output.endswith("Error: Invalid value for '--sweep': D = 1.2: must lie in (0, 1]\n")
 
 
 @pytest.mark.parametrize(
