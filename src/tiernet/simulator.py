@@ -17,13 +17,18 @@ from counter-based Philox streams, one per drop, spawned as
 SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
-bit-identical from run to run.
+bit-identical from run to run. fade_ks_distances's four checks each draw
+from their own such stream and run concurrently, on as many threads as the
+process has usable CPUs (at most four), so their distances are the same at
+any core count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -52,13 +57,19 @@ class SimulationResult:
 
     FastChi2: the exact outage averaged over the fades and the Poisson
     field, and as ci_halfwidth_95 its quadrature error, |value on the
-    field's nodes − value on nodes refined 2× on both axes|. FullZF: the
-    share of sampled (drop, fade) pairs in outage, and as ci_halfwidth_95
-    its 95% half-width clustered on drops (NaN for one drop)."""
+    field's nodes − value on nodes refined 2× on both axes|, which builds
+    and prices the refined field when it is first read (and only then).
+    FullZF: the share of sampled (drop, fade) pairs in outage, and as
+    ci_halfwidth_95 its 95% half-width clustered on drops (NaN for one
+    drop)."""
 
     p_outage: float
-    ci_halfwidth_95: float
+    _ci_law: Callable[[], float]
     rate_law: Callable[[list[float]], list[float]]
+
+    @functools.cached_property
+    def ci_halfwidth_95(self) -> float:
+        return self._ci_law()
 
     def percentiles(self, qs: Sequence[float]) -> list[float]:
         """The rate percentiles at qs (each in [0, 100]), in the order of qs."""
@@ -153,11 +164,55 @@ def _zf_leakage_batch(
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says; else all
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _side_by_side(task: Callable[[int], float], count: int) -> list[float]:
+    """task(0), …, task(count − 1), from min(count, usable CPUs) threads,
+    the caller's among them: thread j runs tasks j, j + threads, and so on,
+    and stops at its first error. Once every thread is done, the error of
+    the earliest task that raised is re-raised, the one a loop in task
+    order would have raised. With one usable CPU no thread is started."""
+    n_threads = min(count, _usable_cpus())
+    results: list[float] = [math.nan] * count
+    errors: dict[int, BaseException] = {}
+
+    def run(first: int) -> None:
+        for i in range(first, count, n_threads):
+            try:
+                results[i] = task(i)
+            except BaseException as exc:  # re-raised in the caller's thread
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, n_threads)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     """Kolmogorov–Smirnov distance of n FullZF samples of each fade, check i
     on drop stream i of seed, to the Gamma law FastChi2 integrates (_run's
     shapes), keyed as `validate` reports them: each tier's desired power,
-    Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f)."""
+    Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f).
+    The four checks run concurrently (_side_by_side); each reads only its
+    own stream, so the distances do not depend on the thread count.
+
+    Raises:
+        ValueError: if n < 1.
+    """
+    if n < 1:
+        raise ValueError(f"the KS checks need n >= 1 samples each, got n = {n}")
     checks = (
         ("ks_desired_femto", _zf_desired_batch, p.t_f, p.u_f, p.t_f - p.u_f + 1),
         ("ks_desired_cellular", _zf_desired_batch, p.t_c, p.u_c, p.t_c - p.u_c + 1),
@@ -165,12 +220,15 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
         ("ks_marks", _zf_leakage_batch, p.t_f, p.u_f, p.u_f),
     )
     ecdf = np.arange(n + 1) / n
-    distances = {}
-    for i, (name, sampler, t, u, k) in enumerate(checks):
+
+    def distance(i: int) -> float:
         # the sample's CDF steps against a dof-2k chi-squared on half scale
+        _, sampler, t, u, k = checks[i]
         cdf = chi2_cdf(2 * k, 2.0 * np.sort(sampler(_drop_rng(seed, i), n, t, u)))
-        distances[name] = float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
-    return distances
+        return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+
+    distances = _side_by_side(distance, len(checks))
+    return {name: d for (name, *_), d in zip(checks, distances)}
 
 
 def _sample_draws(
@@ -365,8 +423,9 @@ def simulate(
     FastChi2 mode computes them exactly, averaged over the fades and over
     the Poisson field of the drops, and draws neither drops nor fades:
     n_drops, n_fades and seed are not used. p_outage and each percentile's
-    coverage sums run over the field's nodes (_field), and the CI over the
-    same refined 2×; in one process both are built once for any D or policy.
+    coverage sums run over the field's nodes (_field), and the CI, when
+    ci_halfwidth_95 is first read, over the same refined 2×; in one process
+    each node set is built once for any D or policy.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
     whose percentiles are np.quantile over its n_drops×n_fades buffer of
     log2(1+SINR), unsorted until a percentiles call partitions a copy."""
@@ -374,13 +433,19 @@ def simulate(
         raise ValueError(f"counts must be >= 1, got {n_drops} drops, {n_fades} fades")
     link, weights = _run(cfg, p)
     if cfg.channel_mode is ChannelMode.FAST_CHI2:
-        fields = [
-            (weights(u_radius, u_angle).ravel(), mass.ravel())
-            for u_radius, u_angle, mass in (_field(cfg, p, 1), _field(cfg, p, 2))
-        ]
-        p_hat, p_fine = (1.0 - link.coverage(p.gamma_target, *f)[0] for f in fields)
-        ci = abs(p_hat - p_fine)
-        rate_law = functools.partial(rate_quantiles, link, *fields[0])
+
+        def field_outage(refine: int) -> tuple[float, np.ndarray, np.ndarray]:
+            # the outage on the field refined refine×, and the weights and
+            # masses it sums over
+            u_radius, u_angle, mass = _field(cfg, p, refine)
+            w, m = weights(u_radius, u_angle).ravel(), mass.ravel()
+            return 1.0 - link.coverage(p.gamma_target, w, m)[0], w, m
+
+        p_hat, w, m = field_outage(1)
+        rate_law = functools.partial(rate_quantiles, link, w, m)
+
+        def ci() -> float:
+            return abs(p_hat - field_outage(2)[0])
     else:
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)
@@ -395,12 +460,14 @@ def simulate(
             np.add(sinr, 1.0, out=rates[i])
             np.log2(rates[i], out=rates[i])
         p_hat = outages / rates.size
-        # 95% half-width with the drop as the sampling unit
-        ci = math.nan if n_drops < 2 else (
-            1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(n_drops)
-        )
+
+        def ci() -> float:
+            # 95% half-width with the drop as the sampling unit
+            if n_drops < 2:
+                return math.nan
+            return 1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(n_drops)
 
         def rate_law(us: list[float]) -> list[float]:
             return np.quantile(rates, us).tolist()
-    return SimulationResult(p_outage=p_hat, ci_halfwidth_95=ci, rate_law=rate_law)
+    return SimulationResult(p_hat, ci, rate_law)
 

@@ -1,6 +1,8 @@
 """Package hygiene: no module imports a name it never uses, reads the
 process environment or imports scipy, only `laplace` and `simulator` import
-numpy when they load, and the closed-form commands run without it, only the
+numpy when they load, and the closed-form commands run without it, the
+benchmark worker's set-up loads neither the thread pool nor numpy's random
+generators and a FastChi2 `simulate` loads no generators, only the
 link model and the simulator read the link budget's linear gains, only the
 link model names its config loader, the CLI computes no closed form, only
 `analytic` computes the first-order outage model, the CLI reads no other
@@ -190,19 +192,44 @@ NUMPY_FREE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(NUMPY_FREE_RUNS))
-def test_closed_forms_load_no_numpy(run):
-    """`tiernet analytic` and `tiernet sensing` start and run without
-    importing numpy, which costs about as much as the rest of their start-up."""
+# code run in a fresh interpreter, and the modules it must leave unloaded:
+# the benchmark worker's set-up loads neither the thread pool (which pulls in
+# `logging`) nor numpy's random generators, and a FastChi2 `simulate` draws
+# nothing, so it never loads the generators either
+LAZY_IMPORT_RUNS = {
+    "bench-setup": ("import tiernet.cli, tiernet.simulator",
+                    ["concurrent.futures", "numpy.random"]),
+    "fastchi2-simulate": ("from tiernet import cli\n"
+                          "cli.main(['simulate', '--sweep', 'D:0.4:1:2'], standalone_mode=False)",
+                          ["numpy.random"]),
+}
+
+
+def _loaded_after(code: str, modules: list[str]) -> list[str]:
+    """Those of modules that a fresh interpreter has loaded after running code."""
     src = str(Path(tiernet.__path__[0]).parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     )}
-    code = NUMPY_FREE_RUNS[run] + "\nimport sys\nprint('numpy' in sys.modules)"
+    code += f"\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert res.stdout.splitlines()[-1] == "False"
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("run", sorted(NUMPY_FREE_RUNS))
+def test_closed_forms_load_no_numpy(run):
+    """`tiernet analytic` and `tiernet sensing` start and run without
+    importing numpy, which costs about as much as the rest of their start-up."""
+    assert _loaded_after(NUMPY_FREE_RUNS[run], ["numpy"]) == []
+
+
+@pytest.mark.parametrize("run", sorted(LAZY_IMPORT_RUNS))
+def test_lazy_imports_stay_unloaded(run):
+    """What is imported only where it is used stays unloaded until then."""
+    code, modules = LAZY_IMPORT_RUNS[run]
+    assert _loaded_after(code, modules) == []
 
 
 def _loader_uses(source: str) -> list[str]:

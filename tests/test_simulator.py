@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from tiernet.simulator import (
     _zf_precoder_batch,
     simulate,
 )
-from tiernet.specfun import reg_gamma, reg_inc_beta
+from tiernet.specfun import chi2_cdf, reg_gamma, reg_inc_beta
 
 P = SystemParams()
 # the rate percentiles tiernet simulate writes
@@ -189,6 +190,84 @@ def test_multi_stream_desired_power_is_its_replay(t, u):
     n = 2000
     sample = _zf_desired_batch(_drop_rng(27, 7), n, t, u)
     assert np.array_equal(sample, _general_desired(_drop_rng(27, 7), n, t, u))
+
+
+# ---------------------------------------------------------------------------
+# validate's KS checks, run side by side
+
+KS_CHECK_ORDER = ["ks_desired_femto", "ks_desired_cellular", "ks_cross_tier", "ks_marks"]
+
+
+def _ks_alone(p, seed, n, i):
+    """Check i of fade_ks_distances, run on its own: its sampler on drop
+    stream i of seed, against its dof-2k chi-squared on half scale."""
+    sampler, t, u, k = (
+        (_zf_desired_batch, p.t_f, p.u_f, p.t_f - p.u_f + 1),
+        (_zf_desired_batch, p.t_c, p.u_c, p.t_c - p.u_c + 1),
+        (_zf_leakage_batch, p.t_c, p.u_c, p.u_c),
+        (_zf_leakage_batch, p.t_f, p.u_f, p.u_f),
+    )[i]
+    cdf = chi2_cdf(2 * k, 2.0 * np.sort(sampler(_drop_rng(seed, i), n, t, u)))
+    ecdf = np.arange(n + 1) / n
+    return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
+
+
+def _count_threads(monkeypatch):
+    # the threads started from here on, each recorded as it starts
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("p", [P, SystemParams(t_f=3, u_f=2, t_c=4, u_c=2)], ids=["U=1", "U=2"])
+def test_ks_checks_match_alone_at_any_cpu_count(monkeypatch, p):
+    """With 1, 2 or 4 usable CPUs the four distances come back bit for bit
+    the same, in validate's key order, each equal to its check run alone on
+    its own stream; the caller's thread runs one share, so min(4, CPUs) − 1
+    threads are started, none with one CPU."""
+    n, seed = 10_000, 11
+    alone = {name: _ks_alone(p, seed, n, i) for i, name in enumerate(KS_CHECK_ORDER)}
+    started = _count_threads(monkeypatch)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda cpus=cpus: cpus)
+        before = len(started)
+        distances = simulator.fade_ks_distances(p, seed, n)
+        assert list(distances) == KS_CHECK_ORDER
+        assert distances == alone
+        assert len(started) - before == min(4, cpus) - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_ks_check_error_reaches_the_caller(monkeypatch, cpus):
+    """A check that raises makes fade_ks_distances raise the error of the
+    earliest failing check, as a loop in check order would, once every
+    thread it started has finished."""
+    def failing(rng, n, t, u):
+        raise RuntimeError(f"leakage sampler failed at T = {t}")
+
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulator, "_zf_leakage_batch", failing)
+    before = threading.active_count()
+    # ks_cross_tier (T = t_c = 4) fails before ks_marks (T = t_f = 2)
+    with pytest.raises(RuntimeError, match="at T = 4"):
+        simulator.fade_ks_distances(P, 3, 1000)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_ks_checks_reject_bad_sample_counts(monkeypatch, n):
+    """n < 1 samples per check is refused by name before any thread starts."""
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+    started = _count_threads(monkeypatch)
+    with pytest.raises(ValueError, match=rf"n = {n}\b"):
+        simulator.fade_ks_distances(P, 3, n)
+    assert started == []
 
 
 # ---------------------------------------------------------------------------
@@ -1012,14 +1091,18 @@ def test_field_cost_and_legendre_cache(monkeypatch):
 
 def test_field_nodes_built_once_per_geometry():
     """The field's nodes depend on the sensed user's offset, R_s, r_c and
-    the density, not on D or the power policy: a `simulate` D sweep builds
-    one node set per refine factor, configs that differ only in D or policy
-    share the very arrays, another density or user offset gets new ones,
-    and the shared arrays are read-only."""
+    the density, not on D or the power policy: a `simulate` D sweep that
+    reads only p_outage builds one node set, reading ci_halfwidth_95 on
+    each row adds the refined set once, configs that differ only in D or
+    policy share the very arrays, another density or user offset gets new
+    ones, and the shared arrays are read-only."""
     simulator._polar_field.cache_clear()
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND)
-    for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0):
-        simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
+    rows = [simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
+            for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    assert simulator._polar_field.cache_info().misses == 1
+    for res in rows:
+        assert res.ci_halfwidth_95 >= 0.0
     assert simulator._polar_field.cache_info().misses == 2
     cfg = _bench_cfg("hotspot_sensed")
     nodes = simulator._field(cfg, P, 1)
