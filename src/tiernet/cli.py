@@ -3,9 +3,11 @@ scenario simulation, and a self-validation suite.
 
 Config document: one JSON object {"system": {...}, "scenario": {...}}, both
 sections optional; it is the only source of every system and scenario
-setting. CSV output uses a header row and 12-significant-digit formatting
-so identical (config, seed) runs are byte-identical. Exit codes: 0 success,
-1 validation failure, 2 usage or config errors.
+setting. CSV rows are column name -> value records, written under a header
+of the first row's names with 12-significant-digit formatting, so identical
+(config, seed) runs are byte-identical; `validate` writes strict JSON, a
+non-finite value as null. Exit codes: 0 success, 1 a failed validation
+check, 2 usage or config errors (an unwritable --out among them).
 """
 
 from __future__ import annotations
@@ -139,17 +141,21 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
 def _emit(out_path: str | None, text: str) -> None:
     if out_path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise click.BadParameter(f"cannot write {out_path}: {exc.strerror}", param_hint="'--out'")
 
 
-def _write_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
+def _write_csv(out_path: str | None, rows: list[dict]) -> None:
+    """Rows of column name -> value, all with the first row's names in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([_fmt(v) for v in row.values()])
     _emit(out_path, buf.getvalue())
 
 
@@ -160,6 +166,7 @@ def _write_csv(out_path: str | None, header: list[str], rows: list[list]) -> Non
 # the options that several subcommands share, declared once
 _config_option = click.option("--config", "config_path", help="JSON config document.")
 _csv_out_option = click.option("--out", "out_path", help="CSV output path (default stdout).")
+_sweep_option = click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
 
 
 @click.group()
@@ -170,18 +177,12 @@ def main() -> None:
 @main.command("analytic")
 @_config_option
 @_csv_out_option
-@click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
+@_sweep_option
 def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Closed-form coverage quantities along a parameter sweep."""
     p, cfg = _load_config(config_path)
     var, points = _sweep(sweep_text, p, cfg.d_norm)
     lam_scenario = cfg.density(p)
-    header = [
-        "variable", "value", "d_norm", "t_f", "u_f", "alpha_fo", "pc_over_pf_db",
-        "d_f_m", "lambda_star_femto", "regime", "n_f", "n_f_u_f",
-        "lambda_star_cellular", "d_c_m", "ase_bps_hz_m2",
-        "ratio_su_mu", "ratio_su_single",
-    ]
     rows = []
     for value, p2, dn, _ in points:
         lam_f, regime = analytic.max_contention_density_femto(dn, p2)
@@ -190,33 +191,29 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
             r_mu, r_one = analytic.su_mu_radius_ratios(p2)
         except ValueError:
             r_mu = r_one = math.nan
-        rows.append([
-            var, value, dn, p2.t_f, p2.u_f, p2.alpha_fo,
-            p2.p_c_dbm - p2.p_f_dbm,
-            analytic.no_coverage_radius(p2),
-            lam_f, regime, n_f, n_f * p2.u_f,
-            analytic.max_contention_density_cellular(dn, p2),
-            analytic.cellular_coverage_radius(lam_scenario, p2),
-            analytic.area_spectral_efficiency(lam_f, p2),
-            r_mu, r_one,
-        ])
-    _write_csv(out_path, header, rows)
+        rows.append({
+            "variable": var, "value": value, "d_norm": dn, "t_f": p2.t_f, "u_f": p2.u_f,
+            "alpha_fo": p2.alpha_fo, "pc_over_pf_db": p2.p_c_dbm - p2.p_f_dbm,
+            "d_f_m": analytic.no_coverage_radius(p2),
+            "lambda_star_femto": lam_f, "regime": regime,
+            "n_f": n_f, "n_f_u_f": n_f * p2.u_f,
+            "lambda_star_cellular": analytic.max_contention_density_cellular(dn, p2),
+            "d_c_m": analytic.cellular_coverage_radius(lam_scenario, p2),
+            "ase_bps_hz_m2": analytic.area_spectral_efficiency(lam_f, p2),
+            "ratio_su_mu": r_mu, "ratio_su_single": r_one,
+        })
+    _write_csv(out_path, rows)
 
 
 @main.command("sensing")
 @_config_option
 @_csv_out_option
-@click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
+@_sweep_option
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
     p, cfg = _load_config(config_path)
     var, points = _sweep(sweep_text, p, cfg.d_norm)
     lam = cfg.density(p)
-    header = [
-        "variable", "value", "d_norm", "m_tw", "d_sense_m",
-        "pc_over_pf_lb_db", "pc_over_pf_ub_db", "blend_db",
-        "threshold", "p_false", "p_detect_at_d_sense", "max_range_m",
-    ]
     rows = []
     for value, p2, dn, m_tw in points:
         d_sense = sensing.min_sensing_radius(dn, p2)
@@ -236,16 +233,17 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
             max_range = sensing.max_sensing_range(m_tw, DETECTOR_P_DETECT, DETECTOR_P_FALSE, p2)
         except sensing.InfeasiblePlanError:
             max_range = math.nan
-        rows.append([
-            var, value, dn, m_tw, d_sense, lo_db, hi_db, blend,
-            threshold, sensing.false_alarm_probability(m_tw, threshold), p_detect, max_range,
-        ])
-    _write_csv(out_path, header, rows)
+        rows.append({
+            "variable": var, "value": value, "d_norm": dn, "m_tw": m_tw, "d_sense_m": d_sense,
+            "pc_over_pf_lb_db": lo_db, "pc_over_pf_ub_db": hi_db, "blend_db": blend,
+            "threshold": threshold, "p_false": sensing.false_alarm_probability(m_tw, threshold),
+            "p_detect_at_d_sense": p_detect, "max_range_m": max_range,
+        })
+    _write_csv(out_path, rows)
 
 
 @main.command("simulate")
-@click.option("--config", "config_path", default=None,
-              help="JSON config document; scenario.channel_mode picks the channel mode.")
+@_config_option
 @_csv_out_option
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
@@ -265,7 +263,8 @@ def cmd_simulate(
     drops: int,
     fades: int,
 ) -> None:
-    """Monte Carlo outage and rate percentiles for the configured scenario."""
+    """Monte Carlo outage and rate percentiles for the configured scenario;
+    the config's scenario.channel_mode picks the channel mode."""
     from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
     if sweep_text is None:
@@ -273,13 +272,8 @@ def cmd_simulate(
     else:
         d_values = [dn for _, _, dn, _ in _sweep(sweep_text, p, cfg.d_norm, d_only=True)[1]]
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
-    header = (
-        ["scenario", "d_norm", "lambda_f", "n_drops", "n_fades", "seed",
-         "p_outage", "ci_halfwidth_95"]
-        + [f"rate_pct_{int(q)}" for q in pct_grid]
-    )
 
-    def row(dn: float) -> list:
+    def row(dn: float) -> dict:
         # a point's rate law is freed before the next point builds its own
         cfg_d = dataclasses.replace(cfg, d_norm=dn)
         try:
@@ -290,13 +284,14 @@ def cmd_simulate(
                 f"(lambda_f = {cfg.density(p):.4g} per m^2) admits no carrier-sensed "
                 f"power plan at D = {dn:g}: {exc}"
             ) from None
-        return (
-            [cfg_d.scenario, dn, cfg_d.density(p), drops, fades, seed,
-             res.p_outage, res.ci_halfwidth_95]
-            + res.percentiles(pct_grid)
-        )
+        return {
+            "scenario": cfg_d.scenario, "d_norm": dn, "lambda_f": cfg_d.density(p),
+            "n_drops": drops, "n_fades": fades, "seed": seed,
+            "p_outage": res.p_outage, "ci_halfwidth_95": res.ci_halfwidth_95,
+            **{f"rate_pct_{int(q)}": v for q, v in zip(pct_grid, res.percentiles(pct_grid))},
+        }
 
-    _write_csv(out_path, header, [row(dn) for dn in d_values])
+    _write_csv(out_path, [row(dn) for dn in d_values])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +310,8 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     checks: list[dict] = []
 
     def record(name: str, passed: bool, value: float, bound: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "value": value, "bound": bound})
+        finite = value if math.isfinite(value) else None  # strict JSON has no NaN
+        checks.append({"name": name, "passed": bool(passed), "value": finite, "bound": bound})
 
     n_ks = 100_000
     crit = KS_CRITICAL_1PCT / math.sqrt(n_ks)
@@ -329,14 +325,13 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
         ("cellular_closure_outage", Scenario.REFERENCE_CELLULAR_USER, 0.8,
          analytic.max_contention_density_cellular(0.8, p), 0.02),
     ):
-        if cap > 0:
-            cfg_cap = ScenarioConfig(
-                scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
-                fixed_pc_over_pf_db=p.p_c_dbm - p.p_f_dbm,
-                n_f_target=cap * math.pi * p.r_c**2, include_noise=False,
-            )
-            p_out = simulator.simulate(cfg_cap, 1, 1, p, seed).p_outage
-            record(name, abs(p_out - p.eps) <= tol, p_out, f"{p.eps} +- {tol}")
+        cfg_cap = ScenarioConfig(
+            scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
+            fixed_pc_over_pf_db=p.p_c_dbm - p.p_f_dbm,
+            n_f_target=cap * math.pi * p.r_c**2, include_noise=False,
+        )
+        p_out = simulator.simulate(cfg_cap, 1, 1, p, seed).p_outage
+        record(name, abs(p_out - p.eps) <= tol, p_out, f"{p.eps} +- {tol}")
 
     # the power window at the cell edge: its floor must invert the cellular
     # density cap, its ceiling the femto cap under the worst-case correction

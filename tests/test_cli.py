@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import re
 from pathlib import Path
 
 import click
@@ -31,6 +33,13 @@ def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload)
     return str(path)
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 parsers do."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +477,23 @@ def test_missing_config_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("args", "out"),
+    [(["analytic", "--sweep", "D:0.5:1:2"], "missing/x.csv"),
+     (["analytic", "--sweep", "D:0.5:1:2"], "."),
+     (["validate"], "missing/report.json")],
+    ids=["missing-directory", "directory", "validate-missing-directory"],
+)
+def test_unwritable_out_exits_2(runner, tmp_path, args, out):
+    """An --out that cannot be written is a usage error that names the path,
+    not a traceback, and for validate not a failed check (exit 1) either."""
+    path = str(tmp_path / out)
+    res = runner.invoke(main, [*args, "--out", path])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {path}" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["analytic", "--sweep", "D:0:1:3"],
@@ -813,10 +839,11 @@ def test_validate_without_power_window_fails_inversion(runner, tmp_path):
     cfg = _write(tmp_path, "dense.json", '{"scenario": {"n_f_target": 2000.0}}')
     res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "42"])
     assert res.exit_code == 1
-    checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
+    checks = {c["name"]: c for c in _strict_json(res.output)["checks"]}
     assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
     assert "power_window_inversion_floor" not in checks
     assert "outside (0,1)" in checks["power_window_inversion"]["bound"]
+    assert checks["power_window_inversion"]["value"] is None
 
 
 def test_validate_without_femtocells_reports_no_window(runner, tmp_path):
@@ -826,7 +853,7 @@ def test_validate_without_femtocells_reports_no_window(runner, tmp_path):
     cfg = _write(tmp_path, "empty.json", '{"scenario": {"n_f_target": 0}}')
     res = runner.invoke(main, ["validate", "--config", cfg, "--seed", "42"])
     assert res.exit_code == 1, res.output
-    report = json.loads(res.output)
+    report = _strict_json(res.output)
     assert report["passed"] is False
     checks = {c["name"]: c for c in report["checks"]}
     assert set(checks) == {
@@ -836,6 +863,23 @@ def test_validate_without_femtocells_reports_no_window(runner, tmp_path):
     }
     assert {name for name, c in checks.items() if not c["passed"]} == {"power_window_inversion"}
     assert "without femtocells" in checks["power_window_inversion"]["bound"]
+    assert checks["power_window_inversion"]["value"] is None
+
+
+def test_validate_runs_femto_closure_at_zero_cap(runner, tmp_path):
+    """At P_c = 70 dBm the macrocell alone breaks eps at D = 0.5, so the femto
+    cap there is 0. The closure check still runs, on an empty field, and
+    fails on the macrocell's own outage instead of dropping out of the report."""
+    p = SystemParams(p_c_dbm=70.0)
+    assert analytic.max_contention_density_femto(0.5, p)[0] == 0.0
+    cfg = _write(tmp_path, "loud.json", '{"system": {"p_c_dbm": 70}}')
+    res = runner.invoke(main, ["validate", "--config", cfg])
+    assert res.exit_code == 1, res.output
+    checks = {c["name"]: c for c in _strict_json(res.output)["checks"]}
+    assert len(checks) == 10
+    femto = checks["femto_closure_outage"]
+    assert not femto["passed"]
+    assert femto["value"] > p.eps + 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -848,3 +892,44 @@ def test_every_option_has_help(command):
     options = [p for p in main.commands[command].params if isinstance(p, click.Option)]
     assert options
     assert [o.name for o in options if not (o.help or "").strip()] == []
+
+
+# ---------------------------------------------------------------------------
+# README's output lists
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_names(heading):
+    """The backticked names in the first cell of each row of the table under
+    README's `#### heading`, in order."""
+    lines = README.read_text(encoding="utf-8").split(f"\n#### {heading}\n", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["analytic", "--sweep", "D:0.5:1:2"], ["sensing", "--sweep", "D:0.5:1:2"], ["simulate"]],
+    ids=lambda args: args[0],
+)
+def test_readme_lists_each_csv_column(runner, args):
+    """README lists each CSV subcommand's columns in the order written."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert _readme_names(f"`{args[0]}` columns") == res.output.split("\n", 1)[0].split(",")
+
+
+def test_readme_lists_validate_report(runner):
+    """README lists validate's ten checks at the default config, in order,
+    and the report holds the keys it names."""
+    res = runner.invoke(main, ["validate"])
+    assert res.exit_code == 0, res.output
+    report = _strict_json(res.output)
+    assert list(report) == ["passed", "checks"]
+    assert all(list(c) == ["name", "passed", "value", "bound"] for c in report["checks"])
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == 10
+    assert _readme_names("`validate` report") == names
