@@ -22,6 +22,7 @@ __all__ = [
     "shot_noise_k_f",
     "k_f_limit",
     "k_c",
+    "k_correction_bounds",
     "femto_density_cap",
     "max_contention_density_femto",
     "max_contention_density_cellular",

@@ -7,7 +7,8 @@ setting. CSV rows are column name -> value records, written under a header
 of the first row's names with 12-significant-digit formatting, so identical
 (config, seed) runs are byte-identical; `validate` writes strict JSON, a
 non-finite value as null. Exit codes: 0 success, 1 a failed validation
-check, 2 usage or config errors (an unwritable --out among them).
+check, 2 usage or config errors. An unwritable --out and a config file
+that is not UTF-8 are among them, found before any work.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from enum import Enum
 
@@ -113,7 +115,7 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
@@ -138,6 +140,23 @@ def _load_config(path: str | None) -> tuple[SystemParams, ScenarioConfig]:
     return p, cfg
 
 
+def _writable_out(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """--out's check, made before any work. It creates nothing, so a run
+    that fails later still writes nothing."""
+    if path is None:
+        return None
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return path
+    raise click.BadParameter(f"cannot write {path}: {reason}")
+
+
 def _emit(out_path: str | None, text: str) -> None:
     if out_path is None:
         click.echo(text, nl=False)
@@ -145,7 +164,7 @@ def _emit(out_path: str | None, text: str) -> None:
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:  # a missing directory, a directory, no permission
+    except OSError as exc:  # what _writable_out cannot see: a full disk, a path gone since
         raise click.BadParameter(f"cannot write {out_path}: {exc.strerror}", param_hint="'--out'")
 
 
@@ -165,7 +184,8 @@ def _write_csv(out_path: str | None, rows: list[dict]) -> None:
 
 # the options that several subcommands share, declared once
 _config_option = click.option("--config", "config_path", help="JSON config document.")
-_csv_out_option = click.option("--out", "out_path", help="CSV output path (default stdout).")
+_out_option = click.option("--out", "out_path", callback=_writable_out,
+                           help="Output file (default stdout).")
 _sweep_option = click.option("--sweep", "sweep_text", required=True, help="var:start:stop:steps")
 
 
@@ -176,7 +196,7 @@ def main() -> None:
 
 @main.command("analytic")
 @_config_option
-@_csv_out_option
+@_out_option
 @_sweep_option
 def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Closed-form coverage quantities along a parameter sweep."""
@@ -207,7 +227,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
 
 @main.command("sensing")
 @_config_option
-@_csv_out_option
+@_out_option
 @_sweep_option
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
@@ -244,7 +264,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 
 @main.command("simulate")
 @_config_option
-@_csv_out_option
+@_out_option
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
 @click.option("--sweep", "sweep_text", default=None,
@@ -300,7 +320,7 @@ def cmd_simulate(
 
 @main.command("validate")
 @_config_option
-@click.option("--out", "out_path", default=None, help="JSON report path (default stdout).")
+@_out_option
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the sampled checks.")
 def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> None:

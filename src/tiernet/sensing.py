@@ -22,6 +22,7 @@ from .linkmodel import (
 from .specfun import _lower_gamma_sum, newton, reg_gamma
 
 __all__ = [
+    "DETECTOR_M_TW", "DETECTOR_P_FALSE", "DETECTOR_P_DETECT",
     "InfeasiblePlanError",
     "min_sensing_radius",
     "power_ratio_bounds",

@@ -18,9 +18,9 @@ SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
 bit-identical from run to run. fade_ks_distances's four checks each draw
-from their own such stream and run concurrently, on as many threads as the
-process has usable CPUs (at most four), so their distances are the same at
-any core count.
+from their own such stream and run side by side on a thread pool, one
+thread per usable CPU up to four, so their distances are the same at any
+core count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -171,46 +170,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _side_by_side(task: Callable[[int], float], count: int) -> list[float]:
-    """task(0), …, task(count − 1), from min(count, usable CPUs) threads,
-    the caller's among them: thread j runs tasks j, j + threads, and so on,
-    and stops at its first error. Once every thread is done, the error of
-    the earliest task that raised is re-raised, the one a loop in task
-    order would have raised. With one usable CPU no thread is started."""
-    n_threads = min(count, _usable_cpus())
-    results: list[float] = [math.nan] * count
-    errors: dict[int, BaseException] = {}
-
-    def run(first: int) -> None:
-        for i in range(first, count, n_threads):
-            try:
-                results[i] = task(i)
-            except BaseException as exc:  # re-raised in the caller's thread
-                errors[i] = exc
-                return
-
-    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, n_threads)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     """Kolmogorov–Smirnov distance of n FullZF samples of each fade, check i
     on drop stream i of seed, to the Gamma law FastChi2 integrates (_run's
     shapes), keyed as `validate` reports them: each tier's desired power,
     Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f).
-    The four checks run concurrently (_side_by_side); each reads only its
-    own stream, so the distances do not depend on the thread count.
+    The four checks run side by side on a pool of min(4, usable CPUs)
+    threads, a bound that holds peak memory. Each reads only its own
+    stream, so the distances do not depend on the thread count; the error
+    of the earliest failing check is raised once every thread has finished.
 
     Raises:
         ValueError: if n < 1.
     """
+    # here, not at the top: loading the simulator loads no thread pool (nor logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     if n < 1:
         raise ValueError(f"the KS checks need n >= 1 samples each, got n = {n}")
     checks = (
@@ -227,7 +202,8 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
         cdf = chi2_cdf(2 * k, 2.0 * np.sort(sampler(_drop_rng(seed, i), n, t, u)))
         return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
 
-    distances = _side_by_side(distance, len(checks))
+    with ThreadPoolExecutor(min(len(checks), _usable_cpus())) as pool:
+        distances = list(pool.map(distance, range(len(checks))))
     return {name: d for (name, *_), d in zip(checks, distances)}
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "chi2_cdf",
+    "newton",
 ]
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import re
 from pathlib import Path
 
@@ -490,6 +491,72 @@ def test_unwritable_out_exits_2(runner, tmp_path, args, out):
     res = runner.invoke(main, [*args, "--out", path])
     assert res.exit_code == 2, res.output
     assert f"cannot write {path}" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    ("out", "reason"),
+    [("missing/x.csv", "No such file or directory"), ("", "Is a directory"),
+     ("ro/x.csv", "Permission denied")],
+    ids=["missing-directory", "directory", "no-permission"],
+)
+def test_unwritable_out_fails_before_any_work(runner, tmp_path, monkeypatch, out, reason):
+    """Each command checks --out before it computes anything, and creates
+    no file."""
+    read_only = tmp_path / "ro"
+    read_only.mkdir()
+    writable = os.access
+
+    def access(path, mode):  # read_only is not writable, also for root
+        return os.fspath(path) != str(read_only) and writable(path, mode)
+
+    monkeypatch.setattr(os, "access", access)
+    calls = []
+    for module, name in [(simulator, "simulate"), (simulator, "fade_ks_distances"),
+                         (analytic, "max_contention_density_femto")]:
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    path = str(tmp_path / out)
+    for args in (["simulate"], ["validate"], ["analytic", "--sweep", "D:0.5:1:2"]):
+        res = runner.invoke(main, [*args, "--out", path])
+        assert res.exit_code == 2, res.output
+        assert f"cannot write {path}: {reason}" in res.output
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["ro"]
+
+
+def test_out_directory_gone_during_the_run_exits_2(runner, tmp_path, monkeypatch):
+    """What the check before the run cannot see, a directory removed while
+    the rows are computed, is still a usage error when the file is written."""
+    out_dir = tmp_path / "gone"
+    out_dir.mkdir()
+    femto_cap = analytic.max_contention_density_femto
+
+    def remove_then_compute(*args):
+        if out_dir.exists():
+            out_dir.rmdir()
+        return femto_cap(*args)
+
+    monkeypatch.setattr(analytic, "max_contention_density_femto", remove_then_compute)
+    path = str(out_dir / "x.csv")
+    res = runner.invoke(main, ["analytic", "--sweep", "D:0.5:1:2", "--out", path])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {path}: No such file or directory" in res.output
+
+
+@pytest.mark.parametrize("args", [["analytic", "--sweep", "D:0.5:1:2"], ["simulate"], ["validate"]],
+                         ids=["analytic", "simulate", "validate"])
+def test_non_utf8_config_exits_2(runner, tmp_path, args):
+    """A config file that is not UTF-8 is a usage error that names it, not a
+    traceback, and for validate not a failed check (exit 1) either."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"system": {}, "x": "\xff"}')
+    res = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff" in res.output
     assert "Traceback" not in res.output
 
 

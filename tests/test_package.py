@@ -2,12 +2,13 @@
 process environment or imports scipy, only `laplace` and `simulator` import
 numpy when they load, and the closed-form commands run without it, the
 benchmark worker's set-up loads neither the thread pool nor numpy's random
-generators and a FastChi2 `simulate` loads no generators, only the
+generators and a FastChi2 `simulate` loads neither, only the
 link model and the simulator read the link budget's linear gains, only the
 link model names its config loader, the CLI computes no closed form, only
 `analytic` computes the first-order outage model, the CLI reads no other
 module's private name, every name an `__all__` lists resolves and is
-defined in that module, and the package root imports nothing."""
+defined in that module, every name one module uses of another is in that
+module's `__all__`, and the package root imports nothing."""
 
 from __future__ import annotations
 
@@ -195,13 +196,13 @@ NUMPY_FREE_RUNS = {
 # code run in a fresh interpreter, and the modules it must leave unloaded:
 # the benchmark worker's set-up loads neither the thread pool (which pulls in
 # `logging`) nor numpy's random generators, and a FastChi2 `simulate` draws
-# nothing, so it never loads the generators either
+# nothing and runs no KS check, so it loads neither of them either
 LAZY_IMPORT_RUNS = {
     "bench-setup": ("import tiernet.cli, tiernet.simulator",
                     ["concurrent.futures", "numpy.random"]),
     "fastchi2-simulate": ("from tiernet import cli\n"
                           "cli.main(['simulate', '--sweep', 'D:0.4:1:2'], standalone_mode=False)",
-                          ["numpy.random"]),
+                          ["concurrent.futures", "numpy.random"]),
 }
 
 
@@ -403,6 +404,55 @@ def test_cli_reads_no_private_name():
     can change without the CLI."""
     path = Path(tiernet.__path__[0]) / "cli.py"
     assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def _public_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) of each name without a leading `_` that the
+    source imports from a tiernet module, or reads off one as
+    `<module>.<name>`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "tiernet"
+        ):
+            module = (node.module or "").rpartition(".")[2]
+            if module in MODULES:
+                found += [
+                    (node.lineno, module, alias.name)
+                    for alias in node.names
+                    if not alias.name.startswith("_")
+                ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES
+            and not node.attr.startswith("_")
+        ):
+            found.append((node.lineno, node.value.id, node.attr))
+    return sorted(found)
+
+
+def test_public_use_detector():
+    source = (
+        "from .linkmodel import SystemParams, _check_levels_db\n"
+        "from tiernet.specfun import newton\nfrom . import analytic\nfrom os import path\n"
+        "lam = analytic.k_c(1)\nc = analytic._memo\nx = obj.attr\n"
+    )
+    assert _public_uses(source) == [
+        (1, "linkmodel", "SystemParams"), (2, "specfun", "newton"), (5, "analytic", "k_c"),
+    ]
+
+
+def test_names_used_across_modules_are_exported():
+    """What one tiernet module uses of another is public there, and so
+    listed in that module's `__all__`."""
+    found = [
+        f"{path.name} line {line}: {module}.{name}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        for line, module, name in _public_uses(path.read_text(encoding="utf-8"))
+        if name not in importlib.import_module(f"tiernet.{module}").__all__
+    ]
+    assert found == []
 
 
 def _undefined_exports(source: str) -> list[str]:

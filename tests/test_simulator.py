@@ -229,8 +229,9 @@ def _count_threads(monkeypatch):
 def test_ks_checks_match_alone_at_any_cpu_count(monkeypatch, p):
     """With 1, 2 or 4 usable CPUs the four distances come back bit for bit
     the same, in validate's key order, each equal to its check run alone on
-    its own stream; the caller's thread runs one share, so min(4, CPUs) − 1
-    threads are started, none with one CPU."""
+    its own stream. The pool starts at most min(4, CPUs) threads, one with
+    one CPU: it reuses an idle thread for a check handed out after another
+    has finished, so the count below the bound varies from run to run."""
     n, seed = 10_000, 11
     alone = {name: _ks_alone(p, seed, n, i) for i, name in enumerate(KS_CHECK_ORDER)}
     started = _count_threads(monkeypatch)
@@ -240,7 +241,7 @@ def test_ks_checks_match_alone_at_any_cpu_count(monkeypatch, p):
         distances = simulator.fade_ks_distances(p, seed, n)
         assert list(distances) == KS_CHECK_ORDER
         assert distances == alone
-        assert len(started) - before == min(4, cpus) - 1
+        assert 1 <= len(started) - before <= min(4, cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
