@@ -18,8 +18,8 @@ SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
 bit-identical from run to run. fade_ks_distances's four checks each draw
-from their own such stream and run side by side on a thread pool, one
-thread per usable CPU up to four, so their distances are the same at any
+from their own such stream and run side by side on a thread pool of at
+most min(4, usable CPUs) threads, so their distances are the same at any
 core count.
 """
 
@@ -175,8 +175,8 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     on drop stream i of seed, to the Gamma law FastChi2 integrates (_run's
     shapes), keyed as `validate` reports them: each tier's desired power,
     Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f).
-    The four checks run side by side on a pool of min(4, usable CPUs)
-    threads, a bound that holds peak memory. Each reads only its own
+    The four checks run side by side on a pool of at most
+    min(4, usable CPUs) threads, a bound that holds peak memory. Each reads only its own
     stream, so the distances do not depend on the thread count; the error
     of the earliest failing check is raised once every thread has finished.
 

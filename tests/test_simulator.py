@@ -225,23 +225,39 @@ def _count_threads(monkeypatch):
     return started
 
 
+def _in_step(monkeypatch, parties):
+    # each sampler first waits until `parties` checks are drawing at once, so
+    # the checks finish only if the pool runs that many side by side
+    barrier = threading.Barrier(parties, timeout=30.0)
+    for name, sampler in (
+        ("_zf_desired_batch", _zf_desired_batch),
+        ("_zf_leakage_batch", _zf_leakage_batch),
+    ):
+        def waiting(rng, n, t, u, sampler=sampler):
+            barrier.wait()
+            return sampler(rng, n, t, u)
+
+        monkeypatch.setattr(simulator, name, waiting)
+
+
 @pytest.mark.parametrize("p", [P, SystemParams(t_f=3, u_f=2, t_c=4, u_c=2)], ids=["U=1", "U=2"])
 def test_ks_checks_match_alone_at_any_cpu_count(monkeypatch, p):
     """With 1, 2 or 4 usable CPUs the four distances come back bit for bit
     the same, in validate's key order, each equal to its check run alone on
-    its own stream. The pool starts at most min(4, CPUs) threads, one with
-    one CPU: it reuses an idle thread for a check handed out after another
-    has finished, so the count below the bound varies from run to run."""
+    its own stream. The pool starts exactly min(4, CPUs) threads and runs
+    that many checks at once: each sampler waits on a barrier of that size,
+    which a pool running fewer side by side never passes."""
     n, seed = 10_000, 11
     alone = {name: _ks_alone(p, seed, n, i) for i, name in enumerate(KS_CHECK_ORDER)}
     started = _count_threads(monkeypatch)
     for cpus in (1, 2, 4):
         monkeypatch.setattr(simulator, "_usable_cpus", lambda cpus=cpus: cpus)
+        _in_step(monkeypatch, min(4, cpus))
         before = len(started)
         distances = simulator.fade_ks_distances(p, seed, n)
         assert list(distances) == KS_CHECK_ORDER
         assert distances == alone
-        assert 1 <= len(started) - before <= min(4, cpus)
+        assert len(started) - before == min(4, cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
