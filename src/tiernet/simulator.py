@@ -17,10 +17,13 @@ from counter-based Philox streams, one per drop, spawned as
 SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
-bit-identical from run to run. fade_ks_distances's four checks each draw
-from their own such stream and run side by side on a thread pool of at
-most min(4, usable CPUs) threads, so their distances are the same at any
-core count.
+bit-identical from run to run. The single-stream (U = 1) samplers draw a
+channel's real block, then its imaginary block, and a victim's two blocks
+at most _ROWS rows at a time, in that same order: beside the channel that
+a leakage sampler holds, they keep a few arrays of one value per row.
+fade_ks_distances's four checks each draw from their own such stream and
+run side by side on a thread pool of at most min(4, usable CPUs) threads,
+so their distances are the same at any core count.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +100,25 @@ def _drop_draws(
     return rng, rng.random(count), rng.random(count)
 
 
+# rows of normals a single-stream (U = 1) sampler draws at a time
+_ROWS = 8192
+
+
+def _normal_rows(
+    rng: np.random.Generator, n: int, t: int, blocks: int
+) -> Iterator[tuple[int, slice, np.ndarray]]:
+    # `blocks` (n, t) blocks of standard normals in the stream's order, as
+    # (block, row slice, its rows) triples of at most _ROWS rows, each
+    # refilling one buffer
+    buf = np.empty((min(n, _ROWS), t))
+    for block in range(blocks):
+        for start in range(0, n, _ROWS):
+            rows = slice(start, min(start + _ROWS, n))
+            x = buf[: rows.stop - start]
+            rng.standard_normal(out=x)
+            yield block, rows, x
+
+
 def _cn_parts(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # shape's complex normals, unscaled: its real block, then its imaginary block
     parts = np.empty((2, *shape))
@@ -137,8 +159,18 @@ def _zf_desired_batch(
     # |h0^dag w0|^2 for the served user: raw channels, adjoint row directions;
     # one stream's column is h0/||h0|| (maximum ratio), so that is ||h0||^2
     if u == 1:
-        h = _cn_parts(rng, (n, t))
-        return np.einsum("knt,knt->n", h, h) / 2.0
+        if n <= _ROWS:
+            # both blocks whole, within the bound: einsum sums a lone row's
+            # 2T normals in one run, in an order two row sums do not repeat
+            h = _cn_parts(rng, (n, t))
+            return np.einsum("knt,knt->n", h, h) / 2.0
+        # the real block's row sums, then the imaginary block's
+        sq, im_sq = np.empty(n), np.empty(n)
+        for block, rows, x in _normal_rows(rng, n, t, 2):
+            np.einsum("nt,nt->n", x, x, out=(sq, im_sq)[block][rows])
+        sq += im_sq
+        sq /= 2.0
+        return sq
     h, w = _zf_precoded(rng, n, t, u)
     return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
 
@@ -148,16 +180,28 @@ def _zf_leakage_batch(
 ) -> np.ndarray:
     # ||g^dag W||^2 at a victim with channel g independent of the precoder;
     # one stream's W is h/||h||, so that is |g^dag h|^2/||h||^2, here from the
-    # unscaled parts x + iy of h and g as |g^dag h|^2/(2·||h||^2)
+    # unscaled parts x + iy of h and g as |g^dag h|^2/(2·||h||^2). h is held
+    # whole (both its blocks precede g's); g's two blocks come _ROWS rows at
+    # a time, and each row of gᴴh is finished in place once g's second block
+    # has passed it
     if u == 1:
         h = _cn_parts(rng, (n, t))
-        g = rng.standard_normal((n, t))
-        re = np.einsum("nt,nt->n", g, h[0])
-        im = np.einsum("nt,nt->n", g, h[1])
-        rng.standard_normal(out=g)
-        re += np.einsum("nt,nt->n", g, h[1])
-        im -= np.einsum("nt,nt->n", g, h[0])
-        return (re * re + im * im) / (2.0 * np.einsum("knt,knt->n", h, h))
+        re, im = np.empty(n), np.empty(n)
+        for block, rows, g in _normal_rows(rng, n, t, 2):
+            r, i = re[rows], im[rows]
+            if block == 0:
+                np.einsum("nt,nt->n", g, h[0, rows], out=r)
+                np.einsum("nt,nt->n", g, h[1, rows], out=i)
+                continue
+            r += np.einsum("nt,nt->n", g, h[1, rows])
+            i -= np.einsum("nt,nt->n", g, h[0, rows])
+            r *= r
+            i *= i
+            r += i
+        norm_sq = np.einsum("knt,knt->n", h, h, out=im)
+        norm_sq *= 2.0
+        re /= norm_sq
+        return re
     _, w = _zf_precoded(rng, n, t, u)
     g = _cn_matrix(rng, (n, t))
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
@@ -176,7 +220,10 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     shapes), keyed as `validate` reports them: each tier's desired power,
     Gamma(T−U+1), the cross-tier leakage, Gamma(u_c), and the marks, Gamma(u_f).
     The four checks run side by side on a pool of at most
-    min(4, usable CPUs) threads, a bound that holds peak memory. Each reads only its own
+    min(4, usable CPUs) threads, a bound that holds peak memory: a check
+    holds its n samples and at most four more arrays of n values at once,
+    and a leakage check, while it samples, also its channel's 2·n·T normals
+    (its victim's come _ROWS rows at a time). Each reads only its own
     stream, so the distances do not depend on the thread count; the error
     of the earliest failing check is raised once every thread has finished.
 
@@ -199,7 +246,10 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     def distance(i: int) -> float:
         # the sample's CDF steps against a dof-2k chi-squared on half scale
         _, sampler, t, u, k = checks[i]
-        cdf = chi2_cdf(2 * k, 2.0 * np.sort(sampler(_drop_rng(seed, i), n, t, u)))
+        x = sampler(_drop_rng(seed, i), n, t, u)
+        x.sort()
+        x *= 2.0
+        cdf = chi2_cdf(2 * k, x)
         return float(max(np.max(ecdf[1:] - cdf), np.max(cdf - ecdf[:-1])))
 
     with ThreadPoolExecutor(min(len(checks), _usable_cpus())) as pool:
@@ -220,7 +270,8 @@ def _sample_draws(
     results are seed-stable. Each sampler draws its channels' real block,
     then their imaginary block (then the victim's, for leakage) at every U;
     at U = 1 it forms no precoder but reads the maximum-ratio closed forms
-    off those same normals, so every later draw stays where it was."""
+    off those same normals, drawn at most _ROWS rows at a time, so every
+    later draw stays where it was."""
     if reference_tier is Scenario.REFERENCE_HOTSPOT:
         desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
         cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)
@@ -392,6 +443,22 @@ def _polar_field(o: float, r_s: float, r_c: float, density: float, refine: int) 
     return u_radius, u_angle, mass
 
 
+def _sampled_quantiles(rates: np.ndarray, us: list[float]) -> list[float]:
+    """np.quantile's linear interpolation of rates at us, between finite
+    order statistics only: next to an infinite rate (an empty drop without
+    noise) it would form inf − inf or inf·0. Where the upper neighbour is
+    infinite the quantile reads inf, where the weight is 0 the lower
+    neighbour, and elsewhere numpy's own value."""
+    with np.errstate(invalid="ignore"):
+        linear = np.quantile(rates, us)
+    if np.isfinite(linear).all():
+        return linear.tolist()
+    lower, upper = (np.quantile(rates, us, method=m) for m in ("lower", "higher"))
+    # lower == upper at weight 0 (and where the neighbours tie); else the
+    # weight is positive and upper is the upper neighbour
+    return np.where(lower == upper, lower, np.where(np.isinf(upper), math.inf, linear)).tolist()
+
+
 def simulate(
     cfg: ScenarioConfig, n_drops: int, n_fades: int, p: SystemParams, seed: int
 ) -> SimulationResult:
@@ -442,8 +509,6 @@ def simulate(
             if n_drops < 2:
                 return math.nan
             return 1.96 * float(np.std(drop_outage, ddof=1)) / math.sqrt(n_drops)
-
-        def rate_law(us: list[float]) -> list[float]:
-            return np.quantile(rates, us).tolist()
+        rate_law = functools.partial(_sampled_quantiles, rates)
     return SimulationResult(p_hat, ci, rate_law)
 

@@ -360,16 +360,24 @@ def chi2_cdf(k_dof: int, x):
     import numpy as np  # here, not at the top: the scalar special functions need only math
     if k_dof < 2 or k_dof % 2 != 0:
         raise ValueError(f"chi2_cdf requires even k_dof >= 2, got {k_dof}")
-    v = np.asarray(x, dtype=float) / 2.0
+    v = np.array(x, dtype=float)
+    v /= 2.0
     bad = 2.0 * v[~(v >= 0)]
     if bad.size:
         raise ValueError(f"chi2_cdf requires x >= 0, got x={bad[0]}")
-    # v = 0: every n >= 1 term is exp(-inf) = 0; v = inf: inf - inf is NaN,
-    # replaced by the limit below
+    # built in place, each term in one scratch array. v = 0: every n >= 1
+    # term is exp(-inf) = 0; v = inf: inf - inf is NaN, replaced by the
+    # limit below
+    cdf = np.empty_like(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ln_v = np.log(v)
-        tail = np.exp(-v)
-        for n in range(1, k_dof // 2):
-            tail += np.exp(n * ln_v - v - math.lgamma(n + 1))
-    cdf = np.where(v == math.inf, 1.0, 1.0 - tail)
+        np.exp(np.negative(v, out=cdf), out=cdf)
+        if k_dof > 2:
+            ln_v, term = np.log(v), np.empty_like(v)
+            for n in range(1, k_dof // 2):
+                np.multiply(ln_v, n, out=term)
+                term -= v
+                term -= math.lgamma(n + 1)
+                cdf += np.exp(term, out=term)
+    np.subtract(1.0, cdf, out=cdf)
+    np.copyto(cdf, 1.0, where=v == math.inf)
     return float(cdf) if np.ndim(x) == 0 else cdf

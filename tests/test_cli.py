@@ -423,6 +423,27 @@ def test_simulate_huge_sir_target_reads_certain_outage(runner, tmp_path, gamma_t
     assert (row["p_outage"], row["ci_halfwidth_95"]) == ("1", "0")
 
 
+def test_simulate_infinite_rates_read_inf_in_both_modes(runner, tmp_path):
+    """Half a femtocell per cell and no noise: most drops are empty, with
+    SINR = inf, so the upper rate percentiles are infinite. FullZF prints
+    them `inf`, as FastChi2 does, in the same cells, never `nan`, and no
+    RuntimeWarning (an error under pytest) is raised on the way."""
+    rows = {}
+    for mode in ("FullZF", "FastChi2"):
+        cfg = _write(tmp_path, f"{mode}.json", json.dumps({"scenario": {
+            "scenario": "ReferenceCellularUser", "power_policy": "Fixed", "d_norm": 0.8,
+            "n_f_target": 0.5, "include_noise": False, "channel_mode": mode,
+        }}))
+        res = runner.invoke(main, ["simulate", "--drops", "50", "--fades", "20", "--config", cfg])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        (row,) = csv.DictReader(io.StringIO(res.stdout))
+        rows[mode] = [v for k, v in row.items() if k.startswith("rate_pct_")]
+    assert "nan" not in rows["FullZF"]
+    assert [v == "inf" for v in rows["FullZF"]] == [v == "inf" for v in rows["FastChi2"]]
+    assert rows["FullZF"][3] != "inf" and rows["FullZF"][4] == "inf"  # rate_pct_25, _50
+
+
 def test_simulate_channel_mode_from_config_only(runner, tmp_path):
     """FullZF is chosen by scenario.channel_mode, the one place the channel
     mode is written; simulate has no option that overrides it."""

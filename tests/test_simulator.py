@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,72 @@ def test_multi_stream_desired_power_is_its_replay(t, u):
     n = 2000
     sample = _zf_desired_batch(_drop_rng(27, 7), n, t, u)
     assert np.array_equal(sample, _general_desired(_drop_rng(27, 7), n, t, u))
+
+
+def _whole_block_desired(rng, n, t):
+    # ||h||²/2 with both of h's (n, t) blocks held whole
+    h = np.empty((2, n, t))
+    rng.standard_normal(out=h[0])
+    rng.standard_normal(out=h[1])
+    return np.einsum("knt,knt->n", h, h) / 2.0
+
+
+def _whole_block_leakage(rng, n, t):
+    # |gᴴh|²/(2·||h||²) with h and both of g's (n, t) blocks held whole
+    h = np.empty((2, n, t))
+    rng.standard_normal(out=h[0])
+    rng.standard_normal(out=h[1])
+    g = rng.standard_normal((n, t))
+    re = np.einsum("nt,nt->n", g, h[0])
+    im = np.einsum("nt,nt->n", g, h[1])
+    rng.standard_normal(out=g)
+    re += np.einsum("nt,nt->n", g, h[1])
+    im -= np.einsum("nt,nt->n", g, h[0])
+    return (re * re + im * im) / (2.0 * np.einsum("knt,knt->n", h, h))
+
+
+ROWS = simulator._ROWS
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("n", [0, 1, 5, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS, 2 * ROWS + 17])
+def test_single_stream_samplers_match_whole_blocks(n, t):
+    """Drawn _ROWS rows at a time, the U = 1 samplers give the bits of the
+    same formulas on whole blocks, and leave the stream where those do; a
+    call of no rows draws nothing."""
+    for sampler, whole in (
+        (_zf_desired_batch, _whole_block_desired), (_zf_leakage_batch, _whole_block_leakage)
+    ):
+        rng, replay = _drop_rng(31, t), _drop_rng(31, t)
+        sample = sampler(rng, n, t, 1)
+        assert sample.shape == (n,)
+        assert np.array_equal(sample, whole(replay, n, t))
+        after = rng.random()
+        assert after == replay.random()
+        if n == 0:
+            assert after == _drop_rng(31, t).random()
+
+
+def _traced_peak(call):
+    # the most bytes call's allocations held at once, by tracemalloc
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_stream_samplers_hold_no_victim_block():
+    """At n = 10⁵, T = 4 the desired sampler never holds an (n, T) block,
+    and the leakage sampler holds the channel h and no more than three
+    (n,) arrays beside it: g's blocks come _ROWS rows at a time."""
+    n, t = 100_000, 4
+    row, block = 8 * n, 8 * n * t
+    for sampler in (_zf_desired_batch, _zf_leakage_batch):
+        sampler(_drop_rng(3, 2), ROWS + 1, t, 1)  # a first call's one-off allocations, untraced
+    assert _traced_peak(lambda: _zf_desired_batch(_drop_rng(3, 0), n, t, 1)) < block
+    assert _traced_peak(lambda: _zf_leakage_batch(_drop_rng(3, 1), n, t, 1)) < 2 * block + 3 * row
 
 
 # ---------------------------------------------------------------------------
@@ -1265,6 +1332,22 @@ def test_full_zf_ci_is_clustered_on_drops():
     assert res.percentiles(PCT_GRID) == [float(np.quantile(rates, q / 100.0)) for q in PCT_GRID]
     assert res.ci_halfwidth_95 == 1.96 * np.std(frac, ddof=1) / math.sqrt(n_drops)
     assert math.isnan(simulate(cfg, 1, n_fades, P, seed=6).ci_halfwidth_95)
+
+
+def test_sampled_quantiles_step_over_infinite_rates():
+    """FullZF's quantiles interpolate only between finite rates: next to an
+    infinite upper neighbour at positive weight they read inf, at weight 0
+    the finite lower neighbour (np.quantile gives nan at both), and
+    np.quantile's own value elsewhere, with no floating-point warning."""
+    # sorted: 0, 1, 2, 3.5, inf, inf; q's order statistic sits at 5q
+    rates = np.array([[2.0, math.inf, 0.0], [math.inf, 1.0, 3.5]])
+    us = [0.0, 0.2, 0.3, 0.6, 0.7, 0.8, 0.9, 1.0]
+    got = simulator._sampled_quantiles(rates, us)
+    assert got == [0.0, 1.0, 1.5, 3.5] + [math.inf] * 4
+    assert got[:3] == np.quantile(rates, us[:3]).tolist()
+    with np.errstate(invalid="ignore"):
+        # at 5q = 3 the weight is 0 beside an infinite upper neighbour
+        assert np.isnan(np.quantile(rates, us[3:])).all()
 
 
 def test_simulate_rejects_empty_runs():

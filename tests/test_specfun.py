@@ -436,6 +436,37 @@ def test_chi2_cdf_array_matches_scipy(k):
     assert type(chi2_cdf(2 * k, 3.0)) is float
 
 
+def _chi2_cdf_by_formula(k_dof, x):
+    # chi2_cdf's Poisson sum written with temporaries: the reference that
+    # its in-place form matches bit for bit
+    v = np.asarray(x, dtype=float) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_v = np.log(v)
+        tail = np.exp(-v)
+        for n in range(1, k_dof // 2):
+            tail += np.exp(n * ln_v - v - math.lgamma(n + 1))
+    return np.where(v == math.inf, 1.0, 1.0 - tail)
+
+
+@pytest.mark.parametrize("k_dof", [2, 4, 6, 8])
+def test_chi2_cdf_in_place_keeps_bits_shapes_and_input(k_dof):
+    """Built in place, chi2_cdf gives the formula's bits on 0, subnormal,
+    bulk, huge and infinite x; a scalar gives a float, 0-d and 2-D inputs
+    keep their shape, and the caller's array is not written."""
+    x = np.array([0.0, 5e-324, 1e-310, 2e-308, 1e-300, 0.5, 3.0, 17.0, 700.0, 1e308, math.inf])
+    kept = x.copy()
+    assert np.array_equal(chi2_cdf(k_dof, x), _chi2_cdf_by_formula(k_dof, x))
+    assert np.array_equal(x, kept)
+    grid = x[:10].reshape(2, 5)
+    grid.flags.writeable = False
+    cdf = chi2_cdf(k_dof, grid)
+    assert cdf.shape == (2, 5) and np.array_equal(cdf, _chi2_cdf_by_formula(k_dof, grid))
+    for scalar in (x[3], np.array(x[6])):
+        cdf = chi2_cdf(k_dof, scalar)
+        assert type(cdf) is float and np.shape(cdf) == np.shape(scalar) == ()
+        assert cdf == _chi2_cdf_by_formula(k_dof, scalar)
+
+
 def test_chi2_cdf_rejects_odd_dof():
     with pytest.raises(ValueError):
         chi2_cdf(3, 1.0)
