@@ -117,7 +117,7 @@ class ExactLink(NamedTuple):
                 + (s * self.noise_w if n == 1 else 0.0)
             )
             a.append(sum(g[k - 1] * a[n - k] for k in range(1, n + 1)) / n)
-        return laplace * sum(a[:m]), -(m / theta) * a[m] * laplace
+        return min(laplace * sum(a[:m]), 1.0), -(m / theta) * a[m] * laplace
 
 
 def rate_quantiles(

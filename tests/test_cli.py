@@ -7,14 +7,18 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import click
 import mpmath
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tiernet import analytic, cli, sensing, simulator, specfun
 from tiernet.cli import main
@@ -1021,3 +1025,122 @@ def test_readme_lists_validate_report(runner):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == 10
     assert _readme_names("`validate` report") == names
+
+
+# ---------------------------------------------------------------------------
+# property run: every printed cell over the validated parameter ranges
+
+
+@st.composite
+def _config_docs(draw):
+    """A config document over the validated ranges of SystemParams and
+    ScenarioConfig, within physical bounds: both scenarios and policies,
+    0–10⁴ femtocells per cell (0 drawn on its own), D from 10⁻³, t_f up to
+    24 (beyond the detector's 19), noise on or off."""
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    t_c, t_f = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    system = {
+        "t_c": t_c, "u_c": draw(st.integers(1, t_c)), "t_f": t_f, "u_f": draw(st.integers(1, t_f)),
+        "eps": real(0.01, 0.5), "gamma_target": 10.0 ** (real(-10.0, 20.0) / 10.0),
+        "r_c": real(200.0, 5000.0), "r_f": real(5.0, 100.0),
+        "alpha_c": real(2.1, 6.0), "alpha_fo": real(2.1, 6.0), "alpha_fi": real(2.1, 6.0),
+        "p_c_dbm": real(20.0, 50.0), "p_f_dbm": real(0.0, 30.0), "p_ut_dbm": real(0.0, 30.0),
+        "wall_db": real(0.0, 20.0), "snr_edge_db": real(-10.0, 30.0),
+        "f_c_mhz": real(500.0, 6000.0),
+    }
+    scenario = {
+        "scenario": draw(st.sampled_from(["ReferenceCellularUser", "ReferenceHotspot"])),
+        "power_policy": draw(st.sampled_from(["Fixed", "CarrierSensedBlend"])),
+        "d_norm": 10.0 ** real(-3.0, 0.0),
+        "n_f_target": draw(st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0**e))),
+        "include_noise": draw(st.booleans()),
+        "blend_weight": real(0.0, 1.0), "fixed_pc_over_pf_db": real(0.0, 40.0),
+        "sensing_radius_m": real(10.0, 1000.0),
+        "co_located_user_offset": draw(st.one_of(st.none(), st.floats(0.0, 500.0))),
+    }
+    return {"system": system, "scenario": scenario}
+
+
+def _invoke_clean(runner, args):
+    """The rows of a run that exits 0, or None for a usage error (exit 2).
+    Any other exit, a traceback or a warning (raised as an error here)
+    fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(main, args)
+    assert res.exit_code in (0, 2), (args, res.output, res.exc_info)
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr, res.stderr
+    return list(csv.DictReader(io.StringIO(res.stdout))) if res.exit_code == 0 else None
+
+
+def _non_finite(rows):
+    """Each column's set of non-finite cells, over rows."""
+    return {k: {v for row in rows for v in [row[k]] if v in ("nan", "inf", "-inf")}
+            for k in rows[0]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_config_docs())
+# found by this run: an empty field's coverage summed to 1 + 2⁻⁵², an outage of −2.2·10⁻¹⁶
+@example(doc={
+    "system": {"t_c": 1, "u_c": 1, "t_f": 8, "u_f": 3, "eps": 0.5,
+               "gamma_target": 10.0 ** -0.25, "r_c": 4376.0, "r_f": 7.0, "alpha_c": 2.25,
+               "alpha_fo": 3.0, "alpha_fi": 3.0, "p_c_dbm": 20.0, "p_f_dbm": 0.0,
+               "p_ut_dbm": 0.0, "wall_db": 0.0, "snr_edge_db": 2.0, "f_c_mhz": 500.0},
+    "scenario": {"scenario": "ReferenceHotspot", "power_policy": "Fixed", "d_norm": 1.0,
+                 "n_f_target": 0.0, "include_noise": True, "blend_weight": 0.0,
+                 "fixed_pc_over_pf_db": 0.0, "sensing_radius_m": 10.0,
+                 "co_located_user_offset": None},
+})
+def test_every_cell_finite_or_named_in_readme(runner, tmp_path, doc):
+    """`analytic`, `sensing` and small `simulate` runs in both channel modes
+    exit 0 or 2, cleanly; a cell reads `nan` or `inf` only in a case that
+    README "Output columns" names; probabilities lie in [0, 1] and the rate
+    percentiles do not decrease. Where every drop is empty or none is (no
+    noise, and 0 or at least 40 femtocells per cell) the two channel modes
+    read `inf` in the same percentile cells."""
+    system, scenario = doc["system"], doc["scenario"]
+    many_streams, far_detector = system["u_c"] != 1, system["t_f"] > 19
+    window = ("pc_over_pf_lb_db", "pc_over_pf_ub_db", "blend_db")
+    named = {  # the cells that may read nan or inf at this config
+        "analytic": {
+            "d_c_m": {"inf"} if scenario["n_f_target"] == 0 else set(),
+            "ratio_su_mu": {"nan"} if many_streams else set(),
+            "ratio_su_single": {"nan"} if many_streams else set(),
+        },
+        "sensing": {
+            **dict.fromkeys(window, {"nan"}),
+            "p_detect_at_d_sense": {"nan"} if far_detector else set(),
+            "max_range_m": {"nan"} if far_detector else set(),
+        },
+        "simulate": {f"rate_pct_{q}": set() if scenario["include_noise"] else {"inf"}
+                     for q in (1, 5, 10, 25, 50, 75, 90, 95, 99)},
+    }
+    infinite = {}
+    for command, mode in (("analytic", None), ("sensing", None),
+                          ("simulate", "FastChi2"), ("simulate", "FullZF")):
+        cfg = _write(tmp_path, "cfg.json", json.dumps(
+            {"system": system, "scenario": {**scenario, "channel_mode": mode or "FastChi2"}}))
+        args = ["--drops", "2", "--fades", "3"] if mode else ["--sweep", "Mtw:500:600:2"]
+        rows = _invoke_clean(runner, [command, *args, "--config", cfg])
+        if rows is None:
+            continue
+        for column, cells in _non_finite(rows).items():
+            assert cells <= named[command].get(column, set()), (command, mode, column, cells)
+        for row in rows:
+            if command == "sensing":  # no power window: all three of its cells read nan
+                assert len({row[k] == "nan" for k in window}) == 1
+                p_detect = float(row["p_detect_at_d_sense"])
+                assert math.isnan(p_detect) or 0.0 <= p_detect <= 1.0
+                assert 0.0 <= float(row["p_false"]) <= 1.0
+            elif command == "simulate":
+                assert 0.0 <= float(row["p_outage"]) <= 1.0
+                rates = [float(row[k]) for k in named["simulate"]]
+                assert rates == sorted(rates)
+                infinite[mode] = [math.isinf(r) for r in rates]
+    n_f = scenario["n_f_target"]
+    if len(infinite) == 2 and (scenario["include_noise"] or n_f == 0 or n_f >= 40):
+        assert infinite["FastChi2"] == infinite["FullZF"]

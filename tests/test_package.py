@@ -196,13 +196,16 @@ NUMPY_FREE_RUNS = {
 # code run in a fresh interpreter, and the modules it must leave unloaded:
 # the benchmark worker's set-up loads neither the thread pool (which pulls in
 # `logging`) nor numpy's random generators, and a FastChi2 `simulate` draws
-# nothing and runs no KS check, so it loads neither of them either
+# nothing and runs no KS check, so it loads neither of them either; it and
+# `validate` build the Legendre rule by recurrence, without numpy.polynomial
 LAZY_IMPORT_RUNS = {
     "bench-setup": ("import tiernet.cli, tiernet.simulator",
                     ["concurrent.futures", "numpy.random"]),
     "fastchi2-simulate": ("from tiernet import cli\n"
                           "cli.main(['simulate', '--sweep', 'D:0.4:1:2'], standalone_mode=False)",
-                          ["concurrent.futures", "numpy.random"]),
+                          ["concurrent.futures", "numpy.random", "numpy.polynomial"]),
+    "validate": ("from tiernet import cli\ncli.main(['validate'], standalone_mode=False)",
+                 ["numpy.polynomial"]),
 }
 
 

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -1144,20 +1145,13 @@ def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refi
         assert d_cov == pytest.approx(d_cov_full, rel=1e-12)
 
 
-def test_field_cost_and_legendre_cache(monkeypatch):
+def test_field_cost_and_legendre_cache():
     """A FastChi2 run's fixed cost: with the sensed user inside the sensing
     circle about the receiver (o < R_s), every ray's first piece is empty,
     so 2 pieces × 64 rays × 80 radial nodes, refined 2× on both axes for
     its error estimate; each Gauss–Legendre rule is built once per process
     and shared read-only."""
-    built = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counted(n):
-        built.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    simulator._legendre.cache_clear()
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
     assert cfg.user_offset_m < cfg.sensing_radius_m
     assert [[x.shape for x in simulator._field(cfg, P, k)] for k in (1, 2)] == [
@@ -1166,11 +1160,78 @@ def test_field_cost_and_legendre_cache(monkeypatch):
     ]
     for d_norm in (0.4, 0.8):
         simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
-    assert sorted(built) == [80, 160]
+    assert simulator._legendre.cache_info().misses == 2
     t, t_weight = simulator._legendre(80)
+    assert len(simulator._legendre(160)[0]) == 160
+    assert simulator._legendre.cache_info().misses == 2  # 80 and 160 were the two built
     for cached in (t, t_weight):
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+def _mp_legendre(n):
+    """The n-point Gauss–Legendre rule by Newton's method at 40 digits."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for k in range(1, n // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(8):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                slope = n * (p_prev - x * p) / (1 - x * x)
+                x -= p / slope
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope**2))
+    return [-x for x in nodes] + nodes[::-1], weights + weights[::-1]
+
+
+@pytest.mark.parametrize(("n", "weight_rtol"), [(80, 1e-13), (160, 5e-13)])
+def test_legendre_rule_against_exact(n, weight_rtol):
+    """_legendre's nodes and weights against a 40-digit rule: nodes within
+    10⁻¹⁵ relative and weights within weight_rtol, where numpy's leggauss
+    is 1.1·10⁻¹² (n = 80) and 1.5·10⁻¹¹ (n = 160) off; ascending, exactly
+    antisymmetric and symmetric, summing to 2, and read-only."""
+    t, t_weight = simulator._legendre(n)
+    nodes, weights = _mp_legendre(n)
+    node_err = max(abs((mpmath.mpf(a) - b) / b) for a, b in zip(t.tolist(), nodes))
+    weight_err = max(abs((mpmath.mpf(a) - b) / b) for a, b in zip(t_weight.tolist(), weights))
+    assert node_err < 1e-15
+    assert weight_err < weight_rtol
+    assert np.all(np.diff(t) > 0.0)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(t_weight, t_weight[::-1])
+    assert t_weight.sum() == pytest.approx(2.0, rel=1e-14)
+    assert not t.flags.writeable and not t_weight.flags.writeable
+
+
+def test_legendre_rule_small_and_odd():
+    """The rule holds from n = 2 (nodes ±1/√3, weights 1), agrees with
+    numpy's leggauss wherever that is accurate, and odd n is refused."""
+    t, t_weight = simulator._legendre(2)
+    np.testing.assert_allclose(t, [-1 / math.sqrt(3), 1 / math.sqrt(3)], rtol=1e-15)
+    np.testing.assert_allclose(t_weight, [1.0, 1.0], rtol=1e-15)
+    for n in range(4, 42, 2):
+        t, t_weight = simulator._legendre(n)
+        ref_t, ref_weight = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(t, ref_t, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(t_weight, ref_weight, rtol=1e-12)
+    with pytest.raises(ValueError, match="even"):
+        simulator._legendre(81)
+
+
+def test_fastchi2_row_calls_no_lapack(monkeypatch):
+    """A FastChi2 row, its quadrature-error estimate included, runs with no
+    numpy.linalg solver: the Legendre rule is built by recurrence."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eigvalsh", "eigh", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
+    res = simulate(cfg, 1, 1, P, seed=0)
+    assert 0.0 < res.p_outage < 1.0
+    assert 0.0 <= res.ci_halfwidth_95 < 1e-6
+    assert all(math.isfinite(r) for r in res.percentiles([1.0, 50.0, 99.0]))
 
 
 def test_field_nodes_built_once_per_geometry():
