@@ -2,10 +2,11 @@
 MIMO fading with zero-forcing precoding, the carrier-sensed power-control
 policy, and one pass that yields the outage, its precision and the rate
 distribution. Both tiers share one SINR,
-desired·D / (cross·C + Σⱼ wⱼ·Mⱼ + noise), whose link constants and
-interferer weights a run builds once (_run): FullZF mode samples drops and
-the fades D, C and M of that link; FastChi2 mode integrates the fades and
-the femtocell field out (tiernet.laplace, on the nodes of _field).
+desired·D / (cross·C + Σⱼ wⱼ·Mⱼ + noise). A run builds its link constants
+and its weight map once (_run), which prices femtocell sites (_sites) built
+once per FullZF drop or FastChi2 field: FullZF mode samples drops and the
+fades D, C and M of that link; FastChi2 mode integrates the fades and the
+femtocell field out (tiernet.laplace, on the nodes of _field).
 
 Chi-squared bookkeeping: every dof-2k fading variable is stored on half
 scale as Gamma(k, 1) (mean k) — the natural normalization for unit-power
@@ -286,14 +287,38 @@ def _sample_draws(
 # scenario engine
 
 
+def _layout(cfg: ScenarioConfig, p: SystemParams) -> tuple[float, float, float, float]:
+    """What _sites takes from a run besides the uniforms: the sensed user's
+    offset o outward from the receiver (0 for a cellular user), R_s, r_c, α_fo."""
+    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    return o, cfg.sensing_radius_m, p.r_c, p.alpha_fo
+
+
+def _sites(
+    u_radius: np.ndarray, u_angle: np.ndarray, o: float, r_s: float, r_c: float, alpha_fo: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All that a femtocell's weight takes from its position, built once per
+    FullZF drop or FastChi2 field (_polar_field), for any D and policy. It
+    lies at ρ = r_c·√u_radius from the receiver, at φ = 2π·u_angle from the
+    macrocell–receiver axis (see ScenarioConfig; u_angle broadcasts), and
+    senses the user, o outward on the axis, if d_u² = ρ² + o² − 2oρ·cos φ ≤ R_s².
+    Returns that mask, ρ² and ρ·cos φ of the sensed femtocells (for their
+    d_m² = D² + ρ² + 2Dρ·cos φ), and every path loss ρ^(−α_fo), inf at ρ = 0."""
+    rho_sq = r_c**2 * u_radius
+    rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
+    sensed = rho_sq + o * o - 2.0 * o * rho_cos <= r_s**2
+    with np.errstate(divide="ignore"):  # co-located interferer -> inf power
+        path_loss = rho_sq ** (-0.5 * alpha_fo)
+    return sensed, rho_sq[sensed], rho_cos[sensed], path_loss
+
+
 def _run(
     cfg: ScenarioConfig, p: SystemParams
-) -> tuple[ExactLink, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+) -> tuple[ExactLink, Callable[[tuple], np.ndarray]]:
     """What a run computes once from the configuration, for both channel
-    modes: the link, and the map from radius and angle uniforms (a FullZF
-    drop's draws or the FastChi2 field's nodes, in any shapes that
-    broadcast) to interferer weights (received power at the reference
-    receiver per unit mark).
+    modes: the link, and the map from _sites (of a FullZF drop or of the
+    FastChi2 field, in their shape) to interferer weights (received power at
+    the reference receiver per unit mark).
 
     The link holds the received power per unit fade of the desired link
     (the macrocell for a cellular user; for a hotspot its own femto, priced
@@ -304,23 +329,17 @@ def _run(
     cross-tier power u_c (0 without a cross-tier term) and femtocell marks
     u_f.
 
-    The map places a femtocell at ρ = r_c·√u_radius from the receiver, at
-    angle φ = 2π·u_angle from the macrocell–receiver axis (see
-    ScenarioConfig), and prices it from that polar position. With D the
-    receiver's and o the sensed user's distance outward along the axis
-    (o = 0 for a cellular user), its squared distances to the macrocell and
-    to the sensed user are d_m² = D² + ρ² + 2Dρ·cos φ and
-    d_u² = ρ² + o² − 2oρ·cos φ. Its weight is (P_tx/u_f)·gain·ρ^(−α_fo),
-    P_tx the policy's power: the ambient P_c/(fixed ratio), or, if it senses
-    the user (d_u ≤ R_s) under carrier sensing,
-    min(P_f, P_c·10^(−b/10)·(d_m/r_c)^(−α_c)), b the blended bound at the
-    cell edge in dB. That bound is affine in log-distance (both window
-    edges scale as D^α_c), so it is solved once per run and scaled per
-    femtocell.
+    A femtocell's weight is (P_tx/u_f)·gain·ρ^(−α_fo), P_tx the policy's
+    power: the ambient P_c/(fixed ratio), or, if it senses the user under
+    carrier sensing, min(P_f, P_c·10^(−b/10)·(d_m/r_c)^(−α_c)), b the
+    blended bound at the cell edge in dB. That bound is affine in
+    log-distance (both window edges scale as D^α_c), so it is solved once
+    per run and scaled per femtocell. The map prices only the power of the
+    sensed femtocells, and under Fixed takes no power at all.
     """
     budget = link_budget(p)
     d = cfg.d_norm * p.r_c
-    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
+    o, r_s, *_ = _layout(cfg, p)
     pc_w = dbm_to_watts(p.p_c_dbm)
     noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
     ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
@@ -330,17 +349,14 @@ def _run(
         blend_edge_db = blended_power_policy(*power_ratio_bounds(1.0, lam_f, p), cfg.blend_weight)
         blend_w, pf_w = dbm_to_watts(p.p_c_dbm - blend_edge_db), dbm_to_watts(p.p_f_dbm)
 
-    def power_w(macro_sq, user_sq):
-        # the policy's transmit power at these squared distances from the
-        # macrocell and the sensed user
-        if not carrier_sensing:
-            return ambient_w
+    def sensed_w(macro_sq):
+        # the carrier-sensed power of a femtocell that senses the user, at
+        # this squared distance from the macrocell
         with np.errstate(divide="ignore"):  # a femtocell on the macrocell -> P_f
-            blended = np.minimum(pf_w, blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c))
-        return np.where(user_sq <= cfg.sensing_radius_m**2, blended, ambient_w)
+            return np.minimum(pf_w, blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c))
 
     if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        serving_w = float(power_w(d * d, o * o))
+        serving_w = float(sensed_w(d * d)) if carrier_sensing and o * o <= r_s**2 else ambient_w
         link = ExactLink(
             (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
             (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
@@ -357,14 +373,13 @@ def _run(
         )
         gain = budget.a_cf
 
-    def weights(u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
-        rho_sq = p.r_c**2 * u_radius
-        tx_w = ambient_w
+    def weights(sites: tuple) -> np.ndarray:
+        sensed, rho_sq, rho_cos, path_loss = sites
+        w = (ambient_w * (gain / p.u_f)) * path_loss
         if carrier_sensing:
-            rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
-            tx_w = power_w(d * d + rho_sq + 2.0 * d * rho_cos, rho_sq + o * o - 2.0 * o * rho_cos)
-        with np.errstate(divide="ignore"):  # co-located interferer -> inf power
-            return (tx_w * (gain / p.u_f)) * rho_sq ** (-0.5 * p.alpha_fo)
+            macro_sq = d * d + rho_sq + 2.0 * d * rho_cos
+            w[sensed] = (sensed_w(macro_sq) * (gain / p.u_f)) * path_loss[sensed]
+        return w
 
     return link, weights
 
@@ -405,15 +420,15 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _field(
     cfg: ScenarioConfig, p: SystemParams, refine: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Quadrature nodes of the femtocell field on the disc of radius r_c
-    about the receiver, as the radius and angle uniforms that the run's
-    weight map takes (u_radius = (ρ/r_c)², u_angle = φ/2π), and each node's
-    mass, density × area. refine multiplies the node counts on both axes.
-    u_radius and mass are (piece, node) arrays and u_angle is (piece, 1),
-    one angle per piece of a ray, which the weight map broadcasts over the
-    piece's nodes: each angle is priced once, not once per node. Raveled
-    in C order they are the nodes, piece by piece.
+    about the receiver, as radius and angle uniforms (u_radius = (ρ/r_c)²,
+    u_angle = φ/2π), each node's mass, density × area, and the nodes'
+    _sites, which the run's weight map prices. refine multiplies the node
+    counts on both axes. u_radius and mass are (piece, node) arrays and
+    u_angle is (piece, 1), one angle per piece of a ray, which _sites
+    broadcasts over the piece's nodes: each angle takes one cosine, not one
+    per node. Raveled in C order they are the nodes, piece by piece.
 
     Polar about the receiver: _RAYS rays at the midpoints in φ ∈ (0, π),
     each split where it crosses the sensing circle about the sensed user,
@@ -430,14 +445,16 @@ def _field(
     and the weights are the same at φ and −φ: each node also stands for its
     mirror image and carries twice its own area, which makes this exactly
     the upper half of the 2·_RAYS-ray rule on the full circle. Built once
-    per (o, R_s, r_c, density, refine), not per D or policy, and read-only.
+    per (o, R_s, r_c, α_fo, density, refine), not per D or policy, so a row
+    re-prices only the power of the sensed nodes; all of it is read-only.
     """
-    o = cfg.user_offset_m if cfg.scenario is Scenario.REFERENCE_HOTSPOT else 0.0
-    return _polar_field(o, cfg.sensing_radius_m, p.r_c, cfg.density(p), refine)
+    return _polar_field(*_layout(cfg, p), cfg.density(p), refine)
 
 
 @functools.lru_cache(maxsize=8)
-def _polar_field(o: float, r_s: float, r_c: float, density: float, refine: int) -> tuple:
+def _polar_field(
+    o: float, r_s: float, r_c: float, alpha_fo: float, density: float, refine: int
+) -> tuple:
     n_rays = _RAYS * refine
     phi = (np.arange(n_rays) + 0.5) * (math.pi / n_rays)
     half = np.sqrt(np.maximum(r_s**2 - (o * np.sin(phi)) ** 2, 0.0))
@@ -454,8 +471,10 @@ def _polar_field(o: float, r_s: float, r_c: float, density: float, refine: int) 
     # dφ = π/n_rays on the half-plane, doubled for the mirror image
     mass = density * rho**2 * half_width * t_weight * (2.0 * math.pi / n_rays)
     u_radius = (rho / r_c) ** 2
-    u_radius.flags.writeable = u_angle.flags.writeable = mass.flags.writeable = False
-    return u_radius, u_angle, mass
+    sites = _sites(u_radius, u_angle, o, r_s, r_c, alpha_fo)
+    for x in (u_radius, u_angle, mass, *sites):
+        x.flags.writeable = False
+    return u_radius, u_angle, mass, sites
 
 
 def _sampled_quantiles(rates: np.ndarray, us: list[float]) -> list[float]:
@@ -483,7 +502,8 @@ def simulate(
     n_drops, n_fades and seed are not used. p_outage and each percentile's
     coverage sums run over the field's nodes (_field), and the CI, when
     ci_halfwidth_95 is first read, over the same refined 2×; in one process
-    each node set is built once for any D or policy.
+    each node set and its sites are built once for any D or policy, and a
+    row prices only the power of the sensed nodes.
     FullZF mode samples n_drops drops of n_fades fades each in one pass,
     whose percentiles are np.quantile over its n_drops×n_fades buffer of
     log2(1+SINR), unsorted until a percentiles call partitions a copy."""
@@ -495,8 +515,8 @@ def simulate(
         def field_outage(refine: int) -> tuple[float, np.ndarray, np.ndarray]:
             # the outage on the field refined refine×, and the weights and
             # masses it sums over
-            u_radius, u_angle, mass = _field(cfg, p, refine)
-            w, m = weights(u_radius, u_angle).ravel(), mass.ravel()
+            *_, mass, sites = _field(cfg, p, refine)
+            w, m = weights(sites).ravel(), mass.ravel()
             return 1.0 - link.coverage(p.gamma_target, w, m)[0], w, m
 
         p_hat, w, m = field_outage(1)
@@ -507,10 +527,10 @@ def simulate(
     else:
         rates = np.empty((n_drops, n_fades))
         drop_outage = np.empty(n_drops)
-        outages = 0
+        outages, layout = 0, _layout(cfg, p)
         for i in range(n_drops):
             rng, u_radius, u_angle = _drop_draws(cfg, i, p, seed)
-            w = weights(u_radius, u_angle)
+            w = weights(_sites(u_radius, u_angle, *layout))
             sinr = link.sinr(*_sample_draws(rng, n_fades, len(w), cfg.scenario, p), w)
             count = int(np.count_nonzero(sinr < p.gamma_target))
             outages += count

@@ -54,7 +54,8 @@ def test_one_interferer_at_sensing_radius_hits_outage_budget():
     # one femtocell at the nominal 23 dBm, d_sense outward from the user
     cfg = ScenarioConfig(d_norm=1.0, power_policy=PowerPolicy.FIXED, include_noise=False)
     link, weights = simulator._run(cfg, P)
-    w = weights(np.array([(d_sense / P.r_c) ** 2]), np.array([0.0]))
+    u_radius = np.array([(d_sense / P.r_c) ** 2])
+    w = weights(simulator._sites(u_radius, np.zeros(1), *simulator._layout(cfg, P)))
     rng = np.random.default_rng(90125)
     n = 1_000_000
     desired = rng.gamma(P.t_c - P.u_c + 1, 1.0, size=n)

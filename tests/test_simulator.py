@@ -7,6 +7,7 @@ import json
 import math
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -46,11 +47,20 @@ PCT_GRID = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 # geometry
 
 
+def _weight_map(cfg, p=P):
+    """simulator._run's link, and its weights as a map from radius and angle
+    uniforms (in shapes that broadcast): their _sites, as a FullZF drop
+    builds them, priced."""
+    link, weights = simulator._run(cfg, p)
+    layout = simulator._layout(cfg, p)
+    return link, lambda u_radius, u_angle: weights(simulator._sites(u_radius, u_angle, *layout))
+
+
 def _scenario_drops(cfg, n_drops, seed):
     """Femtocell distances to the receiver in the first n_drops drops of a
     run, as the drop's own stream and the run's weight map place them: at
     fixed power a weight falls as ρ^(−α_fo), so ρ = r_c·(w / w(r_c))^(−1/α_fo)."""
-    _, weights = simulator._run(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
+    _, weights = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
     at_edge = weights(np.ones(1), np.zeros(1))[0]
     seen = []
     for i in range(n_drops):
@@ -410,7 +420,7 @@ def test_femto_outage_with_macro_interference_only():
 
 def test_empty_drop_infinite_sir_for_cellular_user():
     cfg = _fixed_cfg(d_norm=0.5)
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     no_femtocells = weights(np.empty(0), np.empty(0))
     fades = _fades(np.random.default_rng(12), link, 100, 0)
     assert link.cross == 0.0 and no_femtocells.shape == (0,)
@@ -424,12 +434,12 @@ def test_sir_scales_with_power_ratio():
     interferer power, is 10× the SIR of every fade."""
     cfg = _fixed_cfg(d_norm=0.4)
     u = _uniforms(np.array([[100.0, 100.0]]))  # at (500, 100) m
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     fades = _fades(np.random.default_rng(13), link, 1000, 1)
     base = link.sinr(*fades, weights(*u))
     quieter_cfg = dataclasses.replace(cfg, fixed_pc_over_pf_db=30.0)
     for p in (dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0), P):
-        scaled, scaled_weights = simulator._run(quieter_cfg, p)
+        scaled, scaled_weights = _weight_map(quieter_cfg, p)
         np.testing.assert_allclose(
             scaled.sinr(*fades, scaled_weights(*u)), base * 10.0, rtol=1e-12
         )
@@ -443,8 +453,8 @@ def test_per_interferer_power_vector_accepted():
     # femtocells at (450, 80), (600, 0) and (700, 0) m, the user at (400, 0) m
     u = _uniforms(np.array([[50.0, 80.0], [200.0, 0.0], [300.0, 0.0]]))
     cfg = _fixed_cfg(d_norm=0.4)
-    link, fixed_weights = simulator._run(cfg, P)
-    _, sensed_weights = simulator._run(
+    link, fixed_weights = _weight_map(cfg, P)
+    _, sensed_weights = _weight_map(
         dataclasses.replace(cfg, power_policy=PowerPolicy.CARRIER_SENSED_BLEND), P
     )
     fades = _fades(np.random.default_rng(14), link, 500, 3)
@@ -517,7 +527,7 @@ def test_simulate_one_pass_serves_outage_and_rates(cfg):
     run gives the same result."""
     res = simulate(cfg, 24, 100, P, seed=5)
     assert _summary(simulate(cfg, 24, 100, P, seed=5)) == _summary(res)
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     coarse, fine = (
         1.0 - link.coverage(P.gamma_target, weights(u_radius, u_angle), mass)[0]
         for u_radius, u_angle, mass in (_field_nodes(cfg, P, k) for k in (1, 2))
@@ -560,7 +570,7 @@ def test_fast_and_full_modes_agree_at_single_user_config():
     cfg = _hotspot_cfg(n_f_target=800.0, channel_mode=ChannelMode.FULL_ZF)
     n_drops, n_fades, seed = 150, 150, 21
     full = simulate(cfg, n_drops, n_fades, P, seed).p_outage
-    run = simulator._run(cfg, P)
+    run = _weight_map(cfg, P)
     q = np.array([
         np.count_nonzero(_sampled_fast_chi2_sinr(cfg, i, n_fades, seed, run) < P.gamma_target)
         for i in range(n_drops)
@@ -672,7 +682,7 @@ def _field_nodes(cfg, p, refine):
     """simulator._field's nodes one per element: its (piece, node) u_radius
     and mass raveled in C order, and each piece's angle repeated over the
     piece's nodes."""
-    u_radius, u_angle, mass = simulator._field(cfg, p, refine)
+    u_radius, u_angle, mass, _ = simulator._field(cfg, p, refine)
     return u_radius.ravel(), np.repeat(u_angle.ravel(), u_radius.shape[1]), mass.ravel()
 
 
@@ -694,7 +704,7 @@ def _sampled_fast_chi2_sinr(cfg, drop_index, n_fades, seed, run):
     """Sampled FastChi2 fades of one drop: drop drop_index's femtocells as
     simulate lays them out, then n_fades Gamma fades from the same stream
     (desired, cross, marks), through the link's SINR as FullZF computes it.
-    run is simulator._run(cfg, P)."""
+    run is _weight_map(cfg, P)."""
     link, weights = run
     rng, u_radius, u_angle = simulator._drop_draws(cfg, drop_index, P, seed)
     w = weights(u_radius, u_angle)
@@ -706,7 +716,7 @@ def _sampled_field(cfg, n_drops, n_fades, seed, p=P):
     the run's field, each with n_fades sampled FastChi2 fades (Gamma
     desired, cross-tier and mark powers), through the SINR
     A·D / ((c·C + Σⱼ wⱼ·Mⱼ) + N). Returns the (n_fades, n_drops) SINR."""
-    link, weights = simulator._run(cfg, p)
+    link, weights = _weight_map(cfg, p)
     m, cross_shape, mark_shape = link.shapes
     rng = np.random.default_rng(seed)
     counts = rng.poisson(cfg.n_f_target, n_drops)
@@ -742,7 +752,7 @@ def test_single_antenna_outage_matches_radial_integral(scenario, one_antenna, no
         scenario=scenario, d_norm=0.5, power_policy=PowerPolicy.FIXED,
         n_f_target=200.0, include_noise=noise,
     )
-    link, weights = simulator._run(cfg, p)
+    link, weights = _weight_map(cfg, p)
     s = p.gamma_target / link.desired
 
     def integrand(rho):
@@ -882,8 +892,8 @@ def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
         scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
         co_located_user_offset=offset, fixed_pc_over_pf_db=30.0,
     )
-    link, weights = simulator._run(cfg, P)
-    _, ambient_weights = simulator._run(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
+    link, weights = _weight_map(cfg, P)
+    _, ambient_weights = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
     oracle, serving_w = _cartesian_map(cfg, P)
     drops = [simulator._drop_draws(cfg, i, P, 5)[1:] for i in range(200)]
     nodes = [_field_nodes(cfg, P, k)[:2] for k in (1, 2)]
@@ -904,6 +914,103 @@ def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
         )
 
 
+def _reference_weights(cfg, p, u_radius, u_angle):
+    """The run's weights as one expression, as the weight map computed them
+    before it split a femtocell's position (_sites, once per drop or field)
+    from its pricing (per row): every node's distances and both powers on
+    every call. Outputs are promised bit for bit, so the split must match
+    this exactly."""
+    budget = link_budget(p)
+    hotspot = cfg.scenario is Scenario.REFERENCE_HOTSPOT
+    d, o = cfg.d_norm * p.r_c, cfg.user_offset_m if hotspot else 0.0
+    gain = budget.a_ff if hotspot else budget.a_cf
+    ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+    rho_sq = p.r_c**2 * u_radius
+    tx_w = ambient_w
+    if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
+        window_db = power_ratio_bounds(1.0, cfg.density(p), p)
+        blend_w = dbm_to_watts(p.p_c_dbm - blended_power_policy(*window_db, cfg.blend_weight))
+        rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
+        macro_sq = d * d + rho_sq + 2.0 * d * rho_cos
+        user_sq = rho_sq + o * o - 2.0 * o * rho_cos
+        with np.errstate(divide="ignore"):
+            blended = np.minimum(
+                dbm_to_watts(p.p_f_dbm), blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c)
+            )
+        tx_w = np.where(user_sq <= cfg.sensing_radius_m**2, blended, ambient_w)
+    with np.errstate(divide="ignore"):
+        return (tx_w * (gain / p.u_f)) * rho_sq ** (-0.5 * p.alpha_fo)
+
+
+@pytest.mark.parametrize("name", ["baseline_fixed", "cellular_sensed", "hotspot_sensed",
+                                  "closed_form"])
+def test_weights_match_reference_formula(name):
+    """FastChi2's node weights (sites built once per field, priced per row)
+    and FullZF's drop weights (sites built per drop) are bit for bit the
+    reference expression's, on the fields refined 1× and 2× and on 20
+    seeded drops, at D = 0.2, 0.4, …, 1.0; under carrier sensing so are
+    the sensed sets."""
+    base = _bench_cfg(name)
+    drops = [simulator._drop_draws(base, i, P, 3)[1:] for i in range(20)]
+    for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0):
+        cfg = dataclasses.replace(base, d_norm=d_norm)
+        link, weights = simulator._run(cfg, P)
+        for refine in (1, 2):
+            u_radius, u_angle, _, sites = simulator._field(cfg, P, refine)
+            np.testing.assert_array_equal(
+                weights(sites), _reference_weights(cfg, P, u_radius, u_angle)
+            )
+        layout = simulator._layout(cfg, P)
+        for u_radius, u_angle in drops:
+            np.testing.assert_array_equal(
+                weights(simulator._sites(u_radius, u_angle, *layout)),
+                _reference_weights(cfg, P, u_radius, u_angle),
+            )
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("offset", [None, 230.0, 400.0], ids=["default", "o=Rs", "o=400"])
+@pytest.mark.parametrize("policy", list(PowerPolicy))
+def test_weights_match_reference_at_the_edges(scenario, offset, policy):
+    """The split weight map against the reference expression, bit for bit
+    and without a warning, where it is easiest to get wrong: a femtocell on
+    the receiver (u_radius = 0, an infinite weight), exactly on the sensing
+    circle about a cellular user (sensed, as d_u² ≤ R_s² is inclusive) and
+    one ulp outside it (not sensed), on the macrocell at D = 0.2 (which
+    transmits at the cap P_f), an empty drop, both policies, and a hotspot
+    whose user lies on or beyond the sensing circle (o ≥ R_s), where every
+    ray starts outside it."""
+    cfg = ScenarioConfig(
+        scenario=scenario, power_policy=policy, d_norm=0.2, n_f_target=60.0,
+        co_located_user_offset=offset, fixed_pc_over_pf_db=30.0,
+    )
+    _, weights = simulator._run(cfg, P)
+    layout = simulator._layout(cfg, P)
+    on_circle = (cfg.sensing_radius_m / P.r_c) ** 2
+    assert P.r_c**2 * on_circle == cfg.sensing_radius_m**2
+    u_radius = np.array([0.0, on_circle, np.nextafter(on_circle, 1.0), 0.04, 0.5])
+    u_angle = np.array([0.0, 0.3, 0.3, 0.5, 0.1])
+    rng = np.random.default_rng(17)
+    cases = [(u_radius, u_angle), (np.empty(0), np.empty(0)), tuple(rng.random((2, 500)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in cases:
+            sites = simulator._sites(*u, *layout)
+            np.testing.assert_array_equal(weights(sites), _reference_weights(cfg, P, *u))
+        field_radius, field_angle, _, field_sites = simulator._field(cfg, P, 1)
+        w_field = weights(field_sites)
+        np.testing.assert_array_equal(w_field, _reference_weights(cfg, P, field_radius, field_angle))
+        edge_sites = simulator._sites(u_radius, u_angle, *layout)
+        w = weights(edge_sites)
+    assert w[0] == math.inf and w_field.size > 0
+    if scenario is Scenario.REFERENCE_CELLULAR_USER and policy is PowerPolicy.CARRIER_SENSED_BLEND:
+        budget = link_budget(P)
+        _, fixed = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED))
+        assert edge_sites[0].tolist() == [True, True, False, True, False]
+        assert w[1] != fixed(u_radius, u_angle)[1] and w[2] == fixed(u_radius, u_angle)[2]
+        assert w[3] == (dbm_to_watts(P.p_f_dbm) * (budget.a_cf / P.u_f)) * 200.0 ** -P.alpha_fo
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_weight_map_without_femtocells(scenario):
     """With no femtocells there is no power window to blend: the carrier-
@@ -911,13 +1018,13 @@ def test_weight_map_without_femtocells(scenario):
     Cartesian layout does, an empty drop has no weights, and the field has
     no nodes."""
     cfg = ScenarioConfig(scenario=scenario, n_f_target=0.0, fixed_pc_over_pf_db=30.0)
-    _, weights = simulator._run(cfg, P)
+    _, weights = _weight_map(cfg, P)
     u_radius, u_angle = np.random.default_rng(3).random((2, 500))
     np.testing.assert_allclose(
         weights(u_radius, u_angle), _cartesian_map(cfg, P)[0](u_radius, u_angle)[0], rtol=1e-12
     )
     assert weights(np.empty(0), np.empty(0)).shape == (0,)
-    assert [x.size for x in simulator._field(cfg, P, 1)] == [0, 0, 0]
+    assert [x.size for x in simulator._field(cfg, P, 1)[:3]] == [0, 0, 0]
 
 
 def _fsum_coverage(link, theta, weights, mass):
@@ -969,7 +1076,7 @@ def test_coverage_sums_match_exact_summation(cfg, p, refine):
     coverage and its derivative match the log1p/expm1 formula with every
     sum taken exactly by math.fsum within rel 1e-13, from a tenth to ten
     times Γ."""
-    link, weights = simulator._run(cfg, p)
+    link, weights = _weight_map(cfg, p)
     u_radius, u_angle, mass = _field_nodes(cfg, p, refine)
     w = weights(u_radius, u_angle)
     for theta in (0.1 * p.gamma_target, p.gamma_target, 10.0 * p.gamma_target):
@@ -1028,26 +1135,76 @@ def test_coverage_at_infinite_s_is_certainty_of_infinite_sinr(cross, noise_w, n_
 @pytest.mark.parametrize("refine", [1, 2])
 @pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
 def test_field_weights_price_each_ray_angle_once(monkeypatch, name, refine):
-    """_field hands the weight map one angle per piece of a ray, (piece, 1),
-    against (piece, node) radii: under carrier sensing the map takes one
-    cosine per piece, not one per node, and its weights, raveled in C
-    order, are bit for bit those of the nodes one per element."""
+    """_field hands _sites one angle per piece of a ray, (piece, 1), against
+    (piece, node) radii, and keeps the sites: a 5-row `simulate` D sweep
+    (reading ci_halfwidth_95 on each row at refine 2) takes one cosine per
+    piece per field, 2·64·refine, not one per node or per row, and the
+    field's weights, raveled in C order, are bit for bit those of the nodes
+    one per element."""
     cfg = _bench_cfg(name)
-    _, weights = simulator._run(cfg, P)
-    u_radius, u_angle, _ = simulator._field(cfg, P, refine)
-    cosines = []
-    cos = np.cos
+    simulator._polar_field.cache_clear()
+    cosines, building, cos, sites = [], [], np.cos, simulator._sites
 
     def counted(x, *args, **kwargs):
-        cosines.append(np.size(x))
+        if building:
+            cosines.append(np.size(x))
         return cos(x, *args, **kwargs)
 
+    def built(*args):
+        building.append(True)
+        try:
+            return sites(*args)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(np, "cos", counted)
-    w = weights(u_radius, u_angle)
+    monkeypatch.setattr(simulator, "_sites", built)
+    for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0):
+        res = simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
+        if refine == 2:
+            assert res.ci_halfwidth_95 >= 0.0
     monkeypatch.undo()
-    assert cosines == [2 * 64 * refine]
+    assert cosines == [2 * 64 * k for k in range(1, refine + 1)]
+    _, weights = simulator._run(cfg, P)
+    u_radius, _, _, field_sites = simulator._field(cfg, P, refine)
+    w = weights(field_sites)
     assert w.shape == u_radius.shape
-    np.testing.assert_array_equal(w.ravel(), weights(*_field_nodes(cfg, P, refine)[:2]))
+    np.testing.assert_array_equal(w.ravel(), _weight_map(cfg)[1](*_field_nodes(cfg, P, refine)[:2]))
+
+
+def _counting_powers(powers: list[int]) -> type:
+    """An array type whose arrays, and what is computed from them, record
+    in powers the size of every power taken of them."""
+
+    class Powers(np.ndarray):
+        def __pow__(self, exponent):
+            powers.append(self.size)
+            return np.asarray(self) ** exponent
+
+    return Powers
+
+
+@pytest.mark.parametrize("name", ["baseline_fixed", "cellular_sensed", "hotspot_sensed"])
+def test_row_raises_only_sensed_nodes_to_a_power(name):
+    """Once a field's sites are built, a row prices them: under carrier
+    sensing it takes one power, over the sensed nodes only (the ρ^(−α_fo)
+    path loss is in the sites), and under Fixed it takes none. Counted on
+    the cached sites of both refinements at three D, with the weights
+    unchanged by the counting."""
+    cfg = _bench_cfg(name)
+    powers: list[int] = []
+    counting = _counting_powers(powers)
+    for refine in (1, 2):
+        sites = simulator._field(cfg, P, refine)[3]
+        counted = tuple(x.view(counting) for x in sites)
+        for d_norm in (0.2, 0.6, 1.0):
+            _, weights = simulator._run(dataclasses.replace(cfg, d_norm=d_norm), P)
+            powers.clear()
+            w = np.asarray(weights(counted))
+            sensing = cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND
+            assert powers == ([np.count_nonzero(sites[0])] if sensing else [])
+            np.testing.assert_array_equal(w, weights(sites))
+    assert 0 < np.count_nonzero(sites[0]) < sites[0].size
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
@@ -1107,7 +1264,7 @@ def test_interferer_weights_mirror_symmetric(cfg):
     at φ and −φ: the macrocell, the receiver and the sensed user all lie on
     the axis. A scenario that moves one of them off it fails here, and must
     give up the fold."""
-    _, weights = simulator._run(cfg, P)
+    _, weights = _weight_map(cfg, P)
     rng = np.random.default_rng(13)
     u_radius, u_angle = rng.random(2000), rng.random(2000)
     np.testing.assert_allclose(
@@ -1128,7 +1285,7 @@ def test_folded_field_matches_full_circle(scenario, policy, d_norm, offset, refi
         scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
         co_located_user_offset=offset,
     )
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     folded, full = (
         (weights(u_radius, u_angle), mass)
         for u_radius, u_angle, mass in (
@@ -1154,7 +1311,7 @@ def test_field_cost_and_legendre_cache():
     simulator._legendre.cache_clear()
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND, n_f_target=60.0)
     assert cfg.user_offset_m < cfg.sensing_radius_m
-    assert [[x.shape for x in simulator._field(cfg, P, k)] for k in (1, 2)] == [
+    assert [[x.shape for x in simulator._field(cfg, P, k)[:3]] for k in (1, 2)] == [
         [(2 * 64, 80), (2 * 64, 1), (2 * 64, 80)],
         [(2 * 128, 160), (2 * 128, 1), (2 * 128, 160)],
     ]
@@ -1235,31 +1392,40 @@ def test_fastchi2_row_calls_no_lapack(monkeypatch):
 
 
 def test_field_nodes_built_once_per_geometry():
-    """The field's nodes depend on the sensed user's offset, R_s, r_c and
-    the density, not on D or the power policy: a `simulate` D sweep that
-    reads only p_outage builds one node set, reading ci_halfwidth_95 on
-    each row adds the refined set once, configs that differ only in D or
-    policy share the very arrays, another density or user offset gets new
-    ones, and the shared arrays are read-only."""
+    """The field's nodes and sites depend on the sensed user's offset, R_s,
+    r_c, α_fo and the density, not on D or the power policy: a `simulate`
+    D sweep that reads only p_outage builds one field, nodes and sites,
+    reading ci_halfwidth_95 on each row adds the refined one once, configs
+    that differ only in D or policy share the very arrays, another density,
+    user offset or α_fo gets new ones, and the shared arrays are
+    read-only."""
     simulator._polar_field.cache_clear()
     cfg = _hotspot_cfg(power_policy=PowerPolicy.CARRIER_SENSED_BLEND)
-    rows = [simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
-            for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0)]
-    assert simulator._polar_field.cache_info().misses == 1
-    for res in rows:
-        assert res.ci_halfwidth_95 >= 0.0
+    built, sites = [], simulator._sites
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_sites", lambda *args: built.append(args[0].shape) or sites(*args))
+        rows = [simulate(dataclasses.replace(cfg, d_norm=d_norm), 1, 1, P, seed=0)
+                for d_norm in (0.2, 0.4, 0.6, 0.8, 1.0)]
+        assert simulator._polar_field.cache_info().misses == 1
+        for res in rows:
+            assert res.ci_halfwidth_95 >= 0.0
     assert simulator._polar_field.cache_info().misses == 2
+    assert built == [(2 * 64, 80), (2 * 128, 160)]
     cfg = _bench_cfg("hotspot_sensed")
-    nodes = simulator._field(cfg, P, 1)
+    field = simulator._field(cfg, P, 1)
     for change in ({"d_norm": 0.9}, {"power_policy": PowerPolicy.FIXED}):
         shared = simulator._field(dataclasses.replace(cfg, **change), P, 1)
-        assert all(a is b for a, b in zip(shared, nodes))
-    for change in ({"n_f_target": 61.0}, {"co_located_user_offset": 200.0}):
-        built = simulator._field(dataclasses.replace(cfg, **change), P, 1)
-        assert not any(a is b for a, b in zip(built, nodes))
-    for x in nodes:
+        assert all(a is b for a, b in zip(shared, field))
+    rebuilt = [simulator._field(dataclasses.replace(cfg, **change), P, 1)
+               for change in ({"n_f_target": 61.0}, {"co_located_user_offset": 200.0})]
+    rebuilt.append(simulator._field(cfg, dataclasses.replace(P, alpha_fo=3.5), 1))
+    for other in rebuilt:
+        assert not any(a is b for a, b in zip(other, field))
+        assert not any(a is b for a, b in zip(other[3], field[3]))
+    np.testing.assert_array_equal(rebuilt[-1][0], field[0])
+    for x in (*field[:3], *field[3]):
         with pytest.raises(ValueError):
-            x[0, 0] = 0.0
+            x[(0,) * x.ndim] = 0
 
 
 @pytest.mark.parametrize("name", ["cellular_sensed", "hotspot_sensed"])
@@ -1308,7 +1474,7 @@ def test_tiny_rate_percentiles_resolve(name, q):
     coverage's own rounding near 1 limits F to about 10⁻⁷ at q = 1e-7)."""
     cfg = dataclasses.replace(_bench_cfg(name), d_norm=1.0)
     (r,) = simulate(cfg, 1, 1, P, seed=0).percentiles([q])
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     u_radius, u_angle, mass = _field_nodes(cfg, P, 1)
     cov, _ = link.coverage(math.expm1(r * math.log(2.0)), weights(u_radius, u_angle), mass)
     assert r > 0.0
@@ -1348,7 +1514,7 @@ def test_coverage_vanishes_at_high_rates_with_noise(name, d_norm, printed):
     overflow. The coverage there reads (0, 0), not NaN, and the nine
     percentiles of the bench row are those `simulate` prints (12 digits)."""
     cfg = dataclasses.replace(_bench_cfg(name), d_norm=d_norm)
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
     u_radius, u_angle, mass = _field_nodes(cfg, P, 1)
     w = weights(u_radius, u_angle)
     for rate in (300.0, 400.0, 511.0):
@@ -1379,7 +1545,7 @@ def test_full_zf_ci_is_clustered_on_drops():
     cfg = _hotspot_cfg(n_f_target=60.0, channel_mode=ChannelMode.FULL_ZF)
     n_drops, n_fades = 12, 40
     res = simulate(cfg, n_drops, n_fades, P, seed=6)
-    link, weights = simulator._run(cfg, P)
+    link, weights = _weight_map(cfg, P)
 
     def drop_sinr(i):
         rng, u_radius, u_angle = simulator._drop_draws(cfg, i, P, 6)
