@@ -174,14 +174,18 @@ def cellular_coverage_radius(lambda_f: float, p: SystemParams) -> float:
     """Largest macro distance D_c at which a cellular user still meets the
     outage target under femtocell density lambda_f; algebraic inverse of
     max_contention_density_cellular, which falls as D^(−δ·α_c) (δ = 2/α_fo):
-    D_c = r_c·(lambda*_c(r_c)/lambda_f)^(1/(δ·α_c)), and its limit inf at lambda_f = 0."""
+    D_c = r_c·(lambda*_c(r_c)/lambda_f)^(1/(δ·α_c)), and its limit inf at lambda_f = 0;
+    inf too where D_c exceeds the largest float."""
     if not lambda_f >= 0:
         raise ValueError(f"cellular_coverage_radius requires lambda_f >= 0, got {lambda_f}")
     if lambda_f == 0.0:
         return math.inf
     delta = 2.0 / p.alpha_fo
     cap = max_contention_density_cellular(1.0, p)
-    return p.r_c * (cap / lambda_f) ** (1.0 / (delta * p.alpha_c))
+    try:
+        return p.r_c * (cap / lambda_f) ** (1.0 / (delta * p.alpha_c))
+    except OverflowError:
+        return math.inf
 
 
 def area_spectral_efficiency(lambda_f: float, p: SystemParams) -> float:

@@ -46,7 +46,7 @@ _SWEEP_VARS = ("D", "PcOverPfDb", "AlphaFo", "TfUf", "Mtw")
 
 
 def _sweep(
-    text: str, p: SystemParams, d_norm: float, d_only: bool = False
+    text: str, p: SystemParams, d_norm: float
 ) -> tuple[str, list[tuple[float, SystemParams, float, int]]]:
     """Parse "<var>:<start>:<stop>:<steps>" (finite bounds, steps >= 2,
     start < stop) into the variable and its points, each (value, params,
@@ -71,8 +71,6 @@ def _sweep(
         raise click.BadParameter(f"steps must be >= 2, got {steps}")
     if not start < stop:
         raise click.BadParameter(f"need start < stop, got {start} >= {stop}")
-    if d_only and var != "D":
-        raise click.BadParameter("simulate sweeps support only the D variable")
     # the last point is stop itself: start + (steps-1)·h can overshoot it
     h = (stop - start) / (steps - 1)
     points = []
@@ -268,7 +266,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
 @click.option("--sweep", "sweep_text", default=None,
-              help="Optional D:start:stop:steps sweep of the reference location.")
+              help="Optional var:start:stop:steps sweep of D, AlphaFo or TfUf.")
 @click.option("--drops", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Drops sampled when scenario.channel_mode is FullZF. FastChi2 (the "
                    "default) integrates the field out and draws none; the CSV echoes it.")
@@ -287,31 +285,32 @@ def cmd_simulate(
     the config's scenario.channel_mode picks the channel mode."""
     from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
-    if sweep_text is None:
-        d_values = [cfg.d_norm]
-    else:
-        d_values = [dn for _, _, dn, _ in _sweep(sweep_text, p, cfg.d_norm, d_only=True)[1]]
+    var, points = (_sweep(sweep_text, p, cfg.d_norm) if sweep_text is not None
+                   else ("D", [(cfg.d_norm, p, cfg.d_norm, DETECTOR_M_TW)]))
+    refused = {"Mtw": "the detector does not enter simulate",
+               "PcOverPfDb": "the Fixed femto power P_c - fixed_pc_over_pf_db moves with P_c"}
+    if var in refused:
+        raise click.BadParameter(f"cannot sweep {var}: {refused[var]}", param_hint="'--sweep'")
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
 
-    def row(dn: float) -> dict:
+    def row(value: float, p2: SystemParams, dn: float) -> dict:
         # a point's rate law is freed before the next point builds its own
         cfg_d = dataclasses.replace(cfg, d_norm=dn)
         try:
-            res = simulator.simulate(cfg_d, drops, fades, p, seed)
+            res = simulator.simulate(cfg_d, drops, fades, p2, seed)
         except sensing.InfeasiblePlanError as exc:
-            raise ConfigError(
-                f"n_f_target = {cfg.n_f_target:g} femtocells "
-                f"(lambda_f = {cfg.density(p):.4g} per m^2) admits no carrier-sensed "
-                f"power plan at D = {dn:g}: {exc}"
-            ) from None
+            raise ConfigError(f"n_f_target = {cfg.n_f_target:g} femtocells (lambda_f = "
+                              f"{cfg.density(p):.4g} per m^2) admits no carrier-sensed power "
+                              f"plan at {var} = {value:g}: {exc}") from None
         return {
-            "scenario": cfg_d.scenario, "d_norm": dn, "lambda_f": cfg_d.density(p),
+            "scenario": cfg_d.scenario, "d_norm": dn, "t_f": p2.t_f, "u_f": p2.u_f,
+            "alpha_fo": p2.alpha_fo, "lambda_f": cfg_d.density(p),
             "n_drops": drops, "n_fades": fades, "seed": seed,
             "p_outage": res.p_outage, "ci_halfwidth_95": res.ci_halfwidth_95,
             **{f"rate_pct_{int(q)}": v for q, v in zip(pct_grid, res.percentiles(pct_grid))},
         }
 
-    _write_csv(out_path, [row(dn) for dn in d_values])
+    _write_csv(out_path, [row(value, p2, dn) for value, p2, dn, _ in points])
 
 
 # ---------------------------------------------------------------------------

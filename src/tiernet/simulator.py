@@ -307,7 +307,7 @@ def _sites(
     rho_sq = r_c**2 * u_radius
     rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
     sensed = rho_sq + o * o - 2.0 * o * rho_cos <= r_s**2
-    with np.errstate(divide="ignore"):  # co-located interferer -> inf power
+    with np.errstate(divide="ignore", over="ignore"):  # co-located or overflowing -> inf power
         path_loss = rho_sq ** (-0.5 * alpha_fo)
     return sensed, rho_sq[sensed], rho_cos[sensed], path_loss
 
@@ -347,7 +347,10 @@ def _run(
     carrier_sensing = cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and lam_f > 0
     if carrier_sensing:
         blend_edge_db = blended_power_policy(*power_ratio_bounds(1.0, lam_f, p), cfg.blend_weight)
-        blend_w, pf_w = dbm_to_watts(p.p_c_dbm - blend_edge_db), dbm_to_watts(p.p_f_dbm)
+        # capped where even at 2·r_c from the macrocell, the farthest a femtocell
+        # lies, it would exceed P_f: min(P_f, ·) prices P_f there anyway
+        blend_dbm = min(p.p_c_dbm - blend_edge_db, p.p_f_dbm + 10.0 * p.alpha_c * math.log10(2.0))
+        blend_w, pf_w = dbm_to_watts(blend_dbm), dbm_to_watts(p.p_f_dbm)
 
     def sensed_w(macro_sq):
         # the carrier-sensed power of a femtocell that senses the user, at

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -359,7 +360,7 @@ def test_simulate_byte_identical(runner, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     lines = out_a.read_text().strip().split("\n")
     assert len(lines) == 3
-    assert lines[0].startswith("scenario,d_norm,lambda_f")
+    assert lines[0].startswith("scenario,d_norm,t_f,u_f,alpha_fo,lambda_f")
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -761,14 +762,46 @@ def test_config_numbers_of_json_int_form_accepted(runner, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-def test_simulate_infeasible_sensed_density_exits_2(runner, tmp_path):
+@pytest.mark.parametrize(
+    ("sweep", "point"), [([], "D = 0.8"), (["--sweep", "TfUf:3:4:2"], "TfUf = 3")],
+    ids=["unswept", "TfUf"],
+)
+def test_simulate_infeasible_sensed_density_exits_2(runner, tmp_path, sweep, point):
     """A density whose carrier-sensed power window is empty is a usage
-    error that names the density, not a traceback."""
+    error that names the density and the point, not a traceback."""
     cfg = _write(tmp_path, "dense.json", '{"scenario": {"n_f_target": 2000}}')
-    res = runner.invoke(main, [*SIM, "--config", cfg])
+    res = runner.invoke(main, [*SIM, "--config", cfg, *sweep])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert "n_f_target = 2000" in res.output and "lambda_f" in res.output
+    assert f"power plan at {point}: " in res.output
+
+
+def test_simulate_su_beats_mu_along_tfuf(runner, tmp_path):
+    """The paper's SU-over-MU claim in the exact engine: a Fixed hotspot at
+    D = 0.5, 300 femtocells per cell, no noise. Along T_f, a single stream
+    (u_f = 1) lowers the outage and full multiplexing (u_f = t_f) raises
+    it; both start from the same T_f = 1 row."""
+    outage = {}
+    for name, u_f in (("SU", 1), ("MU", 2)):
+        cfg = _write(tmp_path, f"{name}.json", json.dumps({
+            "system": {"t_f": 2, "u_f": u_f},
+            "scenario": {"scenario": "ReferenceHotspot", "d_norm": 0.5, "power_policy": "Fixed",
+                         "include_noise": False, "n_f_target": 300},
+        }))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--sweep", "TfUf:1:4:4"])
+        assert res.exit_code == 0, res.output
+        rows = list(csv.DictReader(io.StringIO(res.output)))
+        assert [(row["t_f"], row["u_f"]) for row in rows] == [
+            ("1", "1"), *((str(t), "1" if u_f == 1 else str(t)) for t in (2, 3, 4))]
+        outage[name] = rows
+    assert outage["SU"][0] == outage["MU"][0]
+    su = [float(row["p_outage"]) for row in outage["SU"]]
+    mu = [float(row["p_outage"]) for row in outage["MU"]]
+    assert su == sorted(su, reverse=True) and mu == sorted(mu)
+    assert all(s < m for s, m in zip(su[1:], mu[1:]))
+    assert [round(v, 4) for v in su] == [0.0578, 0.0278, 0.0204, 0.0168]
+    assert [round(v, 4) for v in mu[1:]] == [0.0874, 0.1095, 0.1280]
 
 
 def test_sensed_hotspot_without_femtocells_is_fixed(runner, tmp_path):
@@ -816,29 +849,63 @@ def test_bad_sweep_usage_exits_2(runner):
         (["simulate", "--sweep", "D:1e-300:1:2"],
          "Invalid value for '--sweep': D = 1e-300: d_norm puts a derived level at -11286 dB; "
          "it must lie within ±3000 dB"),
-        (["simulate", "--sweep", "Mtw:0:10:3"],
-         "Invalid value: simulate sweeps support only the D variable"),
+        (["simulate", "--sweep", "Mtw:1:10:3"],
+         "Invalid value for '--sweep': cannot sweep Mtw: the detector does not enter simulate"),
+        (["simulate", "--sweep", "PcOverPfDb:10:30:3"],
+         "Invalid value for '--sweep': cannot sweep PcOverPfDb: the Fixed femto power "
+         "P_c - fixed_pc_over_pf_db moves with P_c"),
     ],
 )
-def test_sweep_usage_error_text(runner, args, error):
-    """Each --sweep usage error exits 2 with its one-line message; simulate
-    rejects a variable other than D before it checks any of its values."""
+def test_sweep_usage_error_text(runner, monkeypatch, args, error):
+    """Each --sweep usage error exits 2 with its one-line message, before
+    any row is computed; simulate refuses Mtw and PcOverPfDb with the
+    reason."""
+    _no_row(monkeypatch)
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert res.output.endswith(f"Error: {error}\n")
 
 
-@pytest.mark.parametrize("command", ["analytic", "sensing"])
-def test_sweep_point_out_of_range_fails_before_any_row(runner, monkeypatch, command):
-    """A sweep whose last point lies out of range computes no row."""
+def _no_row(monkeypatch):
+    """Make each CSV subcommand's first call for a row fail the test."""
     def no_row(*args):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(analytic, "max_contention_density_femto", no_row)
     monkeypatch.setattr(sensing, "min_sensing_radius", no_row)
+    monkeypatch.setattr(simulator, "simulate", no_row)
+
+
+@pytest.mark.parametrize("command", ["analytic", "sensing", "simulate"])
+def test_sweep_point_out_of_range_fails_before_any_row(runner, monkeypatch, command):
+    """A sweep whose last point lies out of range computes no row."""
+    _no_row(monkeypatch)
     res = runner.invoke(main, [command, "--sweep", "D:0.5:1.2:3"])
     assert res.exit_code == 2, res.output
     assert res.output.endswith("Error: Invalid value for '--sweep': D = 1.2: must lie in (0, 1]\n")
+
+
+@pytest.mark.parametrize(
+    ("sweep", "column", "values"),
+    [("D:0.25:0.75:3", "d_norm", ["0.25", "0.5", "0.75"]),
+     ("AlphaFo:3:4.5:4", "alpha_fo", ["3", "3.5", "4", "4.5"]),
+     ("TfUf:1:4:4", "t_f", ["1", "2", "3", "4"])],
+)
+def test_simulate_sweep_row_states_its_point(runner, tmp_path, sweep, column, values):
+    """simulate sweeps D, AlphaFo and TfUf: each row prints its point, and
+    equals the unswept run of a config at that point (points that the
+    sweep's step reaches exactly, so the printed value is the point)."""
+    res = runner.invoke(main, [*SIM, "--sweep", sweep])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    assert [row[column] for row in rows] == values
+    key = {"d_norm": "scenario", "alpha_fo": "system", "t_f": "system"}[column]
+    for row in rows:
+        value = int(row[column]) if column == "t_f" else float(row[column])
+        cfg = _write(tmp_path, "point.json", json.dumps({key: {column: value}}))
+        one = runner.invoke(main, [*SIM, "--config", cfg])
+        assert one.exit_code == 0, one.output
+        assert list(csv.DictReader(io.StringIO(one.output))) == [row]
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1142,17 @@ def _invoke_clean(runner, args):
     return list(csv.DictReader(io.StringIO(res.stdout))) if res.exit_code == 0 else None
 
 
+def _d_c_beyond_floats(system, n_f):
+    """Whether the cellular coverage radius D_c, in exact arithmetic, is
+    infinite (no femtocells) or beyond the largest float."""
+    if n_f == 0:
+        return True
+    p = SystemParams.from_dict(system)
+    lam = mpmath.mpf(n_f) / (mpmath.pi * p.r_c**2)
+    cap = analytic.max_contention_density_cellular(1.0, p)
+    return p.r_c * (cap / lam) ** (p.alpha_fo / (2.0 * p.alpha_c)) > sys.float_info.max
+
+
 def _non_finite(rows):
     """Each column's set of non-finite cells, over rows."""
     return {k: {v for row in rows for v in [row[k]] if v in ("nan", "inf", "-inf")}
@@ -1095,6 +1173,16 @@ def _non_finite(rows):
                  "fixed_pc_over_pf_db": 0.0, "sensing_radius_m": 10.0,
                  "co_located_user_offset": None},
 })
+# an overflowing path loss ρ^(−α_fo) at the innermost FastChi2 node warned
+@example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 80.0},
+              "scenario": {"power_policy": "Fixed", "n_f_target": 60.0, "include_noise": True}})
+# the carrier-sensed power at the cell edge overflowed dbm_to_watts
+@example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 700.0},
+              "scenario": {"power_policy": "CarrierSensedBlend", "n_f_target": 60.0,
+                           "include_noise": True}})
+# D_c beyond the largest float raised OverflowError
+@example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 6.0, "alpha_c": 2.1},
+              "scenario": {"n_f_target": 1e-250, "include_noise": True}})
 def test_every_cell_finite_or_named_in_readme(runner, tmp_path, doc):
     """`analytic`, `sensing` and small `simulate` runs in both channel modes
     exit 0 or 2, cleanly; a cell reads `nan` or `inf` only in a case that
@@ -1105,9 +1193,10 @@ def test_every_cell_finite_or_named_in_readme(runner, tmp_path, doc):
     system, scenario = doc["system"], doc["scenario"]
     many_streams, far_detector = system["u_c"] != 1, system["t_f"] > 19
     window = ("pc_over_pf_lb_db", "pc_over_pf_ub_db", "blend_db")
+    d_c_inf = _d_c_beyond_floats(system, scenario["n_f_target"])
     named = {  # the cells that may read nan or inf at this config
         "analytic": {
-            "d_c_m": {"inf"} if scenario["n_f_target"] == 0 else set(),
+            "d_c_m": {"inf"} if d_c_inf else set(),
             "ratio_su_mu": {"nan"} if many_streams else set(),
             "ratio_su_single": {"nan"} if many_streams else set(),
         },
