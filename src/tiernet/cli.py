@@ -4,11 +4,13 @@ scenario simulation, and a self-validation suite.
 Config document: one JSON object {"system": {...}, "scenario": {...}}, both
 sections optional; it is the only source of every system and scenario
 setting. CSV rows are column name -> value records, written under a header
-of the first row's names with 12-significant-digit formatting, so identical
-(config, seed) runs are byte-identical; `validate` writes strict JSON, a
-non-finite value as null. Exit codes: 0 success, 1 a failed validation
-check, 2 usage or config errors. An unwritable --out and a config file
-that is not UTF-8 are among them, found before any work.
+of the first row's names. A row's point (value, d_norm, alpha_fo,
+pc_over_pf_db) is printed as its shortest round-trip repr, so it reads
+back as the point run, and every computed value to 12 significant digits.
+Identical (config, seed) runs are byte-identical; `validate` writes strict
+JSON, a non-finite value as null. Exit codes: 0 success, 1 a failed
+validation check, 2 usage or config errors. An unwritable --out and a
+config file that is not UTF-8 are among them, found before any work.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
         except ValueError:
             r_mu = r_one = math.nan
         rows.append({
-            "variable": var, "value": value, "d_norm": dn, "t_f": p2.t_f, "u_f": p2.u_f,
-            "alpha_fo": p2.alpha_fo, "pc_over_pf_db": p2.p_c_dbm - p2.p_f_dbm,
+            "variable": var, "value": repr(value), "d_norm": repr(dn), "t_f": p2.t_f, "u_f": p2.u_f,
+            "alpha_fo": repr(p2.alpha_fo), "pc_over_pf_db": repr(p2.p_c_dbm - p2.p_f_dbm),
             "d_f_m": analytic.no_coverage_radius(p2),
             "lambda_star_femto": lam_f, "regime": regime,
             "n_f": n_f, "n_f_u_f": n_f * p2.u_f,
@@ -252,7 +254,8 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
         except sensing.InfeasiblePlanError:
             max_range = math.nan
         rows.append({
-            "variable": var, "value": value, "d_norm": dn, "m_tw": m_tw, "d_sense_m": d_sense,
+            "variable": var, "value": repr(value), "d_norm": repr(dn), "m_tw": m_tw,
+            "d_sense_m": d_sense,
             "pc_over_pf_lb_db": lo_db, "pc_over_pf_ub_db": hi_db, "blend_db": blend,
             "threshold": threshold, "p_false": sensing.false_alarm_probability(m_tw, threshold),
             "p_detect_at_d_sense": p_detect, "max_range_m": max_range,
@@ -266,7 +269,7 @@ def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) 
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True,
               help="Non-negative seed of the FullZF draws; FastChi2 echoes it.")
 @click.option("--sweep", "sweep_text", default=None,
-              help="Optional var:start:stop:steps sweep of D, AlphaFo or TfUf.")
+              help="Optional var:start:stop:steps sweep of D, PcOverPfDb, AlphaFo or TfUf.")
 @click.option("--drops", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Drops sampled when scenario.channel_mode is FullZF. FastChi2 (the "
                    "default) integrates the field out and draws none; the CSV echoes it.")
@@ -287,10 +290,9 @@ def cmd_simulate(
     p, cfg = _load_config(config_path)
     var, points = (_sweep(sweep_text, p, cfg.d_norm) if sweep_text is not None
                    else ("D", [(cfg.d_norm, p, cfg.d_norm, DETECTOR_M_TW)]))
-    refused = {"Mtw": "the detector does not enter simulate",
-               "PcOverPfDb": "the Fixed femto power P_c - fixed_pc_over_pf_db moves with P_c"}
-    if var in refused:
-        raise click.BadParameter(f"cannot sweep {var}: {refused[var]}", param_hint="'--sweep'")
+    if var == "Mtw":
+        raise click.BadParameter("cannot sweep Mtw: the detector does not enter simulate",
+                                 param_hint="'--sweep'")
     pct_grid = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0]
 
     def row(value: float, p2: SystemParams, dn: float) -> dict:
@@ -303,9 +305,9 @@ def cmd_simulate(
                               f"{cfg.density(p):.4g} per m^2) admits no carrier-sensed power "
                               f"plan at {var} = {value:g}: {exc}") from None
         return {
-            "scenario": cfg_d.scenario, "d_norm": dn, "t_f": p2.t_f, "u_f": p2.u_f,
-            "alpha_fo": p2.alpha_fo, "lambda_f": cfg_d.density(p),
-            "n_drops": drops, "n_fades": fades, "seed": seed,
+            "scenario": cfg_d.scenario, "d_norm": repr(dn), "t_f": p2.t_f, "u_f": p2.u_f,
+            "alpha_fo": repr(p2.alpha_fo), "pc_over_pf_db": repr(p2.p_c_dbm - p2.p_f_dbm),
+            "lambda_f": cfg_d.density(p), "n_drops": drops, "n_fades": fades, "seed": seed,
             "p_outage": res.p_outage, "ci_halfwidth_95": res.ci_halfwidth_95,
             **{f"rate_pct_{int(q)}": v for q, v in zip(pct_grid, res.percentiles(pct_grid))},
         }
@@ -346,7 +348,6 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     ):
         cfg_cap = ScenarioConfig(
             scenario=scenario, d_norm=d_norm, power_policy=PowerPolicy.FIXED,
-            fixed_pc_over_pf_db=p.p_c_dbm - p.p_f_dbm,
             n_f_target=cap * math.pi * p.r_c**2, include_noise=False,
         )
         p_out = simulator.simulate(cfg_cap, 1, 1, p, seed).p_outage
@@ -374,7 +375,9 @@ def cmd_validate(config_path: str | None, out_path: str | None, seed: int) -> No
     p_fa = sensing.false_alarm_probability(DETECTOR_M_TW, threshold)
     record("detector_cfar_threshold", abs(p_fa - DETECTOR_P_FALSE) < 1e-6, p_fa,
            f"{DETECTOR_P_FALSE} +- 1e-6")
-    p_zero = sensing.detection_probability_sc(0.0, DETECTOR_M_TW, threshold, 1)
+    # the smallest positive SNR, not 0: at 0 the detector returns P_fa without
+    # evaluating its sum, so the check would compare P_fa with itself
+    p_zero = sensing.detection_probability_sc(math.ulp(0.0), DETECTOR_M_TW, threshold, 1)
     record("detector_zero_snr_floor", abs(p_zero - p_fa) < 1e-12, p_zero,
            "== p_false")
 

@@ -72,15 +72,16 @@ def check_scenario_levels(
     """Raise ValueError naming the field whose level, derived with the
     system, lies beyond ±_MAX_DB, as SystemParams checks its own: the
     reference path loss 10·α_c·log10(d_norm·r_c) (two logs, as d_norm·r_c
-    may underflow) and, given the scenario, its ambient femto power
-    P_c − fixed_pc_over_pf_db in dBW, its sensing radius squared and its
-    hotspot user offset squared (an offset of 0 is valid)."""
+    may underflow) and, given the scenario, its sensing radius squared and
+    its hotspot user offset squared (an offset of 0 is valid). Given the
+    scenario, also raise it for a retired fixed_pc_over_pf_db that does not
+    restate p_c_dbm − p_f_dbm exactly."""
     levels = [("d_norm", 10.0 * p.alpha_c * (math.log10(d_norm) + math.log10(p.r_c)))]
     if cfg is not None:
-        levels += [
-            ("fixed_pc_over_pf_db", p.p_c_dbm - 30.0 - cfg.fixed_pc_over_pf_db),
-            ("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)),
-        ]
+        if cfg.fixed_pc_over_pf_db not in (None, p.p_c_dbm - p.p_f_dbm):
+            raise ValueError(f"fixed_pc_over_pf_db is retired (the Fixed femto power is p_f_dbm) "
+                             f"and may only restate p_c_dbm - p_f_dbm = {p.p_c_dbm - p.p_f_dbm!r}")
+        levels.append(("sensing_radius_m", 20.0 * math.log10(cfg.sensing_radius_m)))
         if cfg.co_located_user_offset:
             offset_db = 20.0 * math.log10(cfg.co_located_user_offset)
             levels.append(("co_located_user_offset", offset_db))
@@ -225,22 +226,29 @@ class ScenarioConfig(_JsonConfig):
     A reference cellular user sits at D = d_norm·r_c; a reference hotspot is
     a femtocell at that distance whose uplink-active cellular user is placed
     co-linearly outward at co_located_user_offset meters (default: half the
-    sensing radius). Under the CarrierSensedBlend policy every femtocell
+    sensing radius). Under the Fixed policy every femtocell transmits at the
+    system's p_f_dbm. Under the CarrierSensedBlend policy every femtocell
     whose distance to the active cellular user is within sensing_radius_m
     transmits at P_c(dBm) − blended bound evaluated at its own macro
-    distance (never above the nominal femto power); femtocells that do not
-    sense the user fall back to the fixed ambient ratio.
+    distance (never above p_f_dbm); femtocells that do not sense the user
+    transmit at p_f_dbm.
 
     Each drop scatters femtocells at density n_f_target/(π·r_c²) on the
     disc of radius r_c centred on the reference receiver at (D, 0), not on
     the macrocell: the closed forms assume a field that looks the same from
     every receiver, which a macro-centred disc denies a cell-edge receiver.
+
+    fixed_pc_over_pf_db is retired and nothing in the model reads it. It is
+    kept only so that a config document setting it still loads: the
+    benchmark's bench/configs/baseline_fixed.json sets it to 20.0, the
+    default system's P_c/P_f. check_scenario_levels rejects a value that
+    does not restate the system's p_c_dbm − p_f_dbm exactly.
     """
 
     scenario: Scenario = Scenario.REFERENCE_CELLULAR_USER
     d_norm: float = 0.8
     power_policy: PowerPolicy = PowerPolicy.CARRIER_SENSED_BLEND
-    fixed_pc_over_pf_db: float = 20.0
+    fixed_pc_over_pf_db: float | None = None
     blend_weight: float = 0.7
     n_f_target: float = 60.0
     co_located_user_offset: float | None = None

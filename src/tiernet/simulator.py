@@ -330,19 +330,20 @@ def _run(
     u_f.
 
     A femtocell's weight is (P_tx/u_f)·gain·ρ^(−α_fo), P_tx the policy's
-    power: the ambient P_c/(fixed ratio), or, if it senses the user under
-    carrier sensing, min(P_f, P_c·10^(−b/10)·(d_m/r_c)^(−α_c)), b the
-    blended bound at the cell edge in dB. That bound is affine in
-    log-distance (both window edges scale as D^α_c), so it is solved once
-    per run and scaled per femtocell. The map prices only the power of the
-    sensed femtocells, and under Fixed takes no power at all.
+    power: P_f (p_f_dbm) under Fixed and for a femtocell that does not
+    sense the user, or, if it senses the user under carrier sensing,
+    min(P_f, P_c·10^(−b/10)·(d_m/r_c)^(−α_c)), b the blended bound at the
+    cell edge in dB. That bound is affine in log-distance (both window
+    edges scale as D^α_c), so it is solved once per run and scaled per
+    femtocell. The map prices only the power of the sensed femtocells, and
+    under Fixed takes no power at all.
     """
     budget = link_budget(p)
     d = cfg.d_norm * p.r_c
     o, r_s, *_ = _layout(cfg, p)
     pc_w = dbm_to_watts(p.p_c_dbm)
     noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
-    ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+    pf_w = dbm_to_watts(p.p_f_dbm)
     lam_f = cfg.density(p)
     carrier_sensing = cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and lam_f > 0
     if carrier_sensing:
@@ -350,7 +351,7 @@ def _run(
         # capped where even at 2·r_c from the macrocell, the farthest a femtocell
         # lies, it would exceed P_f: min(P_f, ·) prices P_f there anyway
         blend_dbm = min(p.p_c_dbm - blend_edge_db, p.p_f_dbm + 10.0 * p.alpha_c * math.log10(2.0))
-        blend_w, pf_w = dbm_to_watts(blend_dbm), dbm_to_watts(p.p_f_dbm)
+        blend_w = dbm_to_watts(blend_dbm)
 
     def sensed_w(macro_sq):
         # the carrier-sensed power of a femtocell that senses the user, at
@@ -359,7 +360,7 @@ def _run(
             return np.minimum(pf_w, blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c))
 
     if cfg.scenario is Scenario.REFERENCE_HOTSPOT:
-        serving_w = float(sensed_w(d * d)) if carrier_sensing and o * o <= r_s**2 else ambient_w
+        serving_w = float(sensed_w(d * d)) if carrier_sensing and o * o <= r_s**2 else pf_w
         link = ExactLink(
             (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi,
             (pc_w / p.u_c) * budget.a_fc * d**-p.alpha_c,
@@ -378,7 +379,7 @@ def _run(
 
     def weights(sites: tuple) -> np.ndarray:
         sensed, rho_sq, rho_cos, path_loss = sites
-        w = (ambient_w * (gain / p.u_f)) * path_loss
+        w = (pf_w * (gain / p.u_f)) * path_loss
         if carrier_sensing:
             macro_sq = d * d + rho_sq + 2.0 * d * rho_cos
             w[sensed] = (sensed_w(macro_sq) * (gain / p.u_f)) * path_loss[sensed]

@@ -302,7 +302,7 @@ def test_sensing_detector_beyond_its_branch_count_writes_nan(runner, t_f):
     res = runner.invoke(main, ["sensing", "--sweep", f"TfUf:1:{t_f}:2"])
     assert res.exit_code == 0, res.output
     first, last = csv.DictReader(io.StringIO(res.output))
-    assert last["value"] == str(t_f)
+    assert last["value"] == repr(float(t_f))
     assert last["p_detect_at_d_sense"] == last["max_range_m"] == "nan"
     default = runner.invoke(main, ["sensing", "--sweep", "TfUf:1:2:2"]).output
     assert first == next(csv.DictReader(io.StringIO(default)))
@@ -360,7 +360,7 @@ def test_simulate_byte_identical(runner, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     lines = out_a.read_text().strip().split("\n")
     assert len(lines) == 3
-    assert lines[0].startswith("scenario,d_norm,t_f,u_f,alpha_fo,lambda_f")
+    assert lines[0].startswith("scenario,d_norm,t_f,u_f,alpha_fo,pc_over_pf_db,lambda_f")
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -406,7 +406,7 @@ def test_simulate_bench_rows_pinned(runner, name):
     printed = [
         " ".join([row["p_outage"], *(v for k, v in row.items() if k.startswith("rate_pct_"))])
         for row in csv.DictReader(io.StringIO(res.stdout))
-        if row["d_norm"] in ("0.4", "0.8", "1")
+        if row["d_norm"] in ("0.4", "0.8", "1.0")
     ]
     assert printed == list(SIMULATE_PINNED[name])
 
@@ -463,13 +463,6 @@ def test_simulate_channel_mode_from_config_only(runner, tmp_path):
     res = runner.invoke(main, [*args, "--mode", "full-zf"])
     assert res.exit_code == 2
     assert "No such option" in res.output
-
-
-def test_simulate_sweep_restricted_to_distance(runner):
-    res = runner.invoke(
-        main, ["simulate", "--drops", "5", "--fades", "5", "--sweep", "Mtw:100:200:2"]
-    )
-    assert res.exit_code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -686,28 +679,56 @@ def test_config_of_unrepresentable_scale_exits_2(runner, tmp_path, args, field, 
 @pytest.mark.parametrize(
     ("scenario", "field"),
     [
-        ('{"power_policy": "Fixed", "fixed_pc_over_pf_db": -1e6}', "fixed_pc_over_pf_db"),
         ('{"sensing_radius_m": 1e200}', "sensing_radius_m"),
         ('{"d_norm": 1e-300}', "d_norm"),
         ('{"scenario": "ReferenceHotspot", "co_located_user_offset": 1e200}',
          "co_located_user_offset"),
     ],
-    ids=["ambient_power", "sensing_radius", "path_loss", "user_offset"],
+    ids=["sensing_radius", "path_loss", "user_offset"],
 )
 @pytest.mark.parametrize(
     "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
     ids=["analytic", "sensing", "simulate"],
 )
 def test_scenario_level_beyond_range_exits_2(runner, tmp_path, args, scenario, field):
-    """A scenario value whose derived ambient femto power, sensing radius
-    squared, hotspot user offset squared or reference path loss lies beyond
-    ±3000 dB is a config error that names the field, not an OverflowError
-    traceback or an overflow warning."""
+    """A scenario value whose derived sensing radius squared, hotspot user
+    offset squared or reference path loss lies beyond ±3000 dB is a config
+    error that names the field, not an OverflowError traceback or an
+    overflow warning."""
     cfg = _write(tmp_path, "level.json", f'{{"scenario": {scenario}}}')
     res = runner.invoke(main, [*args, "--config", cfg])
     assert res.exit_code == 2, res.output
     assert "Error: config" in res.output and f"{field} puts a derived" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "args", [["analytic", "--sweep", "D:0.2:1:3"], ["sensing", "--sweep", "D:0.2:1:3"], SIM],
+    ids=["analytic", "sensing", "simulate"],
+)
+def test_retired_fixed_ratio_key(runner, tmp_path, monkeypatch, args):
+    """scenario.fixed_pc_over_pf_db is retired: the Fixed femto power is
+    p_f_dbm. The benchmark's baseline_fixed.json, whose 20.0 restates the
+    default P_c/P_f, writes the same bytes as the same config without the
+    key. A value that does not restate p_c_dbm - p_f_dbm exactly (-1e6
+    once put the ambient power beyond ±3000 dB) is a config error that
+    names the key, raised before any row."""
+    raw = json.loads((BENCH_CONFIGS / "baseline_fixed.json").read_text(encoding="utf-8"))
+    assert raw["scenario"].pop("fixed_pc_over_pf_db") == 20.0
+    without = runner.invoke(main, [*args, "--config", _write(tmp_path, "a.json", json.dumps(raw))])
+    assert without.exit_code == 0, without.output
+    res = runner.invoke(main, [*args, "--config", str(BENCH_CONFIGS / "baseline_fixed.json")])
+    assert res.exit_code == 0, res.output
+    assert res.output == without.output
+    _no_row(monkeypatch)
+    for value in (20.000000000000004, 30.0, -1e6):
+        raw["scenario"]["fixed_pc_over_pf_db"] = value
+        res = runner.invoke(main, [*args, "--config", _write(tmp_path, "b.json", json.dumps(raw))])
+        assert res.exit_code == 2, res.output
+        assert res.output.endswith(
+            "b.json: fixed_pc_over_pf_db is retired (the Fixed femto power is p_f_dbm) "
+            "and may only restate p_c_dbm - p_f_dbm = 20.0\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -849,17 +870,14 @@ def test_bad_sweep_usage_exits_2(runner):
         (["simulate", "--sweep", "D:1e-300:1:2"],
          "Invalid value for '--sweep': D = 1e-300: d_norm puts a derived level at -11286 dB; "
          "it must lie within ±3000 dB"),
-        (["simulate", "--sweep", "Mtw:1:10:3"],
+        (["simulate", "--drops", "5", "--fades", "5", "--sweep", "Mtw:1:10:3"],
          "Invalid value for '--sweep': cannot sweep Mtw: the detector does not enter simulate"),
-        (["simulate", "--sweep", "PcOverPfDb:10:30:3"],
-         "Invalid value for '--sweep': cannot sweep PcOverPfDb: the Fixed femto power "
-         "P_c - fixed_pc_over_pf_db moves with P_c"),
     ],
 )
 def test_sweep_usage_error_text(runner, monkeypatch, args, error):
     """Each --sweep usage error exits 2 with its one-line message, before
-    any row is computed; simulate refuses Mtw and PcOverPfDb with the
-    reason."""
+    any row is computed; simulate refuses Mtw, the one variable it cannot
+    sweep, with the reason."""
     _no_row(monkeypatch)
     res = runner.invoke(main, args)
     assert res.exit_code == 2
@@ -888,24 +906,49 @@ def test_sweep_point_out_of_range_fails_before_any_row(runner, monkeypatch, comm
 @pytest.mark.parametrize(
     ("sweep", "column", "values"),
     [("D:0.25:0.75:3", "d_norm", ["0.25", "0.5", "0.75"]),
-     ("AlphaFo:3:4.5:4", "alpha_fo", ["3", "3.5", "4", "4.5"]),
-     ("TfUf:1:4:4", "t_f", ["1", "2", "3", "4"])],
+     ("AlphaFo:3:4.5:4", "alpha_fo", ["3.0", "3.5", "4.0", "4.5"]),
+     ("TfUf:1:4:4", "t_f", ["1", "2", "3", "4"]),
+     ("D:0.4:0.8:3", "d_norm", ["0.4", "0.6000000000000001", "0.8"]),
+     ("PcOverPfDb:10:20:4", "pc_over_pf_db",
+      ["10.0", "13.333333333333336", "16.66666666666667", "20.0"])],
 )
 def test_simulate_sweep_row_states_its_point(runner, tmp_path, sweep, column, values):
-    """simulate sweeps D, AlphaFo and TfUf: each row prints its point, and
-    equals the unswept run of a config at that point (points that the
-    sweep's step reaches exactly, so the printed value is the point)."""
+    """simulate sweeps D, PcOverPfDb, AlphaFo and TfUf: each row prints the
+    point it ran at exactly, and equals the unswept run of a config at the
+    printed point, a PcOverPfDb row at its own p_c_dbm = p_f_dbm +
+    pc_over_pf_db. A sweep's interior point need not be a short decimal
+    (0.4 + 0.2 is 0.6000000000000001), and its row says so."""
     res = runner.invoke(main, [*SIM, "--sweep", sweep])
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(io.StringIO(res.output)))
     assert [row[column] for row in rows] == values
-    key = {"d_norm": "scenario", "alpha_fo": "system", "t_f": "system"}[column]
     for row in rows:
-        value = int(row[column]) if column == "t_f" else float(row[column])
-        cfg = _write(tmp_path, "point.json", json.dumps({key: {column: value}}))
+        if column == "d_norm":
+            doc = {"scenario": {"d_norm": float(row["d_norm"])}}
+        elif column == "pc_over_pf_db":
+            p_f = SystemParams().p_f_dbm
+            doc = {"system": {"p_c_dbm": p_f + float(row["pc_over_pf_db"])}}
+        else:
+            doc = {"system": {column: (int if column == "t_f" else float)(row[column])}}
+        cfg = _write(tmp_path, "point.json", json.dumps(doc))
         one = runner.invoke(main, [*SIM, "--config", cfg])
         assert one.exit_code == 0, one.output
         assert list(csv.DictReader(io.StringIO(one.output))) == [row]
+
+
+@pytest.mark.parametrize(("scenario", "order"),
+                         [("ReferenceCellularUser", "falls"), ("ReferenceHotspot", "rises")])
+def test_simulate_fixed_outage_along_power_ratio(runner, tmp_path, scenario, order):
+    """Under Fixed the femtocells hold p_f_dbm while PcOverPfDb moves P_c:
+    a cellular user's outage falls as its macrocell grows louder, and a
+    hotspot user's rises as the macrocell's cross-tier term grows."""
+    cfg = _write(tmp_path, "fixed.json", json.dumps(
+        {"scenario": {"scenario": scenario, "power_policy": "Fixed", "d_norm": 0.6}}))
+    res = runner.invoke(main, [*SIM, "--config", cfg, "--sweep", "PcOverPfDb:0:40:5"])
+    assert res.exit_code == 0, res.output
+    outage = [float(row["p_outage"]) for row in csv.DictReader(io.StringIO(res.output))]
+    assert len(set(outage)) == 5
+    assert outage == sorted(outage, reverse=order == "falls")
 
 
 @pytest.mark.parametrize(
@@ -970,14 +1013,43 @@ def test_validate_default_config_passes(runner, tmp_path):
 def test_validate_closure_at_configured_power_ratio(runner, tmp_path, system):
     """Each closure check runs its Fixed-policy field at the system's own
     P_c/P_f, the ratio its density cap assumes, so the outage meets eps at
-    any power ratio, not only at the default 20 dB."""
+    any power ratio, not only at the default 20 dB. simulate, whose Fixed
+    femtocells transmit at the same p_f_dbm, prints the outage that
+    validate reports at each closure point."""
     cfg = _write(tmp_path, "powers.json", f'{{"system": {system}}}')
     res = runner.invoke(main, ["validate", "--config", cfg])
     assert res.exit_code == 0, res.output
     checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
-    for name in ("femto_closure_outage", "cellular_closure_outage"):
+    system = json.loads(system)
+    p = SystemParams.from_dict(system)
+    for name, scenario, d_norm, cap in (
+        ("femto_closure_outage", "ReferenceHotspot", 0.5,
+         analytic.max_contention_density_femto(0.5, p)[0]),
+        ("cellular_closure_outage", "ReferenceCellularUser", 0.8,
+         analytic.max_contention_density_cellular(0.8, p)),
+    ):
         assert checks[name]["passed"], checks[name]
         assert checks[name]["value"] == pytest.approx(0.1, abs=1e-3)
+        point = _write(tmp_path, "point.json", json.dumps({"system": system, "scenario": {
+            "scenario": scenario, "d_norm": d_norm, "power_policy": "Fixed",
+            "n_f_target": cap * math.pi * p.r_c**2, "include_noise": False}}))
+        sim = runner.invoke(main, ["simulate", "--config", point])
+        assert sim.exit_code == 0, sim.output
+        (row,) = csv.DictReader(io.StringIO(sim.output))
+        assert row["p_outage"] == f"{checks[name]['value']:.12g}"
+
+
+def test_validate_zero_snr_floor_runs_the_detector_sum(runner, monkeypatch):
+    """detector_zero_snr_floor evaluates the detector's sum, at the smallest
+    positive SNR: a sum off by 10⁻³ there fails the check, and validate
+    exits 1 (the KS checks, which do not read the detector, are skipped)."""
+    monkeypatch.setattr(simulator, "fade_ks_distances", lambda p, seed, n: {})
+    monkeypatch.setattr(sensing, "_excess", lambda *args: (1e-3, 0.0))
+    res = runner.invoke(main, ["validate"])
+    assert res.exit_code == 1, res.output
+    failed = [c for c in _strict_json(res.output)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["detector_zero_snr_floor"]
+    assert failed[0]["value"] == pytest.approx(0.101, abs=1e-12)
 
 
 def test_validate_multiuser_marks_fail(runner, tmp_path):
@@ -1103,7 +1175,8 @@ def _config_docs(draw):
     """A config document over the validated ranges of SystemParams and
     ScenarioConfig, within physical bounds: both scenarios and policies,
     0–10⁴ femtocells per cell (0 drawn on its own), D from 10⁻³, t_f up to
-    24 (beyond the detector's 19), noise on or off."""
+    24 (beyond the detector's 19), noise on or off, and a femto power
+    p_f_dbm from −20 to 50 dBm, the Fixed policy's every femtocell."""
     def real(lo, hi):
         return draw(st.floats(lo, hi))
 
@@ -1113,7 +1186,7 @@ def _config_docs(draw):
         "eps": real(0.01, 0.5), "gamma_target": 10.0 ** (real(-10.0, 20.0) / 10.0),
         "r_c": real(200.0, 5000.0), "r_f": real(5.0, 100.0),
         "alpha_c": real(2.1, 6.0), "alpha_fo": real(2.1, 6.0), "alpha_fi": real(2.1, 6.0),
-        "p_c_dbm": real(20.0, 50.0), "p_f_dbm": real(0.0, 30.0), "p_ut_dbm": real(0.0, 30.0),
+        "p_c_dbm": real(20.0, 50.0), "p_f_dbm": real(-20.0, 50.0), "p_ut_dbm": real(0.0, 30.0),
         "wall_db": real(0.0, 20.0), "snr_edge_db": real(-10.0, 30.0),
         "f_c_mhz": real(500.0, 6000.0),
     }
@@ -1123,8 +1196,7 @@ def _config_docs(draw):
         "d_norm": 10.0 ** real(-3.0, 0.0),
         "n_f_target": draw(st.one_of(st.just(0.0), st.floats(-2.0, 4.0).map(lambda e: 10.0**e))),
         "include_noise": draw(st.booleans()),
-        "blend_weight": real(0.0, 1.0), "fixed_pc_over_pf_db": real(0.0, 40.0),
-        "sensing_radius_m": real(10.0, 1000.0),
+        "blend_weight": real(0.0, 1.0), "sensing_radius_m": real(10.0, 1000.0),
         "co_located_user_offset": draw(st.one_of(st.none(), st.floats(0.0, 500.0))),
     }
     return {"system": system, "scenario": scenario}
@@ -1166,12 +1238,11 @@ def _non_finite(rows):
 @example(doc={
     "system": {"t_c": 1, "u_c": 1, "t_f": 8, "u_f": 3, "eps": 0.5,
                "gamma_target": 10.0 ** -0.25, "r_c": 4376.0, "r_f": 7.0, "alpha_c": 2.25,
-               "alpha_fo": 3.0, "alpha_fi": 3.0, "p_c_dbm": 20.0, "p_f_dbm": 0.0,
+               "alpha_fo": 3.0, "alpha_fi": 3.0, "p_c_dbm": 20.0, "p_f_dbm": 20.0,
                "p_ut_dbm": 0.0, "wall_db": 0.0, "snr_edge_db": 2.0, "f_c_mhz": 500.0},
     "scenario": {"scenario": "ReferenceHotspot", "power_policy": "Fixed", "d_norm": 1.0,
                  "n_f_target": 0.0, "include_noise": True, "blend_weight": 0.0,
-                 "fixed_pc_over_pf_db": 0.0, "sensing_radius_m": 10.0,
-                 "co_located_user_offset": None},
+                 "sensing_radius_m": 10.0, "co_located_user_offset": None},
 })
 # an overflowing path loss ρ^(−α_fo) at the innermost FastChi2 node warned
 @example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 80.0},

@@ -4,8 +4,10 @@ writes a file whose SHA-256 is the one the manifest holds, and whose kept
 cells are those of its thinned copy in tests/golden/thinned.
 
 The manifest covers every invocation of the three `bench/workloads.py`
-workloads at benchmark seed 1 and two FullZF hotspot sweeps (configs next to
-the manifest), at one stream per tier and at t_f = t_c = 4, u_f = u_c = 2.
+workloads at benchmark seed 1, two FullZF hotspot sweeps (configs next to
+the manifest), at one stream per tier and at t_f = t_c = 4, u_f = u_c = 2,
+and a `Fixed` cell-edge `PcOverPfDb` sweep whose config does not set the
+retired `fixed_pc_over_pf_db`.
 On a mismatch the check names each kept cell that moved, with its old and
 new value, and each file's new digest. A change that moves an output on
 purpose runs tests/golden/regenerate.py, which shares this check's

@@ -4,7 +4,8 @@ numpy when they load, and the closed-form commands run without it, the
 benchmark worker's set-up loads neither the thread pool nor numpy's random
 generators and a FastChi2 `simulate` loads neither, only the
 link model and the simulator read the link budget's linear gains, only the
-link model names its config loader, the CLI computes no closed form, only
+link model names its config loader and the retired scenario key
+`fixed_pc_over_pf_db`, the CLI computes no closed form, only
 `analytic` computes the first-order outage model, the CLI reads no other
 module's private name, every name an `__all__` lists resolves and is
 defined in that module, every name one module uses of another is in that
@@ -32,6 +33,8 @@ ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 LINK_GAINS = {"a_c", "a_fc", "a_fi", "a_cf", "a_ff"}
 # linkmodel's JSON config loader, which every config dataclass there shares
 CONFIG_LOADER = {"_JsonConfig", "_check_fields"}
+# the retired second copy of the Fixed femto power, which the model no longer reads
+RETIRED_KEY = "fixed_pc_over_pf_db"
 # what the first-order outage model is computed from, which only `analytic`
 # (and `specfun`, which defines the special functions) reads
 OUTAGE_MODEL = {"inv_reg_inc_beta", "reg_inc_beta", "shot_noise_c_f"}
@@ -267,6 +270,50 @@ def test_only_linkmodel_names_its_config_loader():
         for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
         if path.stem != "linkmodel"
         for use in _loader_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def _retired_key_uses(source: str) -> list[str]:
+    """Every naming of RETIRED_KEY, in line order: an attribute, a keyword
+    argument, a bare name, or a string that holds it (as getattr or a dict
+    key would)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == RETIRED_KEY:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.keyword) and node.arg == RETIRED_KEY:
+            found.append((node.value.lineno, f"{node.arg}="))
+        elif isinstance(node, ast.Name) and node.id == RETIRED_KEY:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Constant) and RETIRED_KEY in str(node.value):
+            found.append((node.lineno, repr(node.value)))
+    return [f"line {line}: {use}" for line, use in sorted(found)]
+
+
+def test_retired_key_use_detector():
+    source = (
+        "w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)\n"
+        "cfg = ScenarioConfig(fixed_pc_over_pf_db=20.0)\n"
+        "x = getattr(cfg, 'fixed_pc_over_pf_db')\nfixed_pc_over_pf_db = 1\n"
+        "y = cfg.fixed_pc_over_pf_dbm + p.p_f_dbm\n"
+    )
+    assert _retired_key_uses(source) == [
+        "line 1: .fixed_pc_over_pf_db", "line 2: fixed_pc_over_pf_db=",
+        "line 3: 'fixed_pc_over_pf_db'", "line 4: fixed_pc_over_pf_db",
+    ]
+
+
+def test_only_linkmodel_names_the_retired_key():
+    """The Fixed femto power is the system's p_f_dbm alone. Only `linkmodel`,
+    which keeps scenario.fixed_pc_over_pf_db so that an old config loads
+    and rejects a value that disagrees with the system, names the key, so
+    a second source of that power cannot return."""
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(Path(tiernet.__path__[0]).glob("*.py"))
+        if path.stem != "linkmodel"
+        for use in _retired_key_uses(path.read_text(encoding="utf-8"))
     ]
     assert found == []
 

@@ -39,6 +39,8 @@ from tiernet.simulator import (
 from tiernet.specfun import chi2_cdf, reg_gamma, reg_inc_beta
 
 P = SystemParams()
+# the femtocells 10 dB below the default P_f, at P_c/P_f = 30 dB
+P13 = dataclasses.replace(P, p_f_dbm=13.0)
 # the rate percentiles tiernet simulate writes
 PCT_GRID = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
@@ -396,7 +398,7 @@ def _uniforms(offsets):
 
 
 def _fixed_cfg(scenario=Scenario.REFERENCE_CELLULAR_USER, **kw):
-    # interferers at P_c − 20 dB = the nominal 23 dBm femto power, no noise
+    # interferers at the nominal 23 dBm femto power P_f, no noise
     return ScenarioConfig(
         scenario=scenario, power_policy=PowerPolicy.FIXED, include_noise=False, **kw
     )
@@ -437,9 +439,8 @@ def test_sir_scales_with_power_ratio():
     link, weights = _weight_map(cfg, P)
     fades = _fades(np.random.default_rng(13), link, 1000, 1)
     base = link.sinr(*fades, weights(*u))
-    quieter_cfg = dataclasses.replace(cfg, fixed_pc_over_pf_db=30.0)
-    for p in (dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0), P):
-        scaled, scaled_weights = _weight_map(quieter_cfg, p)
+    for p in (dataclasses.replace(P, p_c_dbm=P.p_c_dbm + 10.0), P13):
+        scaled, scaled_weights = _weight_map(cfg, p)
         np.testing.assert_allclose(
             scaled.sinr(*fades, scaled_weights(*u)), base * 10.0, rtol=1e-12
         )
@@ -854,7 +855,7 @@ def _cartesian_map(cfg, p):
         blend_edge_db = blended_power_policy(*window_db, cfg.blend_weight)
 
     def powers_dbm(positions):
-        powers = np.full(len(positions), p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+        powers = np.full(len(positions), p.p_f_dbm)
         sensed = np.zeros(len(positions), dtype=bool)
         if blend_edge_db is not None:
             blend_db = blend_edge_db + 10.0 * p.alpha_c * np.log10(
@@ -885,18 +886,19 @@ def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
     in linear power. The Cartesian layout in dBm that it replaced gives the
     same weights within rel 1e-12 and the same sensed set, at the draws of
     FullZF drops, at the field's nodes and at a femtocell on the receiver
-    (an infinite weight), and the same serving power for a hotspot. The
-    ambient power sits 10 dB below the cap P_f, so a femtocell that the map
-    put on the other side of the sensing circle would change its weight."""
+    (an infinite weight), and the same serving power for a hotspot, with
+    the femtocells at P_f = 13 dBm. A femtocell that does not sense the
+    user transmits at the cap P_f itself, as under Fixed, and one that
+    senses it at most there, so the sensed set is read from the sites."""
+    p = P13
     cfg = ScenarioConfig(
         scenario=scenario, power_policy=policy, d_norm=d_norm, n_f_target=60.0,
-        co_located_user_offset=offset, fixed_pc_over_pf_db=30.0,
+        co_located_user_offset=offset,
     )
-    link, weights = _weight_map(cfg, P)
-    _, ambient_weights = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), P)
-    oracle, serving_w = _cartesian_map(cfg, P)
-    drops = [simulator._drop_draws(cfg, i, P, 5)[1:] for i in range(200)]
-    nodes = [_field_nodes(cfg, P, k)[:2] for k in (1, 2)]
+    link, weights = _weight_map(cfg, p)
+    oracle, serving_w = _cartesian_map(cfg, p)
+    drops = [simulator._drop_draws(cfg, i, p, 5)[1:] for i in range(200)]
+    nodes = [_field_nodes(cfg, p, k)[:2] for k in (1, 2)]
     u_radius, u_angle = (
         np.concatenate(x) for x in zip(*drops, *nodes, (np.zeros(1), np.zeros(1)))
     )
@@ -904,13 +906,18 @@ def test_weight_map_matches_cartesian_layout(scenario, policy, d_norm, offset):
     want, want_sensed = oracle(u_radius, u_angle)
     np.testing.assert_allclose(got, want, rtol=1e-12)
     assert got[-1] == math.inf
-    sensed = ~np.isclose(got, ambient_weights(u_radius, u_angle), rtol=1e-9, atol=0.0)
+    sensed = simulator._sites(u_radius, u_angle, *simulator._layout(cfg, p))[0]
+    sensed &= policy is PowerPolicy.CARRIER_SENSED_BLEND
     np.testing.assert_array_equal(sensed[:-1], want_sensed[:-1])
-    assert want_sensed.any() == (policy is PowerPolicy.CARRIER_SENSED_BLEND)
+    _, fixed_weights = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), p)
+    fixed = fixed_weights(u_radius, u_angle)
+    np.testing.assert_array_equal(got[~sensed], fixed[~sensed])
+    assert np.all(got[sensed] <= fixed[sensed])
+    assert (got[sensed] < fixed[sensed]).any() == (policy is PowerPolicy.CARRIER_SENSED_BLEND)
     if scenario is Scenario.REFERENCE_HOTSPOT:
-        budget = link_budget(P)
+        budget = link_budget(p)
         assert link.desired == pytest.approx(
-            (serving_w / P.u_f) * budget.a_fi * P.r_f**-P.alpha_fi, rel=1e-12
+            (serving_w / p.u_f) * budget.a_fi * p.r_f**-p.alpha_fi, rel=1e-12
         )
 
 
@@ -924,9 +931,9 @@ def _reference_weights(cfg, p, u_radius, u_angle):
     hotspot = cfg.scenario is Scenario.REFERENCE_HOTSPOT
     d, o = cfg.d_norm * p.r_c, cfg.user_offset_m if hotspot else 0.0
     gain = budget.a_ff if hotspot else budget.a_cf
-    ambient_w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)
+    pf_w = dbm_to_watts(p.p_f_dbm)
     rho_sq = p.r_c**2 * u_radius
-    tx_w = ambient_w
+    tx_w = pf_w
     if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
         window_db = power_ratio_bounds(1.0, cfg.density(p), p)
         blend_w = dbm_to_watts(p.p_c_dbm - blended_power_policy(*window_db, cfg.blend_weight))
@@ -934,10 +941,8 @@ def _reference_weights(cfg, p, u_radius, u_angle):
         macro_sq = d * d + rho_sq + 2.0 * d * rho_cos
         user_sq = rho_sq + o * o - 2.0 * o * rho_cos
         with np.errstate(divide="ignore"):
-            blended = np.minimum(
-                dbm_to_watts(p.p_f_dbm), blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c)
-            )
-        tx_w = np.where(user_sq <= cfg.sensing_radius_m**2, blended, ambient_w)
+            blended = np.minimum(pf_w, blend_w * (macro_sq / p.r_c**2) ** (-0.5 * p.alpha_c))
+        tx_w = np.where(user_sq <= cfg.sensing_radius_m**2, blended, pf_w)
     with np.errstate(divide="ignore"):
         return (tx_w * (gain / p.u_f)) * rho_sq ** (-0.5 * p.alpha_fo)
 
@@ -975,56 +980,59 @@ def test_weights_match_reference_at_the_edges(scenario, offset, policy):
     """The split weight map against the reference expression, bit for bit
     and without a warning, where it is easiest to get wrong: a femtocell on
     the receiver (u_radius = 0, an infinite weight), exactly on the sensing
-    circle about a cellular user (sensed, as d_u² ≤ R_s² is inclusive) and
-    one ulp outside it (not sensed), on the macrocell at D = 0.2 (which
-    transmits at the cap P_f), an empty drop, both policies, and a hotspot
-    whose user lies on or beyond the sensing circle (o ≥ R_s), where every
-    ray starts outside it."""
+    circle about a cellular user (sensed, as d_u² ≤ R_s² is inclusive, at
+    9 dBm, below the cap P_f = 13 dBm) and one ulp outside it (not sensed,
+    at P_f), on the macrocell at D = 0.2 (which transmits at the cap P_f),
+    an empty drop, both policies, and a hotspot whose user lies on or
+    beyond the sensing circle (o ≥ R_s), where every ray starts outside it."""
+    p = P13
     cfg = ScenarioConfig(
         scenario=scenario, power_policy=policy, d_norm=0.2, n_f_target=60.0,
-        co_located_user_offset=offset, fixed_pc_over_pf_db=30.0,
+        co_located_user_offset=offset,
     )
-    _, weights = simulator._run(cfg, P)
-    layout = simulator._layout(cfg, P)
-    on_circle = (cfg.sensing_radius_m / P.r_c) ** 2
-    assert P.r_c**2 * on_circle == cfg.sensing_radius_m**2
+    _, weights = simulator._run(cfg, p)
+    layout = simulator._layout(cfg, p)
+    on_circle = (cfg.sensing_radius_m / p.r_c) ** 2
+    assert p.r_c**2 * on_circle == cfg.sensing_radius_m**2
     u_radius = np.array([0.0, on_circle, np.nextafter(on_circle, 1.0), 0.04, 0.5])
-    u_angle = np.array([0.0, 0.3, 0.3, 0.5, 0.1])
+    u_angle = np.array([0.0, 0.2, 0.2, 0.5, 0.1])
     rng = np.random.default_rng(17)
     cases = [(u_radius, u_angle), (np.empty(0), np.empty(0)), tuple(rng.random((2, 500)))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for u in cases:
             sites = simulator._sites(*u, *layout)
-            np.testing.assert_array_equal(weights(sites), _reference_weights(cfg, P, *u))
-        field_radius, field_angle, _, field_sites = simulator._field(cfg, P, 1)
+            np.testing.assert_array_equal(weights(sites), _reference_weights(cfg, p, *u))
+        field_radius, field_angle, _, field_sites = simulator._field(cfg, p, 1)
         w_field = weights(field_sites)
-        np.testing.assert_array_equal(w_field, _reference_weights(cfg, P, field_radius, field_angle))
+        np.testing.assert_array_equal(
+            w_field, _reference_weights(cfg, p, field_radius, field_angle)
+        )
         edge_sites = simulator._sites(u_radius, u_angle, *layout)
         w = weights(edge_sites)
     assert w[0] == math.inf and w_field.size > 0
     if scenario is Scenario.REFERENCE_CELLULAR_USER and policy is PowerPolicy.CARRIER_SENSED_BLEND:
-        budget = link_budget(P)
-        _, fixed = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED))
+        budget = link_budget(p)
+        _, fixed = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), p)
         assert edge_sites[0].tolist() == [True, True, False, True, False]
         assert w[1] != fixed(u_radius, u_angle)[1] and w[2] == fixed(u_radius, u_angle)[2]
-        assert w[3] == (dbm_to_watts(P.p_f_dbm) * (budget.a_cf / P.u_f)) * 200.0 ** -P.alpha_fo
+        assert w[3] == (dbm_to_watts(p.p_f_dbm) * (budget.a_cf / p.u_f)) * 200.0 ** -p.alpha_fo
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_weight_map_without_femtocells(scenario):
     """With no femtocells there is no power window to blend: the carrier-
-    sensed map prices every femtocell at the ambient power, as the
+    sensed map prices every femtocell at P_f, as the
     Cartesian layout does, an empty drop has no weights, and the field has
     no nodes."""
-    cfg = ScenarioConfig(scenario=scenario, n_f_target=0.0, fixed_pc_over_pf_db=30.0)
-    _, weights = _weight_map(cfg, P)
+    cfg = ScenarioConfig(scenario=scenario, n_f_target=0.0)
+    _, weights = _weight_map(cfg, P13)
     u_radius, u_angle = np.random.default_rng(3).random((2, 500))
     np.testing.assert_allclose(
-        weights(u_radius, u_angle), _cartesian_map(cfg, P)[0](u_radius, u_angle)[0], rtol=1e-12
+        weights(u_radius, u_angle), _cartesian_map(cfg, P13)[0](u_radius, u_angle)[0], rtol=1e-12
     )
     assert weights(np.empty(0), np.empty(0)).shape == (0,)
-    assert [x.size for x in simulator._field(cfg, P, 1)[:3]] == [0, 0, 0]
+    assert [x.size for x in simulator._field(cfg, P13, 1)[:3]] == [0, 0, 0]
 
 
 def _fsum_coverage(link, theta, weights, mass):
