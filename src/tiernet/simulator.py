@@ -18,13 +18,15 @@ from counter-based Philox streams, one per drop, spawned as
 SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
-bit-identical from run to run. The single-stream (U = 1) samplers draw a
-channel's real block, then its imaginary block, and a victim's two blocks
-at most _ROWS rows at a time, in that same order: beside the channel that
-a leakage sampler holds, they keep a few arrays of one value per row.
-fade_ks_distances's four checks each draw from their own such stream and
-run side by side on a thread pool of at most min(4, usable CPUs) threads,
-so their distances are the same at any core count.
+bit-identical from run to run. The multi-stream (U > 1) samplers draw
+their channels' real block, then their imaginary block (then a victim's
+two). The single-stream (U = 1) samplers draw one row of normals per
+sample (a channel's T real and T imaginary parts, then a victim's) at
+most _ROWS rows at a time, which gives the bits of one whole draw: beside
+their output they hold one chunk of rows. fade_ks_distances's four checks
+each draw from their own such stream and run side by side on a thread pool
+of at most min(4, usable CPUs) threads, so their distances are the same at
+any core count.
 """
 
 from __future__ import annotations
@@ -105,33 +107,25 @@ def _drop_draws(
 _ROWS = 8192
 
 
-def _normal_rows(
-    rng: np.random.Generator, n: int, t: int, blocks: int
-) -> Iterator[tuple[int, slice, np.ndarray]]:
-    # `blocks` (n, t) blocks of standard normals in the stream's order, as
-    # (block, row slice, its rows) triples of at most _ROWS rows, each
-    # refilling one buffer
-    buf = np.empty((min(n, _ROWS), t))
-    for block in range(blocks):
-        for start in range(0, n, _ROWS):
-            rows = slice(start, min(start + _ROWS, n))
-            x = buf[: rows.stop - start]
-            rng.standard_normal(out=x)
-            yield block, rows, x
-
-
-def _cn_parts(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # shape's complex normals, unscaled: its real block, then its imaginary block
-    parts = np.empty((2, *shape))
-    rng.standard_normal(out=parts[0])
-    rng.standard_normal(out=parts[1])
-    return parts
+def _row_blocks(
+    rng: np.random.Generator, n: int, width: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    # n rows of `width` standard normals as (row slice, its rows) pairs of at
+    # most _ROWS rows, each refilling one buffer: numpy fills rows in stream
+    # order, so the chunks hold the bits of one (n, width) draw
+    buf = np.empty((min(n, _ROWS), width))
+    for start in range(0, n, _ROWS):
+        x = buf[: min(_ROWS, n - start)]
+        rng.standard_normal(out=x)
+        yield slice(start, start + len(x)), x
 
 
 def _cn_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     # unit-power complex normals, scaled in place: bit for bit (re + 1j·im)/√2
+    # of a real block drawn before an imaginary one
     z = np.empty(shape, complex)
-    z.real, z.imag = _cn_parts(rng, shape)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     z /= math.sqrt(2.0)
     return z
 
@@ -158,20 +152,14 @@ def _zf_desired_batch(
     rng: np.random.Generator, n: int, t: int, u: int
 ) -> np.ndarray:
     # |h0^dag w0|^2 for the served user: raw channels, adjoint row directions;
-    # one stream's column is h0/||h0|| (maximum ratio), so that is ||h0||^2
+    # one stream's column is h0/||h0|| (maximum ratio), so that is ||h0||^2,
+    # here ||x||²/2 of each row x of h's T real and then T imaginary parts
     if u == 1:
-        if n <= _ROWS:
-            # both blocks whole, within the bound: einsum sums a lone row's
-            # 2T normals in one run, in an order two row sums do not repeat
-            h = _cn_parts(rng, (n, t))
-            return np.einsum("knt,knt->n", h, h) / 2.0
-        # the real block's row sums, then the imaginary block's
-        sq, im_sq = np.empty(n), np.empty(n)
-        for block, rows, x in _normal_rows(rng, n, t, 2):
-            np.einsum("nt,nt->n", x, x, out=(sq, im_sq)[block][rows])
-        sq += im_sq
-        sq /= 2.0
-        return sq
+        power = np.empty(n)
+        for rows, x in _row_blocks(rng, n, 2 * t):
+            np.einsum("nk,nk->n", x, x, out=power[rows])
+        power /= 2.0
+        return power
     h, w = _zf_precoded(rng, n, t, u)
     return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
 
@@ -180,29 +168,19 @@ def _zf_leakage_batch(
     rng: np.random.Generator, n: int, t: int, u: int
 ) -> np.ndarray:
     # ||g^dag W||^2 at a victim with channel g independent of the precoder;
-    # one stream's W is h/||h||, so that is |g^dag h|^2/||h||^2, here from the
-    # unscaled parts x + iy of h and g as |g^dag h|^2/(2·||h||^2). h is held
-    # whole (both its blocks precede g's); g's two blocks come _ROWS rows at
-    # a time, and each row of gᴴh is finished in place once g's second block
-    # has passed it
+    # one stream's W is h/||h||, so that is |g^dag h|^2/||h||^2, here from
+    # each row of h's 2T normals and then g's, the unscaled parts a + ib of h
+    # and c + id of g, as |g^dag h|^2/(2·||h||^2) with
+    # g^dag h = (c·a + d·b) + i(c·b − d·a)
     if u == 1:
-        h = _cn_parts(rng, (n, t))
-        re, im = np.empty(n), np.empty(n)
-        for block, rows, g in _normal_rows(rng, n, t, 2):
-            r, i = re[rows], im[rows]
-            if block == 0:
-                np.einsum("nt,nt->n", g, h[0, rows], out=r)
-                np.einsum("nt,nt->n", g, h[1, rows], out=i)
-                continue
-            r += np.einsum("nt,nt->n", g, h[1, rows])
-            i -= np.einsum("nt,nt->n", g, h[0, rows])
-            r *= r
-            i *= i
-            r += i
-        norm_sq = np.einsum("knt,knt->n", h, h, out=im)
-        norm_sq *= 2.0
-        re /= norm_sq
-        return re
+        power = np.empty(n)
+        for rows, x in _row_blocks(rng, n, 4 * t):
+            h, g = x[:, : 2 * t], x[:, 2 * t :]
+            re = np.einsum("nk,nk->n", g, h)
+            im = np.einsum("nt,nt->n", g[:, :t], h[:, t:])
+            im -= np.einsum("nt,nt->n", g[:, t:], h[:, :t])
+            power[rows] = (re * re + im * im) / (2.0 * np.einsum("nk,nk->n", h, h))
+        return power
     _, w = _zf_precoded(rng, n, t, u)
     g = _cn_matrix(rng, (n, t))
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
@@ -223,8 +201,8 @@ def fade_ks_distances(p: SystemParams, seed: int, n: int) -> dict[str, float]:
     The four checks run side by side on a pool of at most
     min(4, usable CPUs) threads, a bound that holds peak memory: a check
     holds its n samples and at most four more arrays of n values at once,
-    and a leakage check, while it samples, also its channel's 2·n·T normals
-    (its victim's come _ROWS rows at a time). Each reads only its own
+    and, while it samples at U = 1, one chunk of at most _ROWS rows of
+    normals (at U > 1 its channels whole). Each reads only its own
     stream, so the distances do not depend on the thread count; the error
     of the earliest failing check is raised once every thread has finished.
 
@@ -268,11 +246,11 @@ def _sample_draws(
     """All FullZF fading powers for n_fades trials against one drop: the
     desired (n_fades,), cross-tier (n_fades,; zeros for a cellular user)
     and mark (n_fades, n_interferers) powers, drawn in that fixed order so
-    results are seed-stable. Each sampler draws its channels' real block,
-    then their imaginary block (then the victim's, for leakage) at every U;
-    at U = 1 it forms no precoder but reads the maximum-ratio closed forms
-    off those same normals, drawn at most _ROWS rows at a time, so every
-    later draw stays where it was."""
+    results are seed-stable. At U > 1 each sampler draws its channels'
+    real block, then their imaginary block (then the victim's, for
+    leakage). At U = 1 it forms no precoder: it draws one row of normals
+    per sample, the channel's and then the victim's, at most _ROWS rows at
+    a time, and reads the maximum-ratio closed forms off each row."""
     if reference_tier is Scenario.REFERENCE_HOTSPOT:
         desired = _zf_desired_batch(rng, n_fades, p.t_f, p.u_f)
         cross = _zf_leakage_batch(rng, n_fades, p.t_c, p.u_c)

@@ -175,18 +175,39 @@ def _general_leakage(rng, n, t, u):
     return (np.abs(np.einsum("nt,ntu->nu", g.conj(), w)) ** 2).sum(axis=1)
 
 
+def _row_major_channels(rng, n, t, count):
+    # `count` (n, 1, t) unit-power channels off one (n, 2·t·count) draw: each
+    # row holds the first channel's t real and t imaginary parts, then the next's
+    x = rng.standard_normal((n, 2 * t * count)).reshape(n, count, 2, 1, t)
+    return [(z[:, 0] + 1j * z[:, 1]) / np.sqrt(2) for z in x.transpose(1, 0, 2, 3, 4)]
+
+
+def _single_stream_desired(rng, n, t):
+    # the precoded formula of _general_desired on one row-major channel
+    (h,) = _row_major_channels(rng, n, t, 1)
+    w = _zf_precoder_batch(h.conj() / np.linalg.norm(h, axis=2, keepdims=True))
+    return np.abs(np.einsum("nt,nt->n", h[:, 0, :].conj(), w[:, :, 0])) ** 2
+
+
+def _single_stream_leakage(rng, n, t):
+    # the precoded formula of _general_leakage, h and then g in each row
+    h, g = _row_major_channels(rng, n, t, 2)
+    w = _zf_precoder_batch(h.conj() / np.linalg.norm(h, axis=2, keepdims=True))
+    return (np.abs(np.einsum("nt,ntu->nu", g[:, 0, :].conj(), w)) ** 2).sum(axis=1)
+
+
 @pytest.mark.parametrize("t", [2, 4])
 def test_single_stream_samplers_are_the_general_formula(t):
     """At U = 1 the samplers form no precoder, but read ||h||² and
     |gᴴh|²/||h||² off the same normals: each equals the precoded formula
-    replayed on a copy of the stream, and leaves the stream where the
-    replay does."""
+    replayed on a copy of the stream, h (and then g) drawn one row of
+    normals per sample, and leaves the stream where the replay does."""
     n = 5000
     rng, replay = _drop_rng(27, 5), _drop_rng(27, 5)
     for sampler, general in (
-        (_zf_desired_batch, _general_desired), (_zf_leakage_batch, _general_leakage)
+        (_zf_desired_batch, _single_stream_desired), (_zf_leakage_batch, _single_stream_leakage)
     ):
-        np.testing.assert_allclose(sampler(rng, n, t, 1), general(replay, n, t, 1), rtol=1e-12)
+        np.testing.assert_allclose(sampler(rng, n, t, 1), general(replay, n, t), rtol=1e-12)
         assert rng.random() == replay.random()
 
 
@@ -207,25 +228,19 @@ def test_multi_stream_desired_power_is_its_replay(t, u):
 
 
 def _whole_block_desired(rng, n, t):
-    # ||h||²/2 with both of h's (n, t) blocks held whole
-    h = np.empty((2, n, t))
-    rng.standard_normal(out=h[0])
-    rng.standard_normal(out=h[1])
-    return np.einsum("knt,knt->n", h, h) / 2.0
+    # ||h||²/2 off one whole (n, 2t) block, each row h's real and imaginary parts
+    x = rng.standard_normal((n, 2 * t))
+    return np.einsum("nk,nk->n", x, x) / 2.0
 
 
 def _whole_block_leakage(rng, n, t):
-    # |gᴴh|²/(2·||h||²) with h and both of g's (n, t) blocks held whole
-    h = np.empty((2, n, t))
-    rng.standard_normal(out=h[0])
-    rng.standard_normal(out=h[1])
-    g = rng.standard_normal((n, t))
-    re = np.einsum("nt,nt->n", g, h[0])
-    im = np.einsum("nt,nt->n", g, h[1])
-    rng.standard_normal(out=g)
-    re += np.einsum("nt,nt->n", g, h[1])
-    im -= np.einsum("nt,nt->n", g, h[0])
-    return (re * re + im * im) / (2.0 * np.einsum("knt,knt->n", h, h))
+    # |gᴴh|²/(2·||h||²) off one whole (n, 4t) block, each row h's 2t normals
+    # and then g's
+    x = rng.standard_normal((n, 4 * t))
+    h, g = x[:, : 2 * t], x[:, 2 * t :]
+    re = np.einsum("nk,nk->n", g, h)
+    im = np.einsum("nt,nt->n", g[:, :t], h[:, t:]) - np.einsum("nt,nt->n", g[:, t:], h[:, :t])
+    return (re * re + im * im) / (2.0 * np.einsum("nk,nk->n", h, h))
 
 
 ROWS = simulator._ROWS
@@ -235,8 +250,8 @@ ROWS = simulator._ROWS
 @pytest.mark.parametrize("n", [0, 1, 5, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS, 2 * ROWS + 17])
 def test_single_stream_samplers_match_whole_blocks(n, t):
     """Drawn _ROWS rows at a time, the U = 1 samplers give the bits of the
-    same formulas on whole blocks, and leave the stream where those do; a
-    call of no rows draws nothing."""
+    same formulas on one whole row-major block, and leave the stream where
+    that draw does; a call of no rows draws nothing."""
     for sampler, whole in (
         (_zf_desired_batch, _whole_block_desired), (_zf_leakage_batch, _whole_block_leakage)
     ):
@@ -261,15 +276,15 @@ def _traced_peak(call):
 
 
 def test_single_stream_samplers_hold_no_victim_block():
-    """At n = 10⁵, T = 4 the desired sampler never holds an (n, T) block,
-    and the leakage sampler holds the channel h and no more than three
-    (n,) arrays beside it: g's blocks come _ROWS rows at a time."""
+    """At n = 10⁵, T = 4 neither U = 1 sampler holds as much as one (n, T)
+    block of normals: each keeps its (n,) output beside one chunk of at
+    most _ROWS rows."""
     n, t = 100_000, 4
-    row, block = 8 * n, 8 * n * t
+    block = 8 * n * t
     for sampler in (_zf_desired_batch, _zf_leakage_batch):
         sampler(_drop_rng(3, 2), ROWS + 1, t, 1)  # a first call's one-off allocations, untraced
     assert _traced_peak(lambda: _zf_desired_batch(_drop_rng(3, 0), n, t, 1)) < block
-    assert _traced_peak(lambda: _zf_leakage_batch(_drop_rng(3, 1), n, t, 1)) < 2 * block + 3 * row
+    assert _traced_peak(lambda: _zf_leakage_batch(_drop_rng(3, 1), n, t, 1)) < block
 
 
 # ---------------------------------------------------------------------------
