@@ -30,7 +30,6 @@ __all__ = [
     "noise_floor_dbm",
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_watts",
 ]
 
 
@@ -42,10 +41,6 @@ def linear_to_db(value: float) -> float:
     if not value > 0:
         raise ValueError(f"linear_to_db requires a positive value, got {value}")
     return 10.0 * math.log10(value)
-
-
-def dbm_to_watts(value_dbm: float) -> float:
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
 # the largest decibel magnitude of a derived linear quantity: 10^(±300) and

@@ -41,7 +41,7 @@ import numpy as np
 
 from .laplace import ExactLink, rate_quantiles
 from .linkmodel import (
-    ChannelMode, PowerPolicy, Scenario, ScenarioConfig, SystemParams, dbm_to_watts,
+    ChannelMode, PowerPolicy, Scenario, ScenarioConfig, SystemParams, db_to_linear,
     link_budget, noise_floor_dbm,
 )
 from .sensing import blended_power_policy, power_ratio_bounds
@@ -319,9 +319,9 @@ def _run(
     budget = link_budget(p)
     d = cfg.d_norm * p.r_c
     o, r_s, *_ = _layout(cfg, p)
-    pc_w = dbm_to_watts(p.p_c_dbm)
-    noise_w = dbm_to_watts(noise_floor_dbm(p)) if cfg.include_noise else 0.0
-    pf_w = dbm_to_watts(p.p_f_dbm)
+    pc_w = db_to_linear(p.p_c_dbm - 30.0)
+    noise_w = db_to_linear(noise_floor_dbm(p) - 30.0) if cfg.include_noise else 0.0
+    pf_w = db_to_linear(p.p_f_dbm - 30.0)
     lam_f = cfg.density(p)
     carrier_sensing = cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and lam_f > 0
     if carrier_sensing:
@@ -329,7 +329,7 @@ def _run(
         # capped where even at 2·r_c from the macrocell, the farthest a femtocell
         # lies, it would exceed P_f: min(P_f, ·) prices P_f there anyway
         blend_dbm = min(p.p_c_dbm - blend_edge_db, p.p_f_dbm + 10.0 * p.alpha_c * math.log10(2.0))
-        blend_w = dbm_to_watts(blend_dbm)
+        blend_w = db_to_linear(blend_dbm - 30.0)
 
     def sensed_w(macro_sq):
         # the carrier-sensed power of a femtocell that senses the user, at

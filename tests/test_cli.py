@@ -1247,7 +1247,7 @@ def _non_finite(rows):
 # an overflowing path loss ρ^(−α_fo) at the innermost FastChi2 node warned
 @example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 80.0},
               "scenario": {"power_policy": "Fixed", "n_f_target": 60.0, "include_noise": True}})
-# the carrier-sensed power at the cell edge overflowed dbm_to_watts
+# the carrier-sensed power at the cell edge overflowed its conversion to watts
 @example(doc={"system": {"u_c": 1, "t_f": 2, "alpha_fo": 700.0},
               "scenario": {"power_policy": "CarrierSensedBlend", "n_f_target": 60.0,
                            "include_noise": True}})

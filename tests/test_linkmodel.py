@@ -14,7 +14,6 @@ from tiernet.linkmodel import (
     SystemParams,
     _losses_db,
     db_to_linear,
-    dbm_to_watts,
     link_budget,
     linear_to_db,
     location_coeffs,
@@ -153,6 +152,7 @@ def test_linear_to_db_rejects_nonpositive(value):
 
 
 def test_dbm_to_watts_reference_points():
-    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
-    assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert dbm_to_watts(43.0) == pytest.approx(19.9526231497, rel=1e-9)
+    """A level in dBm is db_to_linear(level − 30) watts."""
+    assert db_to_linear(30.0 - 30.0) == pytest.approx(1.0, rel=1e-12)
+    assert db_to_linear(0.0 - 30.0) == pytest.approx(1e-3, rel=1e-12)
+    assert db_to_linear(43.0 - 30.0) == pytest.approx(19.9526231497, rel=1e-9)

@@ -293,7 +293,7 @@ def _retired_key_uses(source: str) -> list[str]:
 
 def test_retired_key_use_detector():
     source = (
-        "w = dbm_to_watts(p.p_c_dbm - cfg.fixed_pc_over_pf_db)\n"
+        "w = db_to_linear(p.p_c_dbm - cfg.fixed_pc_over_pf_db)\n"
         "cfg = ScenarioConfig(fixed_pc_over_pf_db=20.0)\n"
         "x = getattr(cfg, 'fixed_pc_over_pf_db')\nfixed_pc_over_pf_db = 1\n"
         "y = cfg.fixed_pc_over_pf_dbm + p.p_f_dbm\n"

@@ -24,7 +24,7 @@ from tiernet.linkmodel import (
     Scenario,
     ScenarioConfig,
     SystemParams,
-    dbm_to_watts,
+    db_to_linear,
     link_budget,
     noise_floor_dbm,
 )
@@ -239,7 +239,8 @@ def _whole_block_leakage(rng, n, t):
     x = rng.standard_normal((n, 4 * t))
     h, g = x[:, : 2 * t], x[:, 2 * t :]
     re = np.einsum("nk,nk->n", g, h)
-    im = np.einsum("nt,nt->n", g[:, :t], h[:, t:]) - np.einsum("nt,nt->n", g[:, t:], h[:, :t])
+    im = np.einsum("nt,nt->n", g[:, :t], h[:, t:])
+    im -= np.einsum("nt,nt->n", g[:, t:], h[:, :t])
     return (re * re + im * im) / (2.0 * np.einsum("nk,nk->n", h, h))
 
 
@@ -829,9 +830,9 @@ def test_conditional_outage_noise_only_is_gamma_tail(d_norm):
     per unit fade, and the empty field has no quadrature error."""
     cfg = ScenarioConfig(d_norm=d_norm, n_f_target=0.0, include_noise=True)
     res = simulate(cfg, 3, 1, P, seed=4)
-    pc_w = dbm_to_watts(P.p_c_dbm)
+    pc_w = db_to_linear(P.p_c_dbm - 30.0)
     a = (pc_w / P.u_c) * link_budget(P).a_c * (d_norm * P.r_c) ** -P.alpha_c
-    s_n = P.gamma_target / a * dbm_to_watts(noise_floor_dbm(P))
+    s_n = P.gamma_target / a * db_to_linear(noise_floor_dbm(P) - 30.0)
     expected = 1.0 - reg_gamma(P.t_c - P.u_c + 1, s_n)[1]
     assert res.p_outage == pytest.approx(expected, rel=1e-9, abs=1e-14)
     assert res.ci_halfwidth_95 == 0.0
@@ -887,9 +888,9 @@ def _cartesian_map(cfg, p):
         powers, sensed = powers_dbm(positions)
         distances = np.linalg.norm(positions, axis=1)
         with np.errstate(divide="ignore"):  # co-located interferer -> inf power
-            return (dbm_to_watts(powers) / p.u_f) * gain * distances**-p.alpha_fo, sensed
+            return (db_to_linear(powers - 30.0) / p.u_f) * gain * distances**-p.alpha_fo, sensed
 
-    return layout, dbm_to_watts(powers_dbm(np.zeros((1, 2)))[0][0])
+    return layout, db_to_linear(powers_dbm(np.zeros((1, 2)))[0][0] - 30.0)
 
 
 @pytest.mark.parametrize("offset", [None, 400.0], ids=["default-offset", "offset-400"])
@@ -946,12 +947,13 @@ def _reference_weights(cfg, p, u_radius, u_angle):
     hotspot = cfg.scenario is Scenario.REFERENCE_HOTSPOT
     d, o = cfg.d_norm * p.r_c, cfg.user_offset_m if hotspot else 0.0
     gain = budget.a_ff if hotspot else budget.a_cf
-    pf_w = dbm_to_watts(p.p_f_dbm)
+    pf_w = db_to_linear(p.p_f_dbm - 30.0)
     rho_sq = p.r_c**2 * u_radius
     tx_w = pf_w
     if cfg.power_policy is PowerPolicy.CARRIER_SENSED_BLEND and cfg.density(p) > 0:
         window_db = power_ratio_bounds(1.0, cfg.density(p), p)
-        blend_w = dbm_to_watts(p.p_c_dbm - blended_power_policy(*window_db, cfg.blend_weight))
+        blend_db = blended_power_policy(*window_db, cfg.blend_weight)
+        blend_w = db_to_linear(p.p_c_dbm - blend_db - 30.0)
         rho_cos = np.sqrt(rho_sq) * np.cos(2.0 * math.pi * u_angle)
         macro_sq = d * d + rho_sq + 2.0 * d * rho_cos
         user_sq = rho_sq + o * o - 2.0 * o * rho_cos
@@ -1031,7 +1033,8 @@ def test_weights_match_reference_at_the_edges(scenario, offset, policy):
         _, fixed = _weight_map(dataclasses.replace(cfg, power_policy=PowerPolicy.FIXED), p)
         assert edge_sites[0].tolist() == [True, True, False, True, False]
         assert w[1] != fixed(u_radius, u_angle)[1] and w[2] == fixed(u_radius, u_angle)[2]
-        assert w[3] == (dbm_to_watts(p.p_f_dbm) * (budget.a_cf / p.u_f)) * 200.0 ** -p.alpha_fo
+        pf_w = db_to_linear(p.p_f_dbm - 30.0)
+        assert w[3] == (pf_w * (budget.a_cf / p.u_f)) * 200.0 ** -p.alpha_fo
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
