@@ -48,12 +48,14 @@ _SWEEP_VARS = ("D", "PcOverPfDb", "AlphaFo", "TfUf", "Mtw")
 
 
 def _sweep(
-    text: str, p: SystemParams, d_norm: float
+    text: str, p: SystemParams, cfg: ScenarioConfig
 ) -> tuple[str, list[tuple[float, SystemParams, float, int]]]:
     """Parse "<var>:<start>:<stop>:<steps>" (finite bounds, steps >= 2,
     start < stop) into the variable and its points, each (value, params,
-    d_norm, m_tw) at that value. A point outside the model's range is a
-    usage error, raised before any point is computed."""
+    d_norm, m_tw) at that value, the config's d_norm where D is not swept.
+    A point outside the model's range, or a P_c/P_f point that the
+    config's scenario does not admit (check_scenario_levels), is a usage
+    error, raised before any point is computed."""
     parts = text.split(":")
     if len(parts) != 4:
         raise click.BadParameter(f"expected var:start:stop:steps, got {text!r}")
@@ -77,7 +79,7 @@ def _sweep(
     h = (stop - start) / (steps - 1)
     points = []
     for value in [start + i * h for i in range(steps - 1)] + [stop]:
-        p2, dn, m_tw = p, d_norm, DETECTOR_M_TW
+        p2, dn, m_tw = p, cfg.d_norm, DETECTOR_M_TW
         try:
             if var == "D":
                 if not 0.0 < value <= 1.0:
@@ -90,6 +92,7 @@ def _sweep(
                     raise ValueError("must round to at least 1")
             elif var == "PcOverPfDb":
                 p2 = dataclasses.replace(p, p_c_dbm=p.p_f_dbm + value)
+                check_scenario_levels(p2, dn, cfg)
             elif var == "AlphaFo":
                 p2 = dataclasses.replace(p, alpha_fo=value)
             else:
@@ -201,7 +204,7 @@ def main() -> None:
 def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Closed-form coverage quantities along a parameter sweep."""
     p, cfg = _load_config(config_path)
-    var, points = _sweep(sweep_text, p, cfg.d_norm)
+    var, points = _sweep(sweep_text, p, cfg)
     lam_scenario = cfg.density(p)
     rows = []
     for value, p2, dn, _ in points:
@@ -232,7 +235,7 @@ def cmd_analytic(config_path: str | None, out_path: str | None, sweep_text: str)
 def cmd_sensing(config_path: str | None, out_path: str | None, sweep_text: str) -> None:
     """Sensing radii, power-ratio windows, and detector design along a sweep."""
     p, cfg = _load_config(config_path)
-    var, points = _sweep(sweep_text, p, cfg.d_norm)
+    var, points = _sweep(sweep_text, p, cfg)
     lam = cfg.density(p)
     rows = []
     for value, p2, dn, m_tw in points:
@@ -288,7 +291,7 @@ def cmd_simulate(
     the config's scenario.channel_mode picks the channel mode."""
     from . import simulator  # here, not at the top: numpy loads only for the Monte Carlo
     p, cfg = _load_config(config_path)
-    var, points = (_sweep(sweep_text, p, cfg.d_norm) if sweep_text is not None
+    var, points = (_sweep(sweep_text, p, cfg) if sweep_text is not None
                    else ("D", [(cfg.d_norm, p, cfg.d_norm, DETECTOR_M_TW)]))
     if var == "Mtw":
         raise click.BadParameter("cannot sweep Mtw: the detector does not enter simulate",

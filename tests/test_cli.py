@@ -54,7 +54,7 @@ def _strict_json(text):
 
 def test_parse_sweep_round_trip():
     p = SystemParams()
-    var, points = cli._sweep("D:0.2:1.0:5", p, 0.5)
+    var, points = cli._sweep("D:0.2:1.0:5", p, ScenarioConfig(d_norm=0.5))
     assert var == "D"
     assert len(points) == 5
     assert points[0] == (pytest.approx(0.2), p, pytest.approx(0.2), DETECTOR_M_TW)
@@ -74,7 +74,7 @@ def test_sweep_points_carry_the_swept_parameter(sweep, changed):
     """Each point holds the parameters at its value: only D moves the
     location, only Mtw the detector, and the others a system field."""
     p = SystemParams()
-    var, points = cli._sweep(sweep, p, 0.5)
+    var, points = cli._sweep(sweep, p, ScenarioConfig(d_norm=0.5))
     assert var == sweep.split(":")[0]
     value, p2, d_norm, m_tw = points[-1]
     assert p2 == dataclasses.replace(p, **changed)
@@ -89,7 +89,7 @@ def test_sweep_points_carry_the_swept_parameter(sweep, changed):
 )
 def test_parse_sweep_rejects(text):
     with pytest.raises(click.BadParameter):
-        cli._sweep(text, SystemParams(), 0.5)
+        cli._sweep(text, SystemParams(), ScenarioConfig(d_norm=0.5))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +106,7 @@ def test_sweep_ends_exactly_at_stop(runner, args):
     start, stop, steps = float(start), float(stop), int(steps)
     h = (stop - start) / (steps - 1)
     assert start + (steps - 1) * h > 1.0
-    vals = [value for value, *_ in cli._sweep(args[2], SystemParams(), 0.5)[1]]
+    vals = [value for value, *_ in cli._sweep(args[2], SystemParams(), ScenarioConfig())[1]]
     assert vals[-1] == 1.0
     assert vals[:-1] == [start + i * h for i in range(steps - 1)]
     res = runner.invoke(main, args)
@@ -872,14 +872,19 @@ def test_bad_sweep_usage_exits_2(runner):
          "it must lie within ±3000 dB"),
         (["simulate", "--drops", "5", "--fades", "5", "--sweep", "Mtw:1:10:3"],
          "Invalid value for '--sweep': cannot sweep Mtw: the detector does not enter simulate"),
+        (["simulate", "--config", "{retired_20}", "--sweep", "PcOverPfDb:10:30:3"],
+         "Invalid value for '--sweep': PcOverPfDb = 10.0: fixed_pc_over_pf_db is retired "
+         "(the Fixed femto power is p_f_dbm) and may only restate p_c_dbm - p_f_dbm = 10.0"),
     ],
 )
-def test_sweep_usage_error_text(runner, monkeypatch, args, error):
+def test_sweep_usage_error_text(runner, monkeypatch, tmp_path, args, error):
     """Each --sweep usage error exits 2 with its one-line message, before
     any row is computed; simulate refuses Mtw, the one variable it cannot
-    sweep, with the reason."""
+    sweep, with the reason. A config whose retired fixed_pc_over_pf_db
+    restates the default 20 dB refuses a P_c/P_f sweep to other ratios."""
     _no_row(monkeypatch)
-    res = runner.invoke(main, args)
+    retired_20 = _write(tmp_path, "retired.json", '{"scenario": {"fixed_pc_over_pf_db": 20.0}}')
+    res = runner.invoke(main, [arg.format(retired_20=retired_20) for arg in args])
     assert res.exit_code == 2
     assert res.output.endswith(f"Error: {error}\n")
 
