@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from enum import Enum
 
 import click
@@ -75,10 +76,13 @@ def _sweep(
         raise click.BadParameter(f"steps must be >= 2, got {steps}")
     if not start < stop:
         raise click.BadParameter(f"need start < stop, got {start} >= {stop}")
-    # the last point is stop itself: start + (steps-1)·h can overshoot it
-    h = (stop - start) / (steps - 1)
+    # each interior point in decimal from the spec's own text, rounded to a
+    # float once (D:0.2:1.0:5 runs at 0.6, not at 0.2 + 2·0.2); the last
+    # point is stop itself
+    lo = Decimal(parts[1])
+    h = (Decimal(parts[2]) - lo) / (steps - 1)
     points = []
-    for value in [start + i * h for i in range(steps - 1)] + [stop]:
+    for value in [float(lo + i * h) for i in range(steps - 1)] + [stop]:
         p2, dn, m_tw = p, cfg.d_norm, DETECTOR_M_TW
         try:
             if var == "D":

@@ -12,6 +12,7 @@ import os
 import re
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -101,14 +102,17 @@ def test_parse_sweep_rejects(text):
 )
 def test_sweep_ends_exactly_at_stop(runner, args):
     """start + 7·h and start + 11·h overshoot 1.0 by one ulp on these two
-    sweeps; the last point is stop itself, and D = 1 is in range."""
-    _, start, stop, steps = args[2].split(":")
-    start, stop, steps = float(start), float(stop), int(steps)
+    sweeps in floats; the last point is stop itself, and D = 1 is in
+    range. Each interior point is the float nearest its exact decimal
+    value, start + i·(stop − start)/(steps − 1)."""
+    _, start_text, stop_text, steps_text = args[2].split(":")
+    start, stop, steps = float(start_text), float(stop_text), int(steps_text)
     h = (stop - start) / (steps - 1)
     assert start + (steps - 1) * h > 1.0
     vals = [value for value, *_ in cli._sweep(args[2], SystemParams(), ScenarioConfig())[1]]
     assert vals[-1] == 1.0
-    assert vals[:-1] == [start + i * h for i in range(steps - 1)]
+    exact = Fraction(start_text), (Fraction(stop_text) - Fraction(start_text)) / (steps - 1)
+    assert vals[:-1] == [float(exact[0] + i * exact[1]) for i in range(steps - 1)]
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(io.StringIO(res.stdout)))
@@ -913,7 +917,8 @@ def test_sweep_point_out_of_range_fails_before_any_row(runner, monkeypatch, comm
     [("D:0.25:0.75:3", "d_norm", ["0.25", "0.5", "0.75"]),
      ("AlphaFo:3:4.5:4", "alpha_fo", ["3.0", "3.5", "4.0", "4.5"]),
      ("TfUf:1:4:4", "t_f", ["1", "2", "3", "4"]),
-     ("D:0.4:0.8:3", "d_norm", ["0.4", "0.6000000000000001", "0.8"]),
+     ("D:0.4:0.8:3", "d_norm", ["0.4", "0.6", "0.8"]),
+     ("D:0.1:0.2:4", "d_norm", ["0.1", "0.13333333333333333", "0.16666666666666666", "0.2"]),
      ("PcOverPfDb:10:20:4", "pc_over_pf_db",
       ["10.0", "13.333333333333336", "16.66666666666667", "20.0"])],
 )
@@ -921,8 +926,9 @@ def test_simulate_sweep_row_states_its_point(runner, tmp_path, sweep, column, va
     """simulate sweeps D, PcOverPfDb, AlphaFo and TfUf: each row prints the
     point it ran at exactly, and equals the unswept run of a config at the
     printed point, a PcOverPfDb row at its own p_c_dbm = p_f_dbm +
-    pc_over_pf_db. A sweep's interior point need not be a short decimal
-    (0.4 + 0.2 is 0.6000000000000001), and its row says so."""
+    pc_over_pf_db. Interior points are built in decimal, so D:0.4:0.8:3
+    runs at 0.6 (0.4 + 0.2 in floats is 0.6000000000000001); a point that
+    is not a short decimal is the float nearest it, and its row says so."""
     res = runner.invoke(main, [*SIM, "--sweep", sweep])
     assert res.exit_code == 0, res.output
     rows = list(csv.DictReader(io.StringIO(res.output)))
@@ -939,6 +945,28 @@ def test_simulate_sweep_row_states_its_point(runner, tmp_path, sweep, column, va
         one = runner.invoke(main, [*SIM, "--config", cfg])
         assert one.exit_code == 0, one.output
         assert list(csv.DictReader(io.StringIO(one.output))) == [row]
+
+
+@pytest.mark.parametrize(
+    ("command", "sweep"),
+    [("analytic", "D:0.051344:1.0:2000"), ("analytic", "PcOverPfDb:0.381887:30.0:121"),
+     ("analytic", "AlphaFo:2.542372:4.5:81"), ("sensing", "D:0.052551:1.0:1000"),
+     ("sensing", "PcOverPfDb:10.0:30.0:61"), ("sensing", "AlphaFo:2.524772:4.5:41")],
+)
+def test_sweep_row_replays_from_its_printed_point(runner, command, sweep):
+    """A row states its own point exactly: eight sampled rows of each of the
+    golden manifest's analytic and sensing sweeps of D, PcOverPfDb and
+    AlphaFo, each run again as the first row of a 2-point sweep that starts
+    at its printed value, read back cell for cell."""
+    cfg = ["--config", str(BENCH_CONFIGS / "closed_form.json")]
+    res = runner.invoke(main, [command, *cfg, "--sweep", sweep])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(io.StringIO(res.output)))
+    var, _, stop, _ = sweep.split(":")
+    for row in rows[1:-1:(len(rows) - 2) // 7]:
+        again = runner.invoke(main, [command, *cfg, "--sweep", f"{var}:{row['value']}:{stop}:2"])
+        assert again.exit_code == 0, again.output
+        assert next(csv.DictReader(io.StringIO(again.output))) == row
 
 
 @pytest.mark.parametrize(("scenario", "order"),
