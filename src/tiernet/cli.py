@@ -4,9 +4,11 @@ scenario simulation, and a self-validation suite.
 Config document: one JSON object {"system": {...}, "scenario": {...}}, both
 sections optional; it is the only source of every system and scenario
 setting. CSV rows are column name -> value records, written under a header
-of the first row's names. A row's point (value, d_norm, alpha_fo,
-pc_over_pf_db) is printed as its shortest round-trip repr, so it reads
-back as the point run, and every computed value to 12 significant digits.
+of the first row's names. A sweep builds its interior points in decimal
+from the spec's text and rounds each to a float once. A row's point
+(value, d_norm, alpha_fo, pc_over_pf_db) is printed as its shortest
+round-trip repr, so it reads back as the point run, and every computed
+value to 12 significant digits.
 Identical (config, seed) runs are byte-identical; `validate` writes strict
 JSON, a non-finite value as null. Exit codes: 0 success, 1 a failed
 validation check, 2 usage or config errors. An unwritable --out and a
@@ -22,7 +24,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from enum import Enum
 
 import click
@@ -79,6 +80,7 @@ def _sweep(
     # each interior point in decimal from the spec's own text, rounded to a
     # float once (D:0.2:1.0:5 runs at 0.6, not at 0.2 + 2·0.2); the last
     # point is stop itself
+    from decimal import Decimal  # here, not at the top: only a sweep needs it
     lo = Decimal(parts[1])
     h = (Decimal(parts[2]) - lo) / (steps - 1)
     points = []

@@ -203,12 +203,12 @@ NUMPY_FREE_RUNS = {
 # `validate` build the Legendre rule by recurrence, without numpy.polynomial
 LAZY_IMPORT_RUNS = {
     "bench-setup": ("import tiernet.cli, tiernet.simulator",
-                    ["concurrent.futures", "numpy.random"]),
+                    ["concurrent.futures", "numpy.random", "decimal"]),
     "fastchi2-simulate": ("from tiernet import cli\n"
                           "cli.main(['simulate', '--sweep', 'D:0.4:1:2'], standalone_mode=False)",
                           ["concurrent.futures", "numpy.random", "numpy.polynomial"]),
     "validate": ("from tiernet import cli\ncli.main(['validate'], standalone_mode=False)",
-                 ["numpy.polynomial"]),
+                 ["numpy.polynomial", "decimal"]),
 }
 
 
