@@ -14,7 +14,7 @@ complex Gaussian entries; SIR ratios are unaffected because numerator and
 denominator share the convention.
 
 Reproducibility contract: FastChi2 draws nothing. FullZF's randomness comes
-from counter-based Philox streams, one per drop, spawned as
+from SFC64 streams, one per drop, each seeded afresh by
 SeedSequence(seed, spawn_key=(drop_index,)). Within a drop the draw order is
 fixed (femtocell count, radii, angles, then the desired / cross / mark
 fades), and drops are reduced in drop order, so a seeded run is
@@ -90,7 +90,7 @@ class SimulationResult:
 
 def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(drop_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _drop_draws(
@@ -135,7 +135,13 @@ def _zf_precoder_batch(rows: np.ndarray) -> np.ndarray:
     # the samplers call it at U > 1 only, as one stream's column is the
     # row's adjoint (maximum ratio)
     adjoint = rows.conj().transpose(0, 2, 1)
-    w = adjoint @ np.linalg.inv(rows @ adjoint)
+    if rows.shape[1] == 2:
+        # column i is row i's adjoint projected off the other unit row j,
+        # rᵢᴴ − (rⱼ·rᵢᴴ)·rⱼᴴ, with no inverse: c = r₂·r₁ᴴ, and r₁·r₂ᴴ = c̄
+        c = np.einsum("nt,nt->n", rows[:, 1], adjoint[:, :, 0])
+        w = adjoint - adjoint[:, :, ::-1] * np.stack([c, c.conj()], axis=1)[:, None, :]
+    else:
+        w = adjoint @ np.linalg.inv(rows @ adjoint)
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 

@@ -39,10 +39,13 @@ PCT_GRID = (1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 # relative tolerances, each well above what the defaults show: the closed
 # forms (bit for bit equal), FastChi2's p_outage and nine rate percentiles
 # (at most 9.7·10⁻¹⁴ apart), and FullZF's at 20 drops × 50 fades, the same
-# draws through the shifted powers (at most 8.3·10⁻¹⁶ apart)
+# draws through the shifted powers (at most 4.1·10⁻¹⁶ apart)
 CLOSED_RTOL = 1e-13
 FAST_RTOL = 1e-12
 FULL_RTOL = 1e-14
+# the linear SINR target (30 dB) of the one sampled row whose outage at the
+# default target is too rare for 20 × 50 samples: FastChi2 reads 0.124 there
+RARE_OUTAGE_GAMMA = 1000.0
 
 
 def _closed_forms(d_norm: float, p: SystemParams) -> list:
@@ -80,10 +83,19 @@ def _row(cfg: ScenarioConfig, p: SystemParams, n_drops: int, n_fades: int) -> li
 )
 def test_power_shift_leaves_simulated_rows(mode, rtol, scenario, policy):
     """p_outage and the nine rate percentiles of a row at D = 0.8 with noise,
-    exact (FastChi2) or sampled at 20 drops × 50 fades (FullZF)."""
+    exact (FastChi2) or sampled at 20 drops × 50 fades (FullZF). The
+    sampled hotspot under Fixed takes a 30 dB target: at the default 5 dB
+    its exact outage is 0.0055, which 1000 samples mostly read as 0."""
     cfg = ScenarioConfig(
         scenario=scenario, power_policy=policy, d_norm=0.8, n_f_target=60.0, channel_mode=mode
     )
-    base, shifted = _row(cfg, P, 20, 50), _row(cfg, SHIFTED, 20, 50)
+    p, p_shifted = P, SHIFTED
+    if (mode, scenario, policy) == (
+        ChannelMode.FULL_ZF, Scenario.REFERENCE_HOTSPOT, PowerPolicy.FIXED
+    ):
+        p, p_shifted = (
+            dataclasses.replace(x, gamma_target=RARE_OUTAGE_GAMMA) for x in (P, SHIFTED)
+        )
+    base, shifted = _row(cfg, p, 20, 50), _row(cfg, p_shifted, 20, 50)
     assert 0.0 < base[0] < 1.0
     assert shifted == pytest.approx(base, rel=rtol, abs=0.0)

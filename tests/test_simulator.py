@@ -138,6 +138,37 @@ def test_zf_precoder_orthonormal_rows_transpose():
     np.testing.assert_allclose(w, q.T.conj().T, atol=1e-10)
 
 
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_two_user_precoder_is_the_inverse_form(t):
+    """At U = 2 the precoder projects each row's adjoint off the other row:
+    it agrees with the normalised columns of Rᴴ(RRᴴ)⁻¹ and zero-forces."""
+    rng = np.random.default_rng(t)
+    shape = (20_000, 2, t)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    rows = h.conj() / np.linalg.norm(h, axis=2, keepdims=True)
+    adjoint = rows.conj().transpose(0, 2, 1)
+    inverse = adjoint @ np.linalg.inv(rows @ adjoint)
+    inverse /= np.linalg.norm(inverse, axis=1, keepdims=True)
+    w = _zf_precoder_batch(rows)
+    assert np.abs(w - inverse).max() <= 1e-10
+    prod = rows @ w
+    assert max(np.abs(prod[:, 0, 1]).max(), np.abs(prod[:, 1, 0]).max()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# drop streams
+
+
+def test_drop_streams_are_spawned_sfc64():
+    """Drop i of seed s draws from SFC64 seeded by SeedSequence(s,
+    spawn_key=(i,)), bit for bit, and two drops of one seed draw apart."""
+    for seed, i in [(0, 0), (42, 3), (2**40 + 7, 11)]:
+        spawned = np.random.SeedSequence(seed, spawn_key=(i,))
+        expected = np.random.Generator(np.random.SFC64(spawned))
+        assert np.array_equal(_drop_rng(seed, i).standard_normal(64), expected.standard_normal(64))
+    assert len({_drop_rng(42, i).standard_normal(64).tobytes() for i in range(4)}) == 4
+
+
 # ---------------------------------------------------------------------------
 # fading laws (single-user configs, where the chi-squared forms are exact)
 
@@ -518,11 +549,8 @@ def test_outage_estimate_reproducible_and_bounded():
 def test_exponential_draws_match_unit_shape_gamma():
     """The sampled FastChi2 oracle (_gamma below) draws Gamma(1, 1) fades as
     standard exponentials: same values and the same stream state afterwards,
-    so its seeded draws keep their bits."""
-    def rng():
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
-
-    a, b = rng(), rng()
+    so its seeded draws keep their bits, on the drop streams it reads."""
+    a, b = _drop_rng(7, 0), _drop_rng(7, 0)
     np.testing.assert_array_equal(a.gamma(1.0, 1.0, (40, 25)), b.standard_exponential((40, 25)))
     assert a.random() == b.random()
 
